@@ -45,9 +45,7 @@
 // jobs.cache.hits with zero jobs.run.executed in the job's window.
 //
 //	experiments bench           # time the parallel fan-out (workers=1 vs N,
-//	                            # out/BENCH_parallel.json), the batched
-//	                            # kernels (naive vs kernel at workers=1,
-//	                            # out/BENCH_kernels.json), the zero-copy
+//	                            # out/BENCH_parallel.json), the zero-copy
 //	                            # views (rebuild-per-epoch vs MaskedView,
 //	                            # out/BENCH_views.json), and the incremental
 //	                            # epoch sweep (full recompute vs maintainers,
@@ -496,33 +494,6 @@ func runBench(ctx context.Context, opts experiments.Options, out string, workers
 	}
 	fmt.Fprintf(w, "wrote %s\n", path)
 
-	kres, err := experiments.BenchKernels(ctx, opts, repeats)
-	if err != nil {
-		return err
-	}
-	kt := report.NewTable(
-		fmt.Sprintf("bench: naive vs batched kernels at workers=1 (best of %d)", repeats),
-		"Kernel", "Dataset", "Sources", "Naive (s)", "Kernel (s)", "Speedup", "Identical")
-	for _, e := range kres.Entries {
-		if err := kt.AddRow(e.Name, e.Dataset, report.Int(e.Sources),
-			report.Float(e.NaiveSeconds, 4), report.Float(e.KernelSeconds, 4),
-			report.Float(e.Speedup, 2), fmt.Sprintf("%v", e.Identical)); err != nil {
-			return err
-		}
-	}
-	if err := kt.Render(w); err != nil {
-		return err
-	}
-	kdata, err := json.MarshalIndent(kres, "", "  ")
-	if err != nil {
-		return err
-	}
-	kpath := filepath.Join(out, "BENCH_kernels.json")
-	if err := resilience.WriteFileAtomic(kpath, append(kdata, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", kpath)
-
 	vres, err := experiments.BenchViews(ctx, opts, repeats)
 	if err != nil {
 		return err
@@ -608,9 +579,6 @@ func runBench(ctx context.Context, opts experiments.Options, out string, workers
 	}
 	fmt.Fprintf(w, "wrote %s\n", spath)
 
-	if !kres.Identical() {
-		return fmt.Errorf("bench: kernel and naive result fingerprints diverged (see %s)", kpath)
-	}
 	if !vres.Identical() {
 		return fmt.Errorf("bench: view and rebuild result fingerprints diverged (see %s)", vpath)
 	}

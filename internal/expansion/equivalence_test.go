@@ -2,12 +2,14 @@ package expansion
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
+	"github.com/trustnet/trustnet/internal/parallel"
 )
 
 // TestEquivalenceExpansionWorkerCounts is the determinism contract for
@@ -39,12 +41,16 @@ func TestEquivalenceExpansionWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestEquivalenceBFSBatchWidths is the bit-parallel kernel contract: a
-// bit-for-bit identical Result at every BFS batch width (1 = scalar
-// pooled workers) and worker count, on a random graph, a disconnected
-// graph with isolated cores, and a star graph.
+// TestEquivalenceBFSBatchWidths is the bit-parallel kernel contract:
+// Measure returns a Result bit-for-bit identical to the scalar per-core
+// oracle at core counts that leave every kind of final batch (1, 63, 64,
+// 65 and 130 cores against 64-lane batches, plus every node on the small
+// graphs) and at any worker count. The graphs sit on both sides of the
+// 4096-node cutoff the kernel used to need: random, cycle, star, a
+// disconnected graph with isolated cores, and mmap-backed inputs.
 func TestEquivalenceBFSBatchWidths(t *testing.T) {
-	ba, err := gen.BarabasiAlbert(400, 4, 11)
+	ba, baBig := mustBA(t, 400, 4, 11), mustBA(t, bigNodes, 3, 12)
+	cycleBig, err := gen.Cycle(bigNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,38 +58,127 @@ func TestEquivalenceBFSBatchWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := graph.NewBuilder(40)
-	for v := graph.NodeID(1); v < 18; v++ {
+	starBig, err := gen.Star(bigNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    graph.View
+	}{
+		{"ba", ba}, {"ba-big", baBig}, {"cycle-big", cycleBig},
+		{"star", star}, {"star-big", starBig},
+		{"disconnected", disconnectedGraph(t, 40)}, {"disconnected-big", disconnectedGraph(t, bigNodes)},
+		{"ba-mapped", mustMapped(t, ba)}, {"ba-big-mapped", mustMapped(t, baBig)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, cores := range []int{1, 63, 64, 65, 130} {
+				srcs, err := SampledSources(tc.g, cores, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkExpansionOracle(t, tc.g, Config{Sources: srcs})
+			}
+			if tc.g.NumNodes() < bigNodes {
+				checkExpansionOracle(t, tc.g, Config{})
+			}
+		})
+	}
+}
+
+// bigNodes sizes the test graphs above the 4096-node cutoff below which
+// the measurement used to run the scalar BFS loop.
+const bigNodes = 4200
+
+// disconnectedGraph builds an n-node graph (n >= 40) of a star component,
+// a path component and three isolated nodes.
+func disconnectedGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	half := graph.NodeID(n / 2)
+	for v := graph.NodeID(1); v < half-2; v++ {
 		if err := b.AddEdge(0, v); err != nil { // hub component
 			t.Fatal(err)
 		}
 	}
-	for v := graph.NodeID(20); v < 38; v++ {
-		if err := b.AddEdge(v, v+1); err != nil { // path component; 18, 19, 39 isolated
+	for v := half; v < graph.NodeID(n-2); v++ {
+		if err := b.AddEdge(v, v+1); err != nil { // path component; half-2, half-1, n-1 isolated
 			t.Fatal(err)
 		}
 	}
-	disconnected := b.Build()
+	return b.Build()
+}
 
-	for name, g := range map[string]*graph.Graph{"ba": ba, "star": star, "disconnected": disconnected} {
-		run := func(batch, workers int) *Result {
-			r, err := Measure(context.Background(), g, Config{Workers: workers, BFSBatch: batch})
-			if err != nil {
-				t.Fatalf("%s batch=%d workers=%d: %v", name, batch, workers, err)
-			}
-			return r
-		}
-		want := run(1, 1)
-		for _, batch := range []int{2, 7, 64} {
-			for _, workers := range []int{1, 3, 8} {
-				if got := run(batch, workers); !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: BFSBatch=%d workers=%d differs from scalar", name, batch, workers)
-				}
-			}
+// mustMapped writes g as a TNG2 file and maps it back, so the test
+// measures the mmap-backed view.
+func mustMapped(t *testing.T, g *graph.Graph) *graph.Mapped {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.tng2")
+	if err := graph.SaveCSR(path, g); err != nil {
+		t.Fatal(err)
+	}
+	mg, err := graph.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mg.Close() })
+	return mg
+}
+
+// oracleExpansion is the reference Measure: one scalar BFS per core, one
+// core per task at cfg.Workers, with scratch drawn from a graph.BFSPool
+// — the loop the bit-parallel kernel replaced. Measure folds the level
+// sequences as a fully resumed checkpoint, so the kernel under test and
+// the oracle share only the source-order fold.
+func oracleExpansion(t *testing.T, g graph.View, cfg Config) *Result {
+	t.Helper()
+	sources := cfg.Sources
+	if sources == nil {
+		sources = make([]graph.NodeID, g.NumNodes())
+		for v := range sources {
+			sources[v] = graph.NodeID(v)
 		}
 	}
-	if _, err := Measure(context.Background(), ba, Config{BFSBatch: 65}); err == nil {
-		t.Error("BFSBatch=65: want error")
+	pool := graph.NewBFSPool(g)
+	levels := make([][]int64, len(sources))
+	if err := parallel.ForEach(context.Background(), cfg.Workers, len(sources), func(_, i int) error {
+		bfs := pool.Get()
+		defer pool.Put(bfs)
+		r, err := bfs.Run(sources[i])
+		if err != nil {
+			return err
+		}
+		// r aliases pooled scratch (see BFSWorker.Run); keep a copy.
+		levels[i] = append([]int64(nil), r.LevelSizes...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = &Checkpoint{Sources: sources, Levels: levels}
+	r, err := Measure(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.levels, levels) {
+		t.Fatal("oracle: the fold did not keep the resumed levels")
+	}
+	return r
+}
+
+// checkExpansionOracle requires Measure on v to equal the scalar oracle
+// bit for bit at workers 1, 3 and 8.
+func checkExpansionOracle(t *testing.T, v graph.View, cfg Config) {
+	t.Helper()
+	want := oracleExpansion(t, v, cfg)
+	for _, workers := range []int{1, 3, 8} {
+		cfg.Workers = workers
+		got, err := Measure(context.Background(), v, cfg)
+		if err != nil {
+			t.Fatalf("cores=%d workers=%d: %v", want.Sources, workers, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("cores=%d workers=%d: differs from the scalar oracle", want.Sources, workers)
+		}
 	}
 }
 

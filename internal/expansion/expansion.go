@@ -10,18 +10,16 @@
 // size gives the min/mean/max scatter of Figure 3; aggregating α over all
 // sets of equal size gives the expected-expansion curves of Figure 4.
 //
-// Complexity: one core's scalar BFS is O(m); the full measurement over k
-// cores is O(k·m) — the paper's exact O(nm) when every node is a core. On
-// large graphs the cores advance 64 at a time through the bit-parallel
-// BFS kernel (kernels.BFSBatch, uint64 frontier/visited masks, exact
-// integer level sizes), cutting the adjacency scans by up to ~64×; small
-// graphs keep the scalar loop with frontier/visited scratch drawn from a
-// graph.BFSPool. Batches fan out across parallel workers for
-// O(k·m/(64·workers)) wall clock; each core's envelope observations are
-// collected independently and folded into the stats.KeyedSummary
-// aggregates sequentially in source order, so the result is bit-for-bit
-// identical at any worker count and batch width (BFS is integer — batch
-// composition cannot perturb a single level count).
+// Complexity: one core's BFS is O(m); the full measurement over k cores
+// is O(k·m) — the paper's exact O(nm) when every node is a core. The
+// cores advance 64 at a time through the bit-parallel BFS kernel
+// (kernels.BFSBatch, uint64 frontier/visited masks, exact integer level
+// sizes), cutting the adjacency scans by up to ~64×. Batches fan out
+// across parallel workers for O(k·m/(64·workers)) wall clock; each core's
+// envelope observations are collected independently and folded into the
+// stats.KeyedSummary aggregates sequentially in source order, so the
+// result is bit-for-bit identical at any worker count (BFS is integer —
+// batch composition cannot perturb a single level count).
 package expansion
 
 import (
@@ -41,35 +39,31 @@ import (
 // inside the BFS inner loops, so the kernels are untouched and results
 // stay bit-identical with metrics enabled.
 var (
-	obsScalarSources = obs.Default().Counter("expansion.bfs.scalar_sources")
-	obsBatches       = obs.Default().Counter("expansion.bfs.batches")
-	obsPoolHits      = obs.Default().Counter("expansion.pool.hits")
-	obsPoolMisses    = obs.Default().Counter("expansion.pool.misses")
-	obsPartial       = obs.Default().Counter("expansion.partial")
-	obsResumed       = obs.Default().Counter("expansion.resumed_sources")
+	obsBatches    = obs.Default().Counter("expansion.bfs.batches")
+	obsPoolHits   = obs.Default().Counter("expansion.pool.hits")
+	obsPoolMisses = obs.Default().Counter("expansion.pool.misses")
+	obsPartial    = obs.Default().Counter("expansion.partial")
+	obsResumed    = obs.Default().Counter("expansion.resumed_sources")
 )
 
 // Config controls a measurement run.
 type Config struct {
-	// Sources limits the number of BFS cores. Zero means every node (the
-	// paper's exact O(nm) measurement); a positive value samples the first
-	// Sources nodes of a deterministic shuffle — see SampledSources.
+	// Sources lists the BFS cores. nil means every node (the paper's
+	// exact O(nm) measurement); SampledSources draws a seeded uniform
+	// subset for graphs where that is too slow.
 	Sources []graph.NodeID
 	// Workers is the parallelism; defaults to GOMAXPROCS when <= 0. The
-	// naive algorithm is O(nm) total, embarrassingly parallel per source.
+	// all-cores measurement is O(nm) total, embarrassingly parallel per
+	// batch of cores.
 	Workers int
-	// BFSBatch selects the BFS kernel. 0 auto-selects: 64-wide
-	// bit-parallel batches (kernels.BFSBatch) on graphs with at least
-	// kernels.MinKernelNodes nodes, scalar per-core BFS otherwise. 1
-	// forces the scalar loop; values in [2, 64] force that batch width.
-	// Every setting produces identical integer results.
-	BFSBatch int
 	// BestEffort salvages a deadline-hit measurement: when ctx is
 	// canceled or times out mid-run, Measure aggregates the cores
 	// completed so far (Result.Partial true, Coverage < 1) instead of
 	// returning the context error, as long as at least one core
-	// finished. BFS is integer, so every completed core's levels are
-	// identical to the uninterrupted run's.
+	// finished. The salvage unit is a batch of kernels.BFSBatchWidth
+	// cores: a batch the deadline cuts contributes nothing. BFS is
+	// integer, so every completed core's levels are identical to the
+	// uninterrupted run's.
 	BestEffort bool
 	// Resume seeds the measurement with level sequences completed by an
 	// earlier (interrupted) run over the *same* source list: cores whose
@@ -100,21 +94,6 @@ func (c *Checkpoint) matches(sources []graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// batchWidth resolves the BFSBatch knob against the graph size.
-func (c Config) batchWidth(g graph.View) (int, error) {
-	switch {
-	case c.BFSBatch == 0:
-		if g.NumNodes() >= kernels.MinKernelNodes {
-			return kernels.BFSBatchWidth, nil
-		}
-		return 1, nil
-	case c.BFSBatch < 0 || c.BFSBatch > kernels.BFSBatchWidth:
-		return 0, fmt.Errorf("expansion: BFSBatch %d outside [0, %d]", c.BFSBatch, kernels.BFSBatchWidth)
-	default:
-		return c.BFSBatch, nil
-	}
 }
 
 // Result aggregates an expansion measurement across sources.
@@ -184,10 +163,10 @@ func (r *Result) VertexExpansion(n int) (float64, bool) {
 // (every node when cfg.Sources is nil). The context cancels the run early;
 // a cancelled run returns ctx.Err().
 //
-// It accepts any graph.View. Below the kernel cutoff the scalar BFS runs
-// directly over the view; on the bit-parallel kernel path a non-CSR view
-// is materialized once (graph.Materialize, cached by the view) and the
-// copy is amortized across all cores. Results are identical either way.
+// It accepts any graph.View. A sharded view runs the gather-form
+// kernels.ShardedBFSBatch; any other non-CSR view is materialized once
+// (graph.Materialize, cached by the view) and the copy is amortized
+// across all cores. Results are identical either way.
 func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -204,17 +183,6 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 		if !g.Valid(s) {
 			return nil, fmt.Errorf("expansion: source %d out of range", s)
 		}
-	}
-	// levels[i] is source i's BFS level-size sequence — everything the
-	// fold needs. Cores run either one per task through pooled scalar
-	// BFS workers or 64 per task through the bit-parallel kernel; both
-	// produce the same integer level sizes, and the per-source results
-	// are folded sequentially in source order below, so the keyed
-	// summaries are bit-for-bit identical at any worker count and batch
-	// width.
-	width, err := cfg.batchWidth(g)
-	if err != nil {
-		return nil, err
 	}
 	ctx, span := obs.StartSpan(ctx, "expansion.measure")
 	defer span.End()
@@ -243,62 +211,53 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 		}
 	}
 
+	// Cores run 64 per task through the bit-parallel kernel. A level
+	// sequence is everything the fold needs, and the fold below runs in
+	// source order, so the keyed summaries are bit-for-bit identical at
+	// any worker count.
 	var runErr error
-	if width <= 1 {
-		pool := graph.NewBFSPool(g)
-		defer recordPoolStats(pool.Stats)
-		obsScalarSources.Add(int64(len(todo)))
-		runErr = parallel.ForEach(ctx, cfg.Workers, len(todo), func(_, k int) error {
-			bfs := pool.Get()
-			defer pool.Put(bfs)
-			r, err := bfs.Run(sources[todo[k]])
-			if err != nil {
-				return err
-			}
-			// r aliases pooled scratch (see BFSWorker.Run); keep only a
-			// copy of the level sizes, which is all the fold reads.
-			levels[todo[k]] = append([]int64(nil), r.LevelSizes...)
-			return nil
-		})
-	} else if len(todo) > 0 {
+	if len(todo) > 0 {
 		todoSources := make([]graph.NodeID, len(todo))
 		for k, i := range todo {
 			todoSources[k] = sources[i]
 		}
-		blocks := parallel.Blocks(len(todo), width)
+		blocks := parallel.Blocks(len(todo), kernels.BFSBatchWidth)
 		obsBatches.Add(int64(len(blocks)))
+		workers := cfg.Workers
+		var levelsOf func(srcs []graph.NodeID) ([][]int64, error)
 		if sg, ok := graph.AsSharded(g); ok {
 			// Sharded substrate: parallelism moves inside each batch (one
 			// worker per shard per BFS superstep), so the outer batch loop
 			// runs inline and no Materialize flattens the shards. Levels
 			// are integers, so the fold below sees identical values.
 			batch := kernels.NewShardedBFSBatch(sg)
-			runErr = parallel.ForEach(ctx, 1, len(blocks), func(_, b int) error {
-				part, err := batch.Run(ctx, todoSources[blocks[b].Start:blocks[b].End], cfg.Workers)
-				if err != nil {
-					return err
-				}
-				for j, ls := range part {
-					levels[todo[blocks[b].Start+j]] = ls
-				}
-				return nil
-			})
+			workers = 1
+			levelsOf = func(srcs []graph.NodeID) ([][]int64, error) {
+				return batch.Run(ctx, srcs, cfg.Workers)
+			}
 		} else {
 			pool := kernels.NewBFSBatchPool(graph.Materialize(g))
-			defer recordPoolStats(pool.Stats)
-			runErr = parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
+			defer func() {
+				gets, news := pool.Stats()
+				obsPoolHits.Add(gets - news)
+				obsPoolMisses.Add(news)
+			}()
+			levelsOf = func(srcs []graph.NodeID) ([][]int64, error) {
 				batch := pool.Get()
 				defer pool.Put(batch)
-				part, err := batch.Run(todoSources[blocks[b].Start:blocks[b].End])
-				if err != nil {
-					return err
-				}
-				for j, ls := range part {
-					levels[todo[blocks[b].Start+j]] = ls
-				}
-				return nil
-			})
+				return batch.Run(srcs)
+			}
 		}
+		runErr = parallel.ForEach(ctx, workers, len(blocks), func(_, b int) error {
+			part, err := levelsOf(todoSources[blocks[b].Start:blocks[b].End])
+			if err != nil {
+				return err
+			}
+			for j, ls := range part {
+				levels[todo[blocks[b].Start+j]] = ls
+			}
+			return nil
+		})
 	}
 
 	res := &Result{
@@ -349,14 +308,6 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 // result from.
 func isInterrupt(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// recordPoolStats folds one pool's get/new counts into the shared hit
-// and miss counters; both BFS pools expose the same Stats signature.
-func recordPoolStats(stats func() (gets, news int64)) {
-	gets, news := stats()
-	obsPoolHits.Add(gets - news)
-	obsPoolMisses.Add(news)
 }
 
 // SampledSources returns k seeded uniform distinct sources for large

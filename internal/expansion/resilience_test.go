@@ -14,7 +14,7 @@ import (
 
 // countCtx is a context whose Err() flips to DeadlineExceeded after a
 // fixed number of calls. With Workers=1 the measurement is sequential
-// and consults Err() at deterministic points (once per fan-out item),
+// and consults Err() at deterministic points (once per 64-core batch),
 // so the interruption lands at exactly the same place on every run —
 // unlike a wall-clock deadline.
 type countCtx struct {
@@ -61,10 +61,10 @@ func TestMeasureBestEffortPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 1, BFSBatch: 1, BestEffort: true}
-	// Err() is consulted once per core on the scalar path: a budget of
-	// 25 completes roughly 25 of the 80 cores.
-	r, err := Measure(newCountCtx(25), g, cfg)
+	cfg := Config{Workers: 1, BestEffort: true}
+	// Err() is consulted once per 64-core batch: a budget of 1 completes
+	// the first batch and cuts the second, 64 of the 80 cores.
+	r, err := Measure(newCountCtx(1), g, cfg)
 	if err != nil {
 		t.Fatalf("best-effort run returned error: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestMeasureBestEffortPartial(t *testing.T) {
 
 	// Without BestEffort the same interruption is an error.
 	cfg.BestEffort = false
-	if _, err := Measure(newCountCtx(25), g, cfg); err == nil || !isInterrupt(err) {
+	if _, err := Measure(newCountCtx(1), g, cfg); err == nil || !isInterrupt(err) {
 		t.Fatalf("without BestEffort, interrupted run = %v, want deadline error", err)
 	}
 
@@ -99,7 +99,7 @@ func TestMeasureResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 1, BFSBatch: 1}
+	cfg := Config{Workers: 1}
 	ref, err := Measure(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestMeasureResumeBitIdentical(t *testing.T) {
 
 	cut := cfg
 	cut.BestEffort = true
-	partial, err := Measure(newCountCtx(30), g, cut)
+	partial, err := Measure(newCountCtx(1), g, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMeasureResumeMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Measure(context.Background(), g, Config{Sources: sources, Workers: 1, BFSBatch: 1})
+	r, err := Measure(context.Background(), g, Config{Sources: sources, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMeasureResumeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Measure(context.Background(), g, Config{
-		Sources: other, Workers: 1, BFSBatch: 1, Resume: r.Checkpoint(),
+		Sources: other, Workers: 1, Resume: r.Checkpoint(),
 	}); err == nil {
 		t.Fatal("stale checkpoint (different sources) accepted")
 	}

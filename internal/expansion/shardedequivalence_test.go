@@ -9,32 +9,31 @@ import (
 )
 
 // TestEquivalenceShardedExpansion measures BFS envelopes on a ShardedGraph
-// at 1, 2 and 7 shards and requires results identical to the monolithic
-// measurement — on the bit-parallel batch path (which routes through
-// kernels.ShardedBFSBatch) and the scalar pooled path.
+// at 1, 2, 3 and 7 shards, which routes through kernels.ShardedBFSBatch,
+// and requires results identical both to the monolithic measurement and
+// to the scalar oracle run over the sharded view.
 func TestEquivalenceShardedExpansion(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		g        *graph.Graph
-		bfsBatch int
+		name  string
+		g     *graph.Graph
+		cores int
 	}{
-		// BFSBatch 64 forces the batch kernel even on a small graph.
-		{"ba-batch", mustBA(t, 600, 3, 51), 64},
-		// BFSBatch 1 forces the scalar path over the sharded view.
-		{"ba-scalar", mustBA(t, 250, 3, 52), 1},
-		{"clustered-batch", mustClusteredPA(t, 3, 90, 3, 1, 53), 64},
+		{"ba-batch", mustBA(t, 600, 3, 51), 130},
+		{"ba-scalar", mustBA(t, 250, 3, 52), 63},
+		{"clustered-batch", mustClusteredPA(t, 3, 90, 3, 1, 53), 65},
+		{"ba-big", mustBA(t, bigNodes, 3, 54), 65},
 	} {
-		srcs, err := SampledSources(tc.g, 96, 9)
+		srcs, err := SampledSources(tc.g, tc.cores, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 7} {
+		for _, shards := range []int{1, 2, 3, 7} {
 			sg, err := graph.NewSharded(tc.g, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Source sampling is degree-driven and must not see the shards.
-			srcsSharded, err := SampledSources(sg, 96, 9)
+			srcsSharded, err := SampledSources(sg, tc.cores, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,8 +41,9 @@ func TestEquivalenceShardedExpansion(t *testing.T) {
 				t.Fatalf("%s shards=%d: sampled sources diverge", tc.name, shards)
 			}
 			t.Run(tc.name, func(t *testing.T) {
-				checkExpansionIdentical(t, sg, tc.g,
-					Config{Sources: srcs, Workers: 4, BFSBatch: tc.bfsBatch})
+				cfg := Config{Sources: srcs, Workers: 4}
+				checkExpansionIdentical(t, sg, tc.g, cfg)
+				checkExpansionOracle(t, sg, cfg)
 			})
 		}
 	}

@@ -50,8 +50,9 @@ func checkExpansionIdentical(t *testing.T, a, b graph.View, cfg Config) {
 }
 
 // TestEquivalenceViewExpansionMasked checks the BFS envelopes measured on
-// a churned MaskedView against the rebuilt CSR, on the scalar path (small)
-// and the bit-parallel batch path (large, materialized once).
+// a churned MaskedView against the rebuilt CSR and against the scalar
+// oracle traversing the view, on a small and a large graph (the view is
+// materialized once either way).
 func TestEquivalenceViewExpansionMasked(t *testing.T) {
 	small, err := gen.BarabasiAlbert(300, 3, 21)
 	if err != nil {
@@ -70,6 +71,7 @@ func TestEquivalenceViewExpansionMasked(t *testing.T) {
 		t.Fatal("sampled sources differ between view and rebuilt copy")
 	}
 	checkExpansionIdentical(t, mv, rebuilt, Config{Sources: srcs, Workers: 8})
+	checkExpansionOracle(t, mv, Config{Sources: srcs})
 
 	big, err := gen.BarabasiAlbert(5000, 4, 22)
 	if err != nil {
@@ -81,6 +83,7 @@ func TestEquivalenceViewExpansionMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkExpansionIdentical(t, mvBig, rebuiltBig, Config{Sources: srcsBig, Workers: 8})
+	checkExpansionOracle(t, mvBig, Config{Sources: srcsBig})
 }
 
 // TestEquivalenceViewExpansionInduced does the same for an induced subset.
@@ -101,4 +104,5 @@ func TestEquivalenceViewExpansionInduced(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkExpansionIdentical(t, iv, graph.InducedSubgraph(g, nodes), Config{Workers: 8})
+	checkExpansionOracle(t, iv, Config{})
 }

@@ -55,51 +55,6 @@ func TestBenchDefaultsWorkersAndRepeats(t *testing.T) {
 	}
 }
 
-func TestBenchKernelsQuick(t *testing.T) {
-	res, err := BenchKernels(context.Background(), Options{Quick: true, Seed: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 2 {
-		t.Fatalf("entries = %d, want walk-block and bfs64", len(res.Entries))
-	}
-	names := map[string]bool{}
-	for _, e := range res.Entries {
-		names[e.Name] = true
-		if e.NaiveSeconds <= 0 || e.KernelSeconds <= 0 {
-			t.Errorf("%s: non-positive timings %v/%v", e.Name, e.NaiveSeconds, e.KernelSeconds)
-		}
-		if e.Nodes < 10000 {
-			t.Errorf("%s: baseline graph has %d nodes, want the 10^4-node benchmark graph", e.Name, e.Nodes)
-		}
-		if e.Fingerprint == "" {
-			t.Errorf("%s: empty fingerprint", e.Name)
-		}
-		if !e.Identical {
-			t.Errorf("%s: naive and kernel results differ — determinism contract broken", e.Name)
-		}
-	}
-	for _, want := range []string{"walk-block", "bfs64"} {
-		if !names[want] {
-			t.Errorf("missing kernel %s", want)
-		}
-	}
-	if !res.Identical() {
-		t.Error("Identical() = false with all entries identical")
-	}
-	if _, err := json.Marshal(res); err != nil {
-		t.Errorf("result not JSON-serializable: %v", err)
-	}
-}
-
-func TestBenchKernelsHonorsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := BenchKernels(ctx, Options{Quick: true, Seed: 1}, 1); err == nil {
-		t.Fatal("want error from cancelled context")
-	}
-}
-
 func TestBenchHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -41,7 +41,7 @@ type ScaleKernelEntry struct {
 // bench writes to out/BENCH_scale.json: a graph streamed to TNG2 in
 // bounded memory, mmap-loaded, and measured end to end, with the sharded
 // engine checked against the monolithic one — on the big graph itself
-// and on the 10⁴-node reference the kernel baseline uses.
+// and on the 10⁴-node reference the views baseline uses.
 type ScaleBenchResult struct {
 	GoVersion  string `json:"go_version"`
 	NumCPU     int    `json:"num_cpu"`
@@ -177,7 +177,7 @@ func BenchScale(ctx context.Context, opts Options, shards int, scratch string) (
 	// one 64-source batch, and the power iteration is iteration-capped
 	// (an unconverged estimate is still bit-reproducible).
 	mixingCfg := walk.MixingConfig{
-		MaxSteps: 5, Sources: 8, Seed: opts.Seed, Workers: workers, BlockSize: 4,
+		MaxSteps: 5, Sources: 8, Seed: opts.Seed, Workers: workers,
 	}
 	expSources, err := expansion.SampledSources(mg, 64, opts.Seed)
 	if err != nil {
@@ -200,7 +200,7 @@ func BenchScale(ctx context.Context, opts Options, shards int, scratch string) (
 		}},
 		{"expansion", func(v graph.View) (string, error) {
 			er, err := expansion.Measure(ctx, v, expansion.Config{
-				Sources: expSources, Workers: workers, BFSBatch: 64,
+				Sources: expSources, Workers: workers,
 			})
 			if err != nil {
 				return "", err
@@ -244,9 +244,9 @@ func BenchScale(ctx context.Context, opts Options, shards int, scratch string) (
 		res.Entries = append(res.Entries, e)
 	}
 
-	// Reference identity on the kernel baseline's 10⁴-node graph: the
+	// Reference identity on the views baseline's 10⁴-node graph: the
 	// same check CI's equivalence suites run, recorded in the artifact.
-	ref, err := benchKernelGraph()
+	ref, err := benchGraph()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bench scale: reference: %w", err)
 	}
@@ -255,7 +255,7 @@ func BenchScale(ctx context.Context, opts Options, shards int, scratch string) (
 		return nil, fmt.Errorf("experiments: bench scale: reference: %w", err)
 	}
 	res.ReferenceIdentical = true
-	refMix := walk.MixingConfig{MaxSteps: 10, Sources: 16, Seed: opts.Seed, Workers: workers, BlockSize: 8}
+	refMix := walk.MixingConfig{MaxSteps: 10, Sources: 16, Seed: opts.Seed, Workers: workers}
 	refSources, err := expansion.SampledSources(ref, 128, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bench scale: reference: %w", err)
@@ -270,7 +270,7 @@ func BenchScale(ctx context.Context, opts Options, shards int, scratch string) (
 		},
 		func(v graph.View) (string, error) {
 			er, err := expansion.Measure(ctx, v, expansion.Config{
-				Sources: refSources, Workers: workers, BFSBatch: 64,
+				Sources: refSources, Workers: workers,
 			})
 			if err != nil {
 				return "", err

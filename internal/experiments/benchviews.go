@@ -114,7 +114,7 @@ func BenchViews(ctx context.Context, opts Options, repeats int) (*ViewBenchResul
 	if repeats < 1 {
 		repeats = 1
 	}
-	g, err := benchKernelGraph()
+	g, err := benchGraph()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bench views: %w", err)
 	}

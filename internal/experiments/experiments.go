@@ -73,6 +73,20 @@ func (o *Options) graphFor(name string) (*graph.Graph, error) {
 	return g, nil
 }
 
+// cutBeforeSalvage reports whether err is a best-effort deadline or
+// cancellation that cut a dataset before any of it completed, with
+// measured earlier datasets already finished. A runner then ends its
+// dataset loop as partial, leaving that dataset and every later one
+// unmeasured, instead of discarding the finished ones. With nothing
+// measured yet the interrupt stays an error.
+func (o *Options) cutBeforeSalvage(err error, measured int) bool {
+	switch resilience.Classify(err) {
+	case resilience.ClassDeadline, resilience.ClassCanceled:
+		return o.BestEffort && measured > 0
+	}
+	return false
+}
+
 // pick returns quick in Quick mode and full otherwise.
 func (o *Options) pick(quick, full int) int {
 	if o.Quick {

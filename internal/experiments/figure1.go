@@ -32,16 +32,18 @@ type Figure1Result struct {
 	// best-effort deadline cut short.
 	Coverage map[string]float64
 	// Partial reports that a best-effort run was cut short: the last
-	// dataset's series covers only part of its sources, and later
-	// datasets were not measured at all.
+	// dataset's series covers only part of its sources, or the cut
+	// dataset salvaged nothing and is missing, and later datasets were
+	// not measured at all.
 	Partial bool
 }
 
 // Figure1 measures the mixing curves of every dataset. ctx cancels the
 // underlying mixing measurements between walk steps. With
-// Options.BestEffort a deadline mid-dataset yields a partial result; with
-// Options.Ckpt/Resume progress is checkpointed per dataset and a rerun
-// continues from the saved curves, reproducing the uninterrupted
+// Options.BestEffort a deadline mid-dataset yields a partial result (an
+// error only when it cuts the first dataset before any of it completes);
+// with Options.Ckpt/Resume progress is checkpointed per dataset and a
+// rerun continues from the saved curves, reproducing the uninterrupted
 // measurement bit-for-bit.
 func Figure1(ctx context.Context, opts Options) (*Figure1Result, error) {
 	opts.fill()
@@ -78,6 +80,10 @@ func Figure1(ctx context.Context, opts Options) (*Figure1Result, error) {
 				}
 			}
 			mr, err := walk.MeasureMixing(ctx, g, cfg)
+			if opts.cutBeforeSalvage(err, len(res.Coverage)) {
+				res.Partial = true
+				return nil
+			}
 			if err != nil {
 				return fmt.Errorf("experiments: figure 1 mixing of %s: %w", spec.Name, err)
 			}

@@ -23,6 +23,10 @@ type Figure3Panel struct {
 // Figure3Result reproduces Figure 3 across all datasets.
 type Figure3Result struct {
 	Panels []Figure3Panel
+	// Partial reports that a best-effort run was cut short: the last
+	// panel covers only part of its cores, or the cut dataset salvaged
+	// nothing and is missing, and later datasets were not measured.
+	Partial bool
 }
 
 // Figure4Result reproduces Figure 4: the expected expansion factor α as a
@@ -34,6 +38,9 @@ type Figure4Result struct {
 	// MeanAlphaSmall records each dataset's mean α over sets of at most
 	// n/10 nodes, for the shape checks.
 	MeanAlphaSmall map[string]float64
+	// Partial reports that a best-effort run was cut short, as for
+	// Figure3Result.
+	Partial bool
 }
 
 // measureExpansion runs the envelope measurement for one dataset with
@@ -52,7 +59,8 @@ func measureExpansion(ctx context.Context, opts Options, g *graph.Graph) (*expan
 
 // Figure3 measures the per-envelope-size neighbor statistics of every
 // dataset (all nodes as cores, per the paper's O(nm) measurement; Quick
-// mode samples cores instead).
+// mode samples cores instead). With Options.BestEffort a deadline stops
+// the run at the cut dataset with a partial result.
 func Figure3(ctx context.Context, opts Options) (*Figure3Result, error) {
 	opts.fill()
 	specs := datasets.All()
@@ -66,6 +74,10 @@ func Figure3(ctx context.Context, opts Options) (*Figure3Result, error) {
 			return nil, err
 		}
 		er, err := measureExpansion(ctx, opts, g)
+		if opts.cutBeforeSalvage(err, len(res.Panels)) {
+			res.Partial = true
+			break
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 3 expansion of %s: %w", spec.Name, err)
 		}
@@ -89,6 +101,10 @@ func Figure3(ctx context.Context, opts Options) (*Figure3Result, error) {
 			panel.Max.Y = append(panel.Max.Y, s.Max())
 		}
 		res.Panels = append(res.Panels, panel)
+		if er.Partial {
+			res.Partial = true
+			break
+		}
 	}
 	return res, nil
 }
@@ -101,17 +117,26 @@ var (
 	figure4PanelB = []string{"wiki-vote", "epinion", "enron", "slashdot-a"}
 )
 
-// Figure4 computes the expected expansion factor curves.
+// Figure4 computes the expected expansion factor curves. With
+// Options.BestEffort a deadline stops the run at the cut dataset with a
+// partial result.
 func Figure4(ctx context.Context, opts Options) (*Figure4Result, error) {
 	opts.fill()
 	res := &Figure4Result{MeanAlphaSmall: make(map[string]float64)}
 	run := func(names []string, panel *[]report.Series) error {
 		for _, name := range names {
+			if res.Partial {
+				return nil // the deadline already hit; later datasets stay unmeasured
+			}
 			g, err := opts.graphFor(name)
 			if err != nil {
 				return err
 			}
 			er, err := measureExpansion(ctx, opts, g)
+			if opts.cutBeforeSalvage(err, len(res.PanelA)+len(res.PanelB)) {
+				res.Partial = true
+				return nil
+			}
 			if err != nil {
 				return fmt.Errorf("experiments: figure 4 expansion of %s: %w", name, err)
 			}
@@ -134,6 +159,9 @@ func Figure4(ctx context.Context, opts Options) (*Figure4Result, error) {
 			*panel = append(*panel, s)
 			if alphaCnt > 0 {
 				res.MeanAlphaSmall[name] = alphaSum / float64(alphaCnt)
+			}
+			if er.Partial {
+				res.Partial = true
 			}
 		}
 		return nil

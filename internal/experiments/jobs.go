@@ -125,6 +125,27 @@ func partialErr(ctx context.Context, name string) error {
 	return fmt.Errorf("%s: partial results written (rerun with -resume to continue): %w", name, cause)
 }
 
+// panelCSV is one figure panel bound for its CSV file.
+type panelCSV struct {
+	path   string
+	series []report.Series
+}
+
+// savePanels files each panel as a CSV, in order. A best-effort run cut
+// short may leave its later panels empty; those files are skipped so the
+// salvaged panels still reach the artifact.
+func savePanels(b *jobs.Builder, partial bool, panels ...panelCSV) error {
+	for _, p := range panels {
+		if partial && len(p.series) == 0 {
+			continue
+		}
+		if err := b.SaveCSV(p.path, p.series); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // tableIJob renders and files the Table I reproduction.
 func tableIJob(ctx context.Context, opts Options, b *jobs.Builder) error {
 	res, err := TableI(ctx, opts)
@@ -155,13 +176,10 @@ func figure1Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 	if err != nil {
 		return err
 	}
-	if err := b.SaveCSV("figure1a.csv", res.PanelA); err != nil {
-		return err
-	}
-	if err := b.SaveCSV("figure1b.csv", res.PanelB); err != nil {
-		return err
-	}
-	if err := b.SaveCSV("figure1-sources.csv", res.SourceECDFs); err != nil {
+	if err := savePanels(b, res.Partial,
+		panelCSV{"figure1a.csv", res.PanelA},
+		panelCSV{"figure1b.csv", res.PanelB},
+		panelCSV{"figure1-sources.csv", res.SourceECDFs}); err != nil {
 		return err
 	}
 	t := report.NewTable("Figure 1: mixing time T(0.1) per dataset (0 = not within budget)", "Dataset", "T(0.1)")
@@ -237,6 +255,11 @@ func figure3Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 		}
 	}
 	b.Printf("wrote %d figure 3 panels\n", len(res.Panels))
+	if res.Partial {
+		b.Printf("PARTIAL: the run was cut short; the last panel may cover only part of its cores and later datasets are missing\n")
+		b.MarkPartial()
+		return partialErr(ctx, "figure3")
+	}
 	return nil
 }
 
@@ -247,10 +270,9 @@ func figure4Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 	if err != nil {
 		return err
 	}
-	if err := b.SaveCSV("figure4a.csv", res.PanelA); err != nil {
-		return err
-	}
-	if err := b.SaveCSV("figure4b.csv", res.PanelB); err != nil {
+	if err := savePanels(b, res.Partial,
+		panelCSV{"figure4a.csv", res.PanelA},
+		panelCSV{"figure4b.csv", res.PanelB}); err != nil {
 		return err
 	}
 	t := report.NewTable("Figure 4: mean expansion factor over small sets", "Dataset", "mean alpha")
@@ -259,7 +281,17 @@ func figure4Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 			return err
 		}
 	}
-	return b.Table(t)
+	if res.Partial {
+		t.AddNote("PARTIAL: the run was cut short; the last dataset may cover only part of its cores and later datasets are missing")
+	}
+	if err := b.Table(t); err != nil {
+		return err
+	}
+	if res.Partial {
+		b.MarkPartial()
+		return partialErr(ctx, "figure4")
+	}
+	return nil
 }
 
 // figure5Job files one CSV per core-structure panel and renders the

@@ -2,11 +2,17 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/trustnet/trustnet/internal/jobs"
+	"github.com/trustnet/trustnet/internal/report"
 	"github.com/trustnet/trustnet/internal/resilience"
 )
 
@@ -165,5 +171,125 @@ func TestFigure1KillAndResumeDeterministic(t *testing.T) {
 		if got.MixingTimes[name] != want {
 			t.Fatalf("MixingTimes[%s] = %d, want %d", name, got.MixingTimes[name], want)
 		}
+	}
+}
+
+// Regression: a best-effort deadline that cut a later dataset before any
+// of its sources completed used to fail the whole run, throwing away the
+// datasets already measured. The run must end as partial instead, with
+// those datasets bit-identical to an uninterrupted run and no checkpoint
+// for the cut dataset.
+func TestFigure1BestEffortCutBeforeSalvage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-dataset experiment is slow")
+	}
+	base := Options{Quick: true, Seed: 1, Workers: 1}
+	ref, err := Figure1(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([]report.Series(nil), ref.PanelA...), ref.PanelB...)
+	// A quick dataset is one block of 10 sources: one Err() call for the
+	// block and one per walk step.
+	const perDataset = 61
+	for _, done := range []int{10, 1} {
+		store := resilience.NewStore(t.TempDir())
+		cut := base
+		cut.BestEffort = true
+		cut.Ckpt = store
+		partial, err := Figure1(newCountCtx(int64(done*perDataset+1)), cut)
+		if err != nil {
+			t.Fatalf("cut after %d datasets: %v", done, err)
+		}
+		if !partial.Partial {
+			t.Fatalf("cut after %d datasets: run not partial", done)
+		}
+		got := append(append([]report.Series(nil), partial.PanelA...), partial.PanelB...)
+		if len(got) != done {
+			t.Fatalf("cut after %d datasets: %d series", done, len(got))
+		}
+		for i, s := range got {
+			if s.Name != all[i].Name || !reflect.DeepEqual(s.Y, all[i].Y) || partial.Coverage[s.Name] != 1 {
+				t.Fatalf("cut after %d datasets: %s differs from the uninterrupted run", done, s.Name)
+			}
+		}
+		name := all[done].Name
+		if _, ok := partial.Coverage[name]; ok {
+			t.Fatalf("cut dataset %s has a coverage entry", name)
+		}
+		if _, err := os.Stat(store.Path("figure1-" + name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("cut dataset %s left a checkpoint (stat: %v)", name, err)
+		}
+	}
+	// Cut before the first dataset salvages anything: nothing to keep.
+	cut := base
+	cut.BestEffort = true
+	if _, err := Figure1(newCountCtx(1), cut); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cut inside the first dataset = %v, want the deadline error", err)
+	}
+	// The job files the salvaged panel and skips the empty second one.
+	reg, err := Jobs(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := reg.Lookup("figure1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := j.Run(newCountCtx(perDataset+1), jobs.Env{})
+	if !errors.Is(err, context.DeadlineExceeded) || art == nil || !art.Partial {
+		t.Fatalf("figure1 job = (%v, %v), want a partial artifact with the deadline error", art, err)
+	}
+	var paths []string
+	for _, f := range art.Files {
+		paths = append(paths, f.Path)
+	}
+	if want := []string{"figure1a.csv", "figure1-sources.csv"}; !reflect.DeepEqual(paths, want) {
+		t.Fatalf("partial figure1 files = %v, want %v", paths, want)
+	}
+}
+
+// Regression: Figure 3 and Figure 4 dropped expansion.Result.Partial, so
+// a best-effort run cut mid-dataset came back as a complete artifact that
+// the job runner cached and replayed. Cut inside the first dataset of the
+// all-cores run, after its first 64-core batch, each job must return a
+// partial artifact holding only that dataset, with the deadline error.
+func TestFigure34BestEffortPartialNotCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("all-cores expansion is slow")
+	}
+	opts := Options{Seed: 1, Workers: 1, BestEffort: true}
+	reg, err := Jobs(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"figure3", "figure4"} {
+		j, err := reg.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Err() is consulted once per batch at Workers=1: a budget of 1
+		// completes the first batch and cuts the second.
+		art, err := j.Run(newCountCtx(1), jobs.Env{})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want the deadline error", name, err)
+		}
+		if art == nil || !art.Partial {
+			t.Fatalf("%s: artifact %v not marked partial", name, art)
+		}
+	}
+	r3, err := Figure3(newCountCtx(1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r3.Partial || len(r3.Panels) != 1 {
+		t.Fatalf("figure 3: Partial=%v with %d panels, want one partial panel", r3.Partial, len(r3.Panels))
+	}
+	r4, err := Figure4(newCountCtx(1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r4.Partial || len(r4.PanelA)+len(r4.PanelB) != 1 {
+		t.Fatalf("figure 4: Partial=%v with %d series, want one partial series", r4.Partial, len(r4.PanelA)+len(r4.PanelB))
 	}
 }

@@ -104,9 +104,9 @@ func AsCSR(v View) (*Graph, bool) {
 // already sorted and deduplicated, rebuilding is a linear O(n+m) pass —
 // not the O(m log m) sort a Builder pays. The result must not be modified.
 //
-// This is the kernel escape hatch: measurement entry points that dispatch
-// to the batched CSR kernels above the kernel cutoff call Materialize once
-// and amortize the copy across the whole measurement.
+// This is the kernel escape hatch: measurement entry points that run the
+// batched CSR kernels call Materialize once and amortize the copy across
+// the whole measurement.
 func Materialize(v View) *Graph {
 	if g, ok := AsCSR(v); ok {
 		return g

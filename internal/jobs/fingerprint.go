@@ -14,7 +14,7 @@ import (
 
 // This file is the single home of the measurement-result fingerprints
 // the benchmark and equivalence harnesses compare: every variant pair
-// (naive vs kernel, rebuild vs view, monolithic vs sharded) digests its
+// (rebuild vs view, monolithic vs sharded) digests its
 // results here, so "identical" always means the same bits. The helpers
 // were previously copy-pasted across the experiments bench files.
 

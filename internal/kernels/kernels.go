@@ -1,6 +1,5 @@
 // Package kernels holds the cache-friendly batched measurement kernels
-// that the naive per-source loops in internal/walk and internal/expansion
-// delegate to on large graphs:
+// that internal/walk and internal/expansion run on every graph:
 //
 //   - WalkBlock evolves a block of B walk distributions per CSR pass
 //     (an SpMM-style column-blocked n×B buffer), so one adjacency stream
@@ -15,27 +14,24 @@
 // Both kernels preserve the repository's determinism contract
 // bit-for-bit. Per-source walk columns are independent and every
 // floating-point addition into a column happens in the same ascending
-// node order as the per-source dense loop (skipped zero-mass nodes
+// node order as a per-source walk.Distribution (skipped zero-mass nodes
 // contribute exact +0.0, which is a bitwise no-op on the non-negative
 // values a walk produces), so blocked results equal per-source results
 // at every block width. BFS is integer, so batching cannot change its
-// level counts at all.
-//
-// Callers pick the kernel through their config (walk.MixingConfig.
-// BlockSize, expansion.Config.BFSBatch); the zero value auto-selects the
-// batched kernel only on graphs with at least MinKernelNodes nodes, the
-// same small-graph cutoff style as spectral.SLEM's parallel threshold,
-// so tiny graphs keep the naive loops whose constants are smaller.
+// level counts at all. The per-source loops are kept only as the
+// reference oracles the TestEquivalence* suites in walk and expansion
+// compare the kernels against.
 package kernels
 
-// MinKernelNodes is the auto-selection cutoff: graphs with fewer nodes
-// default to the naive per-source loops (mirroring the ≥4096-node
-// threshold spectral.SLEM uses for its row-partitioned mat-vec), because
-// batching pays off only once per-step buffers outgrow cache and the
-// adjacency stream dominates.
+// MinKernelNodes is the node count at which the measurements used to
+// switch from per-source loops to the batched kernels.
+//
+// Deprecated: no measurement dispatches on it any more; walk and
+// expansion run the kernels at every graph size. perfbench uses it only
+// to label its printed walk.measure_mixing.per_source_s row.
 const MinKernelNodes = 4096
 
-// DefaultBlockWidth is the walk-propagation block width the auto path
+// DefaultBlockWidth is the walk-propagation block width walk.MeasureMixing
 // uses: wide enough to amortize one adjacency stream over many sources,
 // narrow enough that a block's n×B working set stays cache-resident.
 const DefaultBlockWidth = 16

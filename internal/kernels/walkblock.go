@@ -49,10 +49,10 @@ type WalkBlock struct {
 }
 
 // NewWalkBlock returns a block with column j concentrated at sources[j].
-// The block width is len(sources), at most DefaultBlockWidth·4 in the
-// auto path but unlimited here; sources must be valid non-isolated nodes
-// of a graph with at least one edge, exactly as walk.NewDistribution
-// requires.
+// The block width is len(sources): walk.MeasureMixing passes at most
+// DefaultBlockWidth, but any width works. Sources must be valid
+// non-isolated nodes of a graph with at least one edge, exactly as
+// walk.NewDistribution requires.
 func NewWalkBlock(g *graph.Graph, sources []graph.NodeID, lazy bool) (*WalkBlock, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("kernels: walk block needs at least one source")

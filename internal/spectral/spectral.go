@@ -51,7 +51,7 @@ type Config struct {
 	// Tolerance is the convergence threshold on successive eigenvalue
 	// estimates. Defaults to 1e-10 when zero.
 	Tolerance float64
-	// MaxIterations bounds the iteration count. Defaults to 10000 when 0.
+	// MaxIterations bounds the iteration count. Defaults to 50000 when <= 0.
 	MaxIterations int
 	// Seed drives the random starting vector.
 	Seed int64

@@ -2,12 +2,15 @@ package walk
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
+	"github.com/trustnet/trustnet/internal/parallel"
 )
 
 // TestEquivalenceMixingWorkerCounts is the determinism contract for the
@@ -37,44 +40,156 @@ func TestEquivalenceMixingWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestEquivalenceBlockedMixingWidths is the blocked-kernel contract: for
-// a fixed seed, MeasureMixing returns a bit-for-bit identical
-// MixingResult at every block width (1 = per-source dense loop) and
-// worker count, lazy and plain, including on a bipartite graph where
-// only the lazy walk converges.
+// TestEquivalenceBlockedMixingWidths is the blocked-kernel contract:
+// MeasureMixing returns a MixingResult bit-for-bit identical to the
+// per-source oracle at source counts that leave every kind of final
+// block (1, 15, 16, 17 and 40 sources against blocks of
+// kernels.DefaultBlockWidth) and at any worker count. The graphs sit on
+// both sides of the 4096-node cutoff the kernels used to need, lazy and
+// plain, including bipartite graphs where only the lazy walk converges,
+// a disconnected graph with isolated nodes, and mmap-backed inputs.
 func TestEquivalenceBlockedMixingWidths(t *testing.T) {
-	ba, err := gen.BarabasiAlbert(400, 4, 7)
+	ba, baBig := mustBA(t, 400, 4, 7), mustBA(t, bigNodes, 3, 8)
+	cycle, err := gen.Cycle(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycle, err := gen.Cycle(128) // bipartite
+	cycleBig, err := gen.Cycle(bigNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tc := range map[string]struct {
-		g    *graph.Graph
+	star, err := gen.Star(90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starBig, err := gen.Star(bigNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    graph.View
 		lazy bool
 	}{
-		"ba-plain": {ba, false}, "ba-lazy": {ba, true}, "cycle-lazy": {cycle, true},
+		{"ba-plain", ba, false}, {"ba-lazy", ba, true},
+		{"ba-big-plain", baBig, false}, {"ba-big-lazy", baBig, true},
+		{"cycle-lazy", cycle, true}, {"cycle-big-lazy", cycleBig, true},
+		{"star", star, false}, {"star-big", starBig, true},
+		{"disconnected", disconnectedGraph(t, 40), false},
+		{"disconnected-big", disconnectedGraph(t, bigNodes), true},
+		{"ba-mapped", mustMapped(t, ba), false}, {"ba-big-mapped", mustMapped(t, baBig), true},
 	} {
-		base := MixingConfig{MaxSteps: 20, Sources: 30, Seed: 3, Lazy: tc.lazy, BlockSize: 1}
-		run := func(block, workers int) *MixingResult {
-			cfg := base
-			cfg.BlockSize = block
-			cfg.Workers = workers
-			r, err := MeasureMixing(context.Background(), tc.g, cfg)
-			if err != nil {
-				t.Fatalf("%s block=%d workers=%d: %v", name, block, workers, err)
+		t.Run(tc.name, func(t *testing.T) {
+			for _, sources := range []int{1, 15, 16, 17, 40} {
+				checkMixingOracle(t, tc.g, MixingConfig{MaxSteps: 10, Sources: sources, Seed: 3, Lazy: tc.lazy})
 			}
-			return r
+		})
+	}
+}
+
+// bigNodes sizes the test graphs above the 4096-node cutoff below which
+// the measurements used to run the per-source loops.
+const bigNodes = 4200
+
+// disconnectedGraph builds an n-node graph (n >= 40) of a star component,
+// a path component and three isolated nodes.
+func disconnectedGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	half := graph.NodeID(n / 2)
+	for v := graph.NodeID(1); v < half-2; v++ {
+		if err := b.AddEdge(0, v); err != nil { // hub component
+			t.Fatal(err)
 		}
-		want := run(1, 1)
-		for _, block := range []int{2, 5, 16, 64} {
-			for _, workers := range []int{1, 3, 8} {
-				if got := run(block, workers); !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: BlockSize=%d workers=%d differs from per-source dense", name, block, workers)
-				}
-			}
+	}
+	for v := half; v < graph.NodeID(n-2); v++ {
+		if err := b.AddEdge(v, v+1); err != nil { // path component; half-2, half-1, n-1 isolated
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// mustMapped writes g as a TNG2 file and maps it back, so the test
+// measures the mmap-backed view.
+func mustMapped(t *testing.T, g *graph.Graph) *graph.Mapped {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.tng2")
+	if err := graph.SaveCSR(path, g); err != nil {
+		t.Fatal(err)
+	}
+	mg, err := graph.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mg.Close() })
+	return mg
+}
+
+// sourceCurve is the per-source reference loop the blocked kernel
+// replaced: it evolves one exact Distribution from src and returns its
+// TVD-to-stationarity trajectory.
+func sourceCurve(g graph.View, src graph.NodeID, pi []float64, cfg MixingConfig) ([]float64, error) {
+	d, err := NewDistribution(g, src, cfg.Lazy)
+	if err != nil {
+		return nil, fmt.Errorf("source %d: %w", src, err)
+	}
+	curve := make([]float64, cfg.MaxSteps)
+	for t := range curve {
+		d.Step()
+		if curve[t], err = d.DistanceTo(pi); err != nil {
+			return nil, err
+		}
+	}
+	return curve, nil
+}
+
+// oracleMixing is the reference MeasureMixing: every sampled source runs
+// sourceCurve, one source per task at cfg.Workers, and MeasureMixing
+// folds the curves as a fully resumed checkpoint — so the kernel under
+// test and the oracle share only the source-order fold.
+func oracleMixing(t *testing.T, g graph.View, cfg MixingConfig) *MixingResult {
+	t.Helper()
+	pi, err := graph.Stationary(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources, err := SampleSources(g, cfg.Sources, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := make([][]float64, len(sources))
+	if err := parallel.ForEach(context.Background(), cfg.Workers, len(sources), func(_, i int) error {
+		curve, err := sourceCurve(g, sources[i], pi, cfg)
+		curves[i] = curve
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = &MixingCheckpoint{Sources: sources, Curves: curves}
+	r, err := MeasureMixing(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.Curves, curves) {
+		t.Fatal("oracle: the fold did not keep the resumed curves")
+	}
+	return r
+}
+
+// checkMixingOracle requires MeasureMixing on v to equal the per-source
+// oracle bit for bit at workers 1, 3 and 8.
+func checkMixingOracle(t *testing.T, v graph.View, cfg MixingConfig) {
+	t.Helper()
+	want := oracleMixing(t, v, cfg)
+	for _, workers := range []int{1, 3, 8} {
+		cfg.Workers = workers
+		got, err := MeasureMixing(context.Background(), v, cfg)
+		if err != nil {
+			t.Fatalf("sources=%d workers=%d: %v", cfg.Sources, workers, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("sources=%d workers=%d: differs from the per-source oracle", cfg.Sources, workers)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // countCtx is a context whose Err() flips to DeadlineExceeded after a
 // fixed number of calls. With Workers=1 the measurement is sequential
-// and consults Err() at deterministic points (once per fan-out item,
+// and consults Err() at deterministic points (once per block of sources,
 // once per walk step), so the interruption lands at exactly the same
 // place on every run — unlike a wall-clock deadline.
 type countCtx struct {
@@ -39,8 +39,17 @@ func (c *countCtx) Err() error {
 
 func (c *countCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 
+// testMixingConfig measures one full block of kernels.DefaultBlockWidth
+// sources and a partial second block.
 func testMixingConfig() MixingConfig {
-	return MixingConfig{MaxSteps: 20, Sources: 6, Lazy: true, Seed: 11, Workers: 1, BlockSize: 1}
+	return MixingConfig{MaxSteps: 20, Sources: 24, Lazy: true, Seed: 11, Workers: 1}
+}
+
+// firstBlockBudget is an Err() budget that lets the first block finish
+// (one call for the block plus one per walk step) and cuts the second
+// block halfway through its walk.
+func firstBlockBudget(cfg MixingConfig) int64 {
+	return int64(cfg.MaxSteps+1) + int64(cfg.MaxSteps/2)
 }
 
 func TestMeasureMixingBestEffortPartial(t *testing.T) {
@@ -50,9 +59,7 @@ func TestMeasureMixingBestEffortPartial(t *testing.T) {
 	}
 	cfg := testMixingConfig()
 	cfg.BestEffort = true
-	// Enough Err() budget for roughly half the sources (one call per
-	// fan-out item plus one per walk step).
-	ctx := newCountCtx(3 * int64(cfg.MaxSteps+1))
+	ctx := newCountCtx(firstBlockBudget(cfg))
 	r, err := MeasureMixing(ctx, g, cfg)
 	if err != nil {
 		t.Fatalf("best-effort run returned error: %v", err)
@@ -94,7 +101,7 @@ func TestMeasureMixingBestEffortOffPropagatesDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testMixingConfig()
-	ctx := newCountCtx(3 * int64(cfg.MaxSteps+1))
+	ctx := newCountCtx(firstBlockBudget(cfg))
 	if _, err := MeasureMixing(ctx, g, cfg); err == nil || !isInterrupt(err) {
 		t.Fatalf("without BestEffort, interrupted run = %v, want deadline error", err)
 	}
@@ -129,7 +136,7 @@ func TestMeasureMixingResumeBitIdentical(t *testing.T) {
 
 	cut := cfg
 	cut.BestEffort = true
-	partial, err := MeasureMixing(newCountCtx(3*int64(cfg.MaxSteps+1)), g, cut)
+	partial, err := MeasureMixing(newCountCtx(firstBlockBudget(cfg)), g, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +186,7 @@ func TestMeasureMixingResumeKernelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testMixingConfig()
-	cfg.Sources = 8
-	cfg.BlockSize = 3
+	cfg.Sources = 40
 	ref, err := MeasureMixing(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +195,7 @@ func TestMeasureMixingResumeKernelPath(t *testing.T) {
 	cut.BestEffort = true
 	// The blocked kernel consults Err() once per step per block, so this
 	// budget lets the first block finish and cuts the second.
-	partial, err := MeasureMixing(newCountCtx(int64(cfg.MaxSteps)+8), g, cut)
+	partial, err := MeasureMixing(newCountCtx(firstBlockBudget(cfg)), g, cut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,31 +8,32 @@ import (
 )
 
 // TestEquivalenceShardedMixing measures mixing time on a ShardedGraph at
-// 1, 2 and 7 shards and requires every curve to be bit-identical to the
-// monolithic measurement — on both the blocked-kernel path (which routes
-// through kernels.ShardedWalkBlock) and the per-source scalar path.
+// 1, 2, 3 and 7 shards, which routes through kernels.ShardedWalkBlock,
+// and requires every curve to be bit-identical both to the monolithic
+// measurement and to the per-source oracle run over the sharded view.
 func TestEquivalenceShardedMixing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
 		cfg  MixingConfig
 	}{
-		// BlockSize > 1 forces the kernel path even on a small graph.
 		{"ba-kernel", mustBA(t, 500, 3, 41),
-			MixingConfig{MaxSteps: 10, Sources: 12, Seed: 5, Workers: 4, BlockSize: 8}},
-		// BlockSize 1 forces the scalar pooled path over the sharded view.
+			MixingConfig{MaxSteps: 10, Sources: 40, Seed: 5, Workers: 4}},
 		{"ba-scalar", mustBA(t, 300, 3, 42),
-			MixingConfig{MaxSteps: 8, Sources: 6, Seed: 7, Workers: 4, BlockSize: 1}},
+			MixingConfig{MaxSteps: 8, Sources: 15, Seed: 7, Workers: 4}},
 		{"clustered-kernel", mustClusteredPA(t, 4, 70, 3, 1, 43),
-			MixingConfig{MaxSteps: 9, Sources: 10, Seed: 11, Workers: 3, BlockSize: 4}},
+			MixingConfig{MaxSteps: 9, Sources: 17, Seed: 11, Workers: 3}},
+		{"ba-big", mustBA(t, bigNodes, 3, 44),
+			MixingConfig{MaxSteps: 6, Sources: 17, Seed: 13, Workers: 4}},
 	} {
-		for _, shards := range []int{1, 2, 7} {
+		for _, shards := range []int{1, 2, 3, 7} {
 			sg, err := graph.NewSharded(tc.g, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Run(tc.name, func(t *testing.T) {
 				checkMixingIdentical(t, sg, tc.g, tc.cfg)
+				checkMixingOracle(t, sg, tc.cfg)
 			})
 		}
 	}

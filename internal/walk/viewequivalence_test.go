@@ -68,23 +68,26 @@ func checkMixingIdentical(t *testing.T, a, b graph.View, cfg MixingConfig) {
 
 // TestEquivalenceViewMixingMasked checks that mixing measured directly on
 // a churned MaskedView is bit-identical to mixing on the rebuilt CSR copy
-// of the same topology, on both the naive path (small graph) and the
-// batched-kernel path (large graph, where the view is materialized once).
+// of the same topology and to the per-source oracle walking the view, on
+// a small and a large graph (the view is materialized once either way).
 func TestEquivalenceViewMixingMasked(t *testing.T) {
 	small, err := gen.BarabasiAlbert(400, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mv, rebuilt := churnView(t, small, 1)
-	cfg := MixingConfig{MaxSteps: 12, Sources: 8, Seed: 5, Workers: 8}
+	cfg := MixingConfig{MaxSteps: 12, Sources: 17, Seed: 5, Workers: 8}
 	checkMixingIdentical(t, mv, rebuilt, cfg)
+	checkMixingOracle(t, mv, cfg)
 
 	big, err := gen.BarabasiAlbert(5000, 4, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mvBig, rebuiltBig := churnView(t, big, 2)
-	checkMixingIdentical(t, mvBig, rebuiltBig, MixingConfig{MaxSteps: 8, Sources: 16, Seed: 5, Workers: 8})
+	cfgBig := MixingConfig{MaxSteps: 8, Sources: 16, Seed: 5, Workers: 8}
+	checkMixingIdentical(t, mvBig, rebuiltBig, cfgBig)
+	checkMixingOracle(t, mvBig, cfgBig)
 }
 
 // TestEquivalenceViewMixingInduced does the same for an induced subset.
@@ -105,7 +108,9 @@ func TestEquivalenceViewMixingInduced(t *testing.T) {
 		t.Fatal(err)
 	}
 	rebuilt := graph.InducedSubgraph(g, nodes)
-	checkMixingIdentical(t, iv, rebuilt, MixingConfig{MaxSteps: 10, Sources: 8, Seed: 7, Workers: 8})
+	cfg := MixingConfig{MaxSteps: 10, Sources: 40, Seed: 7, Workers: 8}
+	checkMixingIdentical(t, iv, rebuilt, cfg)
+	checkMixingOracle(t, iv, cfg)
 }
 
 // TestEquivalenceViewMixingFullyChurned: a view with every node down has

@@ -7,16 +7,14 @@
 // GateKeeper, ...) are built on.
 //
 // Complexity: one exact walk step is O(m); measuring Eq. 2 over k sampled
-// sources for T steps is O(k·T·m) total. On large graphs the sources fan
-// out in blocks of MixingConfig.BlockSize over the blocked propagation
-// kernel (kernels.WalkBlock), which streams the adjacency once per step
-// for a whole block instead of once per source, for O(k·T·m/(workers·B))
-// adjacency scans; small graphs keep the per-source dense loop (one
-// Distribution per worker). Results are bit-for-bit independent of both
-// the worker count and the block width: each source's curve is a pure
-// function of the graph (blocked columns receive the same additions in
-// the same order as the dense loop), and curves are folded in source
-// order.
+// sources for T steps is O(k·T·m) total. The sources fan out in blocks of
+// kernels.DefaultBlockWidth over the blocked propagation kernel
+// (kernels.WalkBlock), which streams the adjacency once per step for a
+// whole block instead of once per source, for O(k·T·m/(workers·B))
+// adjacency scans. Results are bit-for-bit independent of the worker
+// count: each source's curve is a pure function of the graph (blocked
+// columns receive the same additions in the same order as a per-source
+// Distribution), and curves are folded in source order.
 package walk
 
 import (
@@ -40,7 +38,6 @@ import (
 // are untouched and stay bit-identical with metrics enabled.
 var (
 	obsMixSteps        = obs.Default().Counter("walk.mixing.steps")
-	obsMixDenseSources = obs.Default().Counter("walk.mixing.dense_sources")
 	obsMixKernelBlocks = obs.Default().Counter("walk.mixing.kernel_blocks")
 	obsMixHandovers    = obs.Default().Counter("walk.mixing.sparse_to_dense")
 	obsMixPartial      = obs.Default().Counter("walk.mixing.partial")
@@ -218,10 +215,6 @@ func (d *Distribution) stepSparse() {
 // StepCount returns the number of steps taken so far.
 func (d *Distribution) StepCount() int { return d.step }
 
-// Dense reports whether the distribution has handed over from the
-// sparse-frontier fast path to the permanent dense scan.
-func (d *Distribution) Dense() bool { return d.support == nil }
-
 // Probabilities returns the current distribution. The slice aliases
 // internal state and is only valid until the next Step.
 func (d *Distribution) Probabilities() []float64 { return d.cur }
@@ -248,21 +241,15 @@ type MixingConfig struct {
 	// to GOMAXPROCS when <= 0. Results are deterministic regardless of
 	// worker count because each source's curve is independent.
 	Workers int
-	// BlockSize selects the propagation kernel. 0 auto-selects: blocks of
-	// kernels.DefaultBlockWidth sources per kernels.WalkBlock on graphs
-	// with at least kernels.MinKernelNodes nodes, the per-source dense
-	// loop otherwise (tiny graphs don't benefit from blocking). 1 forces
-	// the per-source loop; values > 1 force that block width. Every
-	// setting produces bit-identical results — the knob only trades
-	// adjacency-scan amortization against fan-out granularity.
-	BlockSize int
 	// BestEffort salvages a deadline-hit measurement: when ctx is
 	// canceled or times out mid-run, MeasureMixing returns the curves of
 	// the sources completed so far (Result.Partial true, Coverage < 1)
 	// instead of the context error, as long as at least one source
-	// finished. Each completed curve is bit-identical to what the
-	// uninterrupted run would have produced, so partial results compose
-	// with Resume into exact continuations.
+	// finished. The salvage unit is a block of kernels.DefaultBlockWidth
+	// sources: a block the deadline cuts mid-walk contributes nothing.
+	// Each completed curve is bit-identical to what the uninterrupted run
+	// would have produced, so partial results compose with Resume into
+	// exact continuations.
 	BestEffort bool
 	// Resume seeds the measurement with curves completed by an earlier
 	// (interrupted) run of the *same* configuration: sources whose
@@ -279,21 +266,7 @@ func (c MixingConfig) validate() error {
 	if c.Sources < 1 {
 		return fmt.Errorf("walk: Sources must be >= 1, got %d", c.Sources)
 	}
-	if c.BlockSize < 0 {
-		return fmt.Errorf("walk: BlockSize must be >= 0, got %d", c.BlockSize)
-	}
 	return nil
-}
-
-// blockWidth resolves the BlockSize knob against the graph size.
-func (c MixingConfig) blockWidth(g graph.View) int {
-	if c.BlockSize != 0 {
-		return c.BlockSize
-	}
-	if g.NumNodes() >= kernels.MinKernelNodes {
-		return kernels.DefaultBlockWidth
-	}
-	return 1
 }
 
 // MixingCheckpoint is the resumable progress of a mixing measurement:
@@ -417,11 +390,10 @@ func (r *MixingResult) MeanMixingTime(eps float64) (int, bool) {
 // trajectory across sources. Cancellation of ctx is honored between walk
 // steps, so a caller's timeout bounds even slow-mixing measurements.
 //
-// It accepts any graph.View. Below the kernel cutoff the walks evolve
-// directly over the view; on the blocked-kernel path a non-CSR view is
-// materialized once (graph.Materialize, cached by the view) and the copy
-// is amortized across all sources and steps. Results are bit-identical
-// either way.
+// It accepts any graph.View. A sharded view runs the gather-form
+// kernels.ShardedWalkBlock; any other non-CSR view is materialized once
+// (graph.Materialize, cached by the view) and the copy is amortized
+// across all sources and steps. Results are bit-identical either way.
 func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*MixingResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -473,56 +445,44 @@ func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*Mixing
 		}
 	}
 
-	// One worker task per source (dense path) or per block of sources
-	// (kernel path), each with its own propagation buffers; the fold
-	// below runs in source order so the aggregate is bit-for-bit
-	// identical at any worker count and block width.
+	// One worker task per block of sources, each with its own propagation
+	// buffers; the fold below runs in source order so the aggregate is
+	// bit-for-bit identical at any worker count.
 	var runErr error
-	if width := cfg.blockWidth(g); width <= 1 {
-		obsMixDenseSources.Add(int64(len(todo)))
-		runErr = parallel.ForEach(ctx, cfg.Workers, len(todo), func(_, k int) error {
-			curve, err := sourceCurve(ctx, g, sources[todo[k]], pi, cfg)
-			if err != nil {
-				return err
-			}
-			curves[todo[k]] = curve
-			return nil
-		})
-	} else if len(todo) > 0 {
+	if len(todo) > 0 {
 		todoSources := make([]graph.NodeID, len(todo))
 		for k, i := range todo {
 			todoSources[k] = sources[i]
 		}
-		blocks := parallel.Blocks(len(todo), width)
+		blocks := parallel.Blocks(len(todo), kernels.DefaultBlockWidth)
 		obsMixKernelBlocks.Add(int64(len(blocks)))
+		workers := cfg.Workers
+		var curvesOf func(srcs []graph.NodeID) ([][]float64, error)
 		if sg, ok := graph.AsSharded(g); ok {
 			// Sharded substrate: parallelism moves inside each block step
 			// (one worker per shard in ShardedWalkBlock.Step), so the
 			// outer block loop runs inline. Bit-identical to the
-			// monolithic kernel path — see internal/kernels/sharded.go.
-			runErr = parallel.ForEach(ctx, 1, len(blocks), func(_, b int) error {
-				part, err := shardedBlockCurves(ctx, sg, todoSources[blocks[b].Start:blocks[b].End], pi, cfg)
-				if err != nil {
-					return err
-				}
-				for j, curve := range part {
-					curves[todo[blocks[b].Start+j]] = curve
-				}
-				return nil
-			})
+			// monolithic kernel — see internal/kernels/sharded.go.
+			workers = 1
+			curvesOf = func(srcs []graph.NodeID) ([][]float64, error) {
+				return shardedBlockCurves(ctx, sg, srcs, pi, cfg)
+			}
 		} else {
 			cg := graph.Materialize(g)
-			runErr = parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
-				part, err := blockCurves(ctx, cg, todoSources[blocks[b].Start:blocks[b].End], pi, cfg)
-				if err != nil {
-					return err
-				}
-				for j, curve := range part {
-					curves[todo[blocks[b].Start+j]] = curve
-				}
-				return nil
-			})
+			curvesOf = func(srcs []graph.NodeID) ([][]float64, error) {
+				return blockCurves(ctx, cg, srcs, pi, cfg)
+			}
 		}
+		runErr = parallel.ForEach(ctx, workers, len(blocks), func(_, b int) error {
+			part, err := curvesOf(todoSources[blocks[b].Start:blocks[b].End])
+			if err != nil {
+				return err
+			}
+			for j, curve := range part {
+				curves[todo[blocks[b].Start+j]] = curve
+			}
+			return nil
+		})
 	}
 	if runErr != nil {
 		if !cfg.BestEffort || !isInterrupt(runErr) {
@@ -568,36 +528,9 @@ func isInterrupt(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// sourceCurve evolves the exact walk distribution from one source and
-// returns its TVD-to-stationarity trajectory, checking for cancellation
-// between steps.
-func sourceCurve(ctx context.Context, g graph.View, src graph.NodeID, pi []float64, cfg MixingConfig) ([]float64, error) {
-	d, err := NewDistribution(g, src, cfg.Lazy)
-	if err != nil {
-		return nil, fmt.Errorf("source %d: %w", src, err)
-	}
-	curve := make([]float64, cfg.MaxSteps)
-	for t := 0; t < cfg.MaxSteps; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		d.Step()
-		tvd, err := d.DistanceTo(pi)
-		if err != nil {
-			return nil, err
-		}
-		curve[t] = tvd
-	}
-	obsMixSteps.Add(int64(d.StepCount()))
-	if d.Dense() {
-		obsMixHandovers.Inc()
-	}
-	return curve, nil
-}
-
 // blockCurves evolves one block of sources through the blocked
 // propagation kernel and returns their TVD trajectories, checking for
-// cancellation between steps like sourceCurve does.
+// cancellation between steps.
 func blockCurves(ctx context.Context, g *graph.Graph, sources []graph.NodeID, pi []float64, cfg MixingConfig) ([][]float64, error) {
 	wb, err := kernels.NewWalkBlock(g, sources, cfg.Lazy)
 	if err != nil {
