@@ -1,0 +1,48 @@
+package graph
+
+import (
+	"slices"
+	"testing"
+)
+
+// TestRowsMatchNeighbors checks every CSR fragment against the graph it
+// slices: the whole-graph Rows, its sub-slices, and each shard's Rows
+// must cover the expected node range and report each row's degree and
+// neighbor list exactly as Graph does.
+func TestRowsMatchNeighbors(t *testing.T) {
+	g := randomGraph(t, 120, 0.06, 9)
+	check := func(name string, r Rows, lo, hi NodeID) {
+		t.Helper()
+		if gotLo, gotHi := r.Range(); gotLo != lo || gotHi != hi {
+			t.Fatalf("%s: range [%d, %d), want [%d, %d)", name, gotLo, gotHi, lo, hi)
+		}
+		for v := lo; v < hi; v++ {
+			if r.Degree(v) != g.Degree(v) || !slices.Equal(r.Neighbors(v), g.Neighbors(v)) {
+				t.Fatalf("%s: row %d is %v (degree %d), want %v", name, v, r.Neighbors(v), r.Degree(v), g.Neighbors(v))
+			}
+		}
+	}
+	n := NodeID(g.NumNodes())
+	whole := g.Rows()
+	check("whole", whole, 0, n)
+	check("slice", whole.Slice(17, 90), 17, 90)
+	check("empty slice", whole.Slice(40, 40), 40, 40)
+	for _, shards := range shardCounts {
+		sg, err := NewSharded(g, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < sg.NumShards(); s++ {
+			lo, hi := sg.Range(s)
+			sh := sg.Shard(s)
+			check("shard", sh, lo, hi)
+			if hi-lo > 2 {
+				check("shard slice", sh.Slice(lo+1, hi-1), lo+1, hi-1)
+			}
+		}
+	}
+	var empty Graph
+	if lo, hi := empty.Rows().Range(); lo != 0 || hi != 0 {
+		t.Fatalf("empty graph rows cover [%d, %d)", lo, hi)
+	}
+}

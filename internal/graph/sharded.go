@@ -24,17 +24,7 @@ type ShardedGraph struct {
 	n      int
 	m      int64
 	starts []NodeID // len shards+1; shard s owns [starts[s], starts[s+1])
-	shards []shardCSR
-}
-
-// shardCSR is one node range's CSR fragment. offsets is global-valued
-// (offsets[i]-arcBase indexes adj), so a CSR-backed substrate can be
-// sliced without rewriting the offsets.
-type shardCSR struct {
-	base    NodeID
-	arcBase int64
-	offsets []int64  // len rows+1, global arc offsets
-	adj     []NodeID // this shard's arcs, global neighbor IDs
+	shards []Rows
 }
 
 // NewSharded partitions v into the given number of contiguous node-range
@@ -78,10 +68,10 @@ func NewSharded(v View, shards int) (*ShardedGraph, error) {
 	}
 	sg.starts[shards] = NodeID(n)
 
-	sg.shards = make([]shardCSR, shards)
+	sg.shards = make([]Rows, shards)
 	for s := 0; s < shards; s++ {
 		lo, hi := int(sg.starts[s]), int(sg.starts[s+1])
-		sc := shardCSR{
+		sc := Rows{
 			base:    NodeID(lo),
 			arcBase: offsets[lo],
 			offsets: offsets[lo : hi+1],
@@ -118,6 +108,10 @@ func (sg *ShardedGraph) Range(s int) (lo, hi NodeID) {
 	return sg.starts[s], sg.starts[s+1]
 }
 
+// Shard returns shard s's CSR fragment, for kernels that work one shard
+// per worker without a ShardOf lookup per row.
+func (sg *ShardedGraph) Shard(s int) Rows { return sg.shards[s] }
+
 // ShardOf returns the shard owning node v.
 func (sg *ShardedGraph) ShardOf(v NodeID) int {
 	// Binary search over the shard boundaries: the last start <= v.
@@ -144,17 +138,13 @@ func (sg *ShardedGraph) Valid(v NodeID) bool { return v >= 0 && int(v) < sg.n }
 
 // Degree implements View.
 func (sg *ShardedGraph) Degree(v NodeID) int {
-	sc := &sg.shards[sg.ShardOf(v)]
-	i := v - sc.base
-	return int(sc.offsets[i+1] - sc.offsets[i])
+	return sg.shards[sg.ShardOf(v)].Degree(v)
 }
 
 // Neighbors returns the sorted (global-ID) neighbor list of v, aliasing
 // shard storage; it must not be modified.
 func (sg *ShardedGraph) Neighbors(v NodeID) []NodeID {
-	sc := &sg.shards[sg.ShardOf(v)]
-	i := v - sc.base
-	return sc.adj[sc.offsets[i]-sc.arcBase : sc.offsets[i+1]-sc.arcBase]
+	return sg.shards[sg.ShardOf(v)].Neighbors(v)
 }
 
 // AppendNeighbors implements View.

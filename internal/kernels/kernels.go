@@ -14,10 +14,12 @@
 // Both kernels preserve the repository's determinism contract
 // bit-for-bit. Per-source walk columns are independent and every
 // floating-point addition into a column happens in the same ascending
-// node order as a per-source walk.Distribution (skipped zero-mass nodes
-// contribute exact +0.0, which is a bitwise no-op on the non-negative
-// values a walk produces), so blocked results equal per-source results
-// at every block width. BFS is integer, so batching cannot change its
+// source order as a per-source walk.Distribution — the dense step
+// gathers each row's neighbors in sorted adjacency order, which is the
+// order the per-source scatter delivers them (zero-mass nodes contribute
+// exact +0.0, a bitwise no-op on the non-negative values a walk
+// produces) — so blocked results equal per-source results at every
+// block width. BFS is integer, so batching cannot change its
 // level counts at all. The per-source loops are kept only as the
 // reference oracles the TestEquivalence* suites in walk and expansion
 // compare the kernels against.

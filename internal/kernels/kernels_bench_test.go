@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/gen"
@@ -11,32 +12,53 @@ import (
 
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
-	g, err := gen.BarabasiAlbert(2000, 8, 42)
+	return benchBA(b, 2000, 8)
+}
+
+func benchBA(b *testing.B, n, attach int) *graph.Graph {
+	b.Helper()
+	g, err := gen.BarabasiAlbert(n, attach, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return g
 }
 
-// BenchmarkWalkBlockStep measures one blocked propagation step per width;
-// width=1 is the per-source cost the block amortizes away.
+// BenchmarkWalkBlockStep measures one blocked propagation step per graph
+// and width; width1 is the per-source cost the block amortizes away. The
+// 4·10⁴-node graph is the size of perfbench's large workload, with an
+// n×16 working set (5 MB) above L2. Steps run in the dense regime the
+// measurement spends nearly all of its steps in: the block is stepped
+// until its frontier saturates before the timer starts.
 func BenchmarkWalkBlockStep(b *testing.B) {
-	g := benchGraph(b)
-	for _, width := range []int{1, kernels.DefaultBlockWidth, kernels.BFSBatchWidth} {
-		sources := make([]graph.NodeID, width)
-		for j := range sources {
-			sources[j] = graph.NodeID((j * 17) % g.NumNodes())
+	for _, bg := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ba2000", benchGraph(b)},
+		{"ba40000", benchBA(b, 40000, 8)},
+	} {
+		g := bg.g
+		for _, width := range []int{1, 5, kernels.DefaultBlockWidth, kernels.BFSBatchWidth} {
+			sources := make([]graph.NodeID, width)
+			for j := range sources {
+				sources[j] = graph.NodeID((j * 17) % g.NumNodes())
+			}
+			b.Run(fmt.Sprintf("%s/width%d", bg.name, width), func(b *testing.B) {
+				wb, err := kernels.NewWalkBlock(g, sources, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for !wb.Dense() {
+					wb.Step()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					wb.Step()
+				}
+			})
 		}
-		b.Run(width1Name(width), func(b *testing.B) {
-			wb, err := kernels.NewWalkBlock(g, sources, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				wb.Step()
-			}
-		})
 	}
 }
 
@@ -82,15 +104,4 @@ func BenchmarkBFSBatchRun(b *testing.B) {
 			}
 		}
 	})
-}
-
-func width1Name(w int) string {
-	switch w {
-	case 1:
-		return "width1"
-	case kernels.DefaultBlockWidth:
-		return "width16"
-	default:
-		return "width64"
-	}
 }

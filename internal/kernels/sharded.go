@@ -3,7 +3,6 @@ package kernels
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"github.com/trustnet/trustnet/internal/graph"
@@ -11,23 +10,18 @@ import (
 )
 
 // The sharded kernels run WalkBlock's and BFSBatch's computations over a
-// graph.ShardedGraph with one worker per shard. They are gather-form
-// rewrites of the scatter monolithic kernels: each shard computes only
+// graph.ShardedGraph with one worker per shard. Each shard computes only
 // the state of the rows it owns, reading any row's current value but
 // writing nothing outside its node range, so the fan-out needs no locks
 // and no atomics — and the results are bit-for-bit identical to the
 // monolithic kernels at any shard count.
 //
-// The identity argument for the walk: the monolithic scatter loop
-// propagates sources in ascending node order, so destination u's
-// additions arrive ordered by source ID — its neighbors ascending, with
-// the lazy self-term inserted at u's own position. The gather loop below
-// reproduces exactly that addition chain (same values, same order, from
-// the same +0.0 start), computing every share with the same expressions
-// (half first, then divide by degree) the scatter propagate uses. Nodes
-// whose mass is exactly zero contribute +0.0 terms, which cannot change
-// the bits of the non-negative partial sums a walk produces — the same
-// argument WalkBlock itself relies on to skip zero rows. BFS state is
+// The walk needs no argument of its own: its step is WalkBlock's dense
+// gather (shareRows, then gatherRows) run over each shard's rows instead
+// of the whole CSR, and a row's sum does not depend on which range it
+// was computed in. The sparse-frontier path WalkBlock starts with is a
+// scatter and has no sharded form; the gather matches it bit for bit
+// from the first step (see the comment above shareRows). BFS state is
 // integer bitsets combined with OR and popcount sums, which are
 // order-independent, so its sharding needs no ordering care beyond
 // accumulating the per-shard level counts in shard order.
@@ -41,14 +35,16 @@ import (
 // out internally. A Step that returns an error (cancellation) leaves the
 // block unusable.
 type ShardedWalkBlock struct {
-	sg    *graph.ShardedGraph
-	width int
-	lazy  bool
-	deg   []int32
-	// cur and next are the column-blocked n×width buffers; shard s only
-	// ever writes rows in its node range.
-	cur, next []float64
-	step      int
+	sg     *graph.ShardedGraph
+	width  int
+	stride int
+	lazy   bool
+	// cur holds the column-blocked n×stride distributions (WalkBlock's
+	// layout), updated in place; share holds the share rows of the step
+	// in progress. Shard s only ever writes rows in its node range of
+	// either.
+	cur, share []float64
+	step       int
 }
 
 // NewShardedWalkBlock returns a block with column j concentrated at
@@ -61,26 +57,23 @@ func NewShardedWalkBlock(sg *graph.ShardedGraph, sources []graph.NodeID, lazy bo
 		return nil, fmt.Errorf("kernels: graph has no edges")
 	}
 	n := sg.NumNodes()
-	b := len(sources)
+	st := rowStride(len(sources))
 	wb := &ShardedWalkBlock{
-		sg:    sg,
-		width: b,
-		lazy:  lazy,
-		deg:   make([]int32, n),
-		cur:   make([]float64, n*b),
-		next:  make([]float64, n*b),
-	}
-	for v := 0; v < n; v++ {
-		wb.deg[v] = int32(sg.Degree(graph.NodeID(v)))
+		sg:     sg,
+		width:  len(sources),
+		stride: st,
+		lazy:   lazy,
+		cur:    make([]float64, n*st),
+		share:  make([]float64, n*st),
 	}
 	for j, s := range sources {
 		if !sg.Valid(s) {
 			return nil, fmt.Errorf("kernels: source %d out of range", s)
 		}
-		if wb.deg[s] == 0 {
+		if sg.Degree(s) == 0 {
 			return nil, fmt.Errorf("kernels: source %d is isolated", s)
 		}
-		wb.cur[int(s)*b+j] = 1
+		wb.cur[int(s)*st+j] = 1
 	}
 	return wb, nil
 }
@@ -92,110 +85,39 @@ func (wb *ShardedWalkBlock) Width() int { return wb.width }
 func (wb *ShardedWalkBlock) StepCount() int { return wb.step }
 
 // Step advances every column one walk step (p ← pP, or p ← p(I+P)/2
-// lazy) with one worker per shard.
+// lazy) with one worker per shard: every shard writes its share rows,
+// then every shard gathers its rows in place.
 func (wb *ShardedWalkBlock) Step(ctx context.Context, workers int) error {
-	err := parallel.ForEach(ctx, workers, wb.sg.NumShards(), func(_, s int) error {
-		wb.gatherShard(s)
+	shards := wb.sg.NumShards()
+	err := parallel.ForEach(ctx, workers, shards, func(_, s int) error {
+		shareRows(wb.sg.Shard(s), wb.cur, wb.share, wb.width, wb.stride, wb.lazy)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	wb.cur, wb.next = wb.next, wb.cur
+	err = parallel.ForEach(ctx, workers, shards, func(_, s int) error {
+		gatherRows(wb.sg.Shard(s), wb.cur, wb.share, wb.stride, wb.lazy)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	wb.step++
 	return nil
 }
 
-// gatherShard computes the next-step rows shard s owns. For destination
-// u the sources are u's neighbors plus (lazily) u itself; they are
-// accumulated in ascending source order to replicate the monolithic
-// scatter's addition chain exactly.
-func (wb *ShardedWalkBlock) gatherShard(s int) {
-	b := wb.width
-	lo, hi := wb.sg.Range(s)
-	for u := lo; u < hi; u++ {
-		row := wb.next[int(u)*b : int(u)*b+b]
-		for j := range row {
-			row[j] = 0
-		}
-		ns := wb.sg.Neighbors(u)
-		if len(ns) == 0 {
-			// Isolated nodes hold their mass, un-halved, like the
-			// monolithic isolated branch.
-			copy(row, wb.cur[int(u)*b:int(u)*b+b])
-			continue
-		}
-		selfDone := !wb.lazy
-		for _, v := range ns {
-			if !selfDone && v > u {
-				cu := wb.cur[int(u)*b : int(u)*b+b]
-				for j, m := range cu {
-					row[j] += m / 2
-				}
-				selfDone = true
-			}
-			cv := wb.cur[int(v)*b : int(v)*b+b]
-			dv := float64(wb.deg[v])
-			if wb.lazy {
-				for j, m := range cv {
-					h := m / 2
-					row[j] += h / dv
-				}
-			} else {
-				for j, m := range cv {
-					row[j] += m / dv
-				}
-			}
-		}
-		if !selfDone {
-			cu := wb.cur[int(u)*b : int(u)*b+b]
-			for j, m := range cu {
-				row[j] += m / 2
-			}
-		}
-	}
-}
-
 // DistancesTo writes each column's total variation distance to target
 // into out, with the same sequential ascending-node fold as
-// WalkBlock.DistancesTo — the fold stays single-threaded because
-// splitting it per shard would change the floating-point addition order.
+// WalkBlock.DistancesTo.
 func (wb *ShardedWalkBlock) DistancesTo(target []float64, out []float64) error {
-	n := wb.sg.NumNodes()
-	b := wb.width
-	if len(target) != n {
-		return fmt.Errorf("kernels: total variation length mismatch %d vs %d", n, len(target))
-	}
-	if len(out) != b {
-		return fmt.Errorf("kernels: distance buffer has %d slots for %d columns", len(out), b)
-	}
-	for j := range out {
-		out[j] = 0
-	}
-	for v := 0; v < n; v++ {
-		row := wb.cur[v*b : v*b+b]
-		pv := target[v]
-		for j, m := range row {
-			out[j] += math.Abs(m - pv)
-		}
-	}
-	for j := range out {
-		out[j] /= 2
-	}
-	return nil
+	return distancesTo(wb.cur, wb.width, wb.stride, target, out)
 }
 
 // Column copies column j's current distribution into dst (allocated when
 // nil) and returns it.
 func (wb *ShardedWalkBlock) Column(j int, dst []float64) []float64 {
-	n := wb.sg.NumNodes()
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	for v := 0; v < n; v++ {
-		dst[v] = wb.cur[v*wb.width+j]
-	}
-	return dst
+	return column(wb.cur, wb.stride, j, dst)
 }
 
 // shardBFS is one shard's scratch for ShardedBFSBatch.

@@ -9,31 +9,37 @@ import (
 )
 
 // WalkBlock evolves a block of B exact walk distributions simultaneously.
-// The state is a column-blocked n×B buffer: node v's B per-source
-// probabilities are contiguous at [v·B, (v+1)·B), so one pass over the
-// CSR adjacency advances all B sources — the per-edge work loads each
-// neighbor list once per step instead of once per source per step.
+// The state is a column-blocked buffer: node v's B per-source
+// probabilities are contiguous at [v·S, v·S+B), where the row stride S is
+// B rounded up to a multiple of the gather's 8 columns (the padding
+// columns stay +0.0), so one pass over the CSR adjacency advances all B
+// sources — the per-edge work loads each neighbor list once per step
+// instead of once per source per step.
 //
-// The propagation order is the same ascending-node, CSR-neighbor order as
-// walk.Distribution.Step, and each column only ever receives additions
-// derived from its own source, so every column is bit-for-bit identical
-// to the per-source dense loop at any block width: nodes whose mass is
-// zero in some column contribute an exact +0.0 there, which cannot
-// change the bits of the non-negative partial sums a walk produces.
+// Every column is bit-for-bit identical to the per-source dense loop of
+// walk.Distribution.Step at any block width: each column only ever
+// receives additions derived from its own source, in the order that loop
+// makes them (ascending source node, CSR neighbor order), and nodes whose
+// mass is zero in some column contribute an exact +0.0 there, which
+// cannot change the bits of the non-negative partial sums a walk
+// produces.
 //
-// Early steps use a sparse-frontier fast path: only nodes whose block
-// row is (possibly) nonzero are propagated, and only rows touched by the
-// previous step are re-zeroed, so a step costs O(edges incident to the
-// frontier · B) instead of O((n+m)·B). Once the frontier covers more
-// than half the graph the block switches permanently to the dense path,
-// whose straight-line scan has the smaller constant.
+// Early steps use a sparse-frontier fast path, a scatter: only nodes
+// whose block row is (possibly) nonzero are propagated, and only rows
+// touched by the previous step are re-zeroed, so a step costs O(edges
+// incident to the frontier · B) instead of O((n+m)·B). Once the frontier
+// covers more than half the graph the block switches permanently to the
+// dense path, a gather (shareRows, then gatherRows) that ShardedWalkBlock
+// runs shard by shard.
 //
 // WalkBlocks are not safe for concurrent use; create one per goroutine.
 type WalkBlock struct {
-	g     *graph.Graph
-	width int
-	lazy  bool
-	// cur and next are the column-blocked n×width probability buffers.
+	g      *graph.Graph
+	width  int
+	stride int
+	lazy   bool
+	// cur and next are the column-blocked n×stride probability buffers.
+	// Once dense, cur is updated in place and next holds the share rows.
 	cur, next []float64
 	// support lists the nodes with a (possibly) nonzero row in cur, in
 	// ascending order. nil means dense mode: every node is scanned and
@@ -47,6 +53,10 @@ type WalkBlock struct {
 	share []float64
 	step  int
 }
+
+// rowStride returns the row stride of a width-b block: b rounded up to a
+// multiple of the 8 columns gatherRows sums at a time.
+func rowStride(b int) int { return (b + 7) &^ 7 }
 
 // NewWalkBlock returns a block with column j concentrated at sources[j].
 // The block width is len(sources): walk.MeasureMixing passes at most
@@ -62,14 +72,16 @@ func NewWalkBlock(g *graph.Graph, sources []graph.NodeID, lazy bool) (*WalkBlock
 	}
 	n := g.NumNodes()
 	b := len(sources)
+	st := rowStride(b)
 	wb := &WalkBlock{
-		g:     g,
-		width: b,
-		lazy:  lazy,
-		cur:   make([]float64, n*b),
-		next:  make([]float64, n*b),
-		mark:  make([]bool, n),
-		share: make([]float64, b),
+		g:      g,
+		width:  b,
+		stride: st,
+		lazy:   lazy,
+		cur:    make([]float64, n*st),
+		next:   make([]float64, n*st),
+		mark:   make([]bool, n),
+		share:  make([]float64, b),
 	}
 	for j, s := range sources {
 		if !g.Valid(s) {
@@ -78,7 +90,7 @@ func NewWalkBlock(g *graph.Graph, sources []graph.NodeID, lazy bool) (*WalkBlock
 		if g.Degree(s) == 0 {
 			return nil, fmt.Errorf("kernels: source %d is isolated", s)
 		}
-		wb.cur[int(s)*b+j] = 1
+		wb.cur[int(s)*st+j] = 1
 		if !wb.mark[s] {
 			wb.mark[s] = true
 			wb.support = append(wb.support, s)
@@ -98,18 +110,20 @@ func (wb *WalkBlock) Width() int { return wb.width }
 func (wb *WalkBlock) StepCount() int { return wb.step }
 
 // Dense reports whether the block has handed over from the
-// sparse-frontier fast path to the permanent dense scan.
+// sparse-frontier fast path to the permanent dense gather.
 func (wb *WalkBlock) Dense() bool { return wb.support == nil }
 
 // Step advances every column one walk step: p ← pP, or p ← p(I+P)/2 for
 // the lazy walk.
 func (wb *WalkBlock) Step() {
 	if wb.support == nil {
-		wb.stepDense()
+		rows := wb.g.Rows()
+		shareRows(rows, wb.cur, wb.next, wb.width, wb.stride, wb.lazy)
+		gatherRows(rows, wb.cur, wb.next, wb.stride, wb.lazy)
 	} else {
 		wb.stepSparse()
+		wb.cur, wb.next = wb.next, wb.cur
 	}
-	wb.cur, wb.next = wb.next, wb.cur
 	wb.step++
 }
 
@@ -117,11 +131,11 @@ func (wb *WalkBlock) Step() {
 // walk.Distribution.Step exactly: the lazy half is divided off first and
 // each neighbor share is mass/deg — same operations, same order.
 func (wb *WalkBlock) propagate(v graph.NodeID, row []float64) {
-	b := wb.width
+	b, st := wb.width, wb.stride
 	ns := wb.g.Neighbors(v)
 	if len(ns) == 0 {
 		// Isolated nodes hold their (zero-by-construction) mass.
-		dst := wb.next[int(v)*b : int(v)*b+b]
+		dst := wb.next[int(v)*st : int(v)*st+b]
 		for j, m := range row {
 			dst[j] += m
 		}
@@ -129,7 +143,7 @@ func (wb *WalkBlock) propagate(v graph.NodeID, row []float64) {
 	}
 	share := wb.share
 	if wb.lazy {
-		dst := wb.next[int(v)*b : int(v)*b+b]
+		dst := wb.next[int(v)*st : int(v)*st+b]
 		for j, m := range row {
 			h := m / 2
 			dst[j] += h
@@ -141,7 +155,7 @@ func (wb *WalkBlock) propagate(v graph.NodeID, row []float64) {
 		}
 	}
 	for _, u := range ns {
-		dst := wb.next[int(u)*b : int(u)*b+b]
+		dst := wb.next[int(u)*st : int(u)*st+b]
 		for j, s := range share {
 			dst[j] += s
 		}
@@ -151,9 +165,9 @@ func (wb *WalkBlock) propagate(v graph.NodeID, row []float64) {
 // stepSparse is the frontier path: zero only stale rows, propagate only
 // support rows, and record first touches to build the next support list.
 func (wb *WalkBlock) stepSparse() {
-	b := wb.width
+	b, st := wb.width, wb.stride
 	for _, v := range wb.stale {
-		row := wb.next[int(v)*b : int(v)*b+b]
+		row := wb.next[int(v)*st : int(v)*st+b]
 		for j := range row {
 			row[j] = 0
 		}
@@ -163,7 +177,7 @@ func (wb *WalkBlock) stepSparse() {
 	touched := wb.stale[:0]
 	mark := wb.mark
 	for _, v := range wb.support {
-		row := wb.cur[int(v)*b : int(v)*b+b]
+		row := wb.cur[int(v)*st : int(v)*st+b]
 		wb.propagate(v, row)
 		// The touched set is v's write targets: itself when lazy or
 		// isolated, plus its neighbors.
@@ -191,7 +205,7 @@ func (wb *WalkBlock) stepSparse() {
 	wb.stale = wb.support
 	wb.support = touched
 	if len(touched) > wb.g.NumNodes()/2 {
-		// Frontier covers most of the graph: the dense scan is cheaper
+		// Frontier covers most of the graph: the dense gather is cheaper
 		// than list upkeep from here on (supports rarely shrink below
 		// half once mixing has spread this far).
 		wb.support = nil
@@ -199,26 +213,108 @@ func (wb *WalkBlock) stepSparse() {
 	}
 }
 
-// stepDense is the full-scan path used once the frontier has saturated.
-func (wb *WalkBlock) stepDense() {
-	b := wb.width
-	for i := range wb.next {
-		wb.next[i] = 0
-	}
-	n := wb.g.NumNodes()
-	for v := 0; v < n; v++ {
-		row := wb.cur[v*b : v*b+b]
-		any := false
-		for _, m := range row {
-			if m != 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
+// The dense step is a gather in two passes over a row range, run once
+// over the whole CSR by WalkBlock and once per shard by ShardedWalkBlock.
+// shareRows writes every row's outgoing share into the share buffer;
+// gatherRows then rebuilds every row of cur in place from its neighbors'
+// shares. The bits equal the scatter's (propagate's) because destination
+// u receives the same values in the same order either way: the scatter
+// visits sources in ascending order, so u's additions arrive from its
+// neighbors ascending — the order of u's sorted adjacency — with its own
+// lazy half at u's position, all from a +0.0 start. Rows of zero mass,
+// which the scatter skips, add exact +0.0 shares here, a bitwise no-op on
+// the non-negative partial sums a walk produces.
+
+// shareRows writes the share each row of rows sends to every neighbor
+// into the first b columns of its row of shr, with propagate's
+// expressions: mass/deg, or (mass/2)/deg when lazy. Isolated rows send
+// nothing and are left unwritten, and so are the padding columns: they
+// only ever feed padding columns, which no result reads.
+func shareRows(rows graph.Rows, cur, shr []float64, b, st int, lazy bool) {
+	lo, hi := rows.Range()
+	for v := lo; v < hi; v++ {
+		d := rows.Degree(v)
+		if d == 0 {
 			continue
 		}
-		wb.propagate(graph.NodeID(v), row)
+		deg := float64(d)
+		src := cur[int(v)*st : int(v)*st+b]
+		dst := shr[int(v)*st : int(v)*st+b]
+		if lazy {
+			for j, m := range src {
+				h := m / 2
+				dst[j] = h / deg
+			}
+		} else {
+			for j, m := range src {
+				dst[j] = m / deg
+			}
+		}
+	}
+}
+
+// gatherRows replaces every row u of rows in cur with the sum of its
+// neighbors' share rows in shr, taken in adjacency order, with the lazy
+// half of u's own mass added at u's position among them. Row u is the
+// only row of cur it reads while writing row u, so the update is in
+// place. Each 8-column chunk of the row stride is summed in registers;
+// isolated rows keep their mass, as propagate's isolated branch does.
+func gatherRows(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
+	lo, hi := rows.Range()
+	for u := lo; u < hi; u++ {
+		ns := rows.Neighbors(u)
+		if len(ns) == 0 {
+			continue
+		}
+		// The self term goes after the neighbors below u; without it,
+		// every neighbor is in before.
+		before, after := ns, ns[len(ns):]
+		if lazy {
+			k := 0
+			for k < len(ns) && ns[k] < u {
+				k++
+			}
+			before, after = ns[:k], ns[k:]
+		}
+		row := cur[int(u)*st : int(u)*st+st]
+		for j := 0; j < st; j += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for _, v := range before {
+				r := (*[8]float64)(shr[int(v)*st+j:])
+				s0 += r[0]
+				s1 += r[1]
+				s2 += r[2]
+				s3 += r[3]
+				s4 += r[4]
+				s5 += r[5]
+				s6 += r[6]
+				s7 += r[7]
+			}
+			m := (*[8]float64)(row[j:])
+			if lazy {
+				s0 += m[0] / 2
+				s1 += m[1] / 2
+				s2 += m[2] / 2
+				s3 += m[3] / 2
+				s4 += m[4] / 2
+				s5 += m[5] / 2
+				s6 += m[6] / 2
+				s7 += m[7] / 2
+			}
+			for _, v := range after {
+				r := (*[8]float64)(shr[int(v)*st+j:])
+				s0 += r[0]
+				s1 += r[1]
+				s2 += r[2]
+				s3 += r[3]
+				s4 += r[4]
+				s5 += r[5]
+				s6 += r[6]
+				s7 += r[7]
+			}
+			m[0], m[1], m[2], m[3] = s0, s1, s2, s3
+			m[4], m[5], m[6], m[7] = s4, s5, s6, s7
+		}
 	}
 }
 
@@ -227,8 +323,21 @@ func (wb *WalkBlock) stepDense() {
 // over ascending v exactly like walk.TotalVariation so each column's
 // distance is bit-identical to the per-source measurement.
 func (wb *WalkBlock) DistancesTo(target []float64, out []float64) error {
-	n := wb.g.NumNodes()
-	b := wb.width
+	return distancesTo(wb.cur, wb.width, wb.stride, target, out)
+}
+
+// Column copies column j's current distribution into dst (allocated when
+// nil) and returns it.
+func (wb *WalkBlock) Column(j int, dst []float64) []float64 {
+	return column(wb.cur, wb.stride, j, dst)
+}
+
+// distancesTo is DistancesTo over a column-blocked buffer of the given
+// row stride, shared by both walk kernels. The fold runs over ascending
+// rows on one goroutine: splitting it would change the floating-point
+// addition order.
+func distancesTo(cur []float64, b, st int, target []float64, out []float64) error {
+	n := len(cur) / st
 	if len(target) != n {
 		return fmt.Errorf("kernels: total variation length mismatch %d vs %d", n, len(target))
 	}
@@ -239,7 +348,7 @@ func (wb *WalkBlock) DistancesTo(target []float64, out []float64) error {
 		out[j] = 0
 	}
 	for v := 0; v < n; v++ {
-		row := wb.cur[v*b : v*b+b]
+		row := cur[v*st : v*st+b]
 		pv := target[v]
 		for j, m := range row {
 			out[j] += math.Abs(m - pv)
@@ -251,15 +360,14 @@ func (wb *WalkBlock) DistancesTo(target []float64, out []float64) error {
 	return nil
 }
 
-// Column copies column j's current distribution into dst (allocated when
-// nil) and returns it.
-func (wb *WalkBlock) Column(j int, dst []float64) []float64 {
-	n := wb.g.NumNodes()
+// column is Column over a column-blocked buffer of the given row stride.
+func column(cur []float64, st, j int, dst []float64) []float64 {
+	n := len(cur) / st
 	if dst == nil {
 		dst = make([]float64, n)
 	}
 	for v := 0; v < n; v++ {
-		dst[v] = wb.cur[v*wb.width+j]
+		dst[v] = cur[v*st+j]
 	}
 	return dst
 }

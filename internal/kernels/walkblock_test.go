@@ -13,7 +13,11 @@ import (
 // TestEquivalenceWalkBlockVsDistribution is the blocked kernel's core
 // property: every column of a WalkBlock is bit-for-bit identical to an
 // independent walk.Distribution from the same source, at every step, for
-// both the plain and the lazy walk and at several block widths.
+// both the plain and the lazy walk and at several block widths. The
+// inputs cover both step paths: the sparse-frontier scatter and, once the
+// frontier saturates, the in-place dense gather — on a graph with
+// isolated rows between live ones (which the gather must leave alone)
+// and on a graph of 4096 rows.
 func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 	ba, err := gen.BarabasiAlbert(300, 3, 11)
 	if err != nil {
@@ -27,7 +31,17 @@ func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := map[string]*graph.Graph{"ba": ba, "cycle": cycle, "star": star}
+	big, err := gen.BarabasiAlbert(4096, 4, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{
+		"ba": ba, "cycle": cycle, "star": star,
+		"isolated": spreadIsolated(t, ba, 20),
+		"ba4096":   big,
+	}
+	// The inputs added for the dense gather must actually reach it.
+	mustGoDense := map[string]bool{"isolated": true, "ba4096": true}
 
 	for name, g := range graphs {
 		for _, lazy := range []bool{false, true} {
@@ -64,9 +78,28 @@ func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 						}
 					}
 				}
+				if mustGoDense[name] && !wb.Dense() {
+					t.Fatalf("%s lazy=%v width=%d: block never reached the dense gather", name, lazy, width)
+				}
 			}
 		}
 	}
+}
+
+// spreadIsolated renumbers g's nodes so that node 0, every (gap+1)-th
+// node and the last node are isolated: old node v becomes v + v/gap + 1.
+func spreadIsolated(t *testing.T, g *graph.Graph, gap int) *graph.Graph {
+	t.Helper()
+	id := func(v graph.NodeID) graph.NodeID { return v + v/graph.NodeID(gap) + 1 }
+	var edges []graph.Edge
+	for _, e := range g.Edges() {
+		edges = append(edges, graph.Edge{U: id(e.U), V: id(e.V)})
+	}
+	out, err := graph.FromEdges(int(id(graph.NodeID(g.NumNodes()-1)))+2, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestEquivalenceWalkBlockDistances checks DistancesTo against the

@@ -9,6 +9,14 @@ import (
 	"time"
 )
 
+// ReadHeaderTimeout bounds how long the HTTP servers built here and in
+// trustnetd wait for a request's header. Without it a client that
+// trickles a header one byte at a time holds a connection and its
+// goroutine forever (slowloris). Bodies and responses stay unbounded, so
+// long polls keep working, and a keep-alive connection is unaffected
+// while idle: its header clock starts at the next request's first byte.
+const ReadHeaderTimeout = 5 * time.Second
+
 // Handler returns an expvar-style HTTP handler that serves the
 // registry's current Snapshot as indented JSON. cmd/experiments mounts
 // it when -metrics-addr is set, so long runs can be inspected with
@@ -38,7 +46,7 @@ func (r *Registry) Serve(addr string) (*http.Server, string, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
 	mux.Handle("/", r.Handler())
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}
 	go func() {
 		// Serve's error after a graceful Shutdown is ErrServerClosed;
 		// anything else surfaces on the next scrape, so it is dropped

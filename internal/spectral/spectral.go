@@ -13,11 +13,18 @@
 //
 // Complexity: each power iteration is one sparse mat-vec, O(m), plus O(n)
 // deflation and normalization; k iterations cost O(k·(m+n)). The mat-vec
-// is row-partitioned across parallel workers in gather form — worker w
-// computes y[v] = Σ_{u∈N(v)} x[u]/√(deg u · deg v) for a contiguous block
-// of rows v — so every row's neighbor sum is accumulated by exactly one
-// worker in a fixed order and the iteration is bit-for-bit identical at
-// any worker count.
+// N x = D^(-1/2) A D^(-1/2) x is a pre-scaled gather: the iterate, dead
+// once the mat-vec has read it, is first scaled in place to
+// w = D^(-1/2) x, and then every row sums its neighbors' entries,
+// y[v] = (Σ_{u∈N(v)} w[u]) / √deg v, one at a time in adjacency order
+// (the loop unrolled four ways into one accumulator). Each term is the
+// rounded product x[u]·(1/√deg u) a per-arc multiply would add, in the
+// same order, so the result is the per-arc loop's bit for bit wherever
+// the compiler does not fuse that multiply-add (Go fuses only explicit
+// math.FMA on amd64); the per-arc loop lives on as the test oracle. The
+// rows are partitioned across parallel workers in contiguous spans, so
+// every row's sum is accumulated by exactly one worker in a fixed order
+// and the iteration is bit-for-bit identical at any worker count.
 package spectral
 
 import (
@@ -182,11 +189,13 @@ func SLEMContext(ctx context.Context, v graph.View, cfg Config) (*Result, error)
 	// already serves them shard by shard; anything else is materialized
 	// once and the copy amortized across all iterations.
 	var g graph.NeighborSlicer
+	var csr *graph.Graph
 	sg, sharded := graph.AsSharded(v)
 	if sharded {
 		g = sg
 	} else {
-		g = graph.Materialize(v)
+		csr = graph.Materialize(v)
+		g = csr
 	}
 	if !graph.IsConnected(g) {
 		return nil, ErrNotConnected
@@ -265,54 +274,48 @@ func SLEMContext(ctx context.Context, v graph.View, cfg Config) (*Result, error)
 	}
 
 	// Row-partitioned y = N x, N_uv = 1/sqrt(deg u deg v) per edge, in
-	// gather form: each block [lo, hi) is the only writer of its y rows,
+	// gather form: each span of rows is the only writer of its y rows,
 	// and every row's neighbor sum is accumulated in adjacency order
 	// whatever the partition — so the result is bit-for-bit identical at
-	// any block or worker count. On a sharded substrate the partition
-	// follows the shard ranges (one block per shard, the shards' natural
-	// locality); otherwise the rows split into equal blocks. Below
-	// parallelThreshold rows the fan-out runs on one worker: the
-	// per-iteration goroutine spawn would cost more than the mat-vec, and
-	// the gather order (hence the result) is the same either way.
+	// any span or worker count. On a sharded substrate the spans are the
+	// shards (their natural locality); otherwise the rows split into
+	// equal spans. Below parallelThreshold rows the fan-out runs on one
+	// worker: the per-iteration goroutine spawn would cost more than the
+	// mat-vec, and the gather order (hence the result) is the same either
+	// way.
 	const parallelThreshold = 4096
-	var spanLo, spanHi []int
+	var spans []graph.Rows
 	if sharded {
 		for s := 0; s < sg.NumShards(); s++ {
-			lo, hi := sg.Range(s)
-			spanLo = append(spanLo, int(lo))
-			spanHi = append(spanHi, int(hi))
+			spans = append(spans, sg.Shard(s))
 		}
 	} else {
+		rows := csr.Rows()
 		blocks := parallel.Workers(cfg.Workers, n)
 		if n < parallelThreshold {
 			blocks = 1
 		}
 		blockSize := (n + blocks - 1) / blocks
-		for b := 0; b < blocks; b++ {
-			lo := b * blockSize
-			hi := lo + blockSize
-			if hi > n {
-				hi = n
-			}
-			spanLo = append(spanLo, lo)
-			spanHi = append(spanHi, hi)
+		for lo := 0; lo < n; lo += blockSize {
+			spans = append(spans, rows.Slice(graph.NodeID(lo), graph.NodeID(min(lo+blockSize, n))))
 		}
 	}
-	workers := parallel.Workers(cfg.Workers, len(spanLo))
+	workers := parallel.Workers(cfg.Workers, len(spans))
 	if n < parallelThreshold {
 		workers = 1
 	}
+	// The mat-vec runs in two fan-outs: scaleSpan turns the iterate into
+	// w = D^(-1/2) x in place — x is dead once the mat-vec has read it —
+	// and gatherSpan sums w over each row's neighbors.
 	matVec := func(x, y []float64) {
 		// ForEach with a background context cannot fail here: the only
 		// error sources are fn errors and cancellation.
-		_ = parallel.ForEach(context.Background(), workers, len(spanLo), func(_, b int) error {
-			for v := spanLo[b]; v < spanHi[b]; v++ {
-				sum := 0.0
-				for _, u := range g.Neighbors(graph.NodeID(v)) {
-					sum += x[u] * invSqrtDeg[u]
-				}
-				y[v] = sum * invSqrtDeg[v]
-			}
+		_ = parallel.ForEach(context.Background(), workers, len(spans), func(_, b int) error {
+			scaleSpan(spans[b], x, invSqrtDeg)
+			return nil
+		})
+		_ = parallel.ForEach(context.Background(), workers, len(spans), func(_, b int) error {
+			gatherSpan(spans[b], x, y, invSqrtDeg)
 			return nil
 		})
 	}
@@ -365,6 +368,38 @@ func SLEMContext(ctx context.Context, v graph.View, cfg Config) (*Result, error)
 		res.eigvec = append([]float64(nil), x...)
 	}
 	return res, nil
+}
+
+// scaleSpan multiplies x[v] by invSqrtDeg[v] in place for every row v of
+// rows.
+func scaleSpan(rows graph.Rows, x, invSqrtDeg []float64) {
+	lo, hi := rows.Range()
+	for v := lo; v < hi; v++ {
+		x[v] *= invSqrtDeg[v]
+	}
+}
+
+// gatherSpan writes y[v] = (Σ_{u∈N(v)} w[u]) · invSqrtDeg[v] for every
+// row v of rows, where w is the iterate scaleSpan pre-scaled. The neighbor
+// loop is unrolled four ways into one accumulator, so the terms are
+// still added one at a time in adjacency order (the package comment says
+// why that reproduces the per-arc loop's bits).
+func gatherSpan(rows graph.Rows, w, y, invSqrtDeg []float64) {
+	lo, hi := rows.Range()
+	for v := lo; v < hi; v++ {
+		ns := rows.Neighbors(v)
+		sum := 0.0
+		for ; len(ns) >= 4; ns = ns[4:] {
+			sum += w[ns[0]]
+			sum += w[ns[1]]
+			sum += w[ns[2]]
+			sum += w[ns[3]]
+		}
+		for _, u := range ns {
+			sum += w[u]
+		}
+		y[v] = sum * invSqrtDeg[v]
+	}
 }
 
 // deflate removes the component of x along the unit vector phi.

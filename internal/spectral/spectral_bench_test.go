@@ -37,3 +37,39 @@ func BenchmarkSLEMSlowMixer(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSLEMIterations times the power iteration itself: every run
+// does exactly slemBenchIterations iterations (no estimate meets a
+// 1e-300 tolerance), and ns/iter is the run time per iteration, setup
+// included. ba3000 is paper-sized and single-worker; ba40000 is the size
+// of perfbench's large workload, above the parallel threshold.
+func BenchmarkSLEMIterations(b *testing.B) {
+	const slemBenchIterations = 50
+	for _, bg := range []struct {
+		name      string
+		n, attach int
+	}{
+		{"ba3000", 3000, 5},
+		{"ba40000", 40000, 8},
+	} {
+		g, err := gen.BarabasiAlbert(bg.n, bg.attach, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bg.name, func(b *testing.B) {
+			cfg := Config{Tolerance: 1e-300, MaxIterations: slemBenchIterations, Seed: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := SLEM(g, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Iterations != slemBenchIterations {
+					b.Fatalf("ran %d iterations, want %d", r.Iterations, slemBenchIterations)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slemBenchIterations), "ns/iter")
+		})
+	}
+}

@@ -175,7 +175,7 @@ func (s *Server) Serve(ctx context.Context, addr string, ready func(addr string)
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
