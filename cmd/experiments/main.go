@@ -44,20 +44,12 @@
 // produced (see internal/obs). Cache hits surface there as
 // jobs.cache.hits with zero jobs.run.executed in the job's window.
 //
-//	experiments bench           # time the parallel fan-out (workers=1 vs N,
-//	                            # out/BENCH_parallel.json), the zero-copy
-//	                            # views (rebuild-per-epoch vs MaskedView,
-//	                            # out/BENCH_views.json), and the incremental
-//	                            # epoch sweep (full recompute vs maintainers,
-//	                            # out/BENCH_incremental.json), and the scale
-//	                            # substrate (streamed TNG2 + mmap, monolithic
-//	                            # vs sharded, out/BENCH_scale.json); exits
-//	                            # nonzero if any variant pair diverges
+// The command takes no positional arguments. Timing the measurement
+// stack is the repository benchmark's job: bash perfbench/run.sh.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -122,10 +114,6 @@ type runnerConfig struct {
 }
 
 func run(args []string) error {
-	bench := len(args) > 0 && args[0] == "bench"
-	if bench {
-		args = args[1:]
-	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		only        = fs.String("run", "", "comma-separated experiments to run (default: all; see -list): tableI | figure1 | figure2 | tableII | figure3 | figure4 | figure5 | cross | dynamic | modulated | attacker | betweenness | sweep | churn | epochs")
@@ -138,15 +126,14 @@ func run(args []string) error {
 		timeout     = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
 		keepGoing   = fs.Bool("keep-going", true, "run remaining jobs after a failure and summarize at the end")
 		workers     = fs.Int("workers", 0, "measurement parallelism; 0 = GOMAXPROCS")
-		repeats     = fs.Int("bench-repeats", 3, "bench mode: timed repetitions per variant (best kept)")
 		resume      = fs.Bool("resume", false, "skip jobs and datasets already completed in -ckpt-dir; continue interrupted ones")
 		maxRetries  = fs.Int("max-retries", 2, "retries per job after a transient failure (0 = no retries)")
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "base delay of the exponential retry backoff")
 		bestEffort  = fs.Bool("best-effort", false, "return partial results with coverage annotations when a job hits its -timeout")
 		incr        = fs.Bool("incremental", false, "route epoch-sweep measurements through the incremental maintainers (delta-repaired cores and BFS, warm-started SLEM)")
 		ckptDir     = fs.String("ckpt-dir", "", "checkpoint directory (default <out>/ckpt)")
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file (any mode)")
-		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit (any mode)")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsAddr = fs.String("metrics-addr", "", "serve live metrics snapshots over HTTP on this address (e.g. :8080)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -155,6 +142,11 @@ func run(args []string) error {
 			return nil
 		}
 		return err
+	}
+	// The flag parser stops at the first non-flag argument, so a stray
+	// word would silently drop every flag after it.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: select experiments with -run (see -list); time the measurement stack with bash perfbench/run.sh", fs.Arg(0))
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -222,21 +214,6 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "experiments: metrics at http://%s/metrics\n", addr)
 	}
 	mc := newMetricsCollector(obsReg, *quick, *seed, *workers)
-
-	if bench {
-		before := mc.beforeJob()
-		start := time.Now()
-		err := runBench(context.Background(), opts, *out, *workers, *repeats, os.Stdout)
-		mc.afterJob("bench", err, time.Since(start), before, 1)
-		if path, werr := mc.write(*out); werr != nil {
-			if err == nil {
-				err = werr
-			}
-		} else {
-			fmt.Printf("wrote %s\n", path)
-		}
-		return err
-	}
 
 	// Resolve the selection through the registry before doing any work,
 	// so a typo fails instantly with the nearest valid name.
@@ -459,134 +436,4 @@ func graceFor(timeout time.Duration) time.Duration {
 		g = 2 * time.Second
 	}
 	return g
-}
-
-// runBench times the parallel measurement kernels at workers=1 vs N and
-// writes the trajectory point to out/BENCH_parallel.json.
-func runBench(ctx context.Context, opts experiments.Options, out string, workers, repeats int, w io.Writer) error {
-	res, err := experiments.Bench(ctx, opts, workers, repeats)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("bench: workers=1 vs %d (GOMAXPROCS=%d, best of %d)", res.Workers, res.GOMAXPROCS, repeats),
-		"Kernel", "Dataset", "workers=1 (s)", fmt.Sprintf("workers=%d (s)", res.Workers), "Speedup", "Identical")
-	for _, e := range res.Entries {
-		if err := t.AddRow(e.Name, e.Dataset,
-			report.Float(e.SequentialSeconds, 4), report.Float(e.ParallelSeconds, 4),
-			report.Float(e.Speedup, 2), fmt.Sprintf("%v", e.Identical)); err != nil {
-			return err
-		}
-	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(out, "BENCH_parallel.json")
-	if err := resilience.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
-
-	vres, err := experiments.BenchViews(ctx, opts, repeats)
-	if err != nil {
-		return err
-	}
-	vt := report.NewTable(
-		fmt.Sprintf("bench: rebuild-per-epoch vs zero-copy views (best of %d)", repeats),
-		"Pipeline", "Dataset", "Epochs", "Rebuild (s)", "View (s)", "Speedup", "Identical")
-	for _, e := range vres.Entries {
-		if err := vt.AddRow(e.Name, e.Dataset, report.Int(e.Epochs),
-			report.Float(e.RebuildSeconds, 4), report.Float(e.ViewSeconds, 4),
-			report.Float(e.Speedup, 2), fmt.Sprintf("%v", e.Identical)); err != nil {
-			return err
-		}
-	}
-	if err := vt.Render(w); err != nil {
-		return err
-	}
-	vdata, err := json.MarshalIndent(vres, "", "  ")
-	if err != nil {
-		return err
-	}
-	vpath := filepath.Join(out, "BENCH_views.json")
-	if err := resilience.WriteFileAtomic(vpath, append(vdata, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", vpath)
-
-	ires, err := experiments.BenchIncremental(ctx, opts, repeats)
-	if err != nil {
-		return err
-	}
-	it := report.NewTable(
-		fmt.Sprintf("bench: full-per-epoch vs incremental maintainers (best of %d)", repeats),
-		"Pipeline", "Dataset", "Epochs", "Sources", "Full (s)", "Incremental (s)", "Speedup", "Identical", "Max SLEM diff")
-	for _, e := range ires.Entries {
-		if err := it.AddRow(e.Name, e.Dataset, report.Int(e.Epochs), report.Int(e.Sources),
-			report.Float(e.FullSeconds, 4), report.Float(e.IncrementalSeconds, 4),
-			report.Float(e.Speedup, 2), fmt.Sprintf("%v", e.Identical),
-			fmt.Sprintf("%.2g", e.MaxSLEMDiff)); err != nil {
-			return err
-		}
-	}
-	if err := it.Render(w); err != nil {
-		return err
-	}
-	idata, err := json.MarshalIndent(ires, "", "  ")
-	if err != nil {
-		return err
-	}
-	ipath := filepath.Join(out, "BENCH_incremental.json")
-	if err := resilience.WriteFileAtomic(ipath, append(idata, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", ipath)
-
-	sres, err := experiments.BenchScale(ctx, opts, 4, out)
-	if err != nil {
-		return err
-	}
-	stt := report.NewTable(
-		fmt.Sprintf("bench: mmap-backed substrate, monolithic vs %d shards (n=%d, m=%d)",
-			sres.Shards, sres.Nodes, sres.Edges),
-		"Kernel", "Mono (s)", "Sharded (s)", "Ratio", "Identical")
-	for _, e := range sres.Entries {
-		if err := stt.AddRow(e.Name,
-			report.Float(e.MonoSeconds, 4), report.Float(e.ShardedSeconds, 4),
-			report.Float(e.Ratio, 2), fmt.Sprintf("%v", e.Identical)); err != nil {
-			return err
-		}
-	}
-	stt.AddNote(fmt.Sprintf("generated in %.2fs (%d spill runs), mapped in %.4fs, file %d bytes, peak RSS %d MiB",
-		sres.GenerateSeconds, sres.SpillRuns, sres.OpenMappedSeconds, sres.FileBytes, sres.PeakRSSBytes>>20))
-	if err := stt.Render(w); err != nil {
-		return err
-	}
-	sdata, err := json.MarshalIndent(sres, "", "  ")
-	if err != nil {
-		return err
-	}
-	spath := filepath.Join(out, "BENCH_scale.json")
-	if err := resilience.WriteFileAtomic(spath, append(sdata, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", spath)
-
-	if !vres.Identical() {
-		return fmt.Errorf("bench: view and rebuild result fingerprints diverged (see %s)", vpath)
-	}
-	if !ires.Equivalent() {
-		return fmt.Errorf("bench: incremental and full results diverged (see %s)", ipath)
-	}
-	if !sres.Identical() {
-		return fmt.Errorf("bench: sharded and monolithic results diverged (see %s)", spath)
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -94,8 +96,7 @@ func TestRunMappedInput(t *testing.T) {
 }
 
 // TestRunSharded measures the same mmap-backed graph at 1 and 3 shards;
-// both must succeed (the report identity itself is covered by the
-// TestEquivalenceSharded* suites).
+// the two reports must be byte-identical, as in scripts/scalesmoke.sh.
 func TestRunSharded(t *testing.T) {
 	g, err := gen.BarabasiAlbert(250, 3, 5)
 	if err != nil {
@@ -105,12 +106,41 @@ func TestRunSharded(t *testing.T) {
 	if err := graph.SaveCSR(path, g); err != nil {
 		t.Fatal(err)
 	}
+	var reports []string
 	for _, shards := range []string{"1", "3"} {
-		if err := run([]string{"-in", path, "-shards", shards, "-sources", "5", "-steps", "20", "all"}); err != nil {
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-in", path, "-shards", shards, "-sources", "5", "-steps", "20", "all"})
+		})
+		if err != nil {
 			t.Fatalf("shards=%s: %v", shards, err)
 		}
+		reports = append(reports, out)
+	}
+	if reports[0] == "" || reports[0] != reports[1] {
+		t.Errorf("3-shard report differs from monolithic:\n--- shards=1\n%s\n--- shards=3\n%s", reports[0], reports[1])
 	}
 	if err := run([]string{"-in", path, "-shards", "0", "cores"}); err == nil {
 		t.Error("-shards 0: want error")
 	}
+}
+
+// captureStdout redirects os.Stdout around fn; run prints its report
+// there directly.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	old := os.Stdout
+	rp, wp, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = wp
+	defer func() { os.Stdout = old }()
+	done := make(chan string, 1)
+	go func() {
+		data, _ := io.ReadAll(rp)
+		done <- string(data)
+	}()
+	runErr := fn()
+	wp.Close()
+	return <-done, runErr
 }

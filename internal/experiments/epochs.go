@@ -2,19 +2,13 @@ package experiments
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"runtime"
-	"time"
 
 	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/faults"
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/incremental"
-	"github.com/trustnet/trustnet/internal/kcore"
 	"github.com/trustnet/trustnet/internal/parallel"
 	"github.com/trustnet/trustnet/internal/report"
 	"github.com/trustnet/trustnet/internal/spectral"
@@ -71,12 +65,11 @@ type EpochSweepPoint struct {
 type EpochSweepResult struct {
 	Points      []EpochSweepPoint
 	Incremental bool
-	// Seconds is the wall time of the measurement loop (excluding graph
-	// generation), so the sweep doubles as a coarse timing probe.
-	Seconds float64
 }
 
-// Table renders the sweep.
+// Table renders the sweep. It carries no wall-clock figure: the epochs
+// artifact is content-addressed and must render byte-identically on a
+// rerun, and METRICS.json already records each job's wall time.
 func (r *EpochSweepResult) Table() (*report.Table, error) {
 	mode := "full recompute per epoch"
 	if r.Incremental {
@@ -96,16 +89,16 @@ func (r *EpochSweepResult) Table() (*report.Table, error) {
 			return nil, err
 		}
 	}
-	t.AddNote(fmt.Sprintf("measurement loop: %.2fs", r.Seconds))
 	return t, nil
 }
 
 // EpochSweep measures degeneracy, SLEM, and the expansion envelope at
 // every epoch of a drifting fault schedule. With Options.Incremental
 // the three measurements ride the internal/incremental maintainers
-// (exact cores and expansion, tolerance-equal SLEM); otherwise each
-// epoch recomputes from scratch. Both modes walk identical schedules,
-// so their tables agree up to SLEM rounding.
+// (exact cores and expansion, warm-started SLEM); otherwise each epoch
+// recomputes from scratch. Both modes walk identical schedules, so
+// their integer columns agree exactly and μ agrees within 1e-4 (see
+// Options.Incremental).
 func EpochSweep(ctx context.Context, opts Options) (*EpochSweepResult, error) {
 	opts.fill()
 	g, err := epochSweepGraph(&opts)
@@ -128,7 +121,6 @@ func EpochSweep(ctx context.Context, opts Options) (*EpochSweepResult, error) {
 	}
 
 	res := &EpochSweepResult{Incremental: opts.Incremental}
-	start := time.Now()
 	var en *incremental.Engine
 	if opts.Incremental {
 		if en, err = incremental.NewEngine(m, ecfg); err != nil {
@@ -162,223 +154,5 @@ func EpochSweep(ctx context.Context, opts Options) (*EpochSweepResult, error) {
 			CoreIncremental: coreInc,
 		})
 	}
-	res.Seconds = time.Since(start).Seconds()
 	return res, nil
-}
-
-// IncrementalBenchEntry is the epoch sweep timed two ways: full
-// recompute at every epoch against the incremental maintainers, over
-// identical drifting fault schedules.
-type IncrementalBenchEntry struct {
-	Name    string `json:"name"`
-	Dataset string `json:"dataset"`
-	Nodes   int    `json:"nodes"`
-	Edges   int64  `json:"edges"`
-	// Epochs is the sweep length; Sources the BFS envelope source count.
-	Epochs  int `json:"epochs"`
-	Sources int `json:"sources"`
-	// FullSeconds and IncrementalSeconds are best-of-Repeats wall times
-	// for the two variants, end to end (including the incremental
-	// variant's epoch-0 initialization).
-	FullSeconds        float64 `json:"full_seconds"`
-	IncrementalSeconds float64 `json:"incremental_seconds"`
-	// Speedup is FullSeconds / IncrementalSeconds.
-	Speedup float64 `json:"speedup"`
-	Repeats int     `json:"repeats"`
-	// CoreIncrementalEpochs counts epochs (of Epochs-1 advances) whose
-	// coreness repair ran incrementally rather than falling back.
-	CoreIncrementalEpochs int `json:"core_incremental_epochs"`
-	// Identical reports the integer measurements (per-node cores, every
-	// per-source BFS level count, component size) were bit-for-bit
-	// identical across variants at every epoch; Fingerprint is the
-	// shared FNV-1a digest.
-	Identical   bool   `json:"identical"`
-	Fingerprint string `json:"fingerprint"`
-	// MaxSLEMDiff is the largest per-epoch |SLEM_full - SLEM_incremental|;
-	// the warm-started iteration converges to the same tolerance, not the
-	// same bit pattern, so it is compared against SLEMTolerance instead
-	// of fingerprinted.
-	MaxSLEMDiff   float64 `json:"max_slem_diff"`
-	SLEMTolerance float64 `json:"slem_tolerance"`
-}
-
-// IncrementalBenchResult is the incremental-measurement baseline
-// cmd/experiments bench writes to out/BENCH_incremental.json,
-// qualified by the machine fields.
-type IncrementalBenchResult struct {
-	GoVersion  string                  `json:"go_version"`
-	NumCPU     int                     `json:"num_cpu"`
-	GOMAXPROCS int                     `json:"gomaxprocs"`
-	Quick      bool                    `json:"quick"`
-	Seed       int64                   `json:"seed"`
-	UnixTime   int64                   `json:"unix_time"`
-	Entries    []IncrementalBenchEntry `json:"entries"`
-}
-
-// Equivalent reports whether every entry's variants agreed: integer
-// fingerprints identical and SLEM within tolerance. Callers treat
-// false as a failure — the variants replay the same schedule, so any
-// divergence is a repair bug, not noise.
-func (r *IncrementalBenchResult) Equivalent() bool {
-	for _, e := range r.Entries {
-		if !e.Identical || e.MaxSLEMDiff > e.SLEMTolerance {
-			return false
-		}
-	}
-	return true
-}
-
-// epochFingerprint folds one epoch's integer measurements into h:
-// every node's coreness, every source's BFS level counts, and the
-// largest-component size.
-func epochFingerprint(h interface{ Write(p []byte) (int, error) }, cores []int, levels [][]int64, compSize int) {
-	var buf [8]byte
-	put := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
-	}
-	for _, c := range cores {
-		put(uint64(c))
-	}
-	for _, ls := range levels {
-		put(uint64(len(ls)))
-		for _, l := range ls {
-			put(uint64(l))
-		}
-	}
-	put(uint64(compSize))
-}
-
-// BenchIncremental times the epoch sweep with and without the
-// incremental maintainers on the clustered 10⁴-node community graph.
-// Both variants advance identical drifting fault schedules and measure
-// all three structural metrics every epoch; the full variant
-// recomputes each from scratch, the incremental variant repairs the
-// maintained state from the epoch delta (k-core subcore repair,
-// delta-BFS, warm-started SLEM). Equivalence is part of the baseline:
-// integer results must be bit-identical, SLEM within tolerance.
-func BenchIncremental(ctx context.Context, opts Options, repeats int) (*IncrementalBenchResult, error) {
-	opts.fill()
-	if repeats < 1 {
-		repeats = 1
-	}
-	g, err := epochSweepGraph(&opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bench incremental: %w", err)
-	}
-	srcs, err := epochSweepSources(g, &opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bench incremental: %w", err)
-	}
-	ecfg := incremental.EngineConfig{
-		Sources:  srcs,
-		Spectral: spectral.Config{Tolerance: 1e-8, Seed: opts.Seed, Workers: opts.Workers},
-		Workers:  opts.Workers,
-	}
-	epochs := opts.pick(4, 16)
-	fcfg := epochSweepFaultConfig(opts.Seed)
-
-	// The power iteration stops when successive eigenvalue estimates are
-	// within Tolerance (1e-8); on a slow-mixing community graph the
-	// absolute eigenvalue error is that divided by one minus the
-	// iteration's contraction ratio, so warm and cold runs can land up
-	// to a few orders of magnitude apart while both meeting the
-	// convergence contract. 1e-4 bounds the divergence two runs
-	// converged to 1e-8 per step can exhibit here, with margin.
-	const slemTol = 1e-4
-	var fullSLEMs, incSLEMs []float64
-	coreIncEpochs := 0
-
-	fullVariant := func() (string, error) {
-		m, err := faults.New(g, fcfg)
-		if err != nil {
-			return "", err
-		}
-		h := fnv.New64a()
-		fullSLEMs = fullSLEMs[:0]
-		for e := 0; e < epochs; e++ {
-			if e > 0 {
-				m.AdvanceEpoch()
-			}
-			dec, err := kcore.Decompose(m.View())
-			if err != nil {
-				return "", err
-			}
-			er, err := expansion.Measure(ctx, m.View(), expansion.Config{Sources: srcs, Workers: opts.Workers})
-			if err != nil {
-				return "", err
-			}
-			comp, nodes := graph.LargestComponentView(m.View())
-			sr, err := spectral.SLEMContext(ctx, comp, ecfg.Spectral)
-			if err != nil {
-				return "", err
-			}
-			epochFingerprint(h, dec.CorenessValues(), er.Checkpoint().Levels, len(nodes))
-			fullSLEMs = append(fullSLEMs, sr.SLEM)
-		}
-		return fmt.Sprintf("%016x", h.Sum64()), nil
-	}
-
-	incVariant := func() (string, error) {
-		m, err := faults.New(g, fcfg)
-		if err != nil {
-			return "", err
-		}
-		en, err := incremental.NewEngine(m, ecfg)
-		if err != nil {
-			return "", err
-		}
-		h := fnv.New64a()
-		incSLEMs = incSLEMs[:0]
-		coreIncEpochs = 0
-		for e := 0; e < epochs; e++ {
-			if e > 0 && en.Advance() {
-				coreIncEpochs++
-			}
-			meas, err := en.Measure(ctx)
-			if err != nil {
-				return "", err
-			}
-			epochFingerprint(h, en.Cores(), meas.Expansion.Checkpoint().Levels, meas.ComponentSize)
-			incSLEMs = append(incSLEMs, meas.SLEM.SLEM)
-		}
-		return fmt.Sprintf("%016x", h.Sum64()), nil
-	}
-
-	entry := IncrementalBenchEntry{
-		Name: "epoch-sweep", Dataset: "clustered-10k",
-		Nodes: g.NumNodes(), Edges: g.NumEdges(),
-		Epochs: epochs, Sources: len(srcs), Repeats: repeats,
-		SLEMTolerance: slemTol,
-	}
-	fullSec, fullFP, err := timeVariant(fullVariant, repeats)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bench incremental full variant: %w", err)
-	}
-	incSec, incFP, err := timeVariant(incVariant, repeats)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bench incremental variant: %w", err)
-	}
-	entry.FullSeconds, entry.IncrementalSeconds = fullSec, incSec
-	if incSec > 0 {
-		entry.Speedup = fullSec / incSec
-	}
-	entry.Identical = fullFP == incFP
-	entry.Fingerprint = incFP
-	entry.CoreIncrementalEpochs = coreIncEpochs
-	for i := range fullSLEMs {
-		if d := math.Abs(fullSLEMs[i] - incSLEMs[i]); d > entry.MaxSLEMDiff {
-			entry.MaxSLEMDiff = d
-		}
-	}
-
-	return &IncrementalBenchResult{
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      opts.Quick,
-		Seed:       opts.Seed,
-		UnixTime:   time.Now().Unix(),
-		Entries:    []IncrementalBenchEntry{entry},
-	}, nil
 }

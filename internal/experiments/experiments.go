@@ -2,8 +2,8 @@
 // paper's evaluation section. Each runner regenerates the corresponding
 // artifact from the synthetic dataset registry: tables as
 // report.Table values and figures as report.Series bundles, so
-// cmd/experiments can write them to disk and the benchmark harness can
-// time them.
+// cmd/experiments can write them to disk and the root package's
+// go test benchmarks can time them.
 //
 // Runners accept an Options value. Quick mode shrinks sample counts so
 // the whole suite stays test-sized; the full mode matches the scaled
@@ -45,8 +45,12 @@ type Options struct {
 	// Incremental routes epoch-sweep measurements through the
 	// internal/incremental maintainers (delta-repaired cores and BFS,
 	// warm-started SLEM) instead of recomputing every epoch from
-	// scratch. Integer results are bit-identical either way; SLEM agrees
-	// within its convergence tolerance.
+	// scratch. Integer results are bit-identical either way. SLEM is
+	// not: the power iteration stops when successive estimates are
+	// within its tolerance, which bounds the step, not the distance to
+	// μ, so the warm and cold starts stop at different points. The two
+	// agree within 1e-4 (TestEpochSweepQuick); ROADMAP.md's certified-
+	// SLEM item replaces that stopping rule with a residual bound.
 	Incremental bool
 	// Substrate is the canonical graph-substrate fingerprint of the run
 	// (see SubstrateFingerprint). Runners fold it into their per-dataset

@@ -57,9 +57,9 @@ type EpochMeasurement struct {
 // replays the schedule to any epoch deterministically, and a fresh
 // Engine constructed there produces measurements equivalent to the
 // uninterrupted run — bit-identical cores and expansion (both are
-// exact at every epoch regardless of the repair path taken), and
-// SLEM within tolerance (the warm-start history differs, the
-// convergence target does not). Not safe for concurrent use.
+// exact at every epoch regardless of the repair path taken), and SLEM
+// within the band the package comment describes (the warm-start
+// history differs). Not safe for concurrent use.
 type Engine struct {
 	model *faults.Model
 	cores *CoreMaintainer
@@ -115,7 +115,8 @@ func (en *Engine) Advance() bool {
 
 // Measure snapshots the three structural metrics on the current view.
 // The coreness and expansion parts are bit-identical to from-scratch
-// measurements; the SLEM is warm-started and tolerance-equal.
+// measurements; the SLEM is warm-started and matches a cold start only
+// within the band the package comment describes.
 func (en *Engine) Measure(ctx context.Context) (*EpochMeasurement, error) {
 	exp, err := en.exp.Measure(ctx, en.cfg.Workers)
 	if err != nil {

@@ -13,10 +13,8 @@ import (
 )
 
 // This file is the single home of the measurement-result fingerprints
-// the benchmark and equivalence harnesses compare: every variant pair
-// (rebuild vs view, monolithic vs sharded) digests its
-// results here, so "identical" always means the same bits. The helpers
-// were previously copy-pasted across the experiments bench files.
+// that trustnetd reports and perfbench checks its timed results
+// against, so "identical" always means the same bits.
 
 // digest is a little-endian FNV-1a accumulator over 64-bit words.
 type digest struct {
