@@ -16,11 +16,12 @@
 // still run (disable with -keep-going=false), and any failure makes the
 // process exit nonzero with a summary table (panic stacks included).
 // Transient failures are retried with seeded-jitter exponential backoff
-// (-max-retries, -retry-base); every job checkpoints its completion —
-// and, with -best-effort, its partial progress — under <out>/ckpt,
-// keyed by the canonical graph-substrate fingerprint, so a crashed or
-// killed run continues where it left off when rerun with -resume,
-// producing bit-identical artifacts.
+// (-max-retries, -retry-base). The artifact cache is the record of
+// finished jobs: a rerun replays them. tableI and figure1 also
+// checkpoint each finished dataset — and, with -best-effort, partial
+// progress — under <out>/ckpt, keyed by the canonical graph-substrate
+// fingerprint, so a crashed or killed run continues where it left off
+// when rerun with -resume, producing bit-identical artifacts.
 //
 // Usage:
 //
@@ -33,7 +34,7 @@
 //	experiments -timeout 2m     # bound each job
 //	experiments -workers 4      # bound measurement parallelism
 //	experiments -best-effort    # salvage partial results at the deadline
-//	experiments -resume         # skip/continue from out/ckpt checkpoints
+//	experiments -resume         # continue tableI/figure1 from out/ckpt checkpoints
 //	experiments -max-retries 3 -retry-base 200ms  # transient-failure retries
 //	experiments -run epochs -incremental  # epoch sweep via internal/incremental
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof  # profile any run
@@ -82,12 +83,7 @@ func main() {
 // return rather than os.Exit on failure.
 type job struct {
 	name string
-	// fp ties the job's done checkpoint to both the graph substrate and
-	// the job configuration; a run over different datasets or knobs never
-	// resumes this one's checkpoint. Empty matches any checkpoint (legacy
-	// tests only).
-	fp  string
-	run func(ctx context.Context) error
+	run  func(ctx context.Context) error
 }
 
 // jobFailure records one failed job for the summary.
@@ -105,12 +101,6 @@ type runnerConfig struct {
 	// policy retries transient job failures; MaxAttempts <= 1 disables
 	// retrying.
 	policy resilience.Policy
-	// store persists per-job done markers (and receives the experiments'
-	// own per-dataset checkpoints via experiments.Options.Ckpt); nil
-	// disables job checkpointing.
-	store *resilience.Store
-	// resume skips jobs whose done checkpoint matches the job's fp.
-	resume bool
 }
 
 func run(args []string) error {
@@ -126,7 +116,7 @@ func run(args []string) error {
 		timeout     = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
 		keepGoing   = fs.Bool("keep-going", true, "run remaining jobs after a failure and summarize at the end")
 		workers     = fs.Int("workers", 0, "measurement parallelism; 0 = GOMAXPROCS")
-		resume      = fs.Bool("resume", false, "skip jobs and datasets already completed in -ckpt-dir; continue interrupted ones")
+		resume      = fs.Bool("resume", false, "continue tableI and figure1 from the per-dataset checkpoints in -ckpt-dir (finished jobs replay from <out>/cache)")
 		maxRetries  = fs.Int("max-retries", 2, "retries per job after a transient failure (0 = no retries)")
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "base delay of the exponential retry backoff")
 		bestEffort  = fs.Bool("best-effort", false, "return partial results with coverage annotations when a job hits its -timeout")
@@ -237,8 +227,8 @@ func run(args []string) error {
 	}
 
 	// The canonical substrate digest: the graph half of every artifact
-	// cache key and job checkpoint fingerprint. Generating it warms the
-	// shared dataset cache the jobs draw from.
+	// cache key and dataset checkpoint fingerprint. Generating it warms
+	// the shared dataset cache the jobs draw from.
 	graphFP, err := experiments.SubstrateFingerprint(opts)
 	if err != nil {
 		return err
@@ -264,7 +254,6 @@ func run(args []string) error {
 		jj := jj
 		queue = append(queue, job{
 			name: jj.Name(),
-			fp:   resilience.Fingerprint("job", graphFP, jj.Fingerprint()),
 			run: func(ctx context.Context) error {
 				_, err := runner.Run(ctx, jj)
 				return err
@@ -280,8 +269,6 @@ func run(args []string) error {
 			Jitter:      0.25,
 			Seed:        *seed,
 		},
-		store:  store,
-		resume: *resume,
 	}
 	err = runJobs(context.Background(), queue, rc, mc, os.Stdout)
 	if path, werr := mc.write(*out); werr != nil {
@@ -295,29 +282,15 @@ func run(args []string) error {
 }
 
 // runJobs executes the queued jobs sequentially with per-job timeout,
-// panic recovery, transient-failure retries, and checkpoint-based
-// resume (each job's done marker is keyed by its own fp). With
-// keepGoing, a failed job is recorded and the remaining jobs still run;
-// the failures are summarized on w (with the recovered stack for
-// panics) and returned as a single error so the process exits nonzero.
+// panic recovery, and transient-failure retries. With keepGoing, a
+// failed job is recorded and the remaining jobs still run; the failures
+// are summarized on w (with the recovered stack for panics) and
+// returned as a single error so the process exits nonzero.
 // When mc is non-nil, each job's wall time, allocator deltas, attempt
 // count, and metrics window are collected.
 func runJobs(ctx context.Context, queue []job, rc runnerConfig, mc *metricsCollector, w io.Writer) error {
 	var failures []jobFailure
 	for _, j := range queue {
-		if rc.resume && rc.store != nil {
-			c, err := rc.store.Load("job-"+j.name, j.fp)
-			if err != nil {
-				return err
-			}
-			if c != nil && c.Status == resilience.StatusDone {
-				fmt.Fprintf(w, "== %s ==\nSKIP %s (done checkpoint from an earlier run)\n\n", j.name, j.name)
-				if mc != nil {
-					mc.skipJob(j.name)
-				}
-				continue
-			}
-		}
 		start := time.Now()
 		fmt.Fprintf(w, "== %s ==\n", j.name)
 		var before runtime.MemStats
@@ -342,12 +315,6 @@ func runJobs(ctx context.Context, queue []job, rc runnerConfig, mc *metricsColle
 				break
 			}
 			continue
-		}
-		if rc.store != nil {
-			c := &resilience.Checkpoint{Job: "job-" + j.name, Fingerprint: j.fp, Status: resilience.StatusDone, Attempts: outcome.Attempts}
-			if err := rc.store.Save(c); err != nil {
-				return err
-			}
 		}
 		fmt.Fprintf(w, "(%s in %v)\n\n", j.name, time.Since(start).Round(time.Millisecond))
 	}

@@ -144,21 +144,19 @@ func TestRunCommaSeparatedSubset(t *testing.T) {
 	}
 }
 
-// The artifact cache: an unchanged rerun replays the stored artifact
-// byte-identically with zero job executions — verified through the
-// CACHED line, the emitted files, and the METRICS counters.
-func TestRunSecondRunIsCacheHit(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-quick", "-run", "tableI", "-out", dir}); err != nil {
+// checkSecondRunReplays runs args twice and requires the second run to
+// replay tableI from <dir>/cache: a CACHED line, a byte-identical
+// tableI.txt, and a METRICS window with one cache hit and no kernel run.
+func checkSecondRunReplays(t *testing.T, dir string, args ...string) {
+	t.Helper()
+	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(filepath.Join(dir, "tableI.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-quick", "-run", "tableI", "-out", dir})
-	})
+	out, err := captureStdout(t, func() error { return run(args) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +201,16 @@ func TestRunSecondRunIsCacheHit(t *testing.T) {
 	if c["spectral.slem.iterations"] != 0 {
 		t.Errorf("SLEM iterations on a cache hit = %d, want 0", c["spectral.slem.iterations"])
 	}
+}
+
+// The artifact cache: an unchanged rerun replays the stored artifact
+// byte-identically with zero job executions — verified through the
+// CACHED line, the emitted files, and the METRICS counters.
+func TestRunSecondRunIsCacheHit(t *testing.T) {
+	dir := t.TempDir()
+	checkSecondRunReplays(t, dir, "-quick", "-run", "tableI", "-out", dir)
 	// -no-cache forces a recompute even with a valid entry present.
-	out, err = captureStdout(t, func() error {
+	out, err := captureStdout(t, func() error {
 		return run([]string{"-quick", "-run", "tableI", "-no-cache", "-out", dir})
 	})
 	if err != nil {
@@ -213,6 +219,14 @@ func TestRunSecondRunIsCacheHit(t *testing.T) {
 	if strings.Contains(out, "CACHED tableI") {
 		t.Errorf("-no-cache still replayed from cache:\n%s", out)
 	}
+}
+
+// TestRunResumeReplaysFromCache: the artifact cache is the only record
+// that a job is done, so a -resume rerun of a finished job replays it
+// from <out>/cache like any other rerun.
+func TestRunResumeReplaysFromCache(t *testing.T) {
+	dir := t.TempDir()
+	checkSecondRunReplays(t, dir, "-quick", "-run", "tableI", "-resume", "-out", dir)
 }
 
 // A positional argument stops flag parsing, so "tableI -quick" would

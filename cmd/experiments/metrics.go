@@ -23,10 +23,10 @@ const metricsSchema = "trustnet/metrics/v1"
 // job attributes every metric unambiguously.
 type jobMetrics struct {
 	Name   string `json:"name"`
-	Status string `json:"status"` // "ok", "failed", or "skipped" (resumed from a done checkpoint)
+	Status string `json:"status"` // "ok" or "failed"
 	Error  string `json:"error,omitempty"`
 	// Attempts counts how many times the job ran, > 1 when the retry
-	// policy re-ran a transient failure. 0 for skipped jobs.
+	// policy re-ran a transient failure.
 	Attempts    int     `json:"attempts,omitempty"`
 	WallSeconds float64 `json:"wall_seconds"`
 	// Allocs and AllocBytes are deltas of the runtime's cumulative
@@ -114,14 +114,6 @@ func (c *metricsCollector) afterJob(name string, jobErr error, wall time.Duratio
 	}
 	c.prev = snap
 	c.doc.Jobs = append(c.doc.Jobs, jm)
-}
-
-// skipJob records a job that a resumed run reused from its done
-// checkpoint without re-running. The registry snapshot still advances so
-// the next job's window stays unpolluted.
-func (c *metricsCollector) skipJob(name string) {
-	c.prev = c.reg.Snapshot()
-	c.doc.Jobs = append(c.doc.Jobs, jobMetrics{Name: name, Status: "skipped"})
 }
 
 // write finalizes totals and writes METRICS.json under dir, returning

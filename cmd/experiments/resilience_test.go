@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/resilience"
 )
 
-// testRunnerConfig is the legacy runner behavior — no retries, no
-// checkpoint store — used by tests that exercise timeout/panic/keep-going
-// handling in isolation.
+// testRunnerConfig is the runner without retries, used by tests that
+// exercise timeout/panic/keep-going handling in isolation.
 func testRunnerConfig(timeout time.Duration, keepGoing bool) runnerConfig {
 	return runnerConfig{
 		timeout:   timeout,
@@ -93,88 +94,46 @@ func TestRunJobsFatalNotRetried(t *testing.T) {
 	}
 }
 
-func TestRunJobsResumeSkipsDone(t *testing.T) {
-	store := resilience.NewStore(t.TempDir())
-	fp := resilience.Fingerprint("job", "graph-aaaa", "cfg-0011")
-	if err := store.Save(&resilience.Checkpoint{Job: "job-a", Fingerprint: fp, Status: resilience.StatusDone}); err != nil {
-		t.Fatal(err)
-	}
-	ranB := false
-	jobs := []job{
-		{name: "a", fp: fp, run: func(ctx context.Context) error { return errors.New("must not run") }},
-		{name: "b", fp: fp, run: func(ctx context.Context) error { ranB = true; return nil }},
-	}
-	rc := testRunnerConfig(0, true)
-	rc.store, rc.resume = store, true
-	var buf bytes.Buffer
-	if err := runJobs(context.Background(), jobs, rc, nil, &buf); err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if !strings.Contains(buf.String(), "SKIP a") {
-		t.Fatalf("done job not skipped:\n%s", buf.String())
-	}
-	if !ranB {
-		t.Fatal("unfinished job did not run")
-	}
-	// b succeeded, so the rerun now holds a done checkpoint for it too.
-	if c, err := store.Load("job-b", fp); err != nil || c == nil || c.Status != resilience.StatusDone {
-		t.Fatalf("job-b checkpoint = %v, %v", c, err)
-	}
-}
-
-// A stale fingerprint (changed configuration) must re-run the job
-// rather than resume another configuration's checkpoint.
-func TestRunJobsResumeIgnoresStaleFingerprint(t *testing.T) {
-	store := resilience.NewStore(t.TempDir())
-	if err := store.Save(&resilience.Checkpoint{
-		Job: "job-a", Fingerprint: resilience.Fingerprint("job", "graph-aaaa", "cfg-9999"), Status: resilience.StatusDone,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ran := false
-	jobs := []job{{
-		name: "a",
-		fp:   resilience.Fingerprint("job", "graph-aaaa", "cfg-0011"),
-		run:  func(ctx context.Context) error { ran = true; return nil },
-	}}
-	rc := testRunnerConfig(0, true)
-	rc.store, rc.resume = store, true
-	var buf bytes.Buffer
-	if err := runJobs(context.Background(), jobs, rc, nil, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("job with stale checkpoint was skipped")
-	}
-}
-
 // Regression: job done-markers were once keyed only by (quick, seed,
 // workers), so a checkpoint taken over one dataset registry silently
-// resumed a run over a completely different substrate. The fingerprint
-// now folds in the canonical graph fingerprint: same configuration,
-// different graphs, no skip.
+// resumed a run over a completely different substrate. The artifact
+// cache is now the only done record, and run keys it by the canonical
+// graph fingerprint: under -resume, the same job and configuration over
+// a different graph runs again, while the first graph's entry still
+// replays.
 func TestRunJobsResumeKeyedByGraphFingerprint(t *testing.T) {
-	store := resilience.NewStore(t.TempDir())
-	const cfgFP = "cfg-0011"
-	if err := store.Save(&resilience.Checkpoint{
-		Job: "job-a", Fingerprint: resilience.Fingerprint("job", "graph-aaaa", cfgFP), Status: resilience.StatusDone,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ran := false
-	jobs := []job{{
-		name: "a",
-		fp:   resilience.Fingerprint("job", "graph-bbbb", cfgFP),
-		run:  func(ctx context.Context) error { ran = true; return nil },
-	}}
-	rc := testRunnerConfig(0, true)
-	rc.store, rc.resume = store, true
-	var buf bytes.Buffer
-	if err := runJobs(context.Background(), jobs, rc, nil, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("checkpoint from a different graph substrate was resumed")
+	dir := t.TempDir()
+	ran := 0
+	j := jobs.New("a", struct{ Seed int64 }{Seed: 1}, func(ctx context.Context, env jobs.Env) (*jobs.Artifact, error) {
+		ran++
+		b := jobs.NewBuilder()
+		b.Printf("measured %s\n", env.GraphFingerprint)
+		return b.Artifact(), nil
+	})
+	runner := &jobs.Runner{Cache: jobs.NewStore(filepath.Join(dir, "cache")), OutDir: dir}
+	queue := []job{{name: "a", run: func(ctx context.Context) error {
+		_, err := runner.Run(ctx, j)
+		return err
+	}}}
+	for _, step := range []struct {
+		graphFP string
+		runs    int
+		cached  bool
+	}{
+		{"graph-aaaa", 1, false},
+		{"graph-bbbb", 2, false},
+		{"graph-aaaa", 2, true},
+	} {
+		var buf bytes.Buffer
+		runner.Env = jobs.Env{GraphFingerprint: step.graphFP, Resume: true}
+		runner.Stdout = &buf
+		if err := runJobs(context.Background(), queue, testRunnerConfig(0, true), nil, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if ran != step.runs || strings.Contains(buf.String(), "CACHED a") != step.cached {
+			t.Fatalf("-resume over %s: %d runs, want %d; cached want %v:\n%s",
+				step.graphFP, ran, step.runs, step.cached, buf.String())
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 // Command gengraph generates synthetic social graphs — either a named
 // dataset stand-in from the Table I registry or a raw model — and writes
-// them as edge-list text, TNG1 binary, or TNG2 CSR files. Large graphs
-// can be streamed straight to TNG2 in bounded memory, and the convert
-// subcommand translates between the three formats.
+// them as edge-list text or TNG2 CSR files. Large graphs can be streamed
+// straight to TNG2 in bounded memory, and the convert subcommand
+// translates between text and TNG2. TNG1 binary files are import-only:
+// convert reads them (streaming TNG1 to TNG2 in bounded memory) but no
+// command writes them.
 //
 // Usage:
 //
@@ -14,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +50,7 @@ func run(args []string) error {
 		bridges = fs.Int("bridges", 2, "bridges per community pair (clustered)")
 		seed    = fs.Int64("seed", 1, "generator seed")
 		out     = fs.String("out", "", "output path (default stdout, text only)")
-		format  = fs.String("format", "", "output format: text | tng1 | tng2 (default inferred from -out extension)")
+		format  = fs.String("format", "", "output format: text | tng2 (default inferred from -out extension)")
 		stream  = fs.Bool("stream", false, "stream the generator through the bounded-memory CSR writer (ba, rmat, sbm, clustered; implies tng2, requires -out)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -82,38 +85,41 @@ func run(args []string) error {
 		return nil
 	}
 
-	g, err := buildGraph(*dataset, *model, *n, *param, *beta, *comms, *bridges, *seed)
-	if err != nil {
-		return err
-	}
 	f, err := resolveFormat(*format, *out)
 	if err != nil {
 		return err
 	}
+	if f == "tng1" {
+		return errTNG1Output
+	}
+	if *out == "" && f != "text" {
+		return fmt.Errorf("format %s requires -out", f)
+	}
+	g, err := buildGraph(*dataset, *model, *n, *param, *beta, *comms, *bridges, *seed)
+	if err != nil {
+		return err
+	}
 	if *out == "" {
-		if f != "text" {
-			return fmt.Errorf("format %s requires -out", f)
-		}
 		return graph.WriteEdgeList(os.Stdout, g)
 	}
-	var save func(string, *graph.Graph) error
-	switch f {
-	case "text":
-		save = graph.SaveEdgeList
-	case "tng1":
-		save = graph.SaveBinary
-	case "tng2":
-		save = func(path string, g *graph.Graph) error { return graph.SaveCSR(path, g) }
+	if f == "text" {
+		err = graph.SaveEdgeList(*out, g)
+	} else {
+		err = graph.SaveCSR(*out, g)
 	}
-	if err := save(*out, g); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d nodes, %d edges\n", *out, g.NumNodes(), g.NumEdges())
 	return nil
 }
 
-// resolveFormat picks the output format: an explicit -format wins, then
-// the path extension (.bin/.tng1 binary, .tng2 CSR), then text.
+// errTNG1Output rejects TNG1 as an output format.
+var errTNG1Output = errors.New("tng1 is import-only; write tng2 instead")
+
+// resolveFormat picks a file's format: an explicit override wins, then
+// the path extension (.bin/.tng1 binary, .tng2 CSR), then text. Callers
+// choosing an output format reject tng1 with errTNG1Output.
 func resolveFormat(format, path string) (string, error) {
 	switch format {
 	case "text", "tng1", "tng2":
@@ -131,7 +137,8 @@ func resolveFormat(format, path string) (string, error) {
 	return "text", nil
 }
 
-// buildStream resolves the streaming counterpart of buildGraph's models.
+// buildStream resolves the streamed models; buildGraph builds them in
+// memory through the same mapping from flags to configs.
 func buildStream(dataset, model string, n int, param float64, comms, bridges int, seed int64) (gen.EdgeStream, error) {
 	if dataset != "" {
 		return nil, fmt.Errorf("-stream works with -model, not -dataset")
@@ -164,22 +171,24 @@ func buildStream(dataset, model string, n int, param float64, comms, bridges int
 		})
 	case "":
 		return nil, fmt.Errorf("-stream requires -model")
-	default:
+	case "gnp", "gnm", "ws":
 		return nil, fmt.Errorf("model %q has no streaming generator (want ba, rmat, sbm, or clustered)", model)
+	default:
+		return nil, fmt.Errorf("unknown model %q", model)
 	}
 }
 
-// runConvert translates a graph file between text, TNG1 and TNG2. The
-// TNG1 -> TNG2 direction streams through the CSR writer in bounded
-// memory (one checksum-validating pass for the node count, one for the
-// edges); every other direction loads the graph once.
+// runConvert translates a graph file to text or TNG2. A TNG1 input
+// converts to TNG2 through the CSR writer in bounded memory (one
+// checksum-validating pass for the node count, one for the edges);
+// every other direction loads the graph once.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("gengraph convert", flag.ContinueOnError)
 	var (
 		in   = fs.String("in", "", "input graph file")
 		out  = fs.String("out", "", "output graph file")
 		from = fs.String("from", "", "input format override: text | tng1 | tng2")
-		to   = fs.String("to", "", "output format override: text | tng1 | tng2")
+		to   = fs.String("to", "", "output format override: text | tng2")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -195,14 +204,8 @@ func runConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	if src == "tng1" && dst == "tng2" {
-		st, err := convertBinaryStreamed(*in, *out)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %d nodes, %d edges (streamed)\n", *out, st.Nodes, st.Edges)
-		return nil
+	if dst == "tng1" {
+		return errTNG1Output
 	}
 
 	var g *graph.Graph
@@ -210,19 +213,33 @@ func runConvert(args []string) error {
 	case "text":
 		g, err = graph.LoadEdgeList(*in)
 	case "tng1":
-		g, err = graph.LoadBinary(*in)
+		var es gen.EdgeStream
+		if es, err = gen.StreamTNG1(*in); err != nil {
+			return err
+		}
+		if dst == "tng2" {
+			st, err := gen.StreamToFile(es, *out)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s: %d nodes, %d edges (streamed)\n", *out, st.Nodes, st.Edges)
+			return nil
+		}
+		g, err = gen.Build(es)
 	case "tng2":
-		g, err = graph.LoadCSR(*in)
+		var mg *graph.Mapped
+		if mg, err = graph.OpenMapped(*in); err != nil {
+			return err
+		}
+		defer mg.Close()
+		g = mg.CSR()
 	}
 	if err != nil {
 		return err
 	}
-	switch dst {
-	case "text":
+	if dst == "text" {
 		err = graph.SaveEdgeList(*out, g)
-	case "tng1":
-		err = graph.SaveBinary(*out, g)
-	case "tng2":
+	} else {
 		err = graph.SaveCSR(*out, g)
 	}
 	if err != nil {
@@ -230,16 +247,6 @@ func runConvert(args []string) error {
 	}
 	fmt.Printf("wrote %s: %d nodes, %d edges\n", *out, g.NumNodes(), g.NumEdges())
 	return nil
-}
-
-// convertBinaryStreamed converts a TNG1 file to TNG2 in bounded memory
-// through gen.StreamTNG1 (which verifies the input checksum first).
-func convertBinaryStreamed(in, out string) (graph.CSRStats, error) {
-	es, err := gen.StreamTNG1(in)
-	if err != nil {
-		return graph.CSRStats{}, err
-	}
-	return gen.StreamToFile(es, out)
 }
 
 func buildGraph(dataset, model string, n int, param, beta float64, comms, bridges int, seed int64) (*graph.Graph, error) {
@@ -252,42 +259,18 @@ func buildGraph(dataset, model string, n int, param, beta float64, comms, bridge
 			return nil, err
 		}
 		return spec.Generate()
-	case model == "ba":
-		return gen.BarabasiAlbert(n, int(param), seed)
 	case model == "gnp":
 		return gen.GNP(n, param, seed)
 	case model == "gnm":
 		return gen.GNM(n, int64(param), seed)
 	case model == "ws":
 		return gen.WattsStrogatz(n, int(param), beta, seed)
-	case model == "rmat":
-		scale := 0
-		for 1<<scale < n {
-			scale++
-		}
-		return gen.RMAT(gen.RMATConfig{
-			Scale: scale, Edges: int64(param),
-			A: 0.57, B: 0.19, C: 0.19, Noise: 0.1, Seed: seed,
-		})
-	case model == "sbm":
-		sizes := make([]int, comms)
-		for i := range sizes {
-			sizes[i] = n / comms
-		}
-		g, _, err := gen.SBM(gen.SBMConfig{BlockSizes: sizes, PIn: param, POut: param / 50, Seed: seed})
-		return g, err
-	case model == "clustered":
-		g, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{
-			Communities:   comms,
-			CommunitySize: n / comms,
-			Attach:        int(param),
-			Bridges:       bridges,
-			Seed:          seed,
-		})
-		return g, err
-	case model != "":
-		return nil, fmt.Errorf("unknown model %q", model)
-	default:
+	case model == "":
 		return nil, fmt.Errorf("one of -dataset, -model, or -list is required")
 	}
+	es, err := buildStream("", model, n, param, comms, bridges, seed)
+	if err != nil {
+		return nil, err
+	}
+	return gen.Build(es)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,18 +98,15 @@ func TestRunStdout(t *testing.T) {
 	}
 }
 
-func TestRunBinaryOutput(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "g.bin")
-	if err := run([]string{"-model", "ba", "-n", "80", "-param", "3", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.LoadBinary(out)
+// openTNG2 maps a TNG2 file for the rest of the test.
+func openTNG2(t *testing.T, path string) *graph.Mapped {
+	t.Helper()
+	mg, err := graph.OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != 80 {
-		t.Errorf("nodes = %d, want 80", g.NumNodes())
-	}
+	t.Cleanup(func() { mg.Close() })
+	return mg
 }
 
 func TestRunFormatOutputs(t *testing.T) {
@@ -118,24 +116,31 @@ func TestRunFormatOutputs(t *testing.T) {
 	if err := run([]string{"-model", "ba", "-n", "90", "-param", "3", "-out", tng2}); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := graph.LoadCSR(tng2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != 90 {
-		t.Errorf("tng2 nodes = %d, want 90", g2.NumNodes())
+	if n := openTNG2(t, tng2).NumNodes(); n != 90 {
+		t.Errorf("tng2 nodes = %d, want 90", n)
 	}
 	// Explicit -format overrides the extension.
 	dat := filepath.Join(dir, "g.dat")
-	if err := run([]string{"-model", "ba", "-n", "90", "-param", "3", "-format", "tng1", "-out", dat}); err != nil {
+	if err := run([]string{"-model", "ba", "-n", "90", "-param", "3", "-format", "tng2", "-out", dat}); err != nil {
 		t.Fatal(err)
 	}
-	g1, err := graph.LoadBinary(dat)
-	if err != nil {
-		t.Fatal(err)
+	if n := openTNG2(t, dat).NumNodes(); n != 90 {
+		t.Errorf("-format tng2 nodes = %d, want 90", n)
 	}
-	if g1.NumNodes() != 90 {
-		t.Errorf("tng1 nodes = %d, want 90", g1.NumNodes())
+	// TNG1 is import-only: asking for it, by flag or by extension, fails
+	// with an error that points at tng2, and writes nothing.
+	for _, args := range [][]string{
+		{"-format", "tng1", "-out", filepath.Join(dir, "x.dat")},
+		{"-out", filepath.Join(dir, "x.bin")},
+		{"-out", filepath.Join(dir, "x.tng1")},
+	} {
+		err := run(append([]string{"-model", "ba", "-n", "20", "-param", "2"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "tng2") {
+			t.Errorf("run(%v) = %v, want an error naming tng2", args, err)
+		}
+		if _, serr := os.Stat(args[len(args)-1]); serr == nil {
+			t.Errorf("run(%v) wrote its output", args)
+		}
 	}
 	// Binary formats cannot go to stdout.
 	if err := run([]string{"-model", "ba", "-n", "20", "-param", "2", "-format", "tng2"}); err == nil {
@@ -151,10 +156,7 @@ func TestRunStreamed(t *testing.T) {
 	if err := run([]string{"-model", "ba", "-n", "400", "-param", "3", "-seed", "9", "-stream", "-out", out}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := graph.LoadCSR(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openTNG2(t, out)
 	want, err := gen.BarabasiAlbert(400, 3, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -187,32 +189,45 @@ func TestRunConvert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// text -> tng1 -> tng2 (streamed) -> text round trip.
+	// The TNG1 fixture comes from the format's reference encoder: no
+	// command writes TNG1.
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
 	bin := filepath.Join(dir, "g.bin")
-	if err := run([]string{"convert", "-in", txt, "-out", bin}); err != nil {
+	if err := os.WriteFile(bin, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+
+	// tng1 -> tng2 (streamed) -> text, and tng1 -> text (built); both
+	// must reproduce the original edge list.
 	tng2 := filepath.Join(dir, "g.tng2")
-	if err := run([]string{"convert", "-in", bin, "-out", tng2}); err != nil {
-		t.Fatal(err)
-	}
 	back := filepath.Join(dir, "back.txt")
-	if err := run([]string{"convert", "-in", tng2, "-out", back}); err != nil {
-		t.Fatal(err)
+	direct := filepath.Join(dir, "direct.txt")
+	for _, args := range [][]string{
+		{"convert", "-in", bin, "-out", tng2},
+		{"convert", "-in", tng2, "-out", back},
+		{"convert", "-in", bin, "-out", direct},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
 	}
-	got, err := graph.LoadEdgeList(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumNodes() != orig.NumNodes() || got.NumEdges() != orig.NumEdges() {
-		t.Fatalf("round trip (%d, %d) != original (%d, %d)",
-			got.NumNodes(), got.NumEdges(), orig.NumNodes(), orig.NumEdges())
-	}
-	gotEdges, origEdges := got.Edges(), orig.Edges()
-	for i := range origEdges {
-		if gotEdges[i] != origEdges[i] {
-			t.Fatalf("edge %d: %v != %v", i, gotEdges[i], origEdges[i])
+	for _, path := range []string{back, direct} {
+		got, err := graph.LoadEdgeList(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumNodes() != orig.NumNodes() || got.NumEdges() != orig.NumEdges() {
+			t.Fatalf("%s: (%d, %d) != original (%d, %d)", filepath.Base(path),
+				got.NumNodes(), got.NumEdges(), orig.NumNodes(), orig.NumEdges())
+		}
+		gotEdges, origEdges := got.Edges(), orig.Edges()
+		for i := range origEdges {
+			if gotEdges[i] != origEdges[i] {
+				t.Fatalf("%s: edge %d: %v != %v", filepath.Base(path), i, gotEdges[i], origEdges[i])
+			}
 		}
 	}
 
@@ -221,6 +236,8 @@ func TestRunConvert(t *testing.T) {
 		{"convert", "-in", txt},
 		{"convert", "-in", filepath.Join(dir, "missing.txt"), "-out", back},
 		{"convert", "-in", txt, "-out", back, "-from", "nope"},
+		{"convert", "-in", txt, "-out", filepath.Join(dir, "x.bin")},
+		{"convert", "-in", txt, "-out", filepath.Join(dir, "x.dat"), "-to", "tng1"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): want error", args)

@@ -21,6 +21,7 @@ import (
 	"github.com/trustnet/trustnet/internal/community"
 	"github.com/trustnet/trustnet/internal/core"
 	"github.com/trustnet/trustnet/internal/datasets"
+	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/report"
 )
@@ -52,6 +53,20 @@ func run(args []string) error {
 	if len(what) == 0 {
 		what = []string{"all"}
 	}
+	// The flag parser stops at the first name, so a flag after it lands
+	// here too; reject both before the graph is loaded.
+	show := map[string]bool{}
+	for _, w := range what {
+		switch w {
+		case "all", "slem", "mixing", "cores", "expansion", "centrality", "community":
+			show[w] = true
+		default:
+			return fmt.Errorf("unknown measurement %q (want all, slem, mixing, cores, expansion, centrality or community; flags go before measurement names)", w)
+		}
+	}
+	if *shards < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
+	}
 
 	g, name, err := loadGraph(*in, *dataset)
 	if err != nil {
@@ -63,9 +78,6 @@ func run(args []string) error {
 		g = lcc
 		fmt.Printf("note: graph disconnected; measuring largest component (%d of %d nodes)\n",
 			len(kept), total)
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
 	if *shards > 1 {
 		sg, err := graph.NewSharded(g, *shards)
@@ -87,10 +99,6 @@ func run(args []string) error {
 		return err
 	}
 
-	show := map[string]bool{}
-	for _, w := range what {
-		show[w] = true
-	}
 	all := show["all"]
 
 	// The canonical topology digest (identical at any shard count) lets
@@ -207,7 +215,8 @@ func printCommunity(g *graph.Graph, seed int64) error {
 
 // loadGraph resolves the input: a registry dataset, or a file whose
 // format follows its extension — .tng2 is opened as a zero-copy mmap
-// view, .bin/.tng1 as TNG1 binary, anything else as edge-list text.
+// view, .bin/.tng1 is imported through the TNG1 edge stream, anything
+// else is read as edge-list text.
 func loadGraph(in, dataset string) (graph.View, string, error) {
 	switch {
 	case in != "" && dataset != "":
@@ -218,7 +227,11 @@ func loadGraph(in, dataset string) (graph.View, string, error) {
 			return g, in, err
 		}
 		if strings.HasSuffix(in, ".bin") || strings.HasSuffix(in, ".tng1") {
-			g, err := graph.LoadBinary(in)
+			es, err := gen.StreamTNG1(in)
+			if err != nil {
+				return nil, "", err
+			}
+			g, err := gen.Build(es)
 			return g, in, err
 		}
 		g, err := graph.LoadEdgeList(in)

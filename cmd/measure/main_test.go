@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/gen"
@@ -59,6 +61,10 @@ func TestRunErrors(t *testing.T) {
 		{"-in", path, "-dataset", "rice-grad"},
 		{"-dataset", "nope"},
 		{"-in", filepath.Join(t.TempDir(), "missing.txt")},
+		// A misspelled name, and a flag after a name, fail before any
+		// measurement runs.
+		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "mixng"},
+		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "cores", "-shards", "0"},
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {
@@ -67,32 +73,59 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunBinaryInput(t *testing.T) {
+// checkReportMatchesText writes BA(150, 3, 2) as edge-list text and,
+// through write, as name; measure must print the same report for both,
+// apart from the input path in the header line.
+func checkReportMatchesText(t *testing.T, name string, write func(path string, g *graph.Graph) error) {
+	t.Helper()
 	g, err := gen.BarabasiAlbert(150, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := graph.SaveBinary(path, g); err != nil {
+	dir := t.TempDir()
+	report := func(path string) string {
+		t.Helper()
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-in", path, "-sources", "5", "-steps", "20", "all"})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		return strings.ReplaceAll(out, path, "<in>")
+	}
+	txt := filepath.Join(dir, "g.txt")
+	if err := graph.SaveEdgeList(txt, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", path, "-sources", "5", "-steps", "20", "cores"}); err != nil {
+	want := report(txt)
+	if !strings.HasPrefix(want, "graph <in>: n=150") {
+		t.Fatalf("g.txt: unexpected header:\n%s", want)
+	}
+	path := filepath.Join(dir, name)
+	if err := write(path, g); err != nil {
 		t.Fatal(err)
+	}
+	if got := report(path); got != want {
+		t.Errorf("%s report differs from g.txt:\n--- g.txt\n%s\n--- %s\n%s", name, want, name, got)
 	}
 }
 
+// TestRunBinaryInput reads a TNG1 file through gen.StreamTNG1.
+func TestRunBinaryInput(t *testing.T) {
+	checkReportMatchesText(t, "g.bin", func(path string, g *graph.Graph) error {
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, g); err != nil {
+			return err
+		}
+		return os.WriteFile(path, buf.Bytes(), 0o644)
+	})
+}
+
+// TestRunMappedInput reads a TNG2 file through graph.OpenMapped.
 func TestRunMappedInput(t *testing.T) {
-	g, err := gen.BarabasiAlbert(180, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "g.tng2")
-	if err := graph.SaveCSR(path, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-in", path, "-sources", "5", "-steps", "20", "cores"}); err != nil {
-		t.Fatal(err)
-	}
+	checkReportMatchesText(t, "g.tng2", func(path string, g *graph.Graph) error {
+		return graph.SaveCSR(path, g)
+	})
 }
 
 // TestRunSharded measures the same mmap-backed graph at 1 and 3 shards;

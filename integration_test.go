@@ -12,7 +12,6 @@ import (
 
 	"github.com/trustnet/trustnet/internal/core"
 	"github.com/trustnet/trustnet/internal/datasets"
-	"github.com/trustnet/trustnet/internal/digraph"
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/spectral"
@@ -80,66 +79,6 @@ func TestPipelineGeneratePersistMeasureDefend(t *testing.T) {
 	}
 	if m.SybilsPerAttackEdge() > 5 {
 		t.Errorf("sybils per edge %v, want small on a measured-good graph", m.SybilsPerAttackEdge())
-	}
-}
-
-// TestDirectedToUndirectedPipeline symmetrizes a directed crawl the two
-// ways and confirms the mutual graph is the more conservative (sparser,
-// slower-mixing) model, as the directed-mixing companion work reports.
-func TestDirectedToUndirectedPipeline(t *testing.T) {
-	// Synthesize a directed endorsement-style graph: take a BA graph and
-	// orient each edge from the younger (higher-ID) node to the older,
-	// then add reverse arcs for 30% of them.
-	base, err := gen.BarabasiAlbert(500, 4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := digraph.NewBuilder(base.NumNodes())
-	i := 0
-	for _, e := range base.Edges() {
-		young, old := e.V, e.U // canonical edges have U < V
-		if err := b.AddArc(young, old); err != nil {
-			t.Fatal(err)
-		}
-		if i%10 < 3 {
-			if err := b.AddArc(old, young); err != nil {
-				t.Fatal(err)
-			}
-		}
-		i++
-	}
-	dg := b.Build()
-	if r := dg.Reciprocity(); r < 0.2 || r > 0.7 {
-		t.Fatalf("reciprocity = %v, construction broken", r)
-	}
-	union, err := dg.Symmetrize(digraph.SymmetrizeUnion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutual, err := dg.Symmetrize(digraph.SymmetrizeMutual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mutual.NumEdges() >= union.NumEdges() {
-		t.Fatalf("mutual %d >= union %d edges", mutual.NumEdges(), union.NumEdges())
-	}
-	// Union graph equals the original undirected BA graph.
-	if union.NumEdges() != base.NumEdges() {
-		t.Errorf("union edges %d != base %d", union.NumEdges(), base.NumEdges())
-	}
-	// Mixing: measure both models' SLEM on their largest components.
-	muOf := func(g *graph.Graph) float64 {
-		if !graph.IsConnected(g) {
-			g, _ = graph.LargestComponent(g)
-		}
-		r, err := spectral.SLEM(g, spectral.Config{Tolerance: 1e-6, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.SLEM
-	}
-	if muU, muM := muOf(union), muOf(mutual); muM < muU {
-		t.Errorf("mutual model mu %v < union %v; dropping edges should not speed mixing", muM, muU)
 	}
 }
 

@@ -71,6 +71,43 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestFingerprintsPinned pins every stand-in's topology. The fingerprint
+// is the graph half of every cached artifact's key, so a generator
+// change that moves one of these re-keys the cache and moves Table I;
+// such a change must update the pins deliberately.
+func TestFingerprintsPinned(t *testing.T) {
+	want := map[string]string{
+		"wiki-vote":     "1dbea789d41a4486",
+		"epinion":       "e248c2e8820efc21",
+		"slashdot-a":    "ee55235e2d2a7ee3",
+		"slashdot-b":    "e0d0143585b8b0ba",
+		"enron":         "96fe279daed63510",
+		"physics-1":     "36674c8b2b5ddeb8",
+		"physics-2":     "e256909126259732",
+		"physics-3":     "472be40e3bb6c665",
+		"rice-grad":     "3295106c91366ebb",
+		"dblp":          "41f6894431aa9b6a",
+		"facebook-a":    "4f56e8f523aa5abf",
+		"facebook-b":    "dcd86576ef7463c6",
+		"livejournal-a": "e5e26e7820431478",
+		"livejournal-b": "f7143f3fe5815ff0",
+		"youtube":       "48f1b9295cedefb7",
+	}
+	specs := All()
+	if len(specs) != len(want) {
+		t.Fatalf("registry has %d datasets, %d pinned", len(specs), len(want))
+	}
+	for _, s := range specs {
+		g, err := s.Generate()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if got := graph.Fingerprint(g); got != want[s.Name] {
+			t.Errorf("%s: fingerprint %s, pinned %s", s.Name, got, want[s.Name])
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	if _, err := ByName("physics-2"); err != nil {
 		t.Errorf("ByName(physics-2): %v", err)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/trustnet/trustnet/internal/graph"
 )
@@ -177,45 +176,11 @@ func GNP(n int, p float64, seed int64) (*graph.Graph, error) {
 // online social networks of Table I (Wiki-vote-, Epinion-, Slashdot-like):
 // heavy-tailed degrees, a dense well-connected core, small diameter.
 func BarabasiAlbert(n, attach int, seed int64) (*graph.Graph, error) {
-	if attach < 1 {
-		return nil, fmt.Errorf("gen: barabasi-albert needs attach >= 1, got %d", attach)
+	es, err := StreamBA(n, attach, seed)
+	if err != nil {
+		return nil, err
 	}
-	if n <= attach {
-		return nil, fmt.Errorf("gen: barabasi-albert needs n > attach, got n=%d attach=%d", n, attach)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	// repeated holds one entry per half-edge endpoint, so uniform sampling
-	// from it is degree-proportional sampling.
-	repeated := make([]graph.NodeID, 0, 2*int(attach)*n)
-	seedSize := attach + 1
-	for i := 0; i < seedSize; i++ {
-		for j := i + 1; j < seedSize; j++ {
-			b.AddEdgeSafe(graph.NodeID(i), graph.NodeID(j))
-			repeated = append(repeated, graph.NodeID(i), graph.NodeID(j))
-		}
-	}
-	targets := make(map[graph.NodeID]struct{}, attach)
-	ordered := make([]graph.NodeID, 0, attach)
-	for v := seedSize; v < n; v++ {
-		clear(targets)
-		for len(targets) < attach {
-			targets[repeated[rng.Intn(len(repeated))]] = struct{}{}
-		}
-		// Drain the set in sorted order: map iteration order is random,
-		// and the order of appends to `repeated` feeds back into later
-		// degree-proportional draws, so it must be deterministic.
-		ordered = ordered[:0]
-		for u := range targets {
-			ordered = append(ordered, u)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-		for _, u := range ordered {
-			b.AddEdgeSafe(graph.NodeID(v), u)
-			repeated = append(repeated, graph.NodeID(v), u)
-		}
-	}
-	return b.Build(), nil
+	return Build(es)
 }
 
 // WattsStrogatz builds a small-world ring lattice over n nodes where each
@@ -327,51 +292,11 @@ type RMATConfig struct {
 
 // RMAT samples a recursive-matrix graph.
 func RMAT(cfg RMATConfig) (*graph.Graph, error) {
-	if cfg.Scale < 1 || cfg.Scale > 24 {
-		return nil, fmt.Errorf("gen: rmat scale %d out of [1,24]", cfg.Scale)
+	es, err := StreamRMAT(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Edges < 1 {
-		return nil, fmt.Errorf("gen: rmat needs >= 1 edge, got %d", cfg.Edges)
-	}
-	d := 1 - cfg.A - cfg.B - cfg.C
-	if cfg.A < 0 || cfg.B < 0 || cfg.C < 0 || d < 0 {
-		return nil, fmt.Errorf("gen: rmat probabilities (%v,%v,%v,%v) invalid", cfg.A, cfg.B, cfg.C, d)
-	}
-	if cfg.Noise < 0 || cfg.Noise >= 0.5 {
-		return nil, fmt.Errorf("gen: rmat noise %v out of [0,0.5)", cfg.Noise)
-	}
-	n := 1 << cfg.Scale
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	b := graph.NewBuilder(n)
-	for e := int64(0); e < cfg.Edges; e++ {
-		u, v := 0, 0
-		for bit := cfg.Scale - 1; bit >= 0; bit-- {
-			a1, b1, c1 := cfg.A, cfg.B, cfg.C
-			if cfg.Noise > 0 {
-				// Multiplicative noise, renormalized.
-				a1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
-				b1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
-				c1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
-				d1 := d * (1 + cfg.Noise*(2*rng.Float64()-1))
-				total := a1 + b1 + c1 + d1
-				a1, b1, c1 = a1/total, b1/total, c1/total
-			}
-			r := rng.Float64()
-			switch {
-			case r < a1:
-				// top-left: nothing to add
-			case r < a1+b1:
-				v |= 1 << bit
-			case r < a1+b1+c1:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
-		}
-		b.AddEdgeSafe(graph.NodeID(u), graph.NodeID(v))
-	}
-	return b.Build(), nil
+	return Build(es)
 }
 
 // SBMConfig parameterizes a stochastic block model.
@@ -391,84 +316,21 @@ type SBMConfig struct {
 // associates with strict-trust social networks (§II, discussion of [17]).
 // The returned labels give each node's community.
 func SBM(cfg SBMConfig) (*graph.Graph, []int, error) {
-	if len(cfg.BlockSizes) == 0 {
-		return nil, nil, fmt.Errorf("gen: sbm needs at least one block")
+	es, err := StreamSBM(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
+	g, err := Build(es)
+	if err != nil {
+		return nil, nil, err
+	}
+	labels := make([]int, 0, g.NumNodes())
 	for i, s := range cfg.BlockSizes {
-		if s < 1 {
-			return nil, nil, fmt.Errorf("gen: sbm block %d has size %d", i, s)
+		for j := 0; j < s; j++ {
+			labels = append(labels, i)
 		}
 	}
-	if cfg.PIn < 0 || cfg.PIn > 1 || cfg.POut < 0 || cfg.POut > 1 {
-		return nil, nil, fmt.Errorf("gen: sbm probabilities out of [0,1]: pin=%v pout=%v", cfg.PIn, cfg.POut)
-	}
-	n := 0
-	for _, s := range cfg.BlockSizes {
-		n += s
-	}
-	labels := make([]int, n)
-	starts := make([]int, len(cfg.BlockSizes)+1)
-	for i, s := range cfg.BlockSizes {
-		starts[i+1] = starts[i] + s
-		for v := starts[i]; v < starts[i+1]; v++ {
-			labels[v] = i
-		}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	b := graph.NewBuilder(n)
-	sampleBlockPair := func(rowStart, rowEnd, colStart, colEnd int, p float64, diag bool) {
-		if p <= 0 {
-			return
-		}
-		// Bernoulli sampling with geometric skipping over the (implicit)
-		// pair enumeration, mirroring GNP.
-		logQ := math.Log(1 - p)
-		if p >= 1 {
-			for u := rowStart; u < rowEnd; u++ {
-				cs := colStart
-				if diag {
-					cs = u + 1
-				}
-				for v := cs; v < colEnd; v++ {
-					b.AddEdgeSafe(graph.NodeID(u), graph.NodeID(v))
-				}
-			}
-			return
-		}
-		var total int64
-		rows := int64(rowEnd - rowStart)
-		cols := int64(colEnd - colStart)
-		if diag {
-			total = rows * (rows - 1) / 2
-		} else {
-			total = rows * cols
-		}
-		idx := int64(-1)
-		for {
-			skip := int64(math.Log(1-rng.Float64())/logQ) + 1
-			idx += skip
-			if idx >= total {
-				return
-			}
-			var u, v int
-			if diag {
-				u, v = pairFromIndex(idx, rowEnd-rowStart)
-				u += rowStart
-				v += rowStart
-			} else {
-				u = rowStart + int(idx/cols)
-				v = colStart + int(idx%cols)
-			}
-			b.AddEdgeSafe(graph.NodeID(u), graph.NodeID(v))
-		}
-	}
-	for i := range cfg.BlockSizes {
-		sampleBlockPair(starts[i], starts[i+1], starts[i], starts[i+1], cfg.PIn, true)
-		for j := i + 1; j < len(cfg.BlockSizes); j++ {
-			sampleBlockPair(starts[i], starts[i+1], starts[j], starts[j+1], cfg.POut, false)
-		}
-	}
-	return b.Build(), labels, nil
+	return g, labels, nil
 }
 
 // pairFromIndex maps a linear index in [0, n(n-1)/2) to the idx-th pair
@@ -519,66 +381,17 @@ type ClusteredPAConfig struct {
 // the high-k cores split into one component per community, reproducing the
 // multi-core structure of Figure 5 (f)–(j).
 func ClusteredPA(cfg ClusteredPAConfig) (*graph.Graph, []int, error) {
-	if cfg.Communities < 2 {
-		return nil, nil, fmt.Errorf("gen: clustered-pa needs >= 2 communities, got %d", cfg.Communities)
+	es, err := StreamClusteredPA(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	if cfg.Bridges < 1 {
-		return nil, nil, fmt.Errorf("gen: clustered-pa needs >= 1 bridge, got %d", cfg.Bridges)
+	g, err := Build(es)
+	if err != nil {
+		return nil, nil, err
 	}
-	if cfg.Periphery < 0 {
-		return nil, nil, fmt.Errorf("gen: clustered-pa periphery %d must be >= 0", cfg.Periphery)
+	labels := make([]int, g.NumNodes())
+	for v := range labels {
+		labels[v] = v / cfg.CommunitySize
 	}
-	periphery := cfg.Periphery
-	if periphery == 0 {
-		periphery = cfg.CommunitySize / 5
-		if periphery < 2*cfg.Bridges {
-			periphery = 2 * cfg.Bridges
-		}
-	}
-	if periphery < 2*cfg.Bridges {
-		return nil, nil, fmt.Errorf("gen: clustered-pa periphery %d must be >= 2·bridges (%d) so no peripheral node carries two bridges",
-			periphery, 2*cfg.Bridges)
-	}
-	nucleus := cfg.CommunitySize - periphery
-	if nucleus <= cfg.Attach {
-		return nil, nil, fmt.Errorf("gen: clustered-pa nucleus size %d must exceed attach %d (community size %d, periphery %d)",
-			nucleus, cfg.Attach, cfg.CommunitySize, periphery)
-	}
-	n := cfg.Communities * cfg.CommunitySize
-	labels := make([]int, n)
-	b := graph.NewBuilder(n)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for c := 0; c < cfg.Communities; c++ {
-		base := c * cfg.CommunitySize
-		sub, err := BarabasiAlbert(nucleus, cfg.Attach, cfg.Seed+int64(c)+1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("clustered-pa community %d: %w", c, err)
-		}
-		for _, e := range sub.Edges() {
-			b.AddEdgeSafe(e.U+graph.NodeID(base), e.V+graph.NodeID(base))
-		}
-		// Peripheral nodes occupy IDs [base+nucleus, base+CommunitySize);
-		// each attaches to one random nucleus member (degree 1 before
-		// bridges, at most 2 after, so coreness stays below Attach).
-		for p := 0; p < periphery; p++ {
-			pv := graph.NodeID(base + nucleus + p)
-			b.AddEdgeSafe(pv, graph.NodeID(base+rng.Intn(nucleus)))
-		}
-		for v := 0; v < cfg.CommunitySize; v++ {
-			labels[base+v] = c
-		}
-	}
-	// Bridge i of community pair (c, c+1) leaves through peripheral slot
-	// i and arrives at peripheral slot Periphery-1-i; with Periphery >=
-	// 2·Bridges the outgoing and incoming slots never collide, so every
-	// peripheral node carries at most one bridge.
-	for c := 0; c < cfg.Communities; c++ {
-		next := (c + 1) % cfg.Communities
-		for i := 0; i < cfg.Bridges; i++ {
-			u := graph.NodeID(c*cfg.CommunitySize + nucleus + i)
-			v := graph.NodeID(next*cfg.CommunitySize + nucleus + periphery - 1 - i)
-			b.AddEdgeSafe(u, v)
-		}
-	}
-	return b.Build(), labels, nil
+	return g, labels, nil
 }

@@ -17,12 +17,11 @@ import (
 // callback instead of accumulating it in a Builder. Streams never yield
 // self loops but may yield duplicate edges (the consumer deduplicates);
 // every stream is deterministic: repeated Edges calls replay the
-// identical sequence from a fresh seeded rng, and each streaming
-// generator consumes its rng in exactly the same order as its eager
-// counterpart, so stream and eager builds of the same configuration
-// produce the same topology. Combined with graph.CSRWriter the peak
-// memory of generate-to-TNG2 is O(sampler state + sort buffer) instead
-// of the O(m) edge slice plus O(m log m) sort Builder pays.
+// identical sequence from a fresh seeded rng. The streams are the
+// definitions of their models: BarabasiAlbert, RMAT, SBM and
+// ClusteredPA are Build over them. Combined with graph.CSRWriter the
+// peak memory of generate-to-TNG2 is O(sampler state + sort buffer)
+// instead of the O(m) edge slice plus O(m log m) sort Builder pays.
 type EdgeStream interface {
 	// NumNodes returns the node-set size of the generated graph.
 	NumNodes() int
@@ -53,8 +52,9 @@ func StreamCSR(es EdgeStream, out io.Writer, cfg graph.CSRWriterConfig) (graph.C
 	return st, nil
 }
 
-// Build materializes an edge stream through a Builder — the small-graph
-// convenience used by tests and the non-streaming CLI paths.
+// Build materializes an edge stream into an in-memory graph through a
+// Builder. The eager BarabasiAlbert, RMAT, SBM and ClusteredPA are
+// Build over their streams, and Build over StreamTNG1 loads a TNG1 file.
 func Build(es EdgeStream) (*graph.Graph, error) {
 	b := graph.NewBuilder(es.NumNodes())
 	err := es.Edges(func(u, v graph.NodeID) error {
@@ -67,17 +67,16 @@ func Build(es EdgeStream) (*graph.Graph, error) {
 	return b.Build(), nil
 }
 
-// baStream replays the BarabasiAlbert construction.
+// baStream is the Barabási–Albert construction.
 type baStream struct {
 	n, attach int
 	seed      int64
 }
 
-// StreamBA returns the streaming Barabási–Albert generator. It emits
-// exactly the edge sequence BarabasiAlbert(n, attach, seed) feeds its
-// builder, so the resulting topology is identical; the degree-
-// proportional endpoint array (2m entries) is the only O(m) state — no
-// edge slice, no sort.
+// StreamBA returns the streaming Barabási–Albert generator that
+// BarabasiAlbert(n, attach, seed) builds. The degree-proportional
+// endpoint array (2m entries) is the only O(m) state — no edge slice,
+// no sort.
 func StreamBA(n, attach int, seed int64) (EdgeStream, error) {
 	if attach < 1 {
 		return nil, fmt.Errorf("gen: barabasi-albert needs attach >= 1, got %d", attach)
@@ -92,6 +91,8 @@ func (s *baStream) NumNodes() int { return s.n }
 
 func (s *baStream) Edges(yield func(u, v graph.NodeID) error) error {
 	rng := rand.New(rand.NewSource(s.seed))
+	// repeated holds one entry per half-edge endpoint, so uniform sampling
+	// from it is degree-proportional sampling.
 	repeated := make([]graph.NodeID, 0, 2*s.attach*s.n)
 	seedSize := s.attach + 1
 	for i := 0; i < seedSize; i++ {
@@ -109,8 +110,9 @@ func (s *baStream) Edges(yield func(u, v graph.NodeID) error) error {
 		for len(targets) < s.attach {
 			targets[repeated[rng.Intn(len(repeated))]] = struct{}{}
 		}
-		// Sorted drain, exactly like the eager generator: the append
-		// order feeds back into later degree-proportional draws.
+		// Drain the set in sorted order: map iteration order is random,
+		// and the order of appends to `repeated` feeds back into later
+		// degree-proportional draws, so it must be deterministic.
 		ordered = ordered[:0]
 		for u := range targets {
 			ordered = append(ordered, u)
@@ -126,13 +128,13 @@ func (s *baStream) Edges(yield func(u, v graph.NodeID) error) error {
 	return nil
 }
 
-// rmatStream replays the RMAT construction.
+// rmatStream is the R-MAT construction.
 type rmatStream struct {
 	cfg RMATConfig
 }
 
-// StreamRMAT returns the streaming R-MAT generator, emitting the same
-// edge-drop sequence as RMAT(cfg) with O(1) generator state.
+// StreamRMAT returns the streaming R-MAT generator that RMAT(cfg)
+// builds, with O(1) generator state.
 func StreamRMAT(cfg RMATConfig) (EdgeStream, error) {
 	if cfg.Scale < 1 || cfg.Scale > 24 {
 		return nil, fmt.Errorf("gen: rmat scale %d out of [1,24]", cfg.Scale)
@@ -161,6 +163,7 @@ func (s *rmatStream) Edges(yield func(u, v graph.NodeID) error) error {
 		for bit := cfg.Scale - 1; bit >= 0; bit-- {
 			a1, b1, c1 := cfg.A, cfg.B, cfg.C
 			if cfg.Noise > 0 {
+				// Multiplicative noise, renormalized.
 				a1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
 				b1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
 				c1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
@@ -171,6 +174,7 @@ func (s *rmatStream) Edges(yield func(u, v graph.NodeID) error) error {
 			r := rng.Float64()
 			switch {
 			case r < a1:
+				// top-left: nothing to add
 			case r < a1+b1:
 				v |= 1 << bit
 			case r < a1+b1+c1:
@@ -181,7 +185,7 @@ func (s *rmatStream) Edges(yield func(u, v graph.NodeID) error) error {
 			}
 		}
 		if u == v {
-			continue // AddEdgeSafe drops self loops; streams never yield them
+			continue // streams never yield self loops
 		}
 		if err := yield(graph.NodeID(u), graph.NodeID(v)); err != nil {
 			return err
@@ -190,16 +194,15 @@ func (s *rmatStream) Edges(yield func(u, v graph.NodeID) error) error {
 	return nil
 }
 
-// sbmStream replays the SBM construction.
+// sbmStream is the stochastic-block-model construction.
 type sbmStream struct {
 	cfg    SBMConfig
 	n      int
 	starts []int
 }
 
-// StreamSBM returns the streaming stochastic-block-model generator,
-// emitting the same geometric-skipping samples as SBM(cfg) with O(1)
-// generator state per block pair.
+// StreamSBM returns the streaming stochastic-block-model generator
+// that SBM(cfg) builds, with O(1) generator state per block pair.
 func StreamSBM(cfg SBMConfig) (EdgeStream, error) {
 	if len(cfg.BlockSizes) == 0 {
 		return nil, fmt.Errorf("gen: sbm needs at least one block")
@@ -231,6 +234,8 @@ func (s *sbmStream) Edges(yield func(u, v graph.NodeID) error) error {
 		if yerr != nil || p <= 0 {
 			return
 		}
+		// Bernoulli sampling with geometric skipping over the (implicit)
+		// pair enumeration, mirroring GNP.
 		logQ := math.Log(1 - p)
 		if p >= 1 {
 			for u := rowStart; u < rowEnd; u++ {
@@ -284,7 +289,7 @@ func (s *sbmStream) Edges(yield func(u, v graph.NodeID) error) error {
 	return yerr
 }
 
-// clusteredStream replays the ClusteredPA construction.
+// clusteredStream is the clustered preferential-attachment construction.
 type clusteredStream struct {
 	cfg       ClusteredPAConfig
 	periphery int
@@ -293,11 +298,11 @@ type clusteredStream struct {
 }
 
 // StreamClusteredPA returns the streaming clustered preferential-
-// attachment generator. Each community's nucleus is built eagerly (its
-// size is one community, not the whole graph — this is the "O(shard)"
-// working set) and drained in canonical order exactly as the eager
-// generator does; peripheral attachments and ring bridges replay the
-// same outer-rng draw sequence, so the topology matches ClusteredPA(cfg).
+// attachment generator that ClusteredPA(cfg) builds. Each community's
+// nucleus is built in memory (its size is one community, not the whole
+// graph — this is the "O(shard)" working set) and drained in canonical
+// order; peripheral attachments and ring bridges follow from one outer
+// rng.
 func StreamClusteredPA(cfg ClusteredPAConfig) (EdgeStream, error) {
 	if cfg.Communities < 2 {
 		return nil, fmt.Errorf("gen: clustered-pa needs >= 2 communities, got %d", cfg.Communities)
@@ -348,6 +353,9 @@ func (s *clusteredStream) Edges(yield func(u, v graph.NodeID) error) error {
 				return err
 			}
 		}
+		// Peripheral nodes occupy IDs [base+nucleus, base+CommunitySize);
+		// each attaches to one random nucleus member (degree 1 before
+		// bridges, at most 2 after, so coreness stays below Attach).
 		for p := 0; p < s.periphery; p++ {
 			pv := graph.NodeID(base + s.nucleus + p)
 			if err := yield(pv, graph.NodeID(base+rng.Intn(s.nucleus))); err != nil {
@@ -355,6 +363,10 @@ func (s *clusteredStream) Edges(yield func(u, v graph.NodeID) error) error {
 			}
 		}
 	}
+	// Bridge i of community pair (c, c+1) leaves through peripheral slot
+	// i and arrives at peripheral slot Periphery-1-i; with Periphery >=
+	// 2·Bridges the outgoing and incoming slots never collide, so every
+	// peripheral node carries at most one bridge.
 	for c := 0; c < cfg.Communities; c++ {
 		next := (c + 1) % cfg.Communities
 		for i := 0; i < cfg.Bridges; i++ {

@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
-// The binary format stores the canonical edge list delta-encoded with
-// uvarints, which compresses social graphs to roughly 1.5–2.5 bytes per
-// edge (versus ~12 in the text format) and parses an order of magnitude
-// faster — useful for caching generated datasets between experiment runs.
+// The binary format (TNG1) stores the canonical edge list delta-encoded
+// with uvarints, which compresses social graphs to roughly 1.5–2.5 bytes
+// per edge (versus ~12 in the text format). It is import-only: commands
+// read it through ScanBinaryEdges (gen.StreamTNG1 wraps it) and write
+// TNG2 instead.
 //
 // Layout: magic "TNG1" | uvarint n | uvarint m | m edge records |
 // crc32(IEEE, everything before the footer) as 4 little-endian bytes.
@@ -68,7 +68,9 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteBinary writes g in the compact binary format.
+// WriteBinary writes g in the compact binary format. It is the format's
+// reference encoder, used to build test fixtures; no command writes
+// TNG1.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw}
@@ -114,13 +116,12 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ScanBinaryEdges streams the canonical edges of a TNG1 stream to yield
-// without building a graph, in O(1) memory — the primitive behind both
-// ReadBinary and the bounded-memory TNG1→TNG2 conversion. It returns the
-// declared node and edge counts after verifying the CRC footer. Records
-// must be strictly increasing in canonical (u, v) order (which is what
-// WriteBinary produces); anything else — including a truncated stream or
-// a checksum mismatch — is an ErrBadFormat. A yield error aborts the
-// scan and is returned verbatim.
+// without building a graph, in O(1) memory — the only TNG1 reader. It
+// returns the declared node and edge counts after verifying the CRC
+// footer. Records must be strictly increasing in canonical (u, v) order
+// (which is what WriteBinary produces); anything else — including a
+// truncated stream or a checksum mismatch — is an ErrBadFormat. A yield
+// error aborts the scan and is returned verbatim.
 func ScanBinaryEdges(r io.Reader, yield func(u, v NodeID) error) (int, int64, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 	var magic [4]byte
@@ -183,53 +184,4 @@ func ScanBinaryEdges(r io.Reader, yield func(u, v NodeID) error) (int, int64, er
 		return 0, 0, fmt.Errorf("%w: crc mismatch %08x != %08x", ErrBadFormat, got, want)
 	}
 	return n, int64(m64), nil
-}
-
-// ReadBinary parses the compact binary format, verifying the CRC footer.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	var edges []Edge
-	n, m, err := ScanBinaryEdges(r, func(u, v NodeID) error {
-		edges = append(edges, Edge{U: u, V: v})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdgeSafe(e.U, e.V)
-	}
-	g := b.Build()
-	if g.NumEdges() != m {
-		return nil, fmt.Errorf("%w: %d edges declared, %d distinct", ErrBadFormat, m, g.NumEdges())
-	}
-	return g, nil
-}
-
-// SaveBinary writes g to the named file in binary format.
-func SaveBinary(path string, g *Graph) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("save binary graph: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("close %s: %w", path, cerr)
-		}
-	}()
-	return WriteBinary(f, g)
-}
-
-// LoadBinary reads a graph from the named binary file.
-func LoadBinary(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("load binary graph: %w", err)
-	}
-	defer f.Close()
-	g, err := ReadBinary(f)
-	if err != nil {
-		return nil, fmt.Errorf("load binary graph %s: %w", path, err)
-	}
-	return g, nil
 }

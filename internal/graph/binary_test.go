@@ -3,45 +3,67 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := cliqueGraph(t, 8)
+// binaryBytes serializes g to a TNG1 image.
+func binaryBytes(t *testing.T, g *Graph) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf)
+	return buf.Bytes()
+}
+
+// scanAll runs ScanBinaryEdges over data and collects the yielded edges.
+func scanAll(data []byte) (int, int64, []Edge, error) {
+	var edges []Edge
+	n, m, err := ScanBinaryEdges(bytes.NewReader(data), func(u, v NodeID) error {
+		edges = append(edges, Edge{U: u, V: v})
+		return nil
+	})
+	return n, m, edges, err
+}
+
+// scanMismatch scans a TNG1 image and describes how it differs from g —
+// a scan error, the node or edge count, or the canonical edge sequence
+// — or returns "" when the scan reproduces g exactly.
+func scanMismatch(g *Graph, data []byte) string {
+	n, m, edges, err := scanAll(data)
 	if err != nil {
-		t.Fatal(err)
+		return err.Error()
 	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip: %v vs %v", g2, g)
+	if n != g.NumNodes() || m != g.NumEdges() {
+		return fmt.Sprintf("scan n/m = (%d,%d), want (%d,%d)", n, m, g.NumNodes(), g.NumEdges())
 	}
-	for _, e := range g.Edges() {
-		if !g2.HasEdge(e.U, e.V) {
-			t.Errorf("edge %v lost", e)
+	want := g.Edges()
+	if len(edges) != len(want) {
+		return fmt.Sprintf("scanned %d edges, want %d", len(edges), len(want))
+	}
+	for i := range want {
+		if edges[i] != want[i] {
+			return fmt.Sprintf("edge %d = %v, want %v", i, edges[i], want[i])
 		}
+	}
+	return ""
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	g := cliqueGraph(t, 8)
+	if msg := scanMismatch(g, binaryBytes(t, g)); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
 func TestBinaryEmptyAndIsolated(t *testing.T) {
 	// Graph with isolated nodes only.
 	g := NewBuilder(7).Build()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != 7 || g2.NumEdges() != 0 {
-		t.Errorf("round trip = %v, want n=7 m=0", g2)
+	if msg := scanMismatch(g, binaryBytes(t, g)); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
@@ -66,40 +88,31 @@ func TestBinaryCompactness(t *testing.T) {
 
 func TestBinaryCorruption(t *testing.T) {
 	g := pathGraph(t, 10)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
+	data := binaryBytes(t, g)
+	if msg := scanMismatch(g, data); msg != "" {
+		t.Fatalf("intact image: %s", msg)
 	}
-	data := buf.Bytes()
+	rejects := func(label string, bad []byte) {
+		t.Helper()
+		if _, _, _, err := scanAll(bad); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: %v, want ErrBadFormat", label, err)
+		}
+	}
 
-	// Wrong magic.
-	bad := append([]byte("XXXX"), data[4:]...)
-	if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("wrong magic: %v, want ErrBadFormat", err)
-	}
-	// Truncated.
-	if _, err := ReadBinary(bytes.NewReader(data[:len(data)-2])); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("truncated: %v, want ErrBadFormat", err)
-	}
-	// Empty.
-	if _, err := ReadBinary(bytes.NewReader(nil)); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("empty: %v, want ErrBadFormat", err)
-	}
+	rejects("wrong magic", append([]byte("XXXX"), data[4:]...))
+	rejects("truncated", data[:len(data)-2])
+	rejects("empty", nil)
 	// Bit flip in the edge payload: caught by the CRC footer even when the
 	// damaged varints still decode to plausible edges.
 	for i := 6; i < len(data)-4; i++ {
 		bad := bytes.Clone(data)
 		bad[i] ^= 0x04
-		if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("bit flip at %d: %v, want ErrBadFormat", i, err)
-		}
+		rejects(fmt.Sprintf("bit flip at %d", i), bad)
 	}
 	// Bit flip in the footer itself.
-	bad = bytes.Clone(data)
+	bad := bytes.Clone(data)
 	bad[len(data)-3] ^= 0x80
-	if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("footer flip: %v, want ErrBadFormat", err)
-	}
+	rejects("footer flip", bad)
 }
 
 // TestScanBinaryEdges drives the streaming scanner directly: it must
@@ -107,31 +120,9 @@ func TestBinaryCorruption(t *testing.T) {
 // propagate yield errors verbatim.
 func TestScanBinaryEdges(t *testing.T) {
 	g := cliqueGraph(t, 6)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	var got []Edge
-	n, m, err := ScanBinaryEdges(bytes.NewReader(data), func(u, v NodeID) error {
-		got = append(got, Edge{U: u, V: v})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != g.NumNodes() || m != g.NumEdges() {
-		t.Fatalf("scan n/m = (%d,%d), want (%d,%d)", n, m, g.NumNodes(), g.NumEdges())
-	}
-	want := g.Edges()
-	if len(got) != len(want) {
-		t.Fatalf("scanned %d edges, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("edge %d = %v, want %v", i, got[i], want[i])
-		}
+	data := binaryBytes(t, g)
+	if msg := scanMismatch(g, data); msg != "" {
+		t.Fatal(msg)
 	}
 
 	// Yield errors abort the scan and surface unchanged.
@@ -140,24 +131,6 @@ func TestScanBinaryEdges(t *testing.T) {
 		return sentinel
 	}); !errors.Is(err, sentinel) {
 		t.Errorf("yield error: %v, want sentinel", err)
-	}
-}
-
-func TestBinarySaveLoad(t *testing.T) {
-	g := cliqueGraph(t, 6)
-	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := SaveBinary(path, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != 15 {
-		t.Errorf("loaded edges = %d, want 15", g2.NumEdges())
-	}
-	if _, err := LoadBinary(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
-		t.Error("LoadBinary(missing): want error")
 	}
 }
 
@@ -174,28 +147,17 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 		if err := WriteBinary(&buf, g); err != nil {
 			return false
 		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if !g2.HasEdge(e.U, e.V) {
-				return false
-			}
-		}
-		return true
+		return scanMismatch(g, buf.Bytes()) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// FuzzReadBinary: arbitrary bytes must never panic; valid parses must
-// satisfy the simple-graph invariants.
-func FuzzReadBinary(f *testing.F) {
+// FuzzScanBinaryEdges: arbitrary bytes must never panic; a successful
+// scan must have yielded exactly m canonical pairs inside [0, n), in
+// strictly ascending order.
+func FuzzScanBinaryEdges(f *testing.F) {
 	g, _ := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	var buf bytes.Buffer
 	_ = WriteBinary(&buf, g)
@@ -203,16 +165,22 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("TNG1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
+		n, m, edges, err := scanAll(data)
 		if err != nil {
 			return
 		}
-		var degSum int64
-		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-			degSum += int64(g.Degree(v))
+		if int64(len(edges)) != m {
+			t.Fatalf("yielded %d edges, declared %d", len(edges), m)
 		}
-		if degSum != 2*g.NumEdges() {
-			t.Fatalf("handshake lemma violated")
+		for i, e := range edges {
+			if e.U < 0 || e.U >= e.V || int(e.V) >= n {
+				t.Fatalf("edge %d = %v: not canonical inside [0, %d)", i, e, n)
+			}
+			if i > 0 {
+				if p := edges[i-1]; p.U > e.U || p.U == e.U && p.V >= e.V {
+					t.Fatalf("edge %d = %v after %v: not strictly ascending", i, e, p)
+				}
+			}
 		}
 	})
 }

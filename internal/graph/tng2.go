@@ -274,20 +274,6 @@ func ReadTNG2(r io.Reader) (*Graph, error) {
 	return decodeTNG2(n, m, offB, adjB)
 }
 
-// LoadCSR reads a graph from the named TNG2 file into memory.
-func LoadCSR(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("load csr graph: %w", err)
-	}
-	defer f.Close()
-	g, err := ReadTNG2(f)
-	if err != nil {
-		return nil, fmt.Errorf("load csr graph %s: %w", path, err)
-	}
-	return g, nil
-}
-
 // Mapped is a read-only graph view backed by a memory-mapped TNG2 file:
 // on little-endian unix hosts its CSR slices alias the mapping directly
 // (zero-copy; the kernel pages neighbor lists in on demand and one page

@@ -99,21 +99,8 @@ func TestTNG2OpenMapped(t *testing.T) {
 	if err := mg.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-}
-
-func TestTNG2OpenMappedViaLoadCSR(t *testing.T) {
-	g := pathGraph(t, 25)
-	path := filepath.Join(t.TempDir(), "g.tng2")
-	if err := SaveCSR(path, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCSR(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, g, got, "loadcsr")
-	if _, err := LoadCSR(filepath.Join(t.TempDir(), "missing.tng2")); err == nil {
-		t.Error("LoadCSR(missing): want error")
+	if _, err := OpenMapped(filepath.Join(t.TempDir(), "missing.tng2")); err == nil {
+		t.Error("OpenMapped(missing): want error")
 	}
 }
 

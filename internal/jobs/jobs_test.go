@@ -294,6 +294,9 @@ func TestRunnerCorruptEntryFallsBackToRecompute(t *testing.T) {
 	}
 }
 
+// Two graph substrates get two cache slots: the second graph recomputes,
+// and switching back replays the first graph's artifact instead of the
+// second's having overwritten it.
 func TestRunnerDistinctGraphsDistinctSlots(t *testing.T) {
 	dir := t.TempDir()
 	runs := 0
@@ -310,6 +313,57 @@ func TestRunnerDistinctGraphsDistinctSlots(t *testing.T) {
 	}
 	if cached || runs != 2 {
 		t.Fatalf("different substrate: cached=%v runs=%d, want recompute", cached, runs)
+	}
+	for _, fp := range []string{"g1", "g2"} {
+		r.Env.GraphFingerprint = fp
+		cached, err := r.Run(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cached || runs != 2 {
+			t.Fatalf("rerun on %s: cached=%v runs=%d, want a replay of its own slot", fp, cached, runs)
+		}
+	}
+}
+
+// TestRunnerResumeKeyedByFingerprints: a cached artifact marks a job
+// done only under its own key. The same job name over a different graph
+// substrate, or with a different configuration, must recompute instead
+// of replaying the other key's artifact.
+func TestRunnerResumeKeyedByFingerprints(t *testing.T) {
+	type cfg struct{ Seed int64 }
+	for _, tc := range []struct {
+		name  string
+		graph string
+		cfg   cfg
+	}{
+		{"graph", "g2", cfg{Seed: 1}},
+		{"config", "g1", cfg{Seed: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			runs := 0
+			job := func(c cfg) Job {
+				return New("tableI", c, func(ctx context.Context, env Env) (*Artifact, error) {
+					runs++
+					b := NewBuilder()
+					b.Printf("seed %d\n", c.Seed)
+					return b.Artifact(), nil
+				})
+			}
+			r := &Runner{Cache: NewStore(filepath.Join(dir, "cache")), Env: Env{GraphFingerprint: "g1"}, OutDir: dir}
+			if _, err := r.Run(context.Background(), job(cfg{Seed: 1})); err != nil {
+				t.Fatal(err)
+			}
+			r.Env.GraphFingerprint = tc.graph
+			cached, err := r.Run(context.Background(), job(tc.cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached || runs != 2 {
+				t.Fatalf("different %s: cached=%v runs=%d, want recompute", tc.name, cached, runs)
+			}
+		})
 	}
 }
 

@@ -19,8 +19,8 @@ const CheckpointSchema = "trustnet/checkpoint/v1"
 
 // Checkpoint statuses.
 const (
-	// StatusDone marks a job that finished; a resumed run skips it (or
-	// reuses the payload verbatim).
+	// StatusDone marks finished work (a measured dataset); a resumed run
+	// reuses its payload verbatim.
 	StatusDone = "done"
 	// StatusPartial marks in-progress state (completed sources/epochs, a
 	// warm eigenvector); a resumed run continues from the payload.

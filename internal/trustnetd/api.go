@@ -205,10 +205,12 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request) {
 	case "tng1":
 		build = func(path string) error {
 			tmp := path + ".upload.tng"
+			// Removed on every path: a body that fails mid-copy leaves a
+			// partial file, and register removes only the .tng2 path.
+			defer os.Remove(tmp)
 			if err := copyToFile(body, tmp); err != nil {
 				return err
 			}
-			defer os.Remove(tmp)
 			es, err := gen.StreamTNG1(tmp)
 			if err != nil {
 				return err

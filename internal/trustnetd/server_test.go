@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -125,10 +126,33 @@ func fetchArtifact(t *testing.T, ts *httptest.Server, id string) []byte {
 	return data
 }
 
-// TestUploadMatchesGeneratedFingerprint uploads the bytes of a locally
-// generated TNG2 file and expects the canonical fingerprint to equal
-// the daemon-generated copy of the same model/seed — same topology,
-// same identity, regardless of how the graph arrived.
+// uploadGraph PUTs body as a graph file in the given format and returns
+// the status and the decoded response.
+func uploadGraph(t *testing.T, ts *httptest.Server, name, format string, body []byte) (int, GraphInfo) {
+	t.Helper()
+	req, err := http.NewRequest("PUT", ts.URL+"/v1/graphs/"+name+"?format="+format, bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("new request: %v", err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	defer resp.Body.Close()
+	var info GraphInfo
+	if resp.StatusCode == http.StatusCreated {
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatalf("decode upload response: %v", err)
+		}
+	}
+	return resp.StatusCode, info
+}
+
+// TestUploadMatchesGeneratedFingerprint uploads a locally generated copy
+// of the daemon's generated graph, as TNG2 and as TNG1, and expects each
+// to carry the canonical fingerprint of the daemon-generated copy of the
+// same model/seed — same topology, same identity, regardless of how the
+// graph arrived.
 func TestUploadMatchesGeneratedFingerprint(t *testing.T) {
 	_, ts := newTestServer(t)
 	gen1 := generateGraph(t, ts, "generated")
@@ -141,43 +165,113 @@ func TestUploadMatchesGeneratedFingerprint(t *testing.T) {
 	if _, err := gen.StreamToFile(es, local); err != nil {
 		t.Fatalf("StreamToFile: %v", err)
 	}
-	data, err := os.ReadFile(local)
+	tng2, err := os.ReadFile(local)
 	if err != nil {
 		t.Fatalf("read local: %v", err)
 	}
-	req, err := http.NewRequest("PUT", ts.URL+"/v1/graphs/uploaded", bytes.NewReader(data))
+	g, err := gen.Build(es)
 	if err != nil {
-		t.Fatalf("new request: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("upload: %v", err)
+	var tng1 bytes.Buffer
+	if err := graph.WriteBinary(&tng1, g); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
 	}
-	var up GraphInfo
-	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
-		t.Fatalf("decode upload response: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("upload: status %d", resp.StatusCode)
-	}
-	if up.Fingerprint != gen1.Fingerprint {
-		t.Fatalf("fingerprint mismatch: uploaded %s vs generated %s", up.Fingerprint, gen1.Fingerprint)
-	}
-	if up.Nodes != 500 || up.Edges == 0 {
-		t.Fatalf("bad uploaded info: %+v", up)
+
+	for _, tc := range []struct {
+		format string
+		body   []byte
+	}{
+		{"tng2", tng2},
+		{"tng1", tng1.Bytes()},
+	} {
+		t.Run(tc.format, func(t *testing.T) {
+			code, up := uploadGraph(t, ts, "uploaded-"+tc.format, tc.format, tc.body)
+			if code != http.StatusCreated {
+				t.Fatalf("upload: status %d", code)
+			}
+			if up.Fingerprint != gen1.Fingerprint {
+				t.Fatalf("fingerprint mismatch: uploaded %s vs generated %s", up.Fingerprint, gen1.Fingerprint)
+			}
+			if up.Nodes != 500 || up.Edges == 0 || up.Source != "upload:"+tc.format {
+				t.Fatalf("bad uploaded info: %+v", up)
+			}
+		})
 	}
 
 	var list GraphList
 	doJSON(t, "GET", ts.URL+"/v1/graphs", nil, &list)
-	if len(list.Graphs) != 2 {
-		t.Fatalf("want 2 graphs, got %d", len(list.Graphs))
+	if len(list.Graphs) != 3 {
+		t.Fatalf("want 3 graphs, got %d", len(list.Graphs))
 	}
 
 	// Lookup by fingerprint resolves the same way as by name.
 	var byFP GraphInfo
 	if code := doJSON(t, "GET", ts.URL+"/v1/graphs/"+gen1.Fingerprint, nil, &byFP); code != http.StatusOK {
 		t.Fatalf("lookup by fingerprint: status %d", code)
+	}
+}
+
+// cutBody yields its data and then fails, like a client connection that
+// drops mid-upload.
+type cutBody struct{ r io.Reader }
+
+func (b *cutBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		return n, errors.New("connection reset mid-upload")
+	}
+	return n, err
+}
+
+// TestFailedUploadLeavesNothing sends uploads that fail — a body cut off
+// after 4 KiB in either format, and a TNG1 file with one flipped payload
+// byte. Each must answer 400, register nothing, and leave the data
+// directory empty.
+func TestFailedUploadLeavesNothing(t *testing.T) {
+	g, err := gen.BarabasiAlbert(500, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(buf.Bytes())
+	flipped[len(flipped)/2] ^= 0x04
+
+	for _, tc := range []struct {
+		name, format string
+		body         io.Reader
+	}{
+		{"tng2-cut", "tng2", &cutBody{bytes.NewReader(make([]byte, 4<<10))}},
+		{"tng1-cut", "tng1", &cutBody{bytes.NewReader(make([]byte, 4<<10))}},
+		{"tng1-flipped", "tng1", bytes.NewReader(flipped)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newTestServer(t)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("PUT", "/v1/graphs/g?format="+tc.format, tc.body))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+			}
+			rec = httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/graphs", nil))
+			var list GraphList
+			if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+				t.Fatalf("decode graph list: %v", err)
+			}
+			if len(list.Graphs) != 0 {
+				t.Errorf("failed upload registered %+v", list.Graphs)
+			}
+			left, err := os.ReadDir(s.cfg.DataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range left {
+				t.Errorf("failed upload left %s in the data dir", e.Name())
+			}
+		})
 	}
 }
 
