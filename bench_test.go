@@ -233,7 +233,7 @@ func BenchmarkAblationSparsePush(b *testing.B) {
 	})
 }
 
-// Spectral bound vs full sampling measurement: the power iteration is the
+// Spectral bound vs full sampling measurement: the Lanczos SLEM is the
 // cheap worst-case bound, the sampling method the expensive per-source
 // picture — the paper uses both.
 func BenchmarkAblationSpectralVsSampling(b *testing.B) {

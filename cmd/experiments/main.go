@@ -18,10 +18,11 @@
 // Transient failures are retried with seeded-jitter exponential backoff
 // (-max-retries, -retry-base). The artifact cache is the record of
 // finished jobs: a rerun replays them. tableI and figure1 also
-// checkpoint each finished dataset — and, with -best-effort, partial
-// progress — under <out>/ckpt, keyed by the canonical graph-substrate
-// fingerprint, so a crashed or killed run continues where it left off
-// when rerun with -resume, producing bit-identical artifacts.
+// checkpoint each finished dataset — and figure1, with -best-effort,
+// partial progress — under <out>/ckpt, keyed by the canonical
+// graph-substrate fingerprint, so a crashed or killed run continues
+// where it left off when rerun with -resume, producing bit-identical
+// artifacts.
 //
 // Usage:
 //

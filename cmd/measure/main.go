@@ -42,7 +42,7 @@ func run(args []string) error {
 		sources = fs.Int("sources", 50, "sampled walk sources for the mixing measurement")
 		steps   = fs.Int("steps", 200, "max walk length for the mixing measurement")
 		expSrc  = fs.Int("expansion-sources", 0, "sampled BFS cores for expansion (0 = all nodes)")
-		specTol = fs.Float64("spectral-tol", 0, "SLEM power-iteration tolerance (default 1e-7)")
+		specTol = fs.Float64("spectral-tol", 0, "SLEM tolerance: the Lanczos iteration stops once mu moves by less than this in one step (default 1e-7)")
 		seed    = fs.Int64("seed", 1, "measurement seed")
 		shards  = fs.Int("shards", 1, "measure over a node-range-sharded view (results are identical at any shard count)")
 	)

@@ -32,7 +32,8 @@ type Config struct {
 	// ExpansionSources limits the expansion measurement to a sample of
 	// cores; 0 measures from every node as the paper does.
 	ExpansionSources int
-	// SpectralTolerance is the SLEM power-iteration tolerance. Defaults
+	// SpectralTolerance is the SLEM's Lanczos stopping tolerance: the
+	// iteration stops once μ moves by less than it in a step. Defaults
 	// to 1e-7 (community graphs have clustered spectra).
 	SpectralTolerance float64
 	// Seed makes the whole suite deterministic.

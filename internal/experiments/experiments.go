@@ -39,16 +39,17 @@ type Options struct {
 	Ckpt *resilience.Store
 	// Resume makes runners consult Ckpt before measuring: datasets with
 	// a done checkpoint are reused, partial ones continue from their
-	// saved state. The combined result is bit-identical to an
-	// uninterrupted run.
+	// saved state (Table I measures a partial dataset again from the
+	// start). The combined result is bit-identical to an uninterrupted
+	// run.
 	Resume bool
 	// Incremental routes epoch-sweep measurements through the
 	// internal/incremental maintainers (delta-repaired cores and BFS,
 	// warm-started SLEM) instead of recomputing every epoch from
 	// scratch. Integer results are bit-identical either way. SLEM is
-	// not: the power iteration stops when successive estimates are
-	// within its tolerance, which bounds the step, not the distance to
-	// μ, so the warm and cold starts stop at different points. The two
+	// not: the Lanczos iteration stops when its estimate moves by less
+	// than its tolerance, which bounds the step, not the distance to μ,
+	// so the warm and cold starts stop at different points. The two
 	// agree within 1e-4 (TestEpochSweepQuick); ROADMAP.md's certified-
 	// SLEM item replaces that stopping rule with a residual bound.
 	Incremental bool

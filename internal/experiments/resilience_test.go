@@ -18,7 +18,7 @@ import (
 
 // countCtx is a context whose Err() flips to DeadlineExceeded after a
 // fixed number of calls. The runners and measurements consult Err() at
-// deterministic points (per dataset, per power iteration, per walk
+// deterministic points (per dataset, per Lanczos step, per walk
 // step), so with Workers=1 the "kill" lands at exactly the same place on
 // every run — a reproducible stand-in for a wall-clock deadline or a
 // killed process.
@@ -43,9 +43,10 @@ func (c *countCtx) Err() error {
 
 func (c *countCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 
-// Kill-and-resume determinism for Table I: interrupt the run mid power
-// iteration, then resume from the on-disk checkpoints; the resumed table
-// must be bit-identical to a never-interrupted run.
+// Kill-and-resume determinism for Table I: interrupt the run mid
+// Lanczos iteration, then resume from the on-disk checkpoints (the cut
+// dataset is measured again); the resumed table must be bit-identical to
+// a never-interrupted run.
 func TestTableIKillAndResumeDeterministic(t *testing.T) {
 	base := Options{Quick: true, Seed: 1, Workers: 1}
 	ref, err := TableI(context.Background(), base)
@@ -110,6 +111,44 @@ func TestTableIKillAndResumeDeterministic(t *testing.T) {
 		if math.Float64bits(again.Rows[i].SLEM) != math.Float64bits(ref.Rows[i].SLEM) {
 			t.Fatalf("checkpoint-only rerun diverged on row %d", i)
 		}
+	}
+}
+
+// A row checkpointed by an older measurement method carries a
+// fingerprint without the current artifact schema, so -resume measures
+// that dataset again instead of splicing the old μ into the table.
+func TestTableIResumeIgnoresOlderSchemaRows(t *testing.T) {
+	base := Options{Quick: true, Seed: 1, Workers: 1}
+	ref, err := TableI(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := ref.Rows[0]
+	stale := first
+	stale.SLEM = 0.5
+	store := resilience.NewStore(t.TempDir())
+	c := &resilience.Checkpoint{
+		Job: "tableI-" + first.Name,
+		// The fingerprint Table I used before the schema joined it.
+		Fingerprint: resilience.Fingerprint("tableI", first.Name, true, int64(1), 3000, 1e-5, ""),
+		Status:      resilience.StatusDone,
+	}
+	if err := c.SetPayload(stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(c); err != nil {
+		t.Fatal(err)
+	}
+	resumed := base
+	resumed.Ckpt = store
+	resumed.Resume = true
+	got, err := TableI(context.Background(), resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Rows[0].SLEM) != math.Float64bits(first.SLEM) {
+		t.Fatalf("%s: resumed SLEM %v, want the fresh measurement %v, not the older row's %v",
+			first.Name, got.Rows[0].SLEM, first.SLEM, stale.SLEM)
 	}
 }
 

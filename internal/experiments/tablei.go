@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/trustnet/trustnet/internal/datasets"
+	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/report"
 	"github.com/trustnet/trustnet/internal/resilience"
 	"github.com/trustnet/trustnet/internal/spectral"
@@ -20,10 +21,10 @@ type TableIRow struct {
 	Edges int64
 	// SLEM is the measured second largest eigenvalue modulus μ.
 	SLEM float64
-	// Converged reports whether the power iteration converged within its
-	// budget; when false SLEM is the last (still monotone) estimate.
+	// Converged reports whether the Lanczos iteration converged within
+	// its budget; when false SLEM is the last estimate.
 	Converged bool
-	// Partial reports a best-effort deadline cut the power iteration
+	// Partial reports a best-effort deadline cut the Lanczos iteration
 	// short; SLEM is the running estimate after Coverage of the budget.
 	Partial  bool
 	Coverage float64
@@ -88,14 +89,15 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 			scfg.Tolerance = 1e-5
 		}
 		key := "tableI-" + spec.Name
-		fp := resilience.Fingerprint("tableI", spec.Name, opts.Quick, opts.Seed, scfg.MaxIterations, scfg.Tolerance, opts.Substrate)
+		// The artifact schema is part of the fingerprint, so a row that
+		// an older SLEM method measured is never spliced into the table.
+		fp := resilience.Fingerprint("tableI", jobs.SchemaVersion, spec.Name, opts.Quick, opts.Seed, scfg.MaxIterations, scfg.Tolerance, opts.Substrate)
 		if opts.Ckpt != nil && opts.Resume {
 			c, err := opts.Ckpt.Load(key, fp)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table I: %w", err)
 			}
-			switch {
-			case c != nil && c.Status == resilience.StatusDone:
+			if c != nil && c.Status == resilience.StatusDone {
 				// The dataset finished in an earlier run: reuse its row
 				// verbatim, no measurement needed.
 				var row TableIRow
@@ -104,14 +106,6 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 				}
 				res.Rows = append(res.Rows, row)
 				continue
-			case c != nil:
-				// Interrupted mid-iteration: warm-start the power iteration
-				// from the checkpointed eigenvector.
-				var sck spectral.Checkpoint
-				if err := c.DecodePayload(&sck); err != nil {
-					return nil, fmt.Errorf("experiments: table I: %w", err)
-				}
-				scfg.Resume = &sck
 			}
 		}
 		if err := ctx.Err(); err != nil && !opts.BestEffort {
@@ -137,15 +131,11 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 			Coverage:   sr.Coverage,
 			Class:      spec.Class,
 		}
-		if opts.Ckpt != nil {
+		// A dataset cut short is measured again from the start on
+		// -resume: a restart costs a few hundred Lanczos steps.
+		if opts.Ckpt != nil && !sr.Partial {
 			c := &resilience.Checkpoint{Job: key, Fingerprint: fp, Status: resilience.StatusDone}
-			if sr.Partial {
-				c.Status = resilience.StatusPartial
-				err = c.SetPayload(sr.Checkpoint())
-			} else {
-				err = c.SetPayload(row)
-			}
-			if err != nil {
+			if err := c.SetPayload(row); err != nil {
 				return nil, err
 			}
 			if err := opts.Ckpt.Save(c); err != nil {

@@ -22,8 +22,8 @@ var (
 type EngineConfig struct {
 	// Sources are the BFS sources for the expansion envelope. Required.
 	Sources []graph.NodeID
-	// Spectral configures the SLEM power iteration (Warm, KeepVector,
-	// and Resume are managed by the engine).
+	// Spectral configures the SLEM's Lanczos iteration (Warm and
+	// KeepVector are managed by the engine).
 	Spectral spectral.Config
 	// Workers bounds per-measurement parallelism for the expansion fold.
 	Workers int
@@ -162,7 +162,7 @@ func MeasureFull(ctx context.Context, view *graph.MaskedView, cfg EngineConfig) 
 	}
 	comp, nodes := graph.LargestComponentView(view)
 	scfg := cfg.Spectral
-	scfg.Warm, scfg.Resume, scfg.KeepVector = nil, nil, false
+	scfg.Warm, scfg.KeepVector = nil, false
 	slem, err := spectral.SLEMContext(ctx, comp, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: full slem: %w", err)

@@ -182,7 +182,7 @@ func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 		{
 			name: "ba-3000", g: ba, faults: engineFaults,
 			cfg:    EngineConfig{Sources: expansionSources(t, ba, 8), Workers: 1},
-			epochs: 6, slemTol: 1e-6,
+			epochs: 6, slemTol: 1e-8,
 		},
 		{
 			name: "clustered-sweep", g: clustered,

@@ -13,8 +13,8 @@
 //   - ExpansionMaintainer repairs each BFS source's distance field with
 //     a batched Ramalingam–Reps pass (deletions first, then insertions
 //     as a multi-source relaxation), keeping per-level counts exact.
-//   - SLEMMaintainer warm-starts the power iteration with the previous
-//     epoch's eigenvector, carried across the delta by original node ID.
+//   - SLEMMaintainer warm-starts the Lanczos iteration with the previous
+//     epoch's Ritz vector, carried across the delta by original node ID.
 //
 // The core and expansion maintainers produce results bit-identical to
 // their from-scratch counterparts (cores, expansion level counts). The

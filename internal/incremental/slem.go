@@ -15,11 +15,11 @@ var (
 	obsSLEMColdFull = obs.Default().Counter("incremental.slem.cold_starts")
 )
 
-// SLEMMaintainer carries the SLEM power iteration's eigenvector across
-// epochs so each epoch's measurement warm-starts from the previous
-// one's. Unlike the core and expansion maintainers it has no delta to
-// repair — the power iteration itself is the repair — so there is no
-// Apply: after each epoch advance, call Measure on the current view.
+// SLEMMaintainer carries the SLEM's Ritz vector across epochs so each
+// epoch's Lanczos iteration warm-starts from the previous one's. Unlike
+// the core and expansion maintainers it has no delta to repair — the
+// iteration itself is the repair — so there is no Apply: after each
+// epoch advance, call Measure on the current view.
 //
 // The eigenvector is stored indexed by original node ID, because the
 // measurement runs on the view's largest connected component and the
@@ -29,7 +29,7 @@ var (
 // the warm vector degenerates (component turned over entirely), the
 // iteration falls back to its seeded random start — either way the
 // result satisfies the same Tolerance as a cold start, so warm
-// starting affects iteration count, never correctness. Not safe for
+// starting affects the step count, never correctness. Not safe for
 // concurrent use.
 type SLEMMaintainer struct {
 	view *graph.MaskedView
@@ -42,17 +42,16 @@ type SLEMMaintainer struct {
 }
 
 // NewSLEMMaintainer returns a maintainer measuring SLEM on view's
-// largest connected component with cfg (Warm, KeepVector, and Resume
-// are overridden per measurement).
+// largest connected component with cfg (Warm and KeepVector are
+// overridden per measurement).
 func NewSLEMMaintainer(view *graph.MaskedView, cfg spectral.Config) *SLEMMaintainer {
-	cfg.Resume = nil
 	return &SLEMMaintainer{view: view, cfg: cfg}
 }
 
 // Measure computes the SLEM of the view's current largest connected
 // component, warm-starting from the previous epoch's eigenvector when
-// one is available. On success the final iterate is stored for the
-// next call. The returned component size lets callers weigh the
+// one is available. On success the rebuilt Ritz vector is stored for
+// the next call. The returned component size lets callers weigh the
 // measurement.
 func (sm *SLEMMaintainer) Measure(ctx context.Context) (*spectral.Result, int, error) {
 	obsSLEMMeasures.Inc()

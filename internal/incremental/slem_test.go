@@ -44,7 +44,7 @@ func TestEquivalenceSLEMMaintainerDriftSweep(t *testing.T) {
 		if !res.Converged || !cold.Converged {
 			t.Fatalf("epoch %d: converged warm=%v cold=%v", e, res.Converged, cold.Converged)
 		}
-		if diff := math.Abs(res.SLEM - cold.SLEM); diff > 1e-6 {
+		if diff := math.Abs(res.SLEM - cold.SLEM); diff > 1e-8 {
 			t.Fatalf("epoch %d: warm SLEM %.12f vs cold %.12f (diff %.3g)", e, res.SLEM, cold.SLEM, diff)
 		}
 		if e > 0 {

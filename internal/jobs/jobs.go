@@ -38,8 +38,11 @@ import (
 )
 
 // SchemaVersion versions the artifact envelope and cache key. Bumping
-// it orphans (never corrupts) every previously cached artifact.
-const SchemaVersion = "trustnet/artifact/v1"
+// it orphans (never corrupts) every previously cached artifact. It is
+// bumped when a measurement's method changes under an unchanged config,
+// since the config fingerprint cannot tell the results apart: v2 is the
+// switch of the SLEM from power iteration to Lanczos.
+const SchemaVersion = "trustnet/artifact/v2"
 
 // Job is one addressable measurement: a named unit of work whose
 // configuration is fingerprinted into the artifact cache key and whose
@@ -66,7 +69,7 @@ type Env struct {
 	// artifact cache key, and jobs key their internal checkpoints by it.
 	GraphFingerprint string
 	// Ckpt, when non-nil, receives the job's partial-progress
-	// checkpoints (per-dataset rows, warm eigenvectors).
+	// checkpoints (per-dataset rows, completed mixing curves).
 	Ckpt *resilience.Store
 	// Resume makes jobs consult Ckpt before measuring.
 	Resume bool

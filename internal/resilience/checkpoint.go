@@ -22,8 +22,8 @@ const (
 	// StatusDone marks finished work (a measured dataset); a resumed run
 	// reuses its payload verbatim.
 	StatusDone = "done"
-	// StatusPartial marks in-progress state (completed sources/epochs, a
-	// warm eigenvector); a resumed run continues from the payload.
+	// StatusPartial marks in-progress state (completed sources or
+	// epochs); a resumed run continues from the payload.
 	StatusPartial = "partial"
 )
 
@@ -37,7 +37,7 @@ var (
 
 // Checkpoint is the envelope persisted per job under <dir>/<job>.json.
 // The Payload is measurement-specific (walk.MixingCheckpoint,
-// expansion.Checkpoint, spectral.Checkpoint, or a finished result); the
+// expansion.Checkpoint, or a finished result); the
 // Fingerprint ties it to the exact configuration that produced it, so a
 // run with different parameters never resumes stale state.
 type Checkpoint struct {
@@ -51,7 +51,7 @@ type Checkpoint struct {
 
 // SetPayload marshals v into the checkpoint payload. encoding/json
 // formats float64 with the shortest round-tripping representation, so
-// exact measurement state (curves, eigenvectors) survives the trip
+// exact measurement state (curves, finished rows) survives the trip
 // bit-for-bit.
 func (c *Checkpoint) SetPayload(v any) error {
 	data, err := json.Marshal(v)

@@ -7,9 +7,10 @@ import (
 )
 
 // TestEquivalenceSLEMWorkerCounts is the determinism contract for the
-// row-partitioned power iteration: the SLEM and the iteration count are
+// row-partitioned Lanczos iteration: the SLEM and the step count are
 // bit-for-bit identical at every worker count, because each row's
-// neighbor sum is accumulated by exactly one worker in adjacency order.
+// neighbor sum is accumulated by exactly one worker in adjacency order
+// and every dot product and norm is summed serially in node order.
 // The graph is sized above the package's small-graph sequential
 // threshold so the parallel path actually runs.
 func TestEquivalenceSLEMWorkerCounts(t *testing.T) {

@@ -11,25 +11,29 @@ import (
 )
 
 // oracleResult is what slemOracle reports: the fields of Result that a
-// changed mat-vec could move.
+// changed mat-vec or recurrence could move.
 type oracleResult struct {
 	mu         float64
 	iterations int
 	converged  bool
+	residual   float64
 	vector     []float64
 	// warmed reports that the Warm vector was used, not the fallback.
 	warmed bool
 }
 
-// slemOracle is the reference power iteration: single-threaded over a
+// slemOracle is the reference Lanczos iteration: single-threaded over a
 // CSR copy of v, with the per-arc mat-vec
-// y[v] = (Σ_{u∈N(v)} x[u]·(1/√deg u)) · (1/√deg v). It mirrors
-// SLEMContext's start vector (seeded random, or Warm deflated and
-// re-normalized, with the same fallback) and its convergence test, and
-// shares only deflate and normalize with it. The explicit float64
-// conversion rounds each product before the addition, so no platform may
-// fuse the two into one multiply-add: the reference is the same bits
-// everywhere, and SLEMContext must match it.
+// y[v] = (Σ_{u∈N(v)} q[u]·(1/√deg u)) · (1/√deg v), one vector operation
+// per pass, and the whole basis stored, so the Ritz vector is summed
+// from it instead of rebuilt. It mirrors SLEMContext's start vector
+// (seeded random, or Warm deflated and re-normalized, with the same
+// fallback), its recurrence and its stopping rule, and shares only
+// deflate, normalize and the tridiagonal's ritzEnds with it (the dense
+// oracle below checks ritzEnds). The explicit float64 conversion rounds
+// each product before the addition, so no platform may fuse the two into
+// one multiply-add: the reference is the same bits everywhere, and
+// SLEMContext must match it.
 func slemOracle(t *testing.T, v graph.View, cfg Config) oracleResult {
 	t.Helper()
 	cfg.fill()
@@ -48,60 +52,88 @@ func slemOracle(t *testing.T, v graph.View, cfg Config) oracleResult {
 		phi[v] /= norm
 	}
 
-	x := make([]float64, n)
+	q := make([]float64, n)
 	warmed := false
 	if len(cfg.Warm) == n {
-		copy(x, cfg.Warm)
+		copy(q, cfg.Warm)
 		in := 0.0
-		for _, e := range x {
+		for _, e := range q {
 			in += e * e
 		}
-		deflate(x, phi)
-		out := normalize(x)
+		deflate(q, phi)
+		out := normalize(q)
 		warmed = out > 1e-8*math.Sqrt(in) && out > 0
 	}
 	if !warmed {
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		for v := range x {
-			x[v] = rng.NormFloat64()
+		for v := range q {
+			q[v] = rng.NormFloat64()
 		}
-		deflate(x, phi)
-		if normalize(x) == 0 {
+		deflate(q, phi)
+		if normalize(q) == 0 {
 			t.Fatal("oracle: degenerate starting vector")
 		}
 	}
 
-	y := make([]float64, n)
-	prev := math.Inf(1)
-	res := oracleResult{warmed: warmed}
-	for it := 0; it < cfg.MaxIterations; it++ {
+	basis := [][]float64{q}
+	prev := make([]float64, n)
+	var ends ritzEnds
+	res := oracleResult{warmed: warmed, mu: math.Inf(1)}
+	beta := 0.0
+	for res.iterations < cfg.MaxIterations {
+		w := make([]float64, n)
 		for v := 0; v < n; v++ {
 			sum := 0.0
 			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				sum += float64(x[u] * invSqrtDeg[u])
+				sum += float64(q[u] * invSqrtDeg[u])
 			}
-			y[v] = sum * invSqrtDeg[v]
+			w[v] = sum * invSqrtDeg[v]
 		}
-		deflate(y, phi)
-		lambda := normalize(y)
-		x, y = y, x
-		res.iterations, res.vector = it+1, x
-		if math.Abs(lambda-prev) < cfg.Tolerance {
-			res.mu, res.converged = lambda, true
-			return res
+		deflate(w, phi)
+		alpha := 0.0
+		for v := range w {
+			alpha += q[v] * w[v]
 		}
-		prev = lambda
+		for v := range w {
+			w[v] = w[v] - alpha*q[v] - beta*prev[v]
+		}
+		beta = 0
+		for _, x := range w {
+			beta += x * x
+		}
+		beta = math.Sqrt(beta)
+		res.iterations++
+		mu := ends.grow(alpha, beta)
+		moved := math.Abs(mu - res.mu)
+		res.mu = mu
+		if beta <= breakdown || moved < cfg.Tolerance {
+			res.converged = true
+			break
+		}
+		for v := range w {
+			w[v] /= beta
+		}
+		prev, q = q, w
+		basis = append(basis, q)
 	}
-	res.mu = prev
+	s := ends.vector()
+	res.residual = ends.residual(s)
+	res.vector = make([]float64, n)
+	for j, sj := range s {
+		for v, x := range basis[j] {
+			res.vector[v] += sj * x
+		}
+	}
+	normalize(res.vector)
 	return res
 }
 
-// TestEquivalenceSLEMOracle is the gate for the pre-scaled, unrolled
-// mat-vec: μ, the iteration count, the convergence flag and the
-// KeepVector eigenvector must equal the per-arc reference bit for bit —
-// below and above the parallel threshold, on the plain graph, its shard
-// views, a mapped TNG2 file and a masked view, at 1 and 3 workers, and
-// from a warm start.
+// TestEquivalenceSLEMOracle is the gate for the Lanczos recurrence on the
+// pre-scaled, unrolled mat-vec: μ, the step count, the convergence flag,
+// the residual and the rebuilt KeepVector eigenvector must equal the
+// per-arc reference bit for bit — below and above the parallel
+// threshold, on the plain graph, its shard views, a mapped TNG2 file and
+// a masked view, at 1 and 3 workers, and from a warm start.
 func TestEquivalenceSLEMOracle(t *testing.T) {
 	type namedView struct {
 		name string
@@ -189,6 +221,9 @@ func requireOracle(t *testing.T, name string, workers int, got *Result, want ora
 	if got.Iterations != want.iterations || got.Converged != want.converged {
 		t.Fatalf("%s workers=%d: %d iterations (converged %v) != reference %d (converged %v)",
 			name, workers, got.Iterations, got.Converged, want.iterations, want.converged)
+	}
+	if math.Float64bits(got.Residual) != math.Float64bits(want.residual) {
+		t.Fatalf("%s workers=%d: residual %v != reference %v", name, workers, got.Residual, want.residual)
 	}
 	vec := got.Eigenvector()
 	if len(vec) != len(want.vector) {

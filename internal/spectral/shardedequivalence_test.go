@@ -7,8 +7,8 @@ import (
 	"github.com/trustnet/trustnet/internal/graph"
 )
 
-// TestEquivalenceShardedSLEM power-iterates on a ShardedGraph at 1, 2 and
-// 7 shards and requires the SLEM, iteration count and convergence flag to
+// TestEquivalenceShardedSLEM runs the Lanczos iteration on a ShardedGraph
+// at 1, 2 and 7 shards and requires the SLEM, iteration count and convergence flag to
 // be bit-identical to the monolithic run: the mat-vec's per-row gather
 // order does not depend on the row partition.
 func TestEquivalenceShardedSLEM(t *testing.T) {

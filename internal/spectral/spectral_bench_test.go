@@ -38,10 +38,10 @@ func BenchmarkSLEMSlowMixer(b *testing.B) {
 	}
 }
 
-// BenchmarkSLEMIterations times the power iteration itself: every run
-// does exactly slemBenchIterations iterations (no estimate meets a
-// 1e-300 tolerance), and ns/iter is the run time per iteration, setup
-// included. ba3000 is paper-sized and single-worker; ba40000 is the size
+// BenchmarkSLEMIterations times the Lanczos iteration itself: every run
+// does exactly slemBenchIterations steps (no estimate moves by less than
+// a 1e-300 tolerance this early), and ns/iter is the run time per step,
+// setup included. ba3000 is paper-sized and single-worker; ba40000 is the size
 // of perfbench's large workload, above the parallel threshold.
 func BenchmarkSLEMIterations(b *testing.B) {
 	const slemBenchIterations = 50

@@ -16,9 +16,8 @@ func slemOf(t *testing.T, g *graph.Graph) float64 {
 	return slemWith(t, g, Config{Seed: 1})
 }
 
-// slemWith runs SLEM with an explicit config; graphs whose spectrum has a
-// cluster of eigenvalues near λ₂ (e.g. multi-community graphs) need a
-// looser tolerance because power iteration separates the cluster slowly.
+// slemWith runs SLEM with an explicit config, for graphs whose spectrum
+// has a cluster of eigenvalues near λ₂ (e.g. multi-community graphs).
 func slemWith(t *testing.T, g *graph.Graph, cfg Config) float64 {
 	t.Helper()
 	r, err := SLEM(g, cfg)
@@ -26,7 +25,7 @@ func slemWith(t *testing.T, g *graph.Graph, cfg Config) float64 {
 		t.Fatal(err)
 	}
 	if !r.Converged {
-		t.Fatalf("power iteration did not converge in %d iterations", r.Iterations)
+		t.Fatalf("Lanczos did not converge in %d steps", r.Iterations)
 	}
 	return r.SLEM
 }

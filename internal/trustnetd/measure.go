@@ -27,7 +27,8 @@ type MeasureConfig struct {
 	MaxSteps int `json:"max_steps,omitempty"`
 	// ExpansionSources is the number of sampled BFS cores (expansion).
 	ExpansionSources int `json:"expansion_sources,omitempty"`
-	// Tolerance is the SLEM power-iteration tolerance (slem); 0 uses
+	// Tolerance is the SLEM's Lanczos stopping tolerance (slem): the
+	// iteration stops once μ moves by less than it in a step; 0 uses
 	// the spectral package default.
 	Tolerance float64 `json:"tolerance,omitempty"`
 	// Epsilon is the variation-distance target for mixing-time readouts
@@ -219,14 +220,16 @@ func corenessJob(ctx context.Context, g graph.View, cfg MeasureConfig, b *jobs.B
 	return b.SaveCSV("coreness.csv", []report.Series{{Name: "nodes_at_coreness", X: x, Y: counts}})
 }
 
-// slemJob computes the second largest eigenvalue modulus and the
-// Sinclair mixing-time bounds it implies at the configured ε.
+// slemJob computes the second largest eigenvalue modulus, its Ritz
+// residual, and the Sinclair mixing-time bounds it implies at the
+// configured ε. The iteration count in the artifact is Lanczos steps.
 func slemJob(ctx context.Context, g graph.View, cfg MeasureConfig, b *jobs.Builder) error {
 	res, err := spectral.SLEMContext(ctx, g, spectral.Config{Tolerance: cfg.Tolerance, Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
 	b.Printf("slem: mu = %.6f (converged=%v after %d iterations)\n", res.SLEM, res.Converged, res.Iterations)
+	b.Printf("slem: residual = %.2e (an eigenvalue of the walk lies within it of +/-mu)\n", res.Residual)
 	if res.SLEM > 0 && res.SLEM < 1 {
 		eps := epsilonFor(cfg, g.NumNodes())
 		bounds, err := spectral.MixingBounds(g.NumNodes(), res.SLEM, eps)

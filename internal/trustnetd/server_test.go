@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -331,6 +332,42 @@ func TestJobMatchesDirectRunnerBytes(t *testing.T) {
 	}
 	if !bytes.Equal(viaHTTP, direct) {
 		t.Fatalf("daemon artifact differs from direct runner envelope (%d vs %d bytes)", len(viaHTTP), len(direct))
+	}
+}
+
+// TestSLEMArtifactReportsResidual checks the slem artifact's report: the
+// μ line keeps the format clients parse, and the Ritz residual follows
+// it on its own line.
+func TestSLEMArtifactReportsResidual(t *testing.T) {
+	_, ts := newTestServer(t)
+	generateGraph(t, ts, "g")
+	var st JobStatus
+	code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Graph: "g", Job: "slem", Config: MeasureConfig{Seed: 3, Tolerance: 1e-8}}, &st)
+	if code != http.StatusAccepted {
+		t.Fatalf("enqueue: status %d", code)
+	}
+	if st = waitDone(t, ts, st.ID); st.State != StateDone {
+		t.Fatalf("job failed: %s", st.Error)
+	}
+	var a jobs.Artifact
+	if err := json.Unmarshal(fetchArtifact(t, ts, st.ID), &a); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(a.Summary, "\n")
+	var mu, residual float64
+	var converged bool
+	var steps int
+	if len(lines) < 2 {
+		t.Fatalf("summary %q: want the mu and residual lines", a.Summary)
+	}
+	if _, err := fmt.Sscanf(lines[0], "slem: mu = %f (converged=%t after %d iterations)", &mu, &converged, &steps); err != nil {
+		t.Fatalf("mu line %q: %v", lines[0], err)
+	}
+	if _, err := fmt.Sscanf(lines[1], "slem: residual = %e", &residual); err != nil {
+		t.Fatalf("residual line %q: %v", lines[1], err)
+	}
+	if !converged || steps == 0 || mu <= 0 || mu >= 1 || !(residual > 0 && residual < 1e-2) {
+		t.Fatalf("summary %q: mu %v converged %v after %d steps, residual %v", a.Summary, mu, converged, steps, residual)
 	}
 }
 
