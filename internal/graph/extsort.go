@@ -58,7 +58,7 @@ type CSRStats struct {
 
 // NewCSRWriter returns a writer for a graph over the node set {0..n-1}.
 func NewCSRWriter(n int, cfg CSRWriterConfig) (*CSRWriter, error) {
-	if n < 0 || n > 1<<31 {
+	if n < 0 || int64(n) > 1<<31 {
 		return nil, fmt.Errorf("graph: csr writer node count %d out of range", n)
 	}
 	bufArcs := cfg.BufferArcs

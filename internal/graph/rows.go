@@ -35,6 +35,14 @@ func (r Rows) Slice(lo, hi NodeID) Rows {
 	return Rows{base: lo, arcBase: r.arcBase, offsets: r.offsets[lo-r.base : hi-r.base+1], adj: r.adj}
 }
 
+// CSR returns the fragment's raw arrays, aliasing its storage, for
+// kernels whose inner loops cannot call Neighbors per row: row base+i's
+// neighbors are adj[offsets[i]-arcBase : offsets[i+1]-arcBase], and
+// len(offsets) is the row count plus one. None of them may be modified.
+func (r Rows) CSR() (base NodeID, arcBase int64, offsets []int64, adj []NodeID) {
+	return r.base, r.arcBase, r.offsets, r.adj
+}
+
 // Degree returns deg(v) for a row v inside Range.
 func (r Rows) Degree(v NodeID) int {
 	i := v - r.base

@@ -16,9 +16,17 @@ func TestRowsMatchNeighbors(t *testing.T) {
 		if gotLo, gotHi := r.Range(); gotLo != lo || gotHi != hi {
 			t.Fatalf("%s: range [%d, %d), want [%d, %d)", name, gotLo, gotHi, lo, hi)
 		}
+		base, arcBase, offsets, adj := r.CSR()
+		if base != lo || len(offsets) != int(hi-lo)+1 {
+			t.Fatalf("%s: raw fragment has base %d and %d offsets, want %d and %d", name, base, len(offsets), lo, hi-lo+1)
+		}
 		for v := lo; v < hi; v++ {
 			if r.Degree(v) != g.Degree(v) || !slices.Equal(r.Neighbors(v), g.Neighbors(v)) {
 				t.Fatalf("%s: row %d is %v (degree %d), want %v", name, v, r.Neighbors(v), r.Degree(v), g.Neighbors(v))
+			}
+			i := v - base
+			if raw := adj[offsets[i]-arcBase : offsets[i+1]-arcBase]; !slices.Equal(raw, g.Neighbors(v)) {
+				t.Fatalf("%s: raw row %d is %v, want %v", name, v, raw, g.Neighbors(v))
 			}
 		}
 	}

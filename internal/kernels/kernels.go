@@ -23,6 +23,14 @@
 // level counts at all. The per-source loops are kept only as the
 // reference oracles the TestEquivalence* suites in walk and expansion
 // compare the kernels against.
+//
+// On amd64 CPUs with AVX2, chosen once at init from CPUID, the walk's
+// dense step (the share, the gather and the total-variation fold) runs
+// assembly on 256-bit lanes, four columns at a time (dense.go,
+// dense_amd64.s). A lane is a column, and the assembly makes the same
+// IEEE-754 operations in the same order as the pure-Go loops, which
+// remain the path on every other CPU and GOARCH, so the bits do not
+// depend on the path.
 package kernels
 
 // MinKernelNodes is the node count at which the measurements used to

@@ -24,12 +24,14 @@ func benchBA(b *testing.B, n, attach int) *graph.Graph {
 	return g
 }
 
-// BenchmarkWalkBlockStep measures one blocked propagation step per graph
-// and width; width1 is the per-source cost the block amortizes away. The
-// 4·10⁴-node graph is the size of perfbench's large workload, with an
-// n×16 working set (5 MB) above L2. Steps run in the dense regime the
-// measurement spends nearly all of its steps in: the block is stepped
-// until its frontier saturates before the timer starts.
+// BenchmarkWalkBlockStep measures one blocked propagation step per graph,
+// walk and width; width1 is the per-source cost the block amortizes
+// away. The plain walk is the one the mixing measurement runs; the lazy
+// walk adds the self term to every row. The 4·10⁴-node graph is the
+// size of perfbench's large workload, with an n×16 working set (5 MB)
+// above L2. Steps run in the dense regime the measurement spends nearly
+// all of its steps in: the block is stepped until its frontier saturates
+// before the timer starts.
 func BenchmarkWalkBlockStep(b *testing.B) {
 	for _, bg := range []struct {
 		name string
@@ -39,25 +41,31 @@ func BenchmarkWalkBlockStep(b *testing.B) {
 		{"ba40000", benchBA(b, 40000, 8)},
 	} {
 		g := bg.g
-		for _, width := range []int{1, 5, kernels.DefaultBlockWidth, kernels.BFSBatchWidth} {
-			sources := make([]graph.NodeID, width)
-			for j := range sources {
-				sources[j] = graph.NodeID((j * 17) % g.NumNodes())
+		for _, lazy := range []bool{false, true} {
+			walkName := "plain"
+			if lazy {
+				walkName = "lazy"
 			}
-			b.Run(fmt.Sprintf("%s/width%d", bg.name, width), func(b *testing.B) {
-				wb, err := kernels.NewWalkBlock(g, sources, true)
-				if err != nil {
-					b.Fatal(err)
+			for _, width := range []int{1, 5, kernels.DefaultBlockWidth, kernels.BFSBatchWidth} {
+				sources := make([]graph.NodeID, width)
+				for j := range sources {
+					sources[j] = graph.NodeID((j * 17) % g.NumNodes())
 				}
-				for !wb.Dense() {
-					wb.Step()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					wb.Step()
-				}
-			})
+				b.Run(fmt.Sprintf("%s/%s/width%d", bg.name, walkName, width), func(b *testing.B) {
+					wb, err := kernels.NewWalkBlock(g, sources, lazy)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for !wb.Dense() {
+						wb.Step()
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						wb.Step()
+					}
+				})
+			}
 		}
 	}
 }

@@ -44,7 +44,9 @@ type ShardedWalkBlock struct {
 	// in progress. Shard s only ever writes rows in its node range of
 	// either.
 	cur, share []float64
-	step       int
+	// tvd holds DistancesTo's running sums on the vector path.
+	tvd  []float64
+	step int
 }
 
 // NewShardedWalkBlock returns a block with column j concentrated at
@@ -65,6 +67,7 @@ func NewShardedWalkBlock(sg *graph.ShardedGraph, sources []graph.NodeID, lazy bo
 		lazy:   lazy,
 		cur:    make([]float64, n*st),
 		share:  make([]float64, n*st),
+		tvd:    make([]float64, st),
 	}
 	for j, s := range sources {
 		if !sg.Valid(s) {
@@ -111,7 +114,7 @@ func (wb *ShardedWalkBlock) Step(ctx context.Context, workers int) error {
 // into out, with the same sequential ascending-node fold as
 // WalkBlock.DistancesTo.
 func (wb *ShardedWalkBlock) DistancesTo(target []float64, out []float64) error {
-	return distancesTo(wb.cur, wb.width, wb.stride, target, out)
+	return distancesTo(wb.cur, wb.width, wb.stride, target, out, wb.tvd)
 }
 
 // Column copies column j's current distribution into dst (allocated when

@@ -3,7 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/trustnet/trustnet/internal/graph"
 )
@@ -51,7 +51,9 @@ type WalkBlock struct {
 	// mark is the first-touch scratch for building the next support list.
 	mark  []bool
 	share []float64
-	step  int
+	// tvd holds DistancesTo's running sums on the vector path.
+	tvd  []float64
+	step int
 }
 
 // rowStride returns the row stride of a width-b block: b rounded up to a
@@ -82,6 +84,7 @@ func NewWalkBlock(g *graph.Graph, sources []graph.NodeID, lazy bool) (*WalkBlock
 		next:   make([]float64, n*st),
 		mark:   make([]bool, n),
 		share:  make([]float64, b),
+		tvd:    make([]float64, st),
 	}
 	for j, s := range sources {
 		if !g.Valid(s) {
@@ -96,7 +99,7 @@ func NewWalkBlock(g *graph.Graph, sources []graph.NodeID, lazy bool) (*WalkBlock
 			wb.support = append(wb.support, s)
 		}
 	}
-	sort.Slice(wb.support, func(i, j int) bool { return wb.support[i] < wb.support[j] })
+	slices.Sort(wb.support)
 	for _, s := range wb.support {
 		wb.mark[s] = false
 	}
@@ -198,7 +201,7 @@ func (wb *WalkBlock) stepSparse() {
 	// Propagation above reads support in ascending order, so the next
 	// step needs touched sorted too for the addition order to keep
 	// matching the per-source dense loop.
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	slices.Sort(touched)
 	for _, v := range touched {
 		mark[v] = false
 	}
@@ -223,14 +226,36 @@ func (wb *WalkBlock) stepSparse() {
 // neighbors ascending — the order of u's sorted adjacency — with its own
 // lazy half at u's position, all from a +0.0 start. Rows of zero mass,
 // which the scatter skips, add exact +0.0 shares here, a bitwise no-op on
-// the non-negative partial sums a walk produces.
+// the non-negative partial sums a walk produces. Each pass runs the
+// vector bodies of dense.go where useVector is set, and the pure-Go loops
+// below otherwise; both give the same bits.
 
 // shareRows writes the share each row of rows sends to every neighbor
+// into the first b columns of its row of shr (see shareRowsGo).
+func shareRows(rows graph.Rows, cur, shr []float64, b, st int, lazy bool) {
+	if useVector {
+		shareRowsVector(rows, cur, shr, st, lazy)
+		return
+	}
+	shareRowsGo(rows, cur, shr, b, st, lazy)
+}
+
+// gatherRows rebuilds every row of rows in cur, in place, from its
+// neighbors' share rows in shr (see gatherRowsGo).
+func gatherRows(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
+	if useVector {
+		gatherRowsVector(rows, cur, shr, st, lazy)
+		return
+	}
+	gatherRowsGo(rows, cur, shr, st, lazy)
+}
+
+// shareRowsGo writes the share each row of rows sends to every neighbor
 // into the first b columns of its row of shr, with propagate's
 // expressions: mass/deg, or (mass/2)/deg when lazy. Isolated rows send
 // nothing and are left unwritten, and so are the padding columns: they
 // only ever feed padding columns, which no result reads.
-func shareRows(rows graph.Rows, cur, shr []float64, b, st int, lazy bool) {
+func shareRowsGo(rows graph.Rows, cur, shr []float64, b, st int, lazy bool) {
 	lo, hi := rows.Range()
 	for v := lo; v < hi; v++ {
 		d := rows.Degree(v)
@@ -253,13 +278,13 @@ func shareRows(rows graph.Rows, cur, shr []float64, b, st int, lazy bool) {
 	}
 }
 
-// gatherRows replaces every row u of rows in cur with the sum of its
+// gatherRowsGo replaces every row u of rows in cur with the sum of its
 // neighbors' share rows in shr, taken in adjacency order, with the lazy
 // half of u's own mass added at u's position among them. Row u is the
 // only row of cur it reads while writing row u, so the update is in
 // place. Each 8-column chunk of the row stride is summed in registers;
 // isolated rows keep their mass, as propagate's isolated branch does.
-func gatherRows(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
+func gatherRowsGo(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
 	lo, hi := rows.Range()
 	for u := lo; u < hi; u++ {
 		ns := rows.Neighbors(u)
@@ -323,7 +348,7 @@ func gatherRows(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
 // over ascending v exactly like walk.TotalVariation so each column's
 // distance is bit-identical to the per-source measurement.
 func (wb *WalkBlock) DistancesTo(target []float64, out []float64) error {
-	return distancesTo(wb.cur, wb.width, wb.stride, target, out)
+	return distancesTo(wb.cur, wb.width, wb.stride, target, out, wb.tvd)
 }
 
 // Column copies column j's current distribution into dst (allocated when
@@ -333,10 +358,11 @@ func (wb *WalkBlock) Column(j int, dst []float64) []float64 {
 }
 
 // distancesTo is DistancesTo over a column-blocked buffer of the given
-// row stride, shared by both walk kernels. The fold runs over ascending
-// rows on one goroutine: splitting it would change the floating-point
-// addition order.
-func distancesTo(cur []float64, b, st int, target []float64, out []float64) error {
+// row stride, shared by both walk kernels; acc is the block's st-long
+// accumulator for the vector path. The fold runs over ascending rows on
+// one goroutine: splitting it would change the floating-point addition
+// order.
+func distancesTo(cur []float64, b, st int, target, out, acc []float64) error {
 	n := len(cur) / st
 	if len(target) != n {
 		return fmt.Errorf("kernels: total variation length mismatch %d vs %d", n, len(target))
@@ -344,6 +370,18 @@ func distancesTo(cur []float64, b, st int, target []float64, out []float64) erro
 	if len(out) != b {
 		return fmt.Errorf("kernels: distance buffer has %d slots for %d columns", len(out), b)
 	}
+	if useVector {
+		distancesToVector(cur, st, target, out, acc)
+		return nil
+	}
+	distancesToGo(cur, b, st, target, out)
+	return nil
+}
+
+// distancesToGo is distancesTo's fold in pure Go: it sums |p_v - target_v|
+// into out over ascending v, then halves.
+func distancesToGo(cur []float64, b, st int, target, out []float64) {
+	n := len(target)
 	for j := range out {
 		out[j] = 0
 	}
@@ -357,7 +395,6 @@ func distancesTo(cur []float64, b, st int, target []float64, out []float64) erro
 	for j := range out {
 		out[j] /= 2
 	}
-	return nil
 }
 
 // column is Column over a column-blocked buffer of the given row stride.

@@ -13,7 +13,8 @@ import (
 // TestEquivalenceWalkBlockVsDistribution is the blocked kernel's core
 // property: every column of a WalkBlock is bit-for-bit identical to an
 // independent walk.Distribution from the same source, at every step, for
-// both the plain and the lazy walk and at several block widths. The
+// both the plain and the lazy walk and at block widths whose row strides
+// are 8, 16, 24 and 64. The
 // inputs cover both step paths: the sparse-frontier scatter and, once the
 // frontier saturates, the in-place dense gather — on a graph with
 // isolated rows between live ones (which the gather must leave alone)
@@ -45,12 +46,12 @@ func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 
 	for name, g := range graphs {
 		for _, lazy := range []bool{false, true} {
-			for _, width := range []int{1, 2, 5, 16} {
+			for _, width := range []int{1, 2, 5, 16, 17, 64} {
 				sources := make([]graph.NodeID, width)
 				for j := range sources {
 					sources[j] = graph.NodeID((j * 7) % g.NumNodes())
 					for g.Degree(sources[j]) == 0 {
-						sources[j]++
+						sources[j] = (sources[j] + 1) % graph.NodeID(g.NumNodes())
 					}
 				}
 				wb, err := kernels.NewWalkBlock(g, sources, lazy)
@@ -144,6 +145,41 @@ func TestEquivalenceWalkBlockDistances(t *testing.T) {
 	}
 	if math.IsNaN(dist[0]) {
 		t.Fatal("distance went NaN")
+	}
+}
+
+// TestWalkBlockDenseStepAllocatesNothing checks that a dense step and a
+// distance fold allocate nothing, on whichever path this CPU runs: the
+// fold's running sums live in the block.
+func TestWalkBlockDenseStepAllocatesNothing(t *testing.T) {
+	g, err := gen.BarabasiAlbert(500, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := g.StationaryDistribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := make([]graph.NodeID, kernels.DefaultBlockWidth+3)
+	for j := range sources {
+		sources[j] = graph.NodeID(j * 11)
+	}
+	wb, err := kernels.NewWalkBlock(g, sources, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !wb.Dense() {
+		wb.Step()
+	}
+	dist := make([]float64, len(sources))
+	allocs := testing.AllocsPerRun(20, func() {
+		wb.Step()
+		if err := wb.DistancesTo(pi, dist); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a dense step and a distance fold allocate %v times", allocs)
 	}
 }
 

@@ -347,7 +347,8 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 // resolves the job name through the per-graph jobs.Registry (so typos
 // get nearest-name suggestions), and admits the bound job to the queue.
 // The graph stays pinned — safe from eviction-unmap — until the run
-// finishes.
+// finishes. A full queue answers 429 with Retry-After, so a client can
+// tell "retry shortly" from a draining daemon's 503.
 func (s *Server) handleEnqueueJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -372,6 +373,11 @@ func (s *Server) handleEnqueueJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.queue.enqueue(j, info, req.Graph, release)
+	if errors.Is(err, errQueueFull) {
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 		return

@@ -30,6 +30,16 @@ type route struct {
 // the same syntax OpenAPI uses for path parameters.
 var pathParam = regexp.MustCompile(`\{([a-zA-Z0-9_]+)\}`)
 
+// errorStatuses lists, by "METHOD pattern", the error statuses an
+// operation answers that a client must tell apart from the default
+// error.
+var errorStatuses = map[string]map[string]string{
+	"POST /v1/jobs": {
+		"429": "The queue is full; retry after the Retry-After header's seconds",
+		"503": "The daemon is draining and admits no new jobs",
+	},
+}
+
 // openAPIDocument derives an OpenAPI 3 document from the route table by
 // reflecting over each route's typed request and response structs.
 // Struct types land in components.schemas under their Go type name and
@@ -81,6 +91,12 @@ func openAPIDocument(routes []route) ([]byte, error) {
 		op["responses"].(map[string]any)["default"] = map[string]any{
 			"description": "Error",
 			"content":     map[string]any{"application/json": map[string]any{"schema": errRef}},
+		}
+		for code, desc := range errorStatuses[rt.method+" "+rt.pattern] {
+			op["responses"].(map[string]any)[code] = map[string]any{
+				"description": desc,
+				"content":     map[string]any{"application/json": map[string]any{"schema": errRef}},
+			}
 		}
 		if paths[rt.pattern] == nil {
 			paths[rt.pattern] = map[string]any{}

@@ -2,6 +2,7 @@ package trustnetd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -96,9 +97,14 @@ func newQueue(store *jobs.Store, outDir string, workers, depth int, policy resil
 	return q
 }
 
+// errQueueFull rejects a job while the intake holds its full depth of
+// unstarted jobs: a transient condition, unlike a draining queue.
+var errQueueFull = errors.New("queue is full")
+
 // enqueue admits a bound job pinned to a graph, returning its status
 // snapshot. The release callback is invoked after the run (or
-// immediately on rejection), never before.
+// immediately on rejection), never before. A full intake returns an
+// error wrapping errQueueFull.
 func (q *queue) enqueue(j jobs.Job, info GraphInfo, graphKey string, release func()) (JobStatus, error) {
 	q.mu.Lock()
 	if q.closed {
@@ -129,7 +135,7 @@ func (q *queue) enqueue(j jobs.Job, info GraphInfo, graphKey string, release fun
 		q.mu.Unlock()
 		release()
 		obsJobsRejected.Inc()
-		return JobStatus{}, fmt.Errorf("queue is full (%d pending)", cap(q.pending))
+		return JobStatus{}, fmt.Errorf("%w (%d pending)", errQueueFull, cap(q.pending))
 	}
 	q.tasks[id] = t
 	q.order = append(q.order, id)

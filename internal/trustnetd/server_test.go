@@ -499,8 +499,15 @@ func TestCatalogAndOpenAPI(t *testing.T) {
 			t.Fatalf("openapi missing schema %s", schema)
 		}
 	}
-	if _, ok := doc.Paths["/v1/jobs"]["post"].(map[string]any); !ok {
+	post, ok := doc.Paths["/v1/jobs"]["post"].(map[string]any)
+	if !ok {
 		t.Fatalf("openapi missing POST /v1/jobs operation")
+	}
+	responses, _ := post["responses"].(map[string]any)
+	for _, code := range []string{"429", "503"} {
+		if _, ok := responses[code]; !ok {
+			t.Fatalf("openapi POST /v1/jobs does not list %s", code)
+		}
 	}
 }
 
@@ -528,6 +535,85 @@ func TestQueueRejectsAfterDrain(t *testing.T) {
 	code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Graph: "g", Job: "mixing"}, &errResp)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("enqueue after drain: status %d (%s)", code, errResp.Error)
+	}
+}
+
+// blockingJob reports on started that it runs, then blocks until
+// release closes or its context ends.
+type blockingJob struct {
+	name             string
+	started, release chan struct{}
+}
+
+func (j blockingJob) Name() string        { return j.name }
+func (j blockingJob) Fingerprint() string { return j.name }
+
+func (j blockingJob) Run(ctx context.Context, _ jobs.Env) (*jobs.Artifact, error) {
+	close(j.started)
+	select {
+	case <-j.release:
+		return nil, errors.New("released")
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestQueueFullAnswers429 fills a depth-1 queue behind a blocked worker:
+// the next enqueue must answer 429 with Retry-After, which a client can
+// tell from the 503 of a draining daemon.
+func TestQueueFullAnswers429(t *testing.T) {
+	root := t.TempDir()
+	s, err := New(Config{
+		DataDir:      filepath.Join(root, "data"),
+		CacheDir:     filepath.Join(root, "cache"),
+		OutDir:       root,
+		Workers:      1,
+		QueueDepth:   1,
+		JobTimeout:   time.Minute,
+		DrainTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		close(release)
+		ts.Close()
+		s.Close()
+	})
+	generateGraph(t, ts, "g")
+
+	running := blockingJob{name: "running", started: make(chan struct{}), release: release}
+	if _, err := s.queue.enqueue(running, GraphInfo{}, "g", func() {}); err != nil {
+		t.Fatalf("enqueue the running job: %v", err)
+	}
+	select {
+	case <-running.started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker never started the first job")
+	}
+	queued := blockingJob{name: "queued", started: make(chan struct{}), release: release}
+	if _, err := s.queue.enqueue(queued, GraphInfo{}, "g", func() {}); err != nil {
+		t.Fatalf("enqueue the queued job: %v", err)
+	}
+
+	body, err := json.Marshal(JobRequest{Graph: "g", Job: "mixing"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var errResp ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&errResp); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("enqueue into a full queue: status %d, Retry-After %q (%s); want 429 and 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"), errResp.Error)
 	}
 }
 
