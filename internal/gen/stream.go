@@ -299,10 +299,11 @@ type clusteredStream struct {
 
 // StreamClusteredPA returns the streaming clustered preferential-
 // attachment generator that ClusteredPA(cfg) builds. Each community's
-// nucleus is built in memory (its size is one community, not the whole
-// graph — this is the "O(shard)" working set) and drained in canonical
-// order; peripheral attachments and ring bridges follow from one outer
-// rng.
+// nucleus is a StreamBA stream shifted to the community's IDs, so the
+// working set is one community's endpoint array, not the whole graph
+// (BA streams yield no self loops or duplicate edges, and every
+// consumer canonicalizes the order); peripheral attachments and ring
+// bridges follow from one outer rng.
 func StreamClusteredPA(cfg ClusteredPAConfig) (EdgeStream, error) {
 	if cfg.Communities < 2 {
 		return nil, fmt.Errorf("gen: clustered-pa needs >= 2 communities, got %d", cfg.Communities)
@@ -344,14 +345,13 @@ func (s *clusteredStream) Edges(yield func(u, v graph.NodeID) error) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for c := 0; c < cfg.Communities; c++ {
 		base := c * cfg.CommunitySize
-		sub, err := BarabasiAlbert(s.nucleus, cfg.Attach, cfg.Seed+int64(c)+1)
+		nucleus, err := StreamBA(s.nucleus, cfg.Attach, cfg.Seed+int64(c)+1)
 		if err != nil {
 			return fmt.Errorf("clustered-pa community %d: %w", c, err)
 		}
-		for _, e := range sub.Edges() {
-			if err := yield(e.U+graph.NodeID(base), e.V+graph.NodeID(base)); err != nil {
-				return err
-			}
+		off := graph.NodeID(base)
+		if err := nucleus.Edges(func(u, v graph.NodeID) error { return yield(u+off, v+off) }); err != nil {
+			return err
 		}
 		// Peripheral nodes occupy IDs [base+nucleus, base+CommunitySize);
 		// each attaches to one random nucleus member (degree 1 before

@@ -25,7 +25,10 @@ type EngineConfig struct {
 	// Spectral configures the SLEM's Lanczos iteration (Warm and
 	// KeepVector are managed by the engine).
 	Spectral spectral.Config
-	// Workers bounds per-measurement parallelism for the expansion fold.
+	// Workers bounds the expansion maintainer's fan-out over its sources
+	// (the initial BFSs and every Apply's repair) and the expansion fold
+	// in Measure; <= 0 means GOMAXPROCS. The results are the same at any
+	// worker count.
 	Workers int
 }
 
@@ -79,7 +82,7 @@ func NewEngine(m *faults.Model, cfg EngineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	em, err := NewExpansionMaintainer(m.View(), cfg.Sources)
+	em, err := NewExpansionMaintainer(m.View(), cfg.Sources, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

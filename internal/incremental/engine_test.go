@@ -5,12 +5,9 @@ import (
 	"math"
 	"testing"
 
-	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/faults"
-	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/kcore"
-	"github.com/trustnet/trustnet/internal/parallel"
 	"github.com/trustnet/trustnet/internal/spectral"
 )
 
@@ -158,16 +155,7 @@ func TestKillAndResumeEngineEquivalence(t *testing.T) {
 // documents for a 1e-8 stopping tolerance.
 func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 	ba := sweepGraph(t)
-	clustered, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{
-		Communities: 10, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 97,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusteredSources, err := expansion.SampledSources(clustered, 128, parallel.SeedFor(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	clustered, clusteredFaults, clusteredSources := clusteredSweep(t)
 	rows := []struct {
 		name    string
 		g       *graph.Graph
@@ -185,8 +173,7 @@ func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 			epochs: 6, slemTol: 1e-8,
 		},
 		{
-			name: "clustered-sweep", g: clustered,
-			faults: faults.Config{Churn: 0.1, EdgeLoss: 0.05, Drift: 0.005, Seed: 1},
+			name: "clustered-sweep", g: clustered, faults: clusteredFaults,
 			cfg: EngineConfig{
 				Sources:  clusteredSources,
 				Spectral: spectral.Config{Tolerance: 1e-8, Seed: 1},

@@ -2,11 +2,14 @@ package incremental
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/faults"
+	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
+	"github.com/trustnet/trustnet/internal/parallel"
 )
 
 func expansionSources(t *testing.T, g *graph.Graph, k int) []graph.NodeID {
@@ -18,11 +21,44 @@ func expansionSources(t *testing.T, g *graph.Graph, k int) []graph.NodeID {
 	return srcs
 }
 
-// checkExpansionExact compares the maintainer's folded Result against a
-// from-scratch expansion.Measure on the same view: per-source level
-// counts bit-identical, and the derived aggregates equal.
+// clusteredSweep returns the quick epoch sweep's clustered graph, fault
+// schedule and 128 envelope sources (internal/experiments, epochs.go).
+func clusteredSweep(t testing.TB) (*graph.Graph, faults.Config, []graph.NodeID) {
+	t.Helper()
+	g, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{
+		Communities: 10, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 97,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := expansion.SampledSources(g, 128, parallel.SeedFor(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, faults.Config{Churn: 0.1, EdgeLoss: 0.05, Drift: 0.005, Seed: 1}, srcs
+}
+
+// checkExpansionExact compares the maintainer's whole state against
+// fresh BFSs on the same view: every source's distance field against a
+// graph.BFSWorker on the materialized view, and the folded Result
+// against a from-scratch expansion.Measure (per-source level counts
+// bit-identical, the derived aggregates equal).
 func checkExpansionExact(t *testing.T, epoch int, em *ExpansionMaintainer, view *graph.MaskedView) {
 	t.Helper()
+	bfs := graph.NewBFSWorker(graph.Materialize(view))
+	for i, src := range em.Sources() {
+		res, err := bfs.Run(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, want := range res.Dist {
+			if got := em.dist[i][v]; got != want {
+				t.Fatalf("epoch %d source %d: dist[%d] = %d maintained, fresh BFS says %d",
+					epoch, src, v, got, want)
+			}
+		}
+	}
+
 	ctx := context.Background()
 	got, err := em.Measure(ctx, 1)
 	if err != nil {
@@ -34,15 +70,9 @@ func checkExpansionExact(t *testing.T, epoch int, em *ExpansionMaintainer, view 
 	}
 	gl, wl := got.Checkpoint().Levels, want.Checkpoint().Levels
 	for i := range wl {
-		if len(gl[i]) != len(wl[i]) {
-			t.Fatalf("epoch %d source %d: %d levels maintained, full BFS says %d (maintained %v, want %v)",
-				epoch, em.Sources()[i], len(gl[i]), len(wl[i]), gl[i], wl[i])
-		}
-		for d := range wl[i] {
-			if gl[i][d] != wl[i][d] {
-				t.Fatalf("epoch %d source %d level %d: %d maintained, full BFS says %d",
-					epoch, em.Sources()[i], d, gl[i][d], wl[i][d])
-			}
+		if !slices.Equal(gl[i], wl[i]) {
+			t.Fatalf("epoch %d source %d: levels %v maintained, full BFS says %v",
+				epoch, em.Sources()[i], gl[i], wl[i])
 		}
 	}
 	if got.MaxEccentricity != want.MaxEccentricity {
@@ -55,8 +85,8 @@ func checkExpansionExact(t *testing.T, epoch int, em *ExpansionMaintainer, view 
 }
 
 // TestEquivalenceExpansionMaintainerDriftSweep drives a drifting fault
-// model and checks the maintained BFS state folds to a Result
-// bit-identical to a from-scratch measurement at every epoch.
+// model and checks the maintained BFS state against fresh BFSs at
+// every epoch.
 func TestEquivalenceExpansionMaintainerDriftSweep(t *testing.T) {
 	g := sweepGraph(t)
 	srcs := expansionSources(t, g, 16)
@@ -64,7 +94,7 @@ func TestEquivalenceExpansionMaintainerDriftSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := NewExpansionMaintainer(m.View(), srcs)
+	em, err := NewExpansionMaintainer(m.View(), srcs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +107,95 @@ func TestEquivalenceExpansionMaintainerDriftSweep(t *testing.T) {
 	}
 }
 
+// TestEquivalenceExpansionMaintainerWorkerCounts repairs the same drift
+// sweep with one worker and with four: the distance fields and levels
+// must be identical after every Apply.
+func TestEquivalenceExpansionMaintainerWorkerCounts(t *testing.T) {
+	g, fcfg, srcs := clusteredSweep(t)
+	fcfg.Drift = 0.02
+	m, err := faults.New(g, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ems [2]*ExpansionMaintainer
+	for k, workers := range []int{1, 4} {
+		if ems[k], err = NewExpansionMaintainer(m.View(), srcs, workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(ems[1].slots); got != 4 {
+		t.Fatalf("workers=4 maintainer has %d slots", got)
+	}
+	var d *faults.EpochDelta
+	for e := 0; e <= 8; e++ {
+		if e > 0 {
+			d = m.AdvanceEpochDelta(d)
+			ems[0].Apply(d)
+			ems[1].Apply(d)
+			if ems[0].last != ems[1].last {
+				t.Fatalf("epoch %d: repair counts %+v at 1 worker, %+v at 4", e, ems[0].last, ems[1].last)
+			}
+		}
+		for i, src := range srcs {
+			if !slices.Equal(ems[0].dist[i], ems[1].dist[i]) {
+				t.Fatalf("epoch %d source %d: distance fields differ between 1 and 4 workers", e, src)
+			}
+			if !slices.Equal(ems[0].levels[i], ems[1].levels[i]) {
+				t.Fatalf("epoch %d source %d: levels %v at 1 worker, %v at 4", e, src, ems[0].levels[i], ems[1].levels[i])
+			}
+		}
+	}
+}
+
+// TestEquivalenceExpansionMaintainerBudgetPaths runs the quick epoch
+// sweep's graph and sources under a faster drift, so that within six
+// epochs the deletion budget, the insertion budget and a source going
+// down and coming up each fire, and checks the whole state against
+// fresh BFSs after every Apply.
+func TestEquivalenceExpansionMaintainerBudgetPaths(t *testing.T) {
+	g, fcfg, srcs := clusteredSweep(t)
+	fcfg.Drift = 0.02
+	m, err := faults.New(g, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em, err := NewExpansionMaintainer(m.View(), srcs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isSource := make(map[graph.NodeID]bool, len(srcs))
+	for _, s := range srcs {
+		isSource[s] = true
+	}
+	count := func(vs []graph.NodeID) (k int) {
+		for _, v := range vs {
+			if isSource[v] {
+				k++
+			}
+		}
+		return k
+	}
+	var total repairCounts
+	down, up := 0, 0
+	var d *faults.EpochDelta
+	for e := 1; e <= 6; e++ {
+		d = m.AdvanceEpochDelta(d)
+		down += count(d.NodesDown)
+		up += count(d.NodesUp)
+		em.Apply(d)
+		checkExpansionExact(t, e, em, m.View())
+		total.add(em.last)
+	}
+	if down == 0 || up == 0 || total.repaired == 0 || total.deletionFallbacks == 0 || total.insertionFallbacks == 0 {
+		t.Fatalf("want every path to fire: %d sources went down, %d came up, counts %+v", down, up, total)
+	}
+}
+
 // TestEquivalenceExpansionMaintainerRedrawSweep runs without drift, so
 // consecutive epochs are independent redraws and the deltas are huge —
-// a stress test of the orphan cascade and re-level sweep. The repair
-// has no fallback budget; it must stay exact at any delta size.
+// a stress test of the budget fallback as well as of the orphan
+// cascade and re-level sweep. The state must stay exact at any delta
+// size.
 func TestEquivalenceExpansionMaintainerRedrawSweep(t *testing.T) {
 	g := sweepGraph(t)
 	srcs := expansionSources(t, g, 8)
@@ -88,7 +203,7 @@ func TestEquivalenceExpansionMaintainerRedrawSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := NewExpansionMaintainer(m.View(), srcs)
+	em, err := NewExpansionMaintainer(m.View(), srcs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +221,7 @@ func TestEquivalenceExpansionMaintainerEdgeCases(t *testing.T) {
 	g := sweepGraph(t)
 	srcs := expansionSources(t, g, 6)
 	mv := graph.NewMaskedView(g)
-	em, err := NewExpansionMaintainer(mv, srcs)
+	em, err := NewExpansionMaintainer(mv, srcs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -232,7 +231,6 @@ func (q *queue) list() []JobStatus {
 	for _, id := range q.order {
 		out = append(out, q.tasks[id].status)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -273,6 +274,41 @@ func TestFailedUploadLeavesNothing(t *testing.T) {
 				t.Errorf("failed upload left %s in the data dir", e.Name())
 			}
 		})
+	}
+}
+
+// TestListJobsEnqueueOrderPastSixDigits lists jobs whose IDs cross
+// from six digits to seven: j-1000000 must follow j-999999, although
+// it sorts before it as a string.
+func TestListJobsEnqueueOrderPastSixDigits(t *testing.T) {
+	s, ts := newTestServer(t)
+	generateGraph(t, ts, "g")
+	s.queue.mu.Lock()
+	s.queue.nextID = 999998
+	s.queue.mu.Unlock()
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		var st JobStatus
+		cfg := MeasureConfig{Seed: seed, Sources: 2, MaxSteps: 5}
+		if code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Graph: "g", Job: "mixing", Config: cfg}, &st); code != http.StatusAccepted {
+			t.Fatalf("enqueue: status %d", code)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitDone(t, ts, id)
+	}
+	var list JobList
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &list); code != http.StatusOK {
+		t.Fatalf("list: status %d", code)
+	}
+	var got []string
+	for _, st := range list.Jobs {
+		got = append(got, st.ID)
+	}
+	want := []string{"j-999999", "j-1000000", "j-1000001"}
+	if !slices.Equal(ids, want) || !slices.Equal(got, want) {
+		t.Fatalf("enqueued %v and listed %v, want %v both times", ids, got, want)
 	}
 }
 
