@@ -1,12 +1,16 @@
-// Command measure runs the paper's property measurements on a graph: the
-// mixing time (sampling method), the SLEM spectral bound, the k-core
-// structure, and the expansion — individually or as the full suite.
+// Command measure runs the paper's measurements on a graph: the four of
+// the internal/core catalog that trustnetd serves — mixing (sampled
+// mixing time), expansion (BFS envelopes), coreness (k-core structure)
+// and slem (the spectral bound) — plus centrality and community
+// summaries. Each catalog measurement prints the summary its daemon
+// artifact carries, under the same config and defaults; a zero flag
+// takes the catalog default.
 //
 // Usage:
 //
 //	measure -in graph.txt all
 //	measure -dataset wiki-vote mixing
-//	measure -dataset physics-1 -eps 0.01 slem cores expansion
+//	measure -dataset physics-1 -eps 0.01 slem coreness expansion
 //	measure -dataset wiki-vote centrality community
 package main
 
@@ -23,6 +27,7 @@ import (
 	"github.com/trustnet/trustnet/internal/datasets"
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
+	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/report"
 )
 
@@ -34,34 +39,56 @@ func main() {
 }
 
 func run(args []string) error {
+	def := core.MeasureConfig{}.WithDefaults()
 	fs := flag.NewFlagSet("measure", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "", "edge-list file to measure")
 		dataset = fs.String("dataset", "", "registry dataset to measure instead of -in")
-		eps     = fs.Float64("eps", 0, "variation distance target (default 1/n)")
-		sources = fs.Int("sources", 50, "sampled walk sources for the mixing measurement")
-		steps   = fs.Int("steps", 200, "max walk length for the mixing measurement")
-		expSrc  = fs.Int("expansion-sources", 0, "sampled BFS cores for expansion (0 = all nodes)")
-		specTol = fs.Float64("spectral-tol", 0, "SLEM tolerance: the Lanczos iteration stops once mu moves by less than this in one step (default 1e-7)")
-		seed    = fs.Int64("seed", 1, "measurement seed")
+		eps     = fs.Float64("eps", 0, "variation distance target, in (0, 1) (0 = 1/n)")
+		sources = fs.Int("sources", 0, fmt.Sprintf("sampled walk sources for mixing (0 = %d)", def.Sources))
+		steps   = fs.Int("steps", 0, fmt.Sprintf("max walk length for mixing (0 = %d)", def.MaxSteps))
+		expSrc  = fs.Int("expansion-sources", 0, fmt.Sprintf("sampled BFS cores for expansion; n or more measures from every node (0 = %d)", def.ExpansionSources))
+		specTol = fs.Float64("spectral-tol", 0, "SLEM tolerance: the Lanczos iteration stops once mu moves by less than this in one step (0 = the spectral package default)")
+		seed    = fs.Int64("seed", 0, fmt.Sprintf("measurement seed (0 = %d)", def.Seed))
 		shards  = fs.Int("shards", 1, "measure over a node-range-sharded view (results are identical at any shard count)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	cfg := core.MeasureConfig{
+		Seed:             *seed,
+		Sources:          *sources,
+		MaxSteps:         *steps,
+		ExpansionSources: *expSrc,
+		Tolerance:        *specTol,
+		Epsilon:          *eps,
+	}
+	// The catalog-only registry validates the config and resolves the
+	// names; the flag parser stops at the first name, so a flag after
+	// it lands here too. Both fail before the graph is loaded.
+	catalog, err := core.Jobs(nil, cfg)
+	if err != nil {
 		return err
 	}
 	what := fs.Args()
 	if len(what) == 0 {
 		what = []string{"all"}
 	}
-	// The flag parser stops at the first name, so a flag after it lands
-	// here too; reject both before the graph is loaded.
 	show := map[string]bool{}
 	for _, w := range what {
 		switch w {
-		case "all", "slem", "mixing", "cores", "expansion", "centrality", "community":
+		case "all":
+			for _, name := range catalog.Names() {
+				show[name] = true
+			}
+		case "centrality", "community":
 			show[w] = true
 		default:
-			return fmt.Errorf("unknown measurement %q (want all, slem, mixing, cores, expansion, centrality or community; flags go before measurement names)", w)
+			j, err := catalog.Lookup(w)
+			if err != nil {
+				return fmt.Errorf("%w; measure also takes all, centrality and community, and flags go before measurement names", err)
+			}
+			show[j.Name()] = true
 		}
 	}
 	if *shards < 1 {
@@ -87,61 +114,22 @@ func run(args []string) error {
 		g = sg
 	}
 
-	rep, err := core.Measure(context.Background(), name, g, core.Config{
-		MixingSources:     *sources,
-		MixingMaxSteps:    *steps,
-		Epsilon:           *eps,
-		ExpansionSources:  *expSrc,
-		SpectralTolerance: *specTol,
-		Seed:              *seed,
-	})
+	// The canonical topology digest (identical at any shard count) lets
+	// operators tie this output to cached artifacts.
+	fmt.Printf("graph %s: n=%d m=%d fingerprint=%s\n\n", name, g.NumNodes(), g.NumEdges(), graph.Fingerprint(g))
+	reg, err := core.Jobs(g, cfg)
 	if err != nil {
 		return err
 	}
-
-	all := show["all"]
-
-	// The canonical topology digest (identical at any shard count) lets
-	// operators tie this output to cached experiment artifacts.
-	fmt.Printf("graph %s: n=%d m=%d fingerprint=%s\n\n", rep.Name, rep.Nodes, rep.Edges, graph.Fingerprint(g))
-	if all || show["slem"] {
-		fmt.Printf("SLEM mu = %.6f\n", rep.SLEM)
-		fmt.Printf("Sinclair bounds at eps=%.2e: %.1f <= T <= %.1f\n\n",
-			rep.Epsilon, rep.Bounds.Lower, rep.Bounds.Upper)
-	}
-	if all || show["mixing"] {
-		if rep.MixedWithinBudget {
-			fmt.Printf("sampling-method mixing time T(%.2e) = %d steps (worst of %d sources)\n",
-				rep.Epsilon, rep.MixingTime, len(rep.Mixing.Sources))
-		} else {
-			fmt.Printf("graph did not mix to eps=%.2e within %d steps (final worst TVD %.4f)\n",
-				rep.Epsilon, len(rep.Mixing.MaxTVD), rep.Mixing.MaxTVD[len(rep.Mixing.MaxTVD)-1])
+	for _, j := range reg.Jobs() {
+		if !show[j.Name()] {
+			continue
 		}
-		t := report.NewTable("", "walk length", "min TVD", "mean TVD", "max TVD")
-		for _, i := range []int{0, 1, 3, 7, 15, 31, 63, 127, 199} {
-			if i >= len(rep.Mixing.MeanTVD) {
-				break
-			}
-			if err := t.AddRow(report.Int(i+1),
-				report.Float(rep.Mixing.MinTVD[i], 4),
-				report.Float(rep.Mixing.MeanTVD[i], 4),
-				report.Float(rep.Mixing.MaxTVD[i], 4)); err != nil {
-				return err
-			}
+		a, err := j.Run(context.Background(), jobs.Env{})
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.Name(), err)
 		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if all || show["cores"] {
-		fmt.Printf("degeneracy %d; top core: nu=%.3f nu~=%.3f components=%d; mean coreness %.2f\n\n",
-			rep.Cores.Degeneracy, rep.Cores.TopCoreNu, rep.Cores.TopCoreNuTilde,
-			rep.Cores.TopCoreComponents, rep.Cores.MeanCoreness)
-	}
-	if all || show["expansion"] {
-		fmt.Printf("expansion: min alpha = %.4f, mean alpha over small sets = %.3f (from %d cores)\n",
-			rep.Expansion.MinAlpha, rep.Expansion.MeanAlphaSmallSets, rep.Expansion.Result.Sources)
+		fmt.Println(a.Summary)
 	}
 	if show["centrality"] {
 		if err := printCentrality(graph.Materialize(g)); err != nil {
@@ -149,7 +137,7 @@ func run(args []string) error {
 		}
 	}
 	if show["community"] {
-		if err := printCommunity(graph.Materialize(g), *seed); err != nil {
+		if err := printCommunity(graph.Materialize(g), cfg.WithDefaults().Seed); err != nil {
 			return err
 		}
 	}

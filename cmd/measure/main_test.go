@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/trustnet/trustnet/internal/core"
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
+	"github.com/trustnet/trustnet/internal/jobs"
+	"github.com/trustnet/trustnet/internal/trustnetd"
 )
 
 func tempGraphFile(t *testing.T) string {
@@ -34,7 +40,7 @@ func TestRunAllFromFile(t *testing.T) {
 
 func TestRunIndividualMeasurements(t *testing.T) {
 	path := tempGraphFile(t)
-	for _, what := range []string{"slem", "mixing", "cores", "expansion"} {
+	for _, what := range []string{"slem", "mixing", "coreness", "expansion"} {
 		if err := run([]string{"-in", path, "-sources", "5", "-steps", "20", what}); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -49,7 +55,7 @@ func TestRunCentralityAndCommunity(t *testing.T) {
 }
 
 func TestRunDataset(t *testing.T) {
-	if err := run([]string{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "-expansion-sources", "30", "cores"}); err != nil {
+	if err := run([]string{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "-expansion-sources", "30", "coreness"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,11 +70,100 @@ func TestRunErrors(t *testing.T) {
 		// A misspelled name, and a flag after a name, fail before any
 		// measurement runs.
 		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "mixng"},
-		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "cores", "-shards", "0"},
+		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "coreness", "-shards", "0"},
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): want error", args)
+		}
+	}
+	// The old name gets the catalog's suggestion, and an out-of-range
+	// config fails before the (missing) graph is opened.
+	missing := filepath.Join(t.TempDir(), "missing.txt")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-in", missing, "cores"}, `did you mean "coreness"`},
+		{[]string{"-in", missing, "-eps", "2"}, "epsilon"},
+		{[]string{"-in", missing, "-sources", "-3"}, "sources"},
+		{[]string{"-in", missing, "-spectral-tol", "-1"}, "tolerance"},
+	} {
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %v, want an error naming %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestRunMatchesDaemonArtifacts measures a small BA graph with each
+// catalog measurement in turn: the block measure prints after the graph
+// line must equal the summary of the artifact trustnetd serves for the
+// same graph and config.
+func TestRunMatchesDaemonArtifacts(t *testing.T) {
+	g, err := gen.BarabasiAlbert(200, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.tng2")
+	if err := graph.SaveCSR(path, g); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := trustnetd.New(trustnetd.Config{
+		DataDir: filepath.Join(dir, "data"), CacheDir: filepath.Join(dir, "cache"), OutDir: filepath.Join(dir, "out"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer ts.Close()
+	call := func(method, url string, body io.Reader, out any) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+url, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			data, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, data)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s %s: %v", method, url, err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call("PUT", "/v1/graphs/g", bytes.NewReader(data), &trustnetd.GraphInfo{})
+	cfg := trustnetd.MeasureConfig{Sources: 5, MaxSteps: 20}
+	for _, m := range core.Catalog() {
+		req, err := json.Marshal(trustnetd.JobRequest{Graph: "g", Job: m.Name, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st trustnetd.JobStatus
+		call("POST", "/v1/jobs", bytes.NewReader(req), &st)
+		call("GET", "/v1/jobs/"+st.ID+"?wait=30s", nil, &st)
+		if st.State != trustnetd.StateDone {
+			t.Fatalf("%s: job %s is %s: %s", m.Name, st.ID, st.State, st.Error)
+		}
+		var a jobs.Artifact
+		call("GET", "/v1/jobs/"+st.ID+"/artifact", nil, &a)
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-in", path, "-sources", "5", "-steps", "20", m.Name})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if _, block, _ := strings.Cut(out, "\n\n"); block != a.Summary+"\n" {
+			t.Errorf("%s: measure printed\n%s\nthe daemon artifact says\n%s", m.Name, block, a.Summary)
 		}
 	}
 }
@@ -152,7 +247,7 @@ func TestRunSharded(t *testing.T) {
 	if reports[0] == "" || reports[0] != reports[1] {
 		t.Errorf("3-shard report differs from monolithic:\n--- shards=1\n%s\n--- shards=3\n%s", reports[0], reports[1])
 	}
-	if err := run([]string{"-in", path, "-shards", "0", "cores"}); err == nil {
+	if err := run([]string{"-in", path, "-shards", "0", "coreness"}); err == nil {
 		t.Error("-shards 0: want error")
 	}
 }

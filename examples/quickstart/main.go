@@ -33,8 +33,9 @@ func run() error {
 		g.NumNodes(), g.NumEdges(), g.MaxDegree(), g.AverageDegree())
 
 	// 2. Run the measurement suite. Everything is seeded and
-	// deterministic; Config's zero values pick sensible scaled defaults.
-	rep, err := core.Measure(context.Background(), "quickstart", g, core.Config{Seed: 1})
+	// deterministic; MeasureConfig's zero values pick the catalog
+	// defaults that trustnetd and cmd/measure use too.
+	rep, err := core.Measure(context.Background(), "quickstart", g, core.MeasureConfig{})
 	if err != nil {
 		return err
 	}

@@ -46,8 +46,8 @@ func TestPipelineGeneratePersistMeasureDefend(t *testing.T) {
 	}
 
 	// 3. Measure the reloaded graph.
-	rep, err := core.Measure(context.Background(), "rice", g2, core.Config{
-		Seed: 1, MixingSources: 15, ExpansionSources: 100,
+	rep, err := core.Measure(context.Background(), "rice", g2, core.MeasureConfig{
+		Seed: 1, Sources: 15, ExpansionSources: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,64 +1,101 @@
-// Package core is the paper's primary contribution as a library: a
-// measurement suite that, given any social graph, quantifies the three
-// algorithmic properties Sybil defenses rely on — mixing time (sampling
-// method and spectral bound, §III-C), graph expansion (§III-D), and core
-// structure (§III-B) — and the cross-property analysis of §IV/§V relating
-// them (fast mixing ⇔ one large core; expansion ⇔ mixing).
+// Package core is the paper's primary contribution as a library, and the
+// repository's one measurement catalog: given any social graph, it
+// quantifies the three algorithmic properties Sybil defenses rely on —
+// mixing time (sampling method and spectral bound, §III-C), graph
+// expansion (§III-D), and core structure (§III-B) — and the
+// cross-property analysis of §IV/§V relating them (fast mixing ⇔ one
+// large core; expansion ⇔ mixing).
+//
+// The four measurements — mixing, expansion, coreness and slem — share
+// one config (MeasureConfig), one set of defaults, and have one body
+// each. A body computes its measurement once, fills its part of a
+// Report, and writes its summary lines and CSV into a jobs.Builder. Jobs
+// registers the bodies as addressable jobs, which trustnetd serves and
+// cmd/measure prints; Measure runs all four into one Report, which
+// Analyze, the cross experiment and the quickstart read.
 package core
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/graph"
-	"github.com/trustnet/trustnet/internal/kcore"
+	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/spectral"
 	"github.com/trustnet/trustnet/internal/stats"
 	"github.com/trustnet/trustnet/internal/walk"
 )
 
-// Config tunes the suite. The zero value selects scaled-down defaults
-// suitable for the synthetic datasets.
-type Config struct {
-	// MixingSources is the number of sampled walk sources (paper: 1000).
-	// Defaults to 50.
-	MixingSources int
-	// MixingMaxSteps bounds the measured walk length. Defaults to 200.
-	MixingMaxSteps int
-	// Epsilon is the variation-distance target for T(ε). Defaults to
-	// Θ(1/n) — the fast-mixing criterion of §III-C — floored at 1e-4.
-	Epsilon float64
-	// ExpansionSources limits the expansion measurement to a sample of
-	// cores; 0 measures from every node as the paper does.
-	ExpansionSources int
-	// SpectralTolerance is the SLEM's Lanczos stopping tolerance: the
-	// iteration stops once μ moves by less than it in a step. Defaults
-	// to 1e-7 (community graphs have clustered spectra).
-	SpectralTolerance float64
-	// Seed makes the whole suite deterministic.
-	Seed int64
-	// Workers bounds parallelism in the mixing and expansion
-	// measurements; <= 0 uses GOMAXPROCS.
-	Workers int
+// MeasureConfig is the typed, fingerprinted configuration of the four
+// measurements: the config half of their artifact cache key, and the
+// "config" body of a daemon job request. Zero fields take the catalog
+// defaults (WithDefaults).
+type MeasureConfig struct {
+	// Seed drives source sampling and the spectral start vector; 0
+	// means 1.
+	Seed int64 `json:"seed,omitempty"`
+	// Sources is the number of sampled walk sources (mixing); 0 means
+	// 64 (the paper samples 1000).
+	Sources int `json:"sources,omitempty"`
+	// MaxSteps bounds the walk length explored (mixing); 0 means 200.
+	MaxSteps int `json:"max_steps,omitempty"`
+	// ExpansionSources is the number of sampled BFS cores (expansion);
+	// 0 means 64. The sampler clamps it to n, so a value of at least n
+	// measures from every node, as the paper does.
+	ExpansionSources int `json:"expansion_sources,omitempty"`
+	// Tolerance is the SLEM's Lanczos stopping tolerance (slem): the
+	// iteration stops once μ moves by less than it in a step; 0 uses
+	// the spectral package default.
+	Tolerance float64 `json:"tolerance,omitempty"`
+	// Epsilon is the variation-distance target, in (0, 1), of the
+	// mixing-time readout and the Sinclair bounds; 0 means 1/n, the
+	// fast-mixing criterion of §III-C.
+	Epsilon float64 `json:"epsilon,omitempty"`
+	// Workers bounds the parallelism of the measurements; <= 0 uses
+	// GOMAXPROCS. It is not part of the fingerprint: results are
+	// bit-identical at any worker count, so artifacts are shared across
+	// differently sized deployments.
+	Workers int `json:"-"`
 }
 
-func (c *Config) fill(n int) {
-	if c.MixingSources == 0 {
-		c.MixingSources = 50
+// Validate rejects a config no measurement can honour: a negative
+// count or tolerance, or a set ε outside (0, 1).
+func (c MeasureConfig) Validate() error {
+	switch {
+	case c.Sources < 0:
+		return fmt.Errorf("config: sources = %d, want >= 0", c.Sources)
+	case c.MaxSteps < 0:
+		return fmt.Errorf("config: max_steps = %d, want >= 0", c.MaxSteps)
+	case c.ExpansionSources < 0:
+		return fmt.Errorf("config: expansion_sources = %d, want >= 0", c.ExpansionSources)
+	case c.Tolerance < 0 || math.IsNaN(c.Tolerance):
+		return fmt.Errorf("config: tolerance = %v, want >= 0", c.Tolerance)
+	case c.Epsilon != 0 && !(c.Epsilon > 0 && c.Epsilon < 1):
+		return fmt.Errorf("config: epsilon = %v, want 0 (1/n) or a value in (0, 1)", c.Epsilon)
 	}
-	if c.MixingMaxSteps == 0 {
-		c.MixingMaxSteps = 200
+	return nil
+}
+
+// WithDefaults resolves the zero counts and seed to the catalog
+// defaults, so equal requests fingerprint equally whether the client
+// spelled the defaults out or omitted them. Tolerance and Epsilon stay
+// as given: the spectral default and 1/n resolve where they are used.
+func (c MeasureConfig) WithDefaults() MeasureConfig {
+	if c.Seed == 0 {
+		c.Seed = 1
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1 / float64(n)
-		if c.Epsilon < 1e-4 {
-			c.Epsilon = 1e-4
-		}
+	if c.Sources == 0 {
+		c.Sources = 64
 	}
-	if c.SpectralTolerance == 0 {
-		c.SpectralTolerance = 1e-7
+	if c.MaxSteps == 0 {
+		c.MaxSteps = 200
 	}
+	if c.ExpansionSources == 0 {
+		c.ExpansionSources = 64
+	}
+	return c
 }
 
 // CoreSummary condenses the k-core decomposition for the cross-property
@@ -78,10 +115,6 @@ type CoreSummary struct {
 	TopCoreComponents int
 	// MeanCoreness is the average node coreness.
 	MeanCoreness float64
-	// Levels is the full per-k series behind Figure 5.
-	Levels []kcore.LevelStats
-	// CorenessECDF holds the Figure 2 distribution.
-	CorenessECDF *stats.ECDF
 }
 
 // ExpansionSummary condenses the envelope measurement.
@@ -107,8 +140,8 @@ type Report struct {
 	Bounds spectral.Bounds
 
 	// Mixing holds the sampling-method curves; MixingTime is T(ε) for
-	// the worst sampled source (0 if not reached within MixingMaxSteps,
-	// see MixedWithinBudget).
+	// the worst sampled source (0 if not reached within MaxSteps, see
+	// MixedWithinBudget).
 	Mixing            *walk.MixingResult
 	MixingTime        int
 	MixedWithinBudget bool
@@ -118,113 +151,100 @@ type Report struct {
 	Expansion ExpansionSummary
 }
 
-// Measure runs the full suite on g. The graph must be connected (use
-// graph.LargestComponent first, as every measurement study does). It
-// accepts any graph.View — including an mmap-backed graph.Mapped or a
-// graph.ShardedGraph, which routes every kernel through its per-shard
-// path — and the report is bit-identical across substrates.
-func Measure(ctx context.Context, name string, g graph.View, cfg Config) (*Report, error) {
+// Measurement is one catalog entry: the job name, the one-line summary
+// the daemon's catalog serves, and the body computing it.
+type Measurement struct {
+	Name    string
+	Summary string
+	run     func(ctx context.Context, g graph.View, cfg MeasureConfig, rep *Report, b *jobs.Builder) error
+}
+
+// catalog is the paper's §III property probes, in the order Measure
+// runs them and Jobs registers them.
+var catalog = []Measurement{
+	{"mixing", "sampling-method mixing time (paper §III-C, Figure 1)", measureMixing},
+	{"expansion", "BFS-envelope expansion factors (paper §III-D, Figures 3-4)", measureExpansion},
+	{"coreness", "k-core decomposition, degeneracy and top core (paper §III-B, Figures 2 and 5)", measureCoreness},
+	{"slem", "second largest eigenvalue modulus and Sinclair bounds (paper §III-C)", measureSLEM},
+}
+
+// Catalog returns the four measurements in catalog order.
+func Catalog() []Measurement { return append([]Measurement(nil), catalog...) }
+
+// measureKey is the fingerprinted config: the job name plus the filled
+// MeasureConfig, so two measurements with equal knobs never share a
+// cache slot.
+type measureKey struct {
+	Job string `json:"job"`
+	MeasureConfig
+}
+
+// newReport starts the report of g under cfg, resolving ε.
+func newReport(name string, g graph.View, cfg MeasureConfig) *Report {
 	n := g.NumNodes()
-	if n < 3 {
+	eps := cfg.Epsilon
+	if eps == 0 {
+		eps = 1 / float64(n)
+	}
+	return &Report{Name: name, Nodes: n, Edges: g.NumEdges(), Epsilon: eps}
+}
+
+// Jobs validates cfg and registers the catalog as a jobs.Registry: one
+// typed job per measurement, bound to g under the filled cfg, whose
+// artifact is the body's summary and CSV. The registry resolves names
+// case-insensitively with nearest-name suggestions. A nil g yields a
+// catalog-only registry — names and fingerprints are valid, running a
+// job is not.
+func Jobs(g graph.View, cfg MeasureConfig) (*jobs.Registry, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
+	reg := jobs.NewRegistry()
+	for _, m := range catalog {
+		m := m
+		j := jobs.New(m.Name, measureKey{Job: m.Name, MeasureConfig: cfg},
+			func(ctx context.Context, _ jobs.Env) (*jobs.Artifact, error) {
+				if g == nil {
+					return nil, fmt.Errorf("core: job %s not bound to a graph", m.Name)
+				}
+				b := jobs.NewBuilder()
+				if err := m.run(ctx, g, cfg, newReport("", g, cfg), b); err != nil {
+					return nil, err
+				}
+				return b.Artifact(), nil
+			})
+		if err := reg.Register(j); err != nil {
+			return nil, err
+		}
+	}
+	return reg, nil
+}
+
+// Measure runs the whole catalog on g into one Report. The graph must be
+// connected (use graph.LargestComponent first, as every measurement
+// study does). It accepts any graph.View — including an mmap-backed
+// graph.Mapped or a graph.ShardedGraph, which routes every kernel
+// through its per-shard path — and the report is bit-identical across
+// substrates.
+func Measure(ctx context.Context, name string, g graph.View, cfg MeasureConfig) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if n := g.NumNodes(); n < 3 {
 		return nil, fmt.Errorf("core: graph %q too small (%d nodes)", name, n)
 	}
 	if !graph.IsConnected(g) {
 		return nil, fmt.Errorf("core: graph %q is not connected; measure its largest component", name)
 	}
-	cfg.fill(n)
-
-	rep := &Report{
-		Name:    name,
-		Nodes:   n,
-		Edges:   g.NumEdges(),
-		Epsilon: cfg.Epsilon,
-	}
-
-	// Spectral bound (§III-C).
-	sr, err := spectral.SLEM(g, spectral.Config{Tolerance: cfg.SpectralTolerance, Seed: cfg.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("core: slem of %q: %w", name, err)
-	}
-	rep.SLEM = sr.SLEM
-	if sr.SLEM > 0 && sr.SLEM < 1 {
-		b, err := spectral.MixingBounds(n, sr.SLEM, cfg.Epsilon)
-		if err != nil {
-			return nil, fmt.Errorf("core: bounds of %q: %w", name, err)
-		}
-		rep.Bounds = b
-	}
-
-	// Sampling-method mixing measurement (§III-C, Figure 1).
-	mix, err := walk.MeasureMixing(ctx, g, walk.MixingConfig{
-		MaxSteps: cfg.MixingMaxSteps,
-		Sources:  cfg.MixingSources,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: mixing of %q: %w", name, err)
-	}
-	rep.Mixing = mix
-	rep.MixingTime, rep.MixedWithinBudget = mix.MixingTime(cfg.Epsilon)
-
-	// Core structure (§III-B, Figures 2 and 5).
-	dec, err := kcore.Decompose(g)
-	if err != nil {
-		return nil, fmt.Errorf("core: decompose %q: %w", name, err)
-	}
-	levels := dec.Levels()
-	cs := CoreSummary{
-		Degeneracy: dec.Degeneracy(),
-		Levels:     levels,
-	}
-	if len(levels) > 0 {
-		top := levels[len(levels)-1]
-		cs.TopCoreNuTilde = top.NuTilde
-		cs.TopCoreNu = top.Nu
-		cs.TopCoreComponents = top.Components
-	}
-	var meanCore float64
-	samples := dec.CorenessECDFSamples()
-	for _, c := range samples {
-		meanCore += c
-	}
-	cs.MeanCoreness = meanCore / float64(len(samples))
-	ecdf, err := stats.NewECDF(samples)
-	if err != nil {
-		return nil, fmt.Errorf("core: coreness ecdf of %q: %w", name, err)
-	}
-	cs.CorenessECDF = ecdf
-	rep.Cores = cs
-
-	// Expansion (§III-D, Figures 3 and 4).
-	ecfg := expansion.Config{Workers: cfg.Workers}
-	if cfg.ExpansionSources > 0 {
-		srcs, err := expansion.SampledSources(g, cfg.ExpansionSources, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: expansion sources of %q: %w", name, err)
-		}
-		ecfg.Sources = srcs
-	}
-	exp, err := expansion.Measure(ctx, g, ecfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: expansion of %q: %w", name, err)
-	}
-	es := ExpansionSummary{Result: exp}
-	if a, ok := exp.VertexExpansion(n); ok {
-		es.MinAlpha = a
-	}
-	var sum stats.Summary
-	for _, size := range exp.FactorBySetSize.Keys() {
-		if size > int64(n)/10 {
-			continue
-		}
-		s, ok := exp.FactorBySetSize.Get(size)
-		if ok {
-			sum.Add(s.Mean())
+	cfg = cfg.WithDefaults()
+	rep := newReport(name, g, cfg)
+	b := jobs.NewBuilder()
+	for _, m := range catalog {
+		if err := m.run(ctx, g, cfg, rep, b); err != nil {
+			return nil, fmt.Errorf("core: %s of %q: %w", m.Name, name, err)
 		}
 	}
-	es.MeanAlphaSmallSets = sum.Mean()
-	rep.Expansion = es
 	return rep, nil
 }
 

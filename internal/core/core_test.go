@@ -29,9 +29,15 @@ func slowGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// oldDefaults is the config these tests were written against: 50 walk
+// sources, every node as a BFS core, and a 1e-7 SLEM tolerance.
+func oldDefaults(g graph.View) MeasureConfig {
+	return MeasureConfig{Seed: 1, Sources: 50, ExpansionSources: g.NumNodes(), Tolerance: 1e-7}
+}
+
 func TestMeasureFastMixer(t *testing.T) {
 	g := fastGraph(t)
-	rep, err := Measure(context.Background(), "fast", g, Config{Seed: 1})
+	rep, err := Measure(context.Background(), "fast", g, oldDefaults(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +72,12 @@ func TestMeasureFastMixer(t *testing.T) {
 
 func TestMeasureContrastsFastAndSlow(t *testing.T) {
 	ctx := context.Background()
-	fast, err := Measure(ctx, "fast", fastGraph(t), Config{Seed: 1})
+	fg, sg := fastGraph(t), slowGraph(t)
+	fast, err := Measure(ctx, "fast", fg, oldDefaults(fg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Measure(ctx, "slow", slowGraph(t), Config{Seed: 1})
+	slow, err := Measure(ctx, "slow", sg, oldDefaults(sg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +105,7 @@ func TestMeasureValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Measure(ctx, "tiny", tiny, Config{}); err == nil {
+	if _, err := Measure(ctx, "tiny", tiny, MeasureConfig{}); err == nil {
 		t.Error("Measure(tiny): want error")
 	}
 	b := graph.NewBuilder(6)
@@ -108,14 +115,38 @@ func TestMeasureValidation(t *testing.T) {
 	if err := b.AddEdge(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Measure(ctx, "disc", b.Build(), Config{}); err == nil {
+	if _, err := Measure(ctx, "disc", b.Build(), MeasureConfig{}); err == nil {
 		t.Error("Measure(disconnected): want error")
+	}
+}
+
+// TestConfigValidation expects Jobs and Measure to reject every
+// out-of-range config before any work, and to accept the zero config
+// and a set ε inside (0, 1).
+func TestConfigValidation(t *testing.T) {
+	g := fastGraph(t)
+	for _, cfg := range []MeasureConfig{
+		{Sources: -3}, {MaxSteps: -1}, {ExpansionSources: -1},
+		{Tolerance: -1e-6}, {Tolerance: math.NaN()},
+		{Epsilon: 2}, {Epsilon: 1}, {Epsilon: -0.5}, {Epsilon: math.NaN()},
+	} {
+		if _, err := Jobs(g, cfg); err == nil {
+			t.Errorf("Jobs(%+v): want error", cfg)
+		}
+		if _, err := Measure(context.Background(), "g", g, cfg); err == nil {
+			t.Errorf("Measure(%+v): want error", cfg)
+		}
+	}
+	for _, cfg := range []MeasureConfig{{}, {Epsilon: 0.5, Tolerance: 1e-3}} {
+		if _, err := Jobs(g, cfg); err != nil {
+			t.Errorf("Jobs(%+v): %v", cfg, err)
+		}
 	}
 }
 
 func TestMeasureSampledExpansion(t *testing.T) {
 	g := fastGraph(t)
-	rep, err := Measure(context.Background(), "sampled", g, Config{Seed: 2, ExpansionSources: 25})
+	rep, err := Measure(context.Background(), "sampled", g, MeasureConfig{Seed: 2, ExpansionSources: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +164,9 @@ func TestAnalyzeRecoverssPaperCorrelations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Measure(ctx, "fast", g, Config{Seed: 1, MixingSources: 20})
+		cfg := oldDefaults(g)
+		cfg.Sources = 20
+		rep, err := Measure(ctx, "fast", g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +179,9 @@ func TestAnalyzeRecoverssPaperCorrelations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Measure(ctx, "slow", g, Config{Seed: 1, MixingSources: 20})
+		cfg := oldDefaults(g)
+		cfg.Sources = 20
+		rep, err := Measure(ctx, "slow", g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +213,7 @@ func TestAnalyzeValidation(t *testing.T) {
 
 func TestEffectiveMixingStepsFallback(t *testing.T) {
 	g := slowGraph(t)
-	rep, err := Measure(context.Background(), "slow", g, Config{Seed: 1, MixingMaxSteps: 10, MixingSources: 5})
+	rep, err := Measure(context.Background(), "slow", g, MeasureConfig{Seed: 1, MaxSteps: 10, Sources: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

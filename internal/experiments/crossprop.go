@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/trustnet/trustnet/internal/core"
 	"github.com/trustnet/trustnet/internal/datasets"
@@ -88,12 +89,18 @@ func CrossProperty(ctx context.Context, opts Options) (*CrossPropertyResult, err
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.Config{
+		// The SLEM tolerance, ε = 1/n floored at 1e-4, and every node as
+		// a BFS core in full mode are this table's protocol, not the
+		// catalog defaults.
+		n := g.NumNodes()
+		cfg := core.MeasureConfig{
 			Seed:             opts.Seed,
 			Workers:          opts.Workers,
-			MixingSources:    opts.pick(10, 50),
-			MixingMaxSteps:   opts.pick(60, 200),
-			ExpansionSources: opts.pick(60, 0),
+			Sources:          opts.pick(10, 50),
+			MaxSteps:         opts.pick(60, 200),
+			ExpansionSources: opts.pick(60, n),
+			Tolerance:        1e-7,
+			Epsilon:          math.Max(1/float64(n), 1e-4),
 		}
 		rep, err := core.Measure(ctx, name, g, cfg)
 		if err != nil {

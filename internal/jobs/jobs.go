@@ -41,8 +41,10 @@ import (
 // it orphans (never corrupts) every previously cached artifact. It is
 // bumped when a measurement's method changes under an unchanged config,
 // since the config fingerprint cannot tell the results apart: v2 is the
-// switch of the SLEM from power iteration to Lanczos.
-const SchemaVersion = "trustnet/artifact/v2"
+// switch of the SLEM from power iteration to Lanczos, v3 the one
+// measurement catalog's summaries (the TVD table, the top core, the
+// small-set mean α, and min α as the sampled vertex expansion).
+const SchemaVersion = "trustnet/artifact/v3"
 
 // Job is one addressable measurement: a named unit of work whose
 // configuration is fingerprinted into the artifact cache key and whose

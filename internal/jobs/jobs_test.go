@@ -100,6 +100,10 @@ func TestRegistryLookupSuggestsNearest(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `did you mean "betweenness"`) {
 		t.Errorf("Lookup(betweeness) = %v, want a betweenness suggestion", err)
 	}
+	_, err = r.Lookup("between")
+	if err == nil || !strings.Contains(err.Error(), `did you mean "betweenness"`) {
+		t.Errorf("Lookup(between) = %v, want a betweenness suggestion", err)
+	}
 }
 
 func TestStoreRoundTrip(t *testing.T) {

@@ -60,23 +60,20 @@ func (r *Registry) Jobs() []Job {
 }
 
 // nearest returns the registered name with the smallest edit distance
-// to name, or "" when the registry is empty or nothing is plausibly
-// close (distance greater than half the query length, floored at 2).
+// to name among those plausibly close — within half the longer of the
+// two names, floored at 2, so a shortened name ("cores" for "coreness")
+// is suggested as well as a typo — or "" when there is none.
 func (r *Registry) nearest(name string) string {
 	lname := strings.ToLower(name)
 	best, bestDist := "", -1
 	for _, candidate := range r.order {
 		d := editDistance(lname, strings.ToLower(candidate))
+		if d > max(2, max(len(lname), len(candidate))/2) {
+			continue
+		}
 		if bestDist < 0 || d < bestDist {
 			best, bestDist = candidate, d
 		}
-	}
-	limit := len(lname) / 2
-	if limit < 2 {
-		limit = 2
-	}
-	if bestDist < 0 || bestDist > limit {
-		return ""
 	}
 	return best
 }

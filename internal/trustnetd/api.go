@@ -10,9 +10,19 @@ import (
 	"os"
 	"time"
 
+	"github.com/trustnet/trustnet/internal/core"
 	"github.com/trustnet/trustnet/internal/gen"
+	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/jobs"
 )
+
+// MeasureConfig is the measurement catalog's config (core.MeasureConfig),
+// the "config" body of a JobRequest.
+type MeasureConfig = core.MeasureConfig
+
+// Jobs returns the measurement catalog's registry bound to g under cfg
+// (core.Jobs).
+func Jobs(g graph.View, cfg MeasureConfig) (*jobs.Registry, error) { return core.Jobs(g, cfg) }
 
 // GraphInfo describes one registered graph: the canonical topology
 // fingerprint (the graph half of every artifact cache key), the size of
@@ -77,7 +87,8 @@ type JobRequest struct {
 	// Job is a measurement name from the catalog (mixing, expansion,
 	// coreness, slem); near-misses are answered with a suggestion.
 	Job string `json:"job"`
-	// Config tunes the measurement; zero fields take daemon defaults.
+	// Config tunes the measurement; zero fields take the catalog
+	// defaults, and an out-of-range field is answered with 400.
 	Config MeasureConfig `json:"config"`
 }
 
@@ -140,6 +151,10 @@ type ErrorResponse struct {
 // hundred-million-edge TNG2 file, small enough to bound a hostile body).
 const maxUploadBytes = 1 << 30
 
+// maxRequestBytes caps JSON request bodies. The request types hold a
+// few scalars, and SBM's block_sizes is their only list.
+const maxRequestBytes = 1 << 20
+
 // writeJSON answers with an indented JSON body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -149,22 +164,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError maps registry sentinels onto HTTP statuses and answers
-// with the uniform error envelope.
+// writeError maps registry sentinels and over-cap bodies onto HTTP
+// statuses and answers with the uniform error envelope.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.Is(err, errGraphNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, errGraphExists):
 		status = http.StatusConflict
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodeBody strictly decodes a JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeBody strictly decodes a JSON request body of at most
+// maxRequestBytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("request body: %w", err)
@@ -250,7 +269,7 @@ func copyToFile(r io.Reader, path string) error {
 func (s *Server) handleGenerateGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req GenerateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -328,30 +347,35 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	cat := Catalog{}
-	for _, spec := range measureSpecs {
-		j, err := reg.Lookup(spec.name)
+	for _, m := range core.Catalog() {
+		j, err := reg.Lookup(m.Name)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
 		cat.Jobs = append(cat.Jobs, CatalogEntry{
-			Name:               spec.name,
-			Summary:            spec.summary,
+			Name:               m.Name,
+			Summary:            m.Summary,
 			DefaultFingerprint: j.Fingerprint(),
 		})
 	}
 	writeJSON(w, http.StatusOK, cat)
 }
 
-// handleEnqueueJob answers POST /v1/jobs: it pins the target graph,
-// resolves the job name through the per-graph jobs.Registry (so typos
-// get nearest-name suggestions), and admits the bound job to the queue.
+// handleEnqueueJob answers POST /v1/jobs: it rejects an out-of-range
+// config, pins the target graph, resolves the job name through the
+// per-graph jobs.Registry (so typos get nearest-name suggestions), and
+// admits the bound job to the queue.
 // The graph stays pinned — safe from eviction-unmap — until the run
 // finishes. A full queue answers 429 with Retry-After, so a client can
 // tell "retry shortly" from a draining daemon's 503.
 func (s *Server) handleEnqueueJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, err)
+		return
+	}
+	if err := req.Config.Validate(); err != nil {
 		writeError(w, err)
 		return
 	}

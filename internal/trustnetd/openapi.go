@@ -35,8 +35,15 @@ var pathParam = regexp.MustCompile(`\{([a-zA-Z0-9_]+)\}`)
 // error.
 var errorStatuses = map[string]map[string]string{
 	"POST /v1/jobs": {
+		"413": "The request body is over 1 MiB",
 		"429": "The queue is full; retry after the Retry-After header's seconds",
 		"503": "The daemon is draining and admits no new jobs",
+	},
+	"POST /v1/graphs/{name}/generate": {
+		"413": "The request body is over 1 MiB",
+	},
+	"PUT /v1/graphs/{name}": {
+		"413": "The graph file is over 1 GiB",
 	},
 }
 

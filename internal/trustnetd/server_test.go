@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/trustnet/trustnet/internal/datasets"
+	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/jobs"
@@ -452,6 +454,102 @@ func TestSecondIdenticalRequestServedFromCache(t *testing.T) {
 	}
 }
 
+// listJobs returns the daemon's job list.
+func listJobs(t *testing.T, ts *httptest.Server) []JobStatus {
+	t.Helper()
+	var list JobList
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &list); code != http.StatusOK {
+		t.Fatalf("list: status %d", code)
+	}
+	return list.Jobs
+}
+
+// TestEnqueueRejectsOutOfRangeConfig posts configs the catalog cannot
+// honour: each must be answered with 400 before anything is queued.
+func TestEnqueueRejectsOutOfRangeConfig(t *testing.T) {
+	_, ts := newTestServer(t)
+	generateGraph(t, ts, "g")
+	for _, cfg := range []MeasureConfig{{Epsilon: 2}, {Sources: -3}} {
+		var errResp ErrorResponse
+		code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Graph: "g", Job: "mixing", Config: cfg}, &errResp)
+		if code != http.StatusBadRequest {
+			t.Errorf("config %+v: status %d (%s), want 400", cfg, code, errResp.Error)
+		}
+	}
+	if jobs := listJobs(t, ts); len(jobs) != 0 {
+		t.Fatalf("rejected configs queued %d jobs: %+v", len(jobs), jobs)
+	}
+}
+
+// TestEnqueueOversizedBodyAnswers413 posts a job request over the JSON
+// body cap: it must be answered with 413, and nothing queued.
+func TestEnqueueOversizedBodyAnswers413(t *testing.T) {
+	_, ts := newTestServer(t)
+	generateGraph(t, ts, "g")
+	body := `{"graph":"g","job":"mixing","config":{},"pad":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if jobs := listJobs(t, ts); len(jobs) != 0 {
+		t.Fatalf("oversized body queued %d jobs: %+v", len(jobs), jobs)
+	}
+	// An upload cut at maxUploadBytes fails the same way, wrapped.
+	rec := httptest.NewRecorder()
+	writeError(rec, fmt.Errorf("upload: %w", &http.MaxBytesError{Limit: maxUploadBytes}))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap upload: status %d, want 413", rec.Code)
+	}
+}
+
+// TestExpansionMinAlphaIsVertexExpansion checks the expansion summary's
+// min alpha on wiki-vote against the sampled vertex expansion: the
+// smallest factor over envelopes of at most n/2 nodes, not the tail of
+// the BFS.
+func TestExpansionMinAlphaIsVertexExpansion(t *testing.T) {
+	spec, err := datasets.ByName("wiki-vote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Jobs(g, MeasureConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := reg.Lookup("expansion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := j.Run(context.Background(), jobs.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alpha float64
+	var cores, ecc int
+	if _, err := fmt.Sscanf(a.Summary, "expansion: min alpha = %f over %d cores (max eccentricity %d)", &alpha, &cores, &ecc); err != nil {
+		t.Fatalf("summary %q: %v", a.Summary, err)
+	}
+	sources, err := expansion.SampledSources(g, cores, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := expansion.Measure(context.Background(), g, expansion.Config{Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := res.VertexExpansion(g.NumNodes())
+	if !ok || fmt.Sprintf("%.4f", alpha) != fmt.Sprintf("%.4f", want) {
+		t.Fatalf("summary min alpha %.4f, vertex expansion %.4f (found %v)", alpha, want, ok)
+	}
+}
+
 // TestJobNameSuggestion expects a typo to be answered with the
 // registry's nearest-name suggestion.
 func TestJobNameSuggestion(t *testing.T) {
@@ -508,8 +606,12 @@ func TestCatalogAndOpenAPI(t *testing.T) {
 	if code := doJSON(t, "GET", ts.URL+"/v1/catalog", nil, &cat); code != http.StatusOK {
 		t.Fatalf("catalog: status %d", code)
 	}
-	if len(cat.Jobs) != len(measureSpecs) {
-		t.Fatalf("catalog lists %d jobs, want %d", len(cat.Jobs), len(measureSpecs))
+	var names []string
+	for _, e := range cat.Jobs {
+		names = append(names, e.Name)
+	}
+	if want := []string{"mixing", "expansion", "coreness", "slem"}; !slices.Equal(names, want) {
+		t.Fatalf("catalog lists %v, want %v", names, want)
 	}
 
 	var doc struct {
@@ -530,7 +632,7 @@ func TestCatalogAndOpenAPI(t *testing.T) {
 			t.Fatalf("openapi missing path %s", p)
 		}
 	}
-	for _, schema := range []string{"GraphInfo", "JobStatus", "JobRequest", "GenerateRequest", "ErrorResponse"} {
+	for _, schema := range []string{"GraphInfo", "JobStatus", "JobRequest", "MeasureConfig", "GenerateRequest", "ErrorResponse"} {
 		if _, ok := doc.Comp.Schemas[schema]; !ok {
 			t.Fatalf("openapi missing schema %s", schema)
 		}
@@ -540,7 +642,7 @@ func TestCatalogAndOpenAPI(t *testing.T) {
 		t.Fatalf("openapi missing POST /v1/jobs operation")
 	}
 	responses, _ := post["responses"].(map[string]any)
-	for _, code := range []string{"429", "503"} {
+	for _, code := range []string{"413", "429", "503"} {
 		if _, ok := responses[code]; !ok {
 			t.Fatalf("openapi POST /v1/jobs does not list %s", code)
 		}
