@@ -202,7 +202,6 @@ func Jobs(g graph.View, cfg MeasureConfig) (*jobs.Registry, error) {
 	cfg = cfg.WithDefaults()
 	reg := jobs.NewRegistry()
 	for _, m := range catalog {
-		m := m
 		j := jobs.New(m.Name, measureKey{Job: m.Name, MeasureConfig: cfg},
 			func(ctx context.Context, _ jobs.Env) (*jobs.Artifact, error) {
 				if g == nil {

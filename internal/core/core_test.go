@@ -118,12 +118,8 @@ func TestMeasureValidation(t *testing.T) {
 	if _, err := Measure(ctx, "disc", b.Build(), MeasureConfig{}); err == nil {
 		t.Error("Measure(disconnected): want error")
 	}
-}
-
-// TestConfigValidation expects Jobs and Measure to reject every
-// out-of-range config before any work, and to accept the zero config
-// and a set ε inside (0, 1).
-func TestConfigValidation(t *testing.T) {
+	// Jobs and Measure reject an out-of-range config before any work,
+	// and accept the zero config and a set ε inside (0, 1).
 	g := fastGraph(t)
 	for _, cfg := range []MeasureConfig{
 		{Sources: -3}, {MaxSteps: -1}, {ExpansionSources: -1},
@@ -133,7 +129,7 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Jobs(g, cfg); err == nil {
 			t.Errorf("Jobs(%+v): want error", cfg)
 		}
-		if _, err := Measure(context.Background(), "g", g, cfg); err == nil {
+		if _, err := Measure(ctx, "g", g, cfg); err == nil {
 			t.Errorf("Measure(%+v): want error", cfg)
 		}
 	}

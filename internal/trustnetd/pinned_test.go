@@ -21,15 +21,11 @@ import (
 // header, then the lines TestMeasurementsPinned renders for it.
 const pinnedFile = "testdata/measurements_pinned.txt"
 
-// The perfbench workloads' request configs and the large workload's
-// graphs (perfbench/service.go), at seed 1.
+// The perfbench workloads' request configs (perfbench/service.go), at
+// seed 1.
 var (
 	pinnedPaperConfig = MeasureConfig{Seed: 1, Sources: 16, MaxSteps: 50, ExpansionSources: 64, Tolerance: 1e-6, Epsilon: 1e-3}
 	pinnedLargeConfig = MeasureConfig{Seed: 1, Sources: 16, MaxSteps: 20, ExpansionSources: 64, Tolerance: 1e-4, Epsilon: 1e-3}
-	pinnedLargeBA     = func() (gen.EdgeStream, error) { return gen.StreamBA(40000, 8, 1) }
-	pinnedLargePA     = func() (gen.EdgeStream, error) {
-		return gen.StreamClusteredPA(gen.ClusteredPAConfig{Communities: 200, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 1})
-	}
 )
 
 var (
@@ -75,15 +71,20 @@ func TestMeasurementsPinned(t *testing.T) {
 		t.Log("skipping the large graphs under -short")
 		return
 	}
+	// The large workload's two generated graphs at seed 1.
+	ba, err := gen.StreamBA(40000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := gen.StreamClusteredPA(gen.ClusteredPAConfig{Communities: 200, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, lg := range []struct {
 		name   string
-		stream func() (gen.EdgeStream, error)
-	}{{"large-ba", pinnedLargeBA}, {"large-clustered", pinnedLargePA}} {
-		es, err := lg.stream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := gen.Build(es)
+		stream gen.EdgeStream
+	}{{"large-ba", ba}, {"large-clustered", clustered}} {
+		g, err := gen.Build(lg.stream)
 		if err != nil {
 			t.Fatal(err)
 		}
