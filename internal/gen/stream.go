@@ -8,7 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"github.com/trustnet/trustnet/internal/graph"
 )
@@ -21,7 +21,7 @@ import (
 // definitions of their models: BarabasiAlbert, RMAT, SBM and
 // ClusteredPA are Build over them. Combined with graph.CSRWriter the
 // peak memory of generate-to-TNG2 is O(sampler state + sort buffer)
-// instead of the O(m) edge slice plus O(m log m) sort Builder pays.
+// instead of the O(m) edge slice and arc arrays Builder holds.
 type EdgeStream interface {
 	// NumNodes returns the node-set size of the generated graph.
 	NumNodes() int
@@ -75,8 +75,9 @@ type baStream struct {
 
 // StreamBA returns the streaming Barabási–Albert generator that
 // BarabasiAlbert(n, attach, seed) builds. The degree-proportional
-// endpoint array (2m entries) is the only O(m) state — no edge slice,
-// no sort.
+// endpoint array (2m entries) is the only O(m) state — no edge slice;
+// each new node's attach targets are sorted among themselves, which is
+// the only sort.
 func StreamBA(n, attach int, seed int64) (EdgeStream, error) {
 	if attach < 1 {
 		return nil, fmt.Errorf("gen: barabasi-albert needs attach >= 1, got %d", attach)
@@ -103,22 +104,20 @@ func (s *baStream) Edges(yield func(u, v graph.NodeID) error) error {
 			repeated = append(repeated, graph.NodeID(i), graph.NodeID(j))
 		}
 	}
-	targets := make(map[graph.NodeID]struct{}, s.attach)
-	ordered := make([]graph.NodeID, 0, s.attach)
+	targets := make([]graph.NodeID, 0, s.attach)
 	for v := seedSize; v < s.n; v++ {
-		clear(targets)
+		// Draw until there are attach distinct targets; a scan of the
+		// at most attach drawn so far drops repeats.
+		targets = targets[:0]
 		for len(targets) < s.attach {
-			targets[repeated[rng.Intn(len(repeated))]] = struct{}{}
+			if u := repeated[rng.Intn(len(repeated))]; !slices.Contains(targets, u) {
+				targets = append(targets, u)
+			}
 		}
-		// Drain the set in sorted order: map iteration order is random,
-		// and the order of appends to `repeated` feeds back into later
-		// degree-proportional draws, so it must be deterministic.
-		ordered = ordered[:0]
-		for u := range targets {
-			ordered = append(ordered, u)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-		for _, u := range ordered {
+		// Yield in ascending order: the order of appends to `repeated`
+		// feeds back into later degree-proportional draws.
+		slices.Sort(targets)
+		for _, u := range targets {
 			if err := yield(graph.NodeID(v), u); err != nil {
 				return err
 			}

@@ -2,25 +2,11 @@ package gen
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/graph"
 )
-
-// sameTopology fails unless a and b have identical node sets and edge sets.
-func sameTopology(t *testing.T, a, b *graph.Graph, label string) {
-	t.Helper()
-	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
-		t.Fatalf("%s: n/m mismatch: (%d,%d) vs (%d,%d)",
-			label, a.NumNodes(), a.NumEdges(), b.NumNodes(), b.NumEdges())
-	}
-	ae, be := a.Edges(), b.Edges()
-	for i := range ae {
-		if ae[i] != be[i] {
-			t.Fatalf("%s: edge %d differs: %v vs %v", label, i, ae[i], be[i])
-		}
-	}
-}
 
 // TestGeneratorsPinned pins the topology of every streamed model. The
 // eager generators are Build over their streams, so the pins are what
@@ -107,35 +93,55 @@ func TestGeneratorsPinned(t *testing.T) {
 	}
 }
 
-// TestStreamCSRRoundTrip drives the whole bounded-memory path: stream a
-// generator through the external-sort writer with a tiny buffer (forcing
-// spills), read the TNG2 image back, and compare against the eager build.
+// TestStreamCSRRoundTrip drives the whole bounded-memory path: stream
+// each model through the external-sort writer, in memory and with a
+// tiny buffer that forces spills, and require the bytes WriteCSR writes
+// for the eager build.
 func TestStreamCSRRoundTrip(t *testing.T) {
-	eager, err := BarabasiAlbert(300, 3, 5)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		stream func() (EdgeStream, error)
+	}{
+		{"ba", func() (EdgeStream, error) { return StreamBA(300, 3, 5) }},
+		{"rmat", func() (EdgeStream, error) {
+			return StreamRMAT(RMATConfig{Scale: 9, Edges: 3000, A: 0.57, B: 0.19, C: 0.19, Noise: 0.1, Seed: 2})
+		}},
+		{"clustered", func() (EdgeStream, error) {
+			return StreamClusteredPA(ClusteredPAConfig{Communities: 5, CommunitySize: 60, Attach: 3, Bridges: 2, Seed: 4})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			es, err := tc.stream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager, err := Build(es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := graph.WriteCSR(&want, eager); err != nil {
+				t.Fatal(err)
+			}
+			for _, bufArcs := range []int{0, 128} {
+				var got bytes.Buffer
+				st, err := StreamCSR(es, &got, graph.CSRWriterConfig{TempDir: t.TempDir(), BufferArcs: bufArcs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if spilled := st.Runs > 0; spilled != (bufArcs != 0) {
+					t.Errorf("buffer %d: %d spill runs", bufArcs, st.Runs)
+				}
+				if st.Nodes != eager.NumNodes() || st.Edges != eager.NumEdges() {
+					t.Errorf("buffer %d: stats (%d,%d) disagree with eager (%d,%d)",
+						bufArcs, st.Nodes, st.Edges, eager.NumNodes(), eager.NumEdges())
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("buffer %d: streamed image differs from WriteCSR of the eager graph", bufArcs)
+				}
+			}
+		})
 	}
-	es, err := StreamBA(300, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	st, err := StreamCSR(es, &buf, graph.CSRWriterConfig{TempDir: t.TempDir(), BufferArcs: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Runs == 0 {
-		t.Fatalf("expected spill runs with BufferArcs=128, got none")
-	}
-	got, err := graph.ReadTNG2(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Nodes != eager.NumNodes() || st.Edges != eager.NumEdges() {
-		t.Fatalf("stats (%d,%d) disagree with eager (%d,%d)",
-			st.Nodes, st.Edges, eager.NumNodes(), eager.NumEdges())
-	}
-	sameTopology(t, eager, got, "stream-csr")
 }
 
 func TestStreamConstructorValidation(t *testing.T) {
@@ -150,5 +156,39 @@ func TestStreamConstructorValidation(t *testing.T) {
 	}
 	if _, err := StreamClusteredPA(ClusteredPAConfig{Communities: 1, Bridges: 1}); err == nil {
 		t.Error("StreamClusteredPA accepted one community")
+	}
+}
+
+// BenchmarkStreamToFile times the ingest of the benchmark's `large`
+// workload: streaming one of its two graphs to a TNG2 file, in memory
+// (no spill runs). It sizes an ingest change without the daemon.
+func BenchmarkStreamToFile(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stream func() (EdgeStream, error)
+	}{
+		{"ba", func() (EdgeStream, error) { return StreamBA(40000, 8, 1) }},
+		{"clustered", func() (EdgeStream, error) {
+			return StreamClusteredPA(ClusteredPAConfig{Communities: 200, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 1})
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			es, err := bc.stream()
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "g.tng2")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := StreamToFile(es, path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Runs != 0 {
+					b.Fatalf("%d spill runs, want an in-memory build", st.Runs)
+				}
+			}
+		})
 	}
 }

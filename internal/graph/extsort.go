@@ -5,27 +5,36 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"slices"
 )
 
 // CSRWriter builds a TNG2 file from an unordered edge stream in bounded
-// memory — the generation path for graphs too large for Builder, whose
-// sort+dedup needs the whole edge multiset in RAM at once. Each accepted
-// edge becomes two directed arcs packed into uint64s (src in the high 32
-// bits, so integer order is (src, dst) order); arcs accumulate in a
-// fixed-size buffer that is sorted, deduplicated and spilled to a
-// temporary run file when full. Finish k-way-merges the runs (twice: one
-// pass counts degrees for the offsets section, one pass streams the
-// adjacency section) and writes the TNG2 image through a running CRC, so
-// peak memory is O(BufferArcs + n) regardless of the edge count.
+// memory — the generation path for graphs too large for Builder, which
+// needs the whole edge multiset in RAM at once. Each accepted edge
+// becomes two directed arcs packed into uint64s (src in the high 32
+// bits, so integer order is (src, dst) order). Arcs accumulate in a
+// buffer that starts at 64 Ki arcs and doubles up to BufferArcs; when
+// it is full it is radix-sorted (sortArcs), deduplicated and spilled to
+// a temporary run file. Finish sorts the residual buffer and streams
+// the arcs in order twice (one pass counts degrees for the offsets
+// section, one emits the adjacency section) through a TNG2 section
+// writer. Without spills those passes walk the buffer itself; with them
+// they k-way-merge the runs and the buffer.
+//
+// Peak memory is about 16·BufferArcs + 8n bytes regardless of the edge
+// count: the arc buffer, a radix-sort scratch array the size of the
+// filled buffer, and the offsets array; merging adds a 1 MiB read
+// buffer per spill run.
 //
 // CSRWriters are not safe for concurrent use. Always Close a writer —
 // also after a successful Finish — to remove its spill files.
 type CSRWriter struct {
 	n        int
-	buf      []uint64
-	cap      int
+	buf      []uint64 // arcs since the last spill; grows up to limit
+	scratch  []uint64 // sortArcs scatter target, reused across spills
+	limit    int      // buffer capacity in arcs: BufferArcs rounded down to whole edges
 	runs     []*os.File
 	dir      string // lazily created spill directory, removed by Close
 	tempDir  string
@@ -39,11 +48,18 @@ type CSRWriterConfig struct {
 	// directory. The bounded-memory generation paths pass "out" so spill
 	// traffic stays inside the repository's scratch area.
 	TempDir string
-	// BufferArcs caps the in-memory arc buffer (8 bytes per arc). The
-	// default 1<<21 (16 MiB) keeps a 10^7-node generation comfortably
-	// under typical container limits; tests shrink it to force spills.
+	// BufferArcs caps the in-memory arc buffer (8 bytes per arc, plus as
+	// much again for the sort's scratch array once the buffer is full).
+	// The buffer grows by doubling from 64 Ki arcs, so a small graph
+	// never allocates the cap. The default 1<<21 (16 MiB) keeps a
+	// 10^7-node generation comfortably under typical container limits;
+	// tests shrink it to force spills.
 	BufferArcs int
 }
+
+// initialArcs is the arc buffer's first capacity; it doubles from there
+// up to CSRWriterConfig.BufferArcs.
+const initialArcs = 1 << 16
 
 // CSRStats summarizes a finished CSRWriter.
 type CSRStats struct {
@@ -68,12 +84,7 @@ func NewCSRWriter(n int, cfg CSRWriterConfig) (*CSRWriter, error) {
 	if bufArcs < 2 {
 		return nil, fmt.Errorf("graph: csr writer buffer of %d arcs cannot hold one edge", bufArcs)
 	}
-	return &CSRWriter{
-		n:       n,
-		buf:     make([]uint64, 0, bufArcs),
-		cap:     bufArcs,
-		tempDir: cfg.TempDir,
-	}, nil
+	return &CSRWriter{n: n, limit: bufArcs &^ 1, tempDir: cfg.TempDir}, nil
 }
 
 // AddEdge records the undirected edge (u, v). Self loops are silently
@@ -89,18 +100,44 @@ func (w *CSRWriter) AddEdge(u, v NodeID) error {
 	if u == v {
 		return nil
 	}
-	if len(w.buf)+2 > w.cap {
-		if err := w.spill(); err != nil {
+	if len(w.buf)+2 > cap(w.buf) {
+		if err := w.grow(); err != nil {
 			return err
 		}
 	}
-	w.buf = append(w.buf, uint64(u)<<32|uint64(uint32(v)), uint64(v)<<32|uint64(uint32(u)))
+	w.buf = append(w.buf, packArc(u, v), packArc(v, u))
 	return nil
+}
+
+// packArc packs the arc u→v into a uint64 with u in the high half, so
+// integer order is (src, dst) order.
+func packArc(u, v NodeID) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
+
+// grow doubles the arc buffer, or spills it once it has reached the
+// limit.
+func (w *CSRWriter) grow() error {
+	if cap(w.buf) >= w.limit {
+		return w.spill()
+	}
+	nb := make([]uint64, len(w.buf), min(max(2*cap(w.buf), initialArcs), w.limit))
+	copy(nb, w.buf)
+	w.buf = nb
+	return nil
+}
+
+// sortBuffer sorts and dedups the buffer. The sorted arcs may end up in
+// the scratch array; then the two arrays swap roles, so both are kept
+// for the next sort.
+func (w *CSRWriter) sortBuffer() {
+	if cap(w.scratch) < len(w.buf) {
+		w.scratch = make([]uint64, len(w.buf))
+	}
+	w.buf, w.scratch = sortArcs(w.buf, w.scratch, w.n)
 }
 
 // spill sorts and dedups the buffer and appends it as a run file.
 func (w *CSRWriter) spill() error {
-	sortDedup(&w.buf)
+	w.sortBuffer()
 	if len(w.buf) == 0 {
 		return nil
 	}
@@ -134,11 +171,48 @@ func (w *CSRWriter) spill() error {
 	return nil
 }
 
-// sortDedup sorts arcs ascending and removes consecutive duplicates.
-func sortDedup(buf *[]uint64) {
-	b := *buf
-	slices.Sort(b)
-	*buf = slices.Compact(b)
+// radixBits is the digit width of sortArcs: a 2048-entry count table
+// per digit stays in L1, and arcs over 2^11 < n <= 2^22 nodes sort in
+// four passes.
+const radixBits = 11
+
+// sortArcs sorts packed arcs ascending and removes duplicates. Both
+// halves of every arc must be below n, so only their significant bits
+// are sorted on: an LSD radix sort takes ceil(bits(n-1)/radixBits)
+// digits of the dst half, then as many of the src half, scattering
+// between a and tmp (len(tmp) >= len(a)). A digit that every arc shares
+// costs no pass. It returns the sorted arcs, which live in a's or tmp's
+// array, and the other array, so callers can keep both for reuse.
+func sortArcs(a, tmp []uint64, n int) (sorted, spare []uint64) {
+	if len(a) < 2 {
+		return a, tmp
+	}
+	const mask = 1<<radixBits - 1
+	digits := (bits.Len(uint(n-1)) + radixBits - 1) / radixBits
+	src, dst := a, tmp[:len(a)]
+	var count [1 << radixBits]int
+	for p := 0; p < 2*digits; p++ {
+		s := uint(p/digits*32 + p%digits*radixBits)
+		clear(count[:])
+		for _, x := range src {
+			count[x>>s&mask]++
+		}
+		if count[src[0]>>s&mask] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, k := range count {
+			count[i] = sum
+			sum += k
+		}
+		for _, x := range src {
+			d := x >> s & mask
+			dst[count[d]] = x
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return slices.Compact(src), dst
 }
 
 // runReader streams one sorted spill run (or the in-memory buffer).
@@ -173,10 +247,18 @@ func (r *runReader) advance() error {
 	return nil
 }
 
-// merge streams the union of all runs and the buffer in ascending arc
-// order with global dedup, calling fn once per distinct arc. It can be
-// run repeatedly; each pass re-reads the spill runs from the start.
-func (w *CSRWriter) merge(fn func(arc uint64) error) error {
+// mergeBatch is the number of merged arcs merge hands fn at a time.
+const mergeBatch = 1 << 12
+
+// merge streams the union of all runs and the sorted buffer in
+// ascending arc order with global dedup, handing fn the distinct arcs
+// in consecutive batches. Without runs the one batch is the buffer
+// itself, so an in-memory build never touches the heap. It can be run
+// repeatedly; each pass re-reads the spill runs from the start.
+func (w *CSRWriter) merge(fn func(arcs []uint64) error) error {
+	if len(w.runs) == 0 {
+		return fn(w.buf)
+	}
 	readers := make([]*runReader, 0, len(w.runs)+1)
 	for _, f := range w.runs {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -216,17 +298,17 @@ func (w *CSRWriter) merge(fn func(arc uint64) error) error {
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	var last uint64
-	first := true
+	batch := make([]uint64, 0, mergeBatch)
 	for len(heap) > 0 {
 		r := heap[0]
-		arc := r.cur
-		if first || arc != last {
-			if err := fn(arc); err != nil {
-				return err
+		if arc := r.cur; len(batch) == 0 || arc != batch[len(batch)-1] {
+			if len(batch) == cap(batch) {
+				if err := fn(batch); err != nil {
+					return err
+				}
+				batch = batch[:0]
 			}
-			last = arc
-			first = false
+			batch = append(batch, arc)
 		}
 		if err := r.advance(); err != nil {
 			return err
@@ -237,7 +319,7 @@ func (w *CSRWriter) merge(fn func(arc uint64) error) error {
 		}
 		down(0)
 	}
-	return nil
+	return fn(batch)
 }
 
 // Finish sorts the residual buffer, merges every run, and writes the
@@ -247,15 +329,17 @@ func (w *CSRWriter) Finish(out io.Writer) (CSRStats, error) {
 		return CSRStats{}, fmt.Errorf("graph: csr writer already finished")
 	}
 	w.finished = true
-	sortDedup(&w.buf)
+	w.sortBuffer()
 
 	// Pass 1: degrees. offsets[src+1] counts arcs out of src, then the
 	// prefix sum turns counts into CSR offsets.
 	offsets := make([]int64, w.n+1)
 	var arcs int64
-	err := w.merge(func(a uint64) error {
-		offsets[(a>>32)+1]++
-		arcs++
+	err := w.merge(func(batch []uint64) error {
+		for _, a := range batch {
+			offsets[(a>>32)+1]++
+		}
+		arcs += int64(len(batch))
 		return nil
 	})
 	if err != nil {
@@ -266,39 +350,24 @@ func (w *CSRWriter) Finish(out io.Writer) (CSRStats, error) {
 	}
 	m := arcs / 2
 
-	bw := bufio.NewWriterSize(out, 1<<16)
-	cw := &crcWriter{w: bw}
-	h := tng2Header(w.n, m)
-	if _, err := cw.Write(h[:]); err != nil {
-		return CSRStats{}, fmt.Errorf("graph: csr writer header: %w", err)
-	}
-	var scratch [8]byte
-	le := binary.LittleEndian
+	tw := newTNG2Writer(out, w.n, m)
 	for _, off := range offsets {
-		le.PutUint64(scratch[:], uint64(off))
-		if _, err := cw.Write(scratch[:]); err != nil {
-			return CSRStats{}, fmt.Errorf("graph: csr writer offsets: %w", err)
-		}
+		tw.offset(off)
 	}
 	// Pass 2: the adjacency section is the dst halves of the merged arc
 	// stream, which arrives already grouped by src and sorted by dst —
 	// exactly CSR neighbor-list order.
-	err = w.merge(func(a uint64) error {
-		le.PutUint32(scratch[:4], uint32(a))
-		_, werr := cw.Write(scratch[:4])
-		return werr
+	err = w.merge(func(batch []uint64) error {
+		for _, a := range batch {
+			tw.neighbor(NodeID(uint32(a)))
+		}
+		return tw.err
 	})
+	if err == nil {
+		err = tw.close()
+	}
 	if err != nil {
-		return CSRStats{}, fmt.Errorf("graph: csr writer adjacency: %w", err)
-	}
-	var footer [tng2FooterSize]byte
-	le.PutUint32(footer[0:4], cw.sum)
-	copy(footer[4:8], tng2Trailer[:])
-	if _, err := bw.Write(footer[:]); err != nil {
-		return CSRStats{}, fmt.Errorf("graph: csr writer footer: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return CSRStats{}, fmt.Errorf("graph: csr writer flush: %w", err)
+		return CSRStats{}, fmt.Errorf("graph: csr writer: %w", err)
 	}
 	return CSRStats{Nodes: w.n, Edges: m, Runs: len(w.runs), SpilledBytes: w.spilled}, nil
 }
@@ -323,7 +392,7 @@ func (w *CSRWriter) Close() error {
 		f.Close()
 	}
 	w.runs = nil
-	w.buf = nil
+	w.buf, w.scratch = nil, nil
 	if w.dir != "" {
 		dir := w.dir
 		w.dir = ""

@@ -241,52 +241,27 @@ func (b *Builder) AddEdgeSafe(u, v NodeID) {
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build produces the immutable CSR graph, deduplicating parallel edges.
-// The builder remains usable afterwards (further AddEdge calls accumulate
-// on the same edge multiset).
+// Both arcs of every edge are packed (packArc) and sorted by the radix
+// sort CSRWriter uses (sortArcs), so the sorted arcs are the CSR rows in
+// order: one pass reads the offsets and the adjacency off them.
+// The builder remains usable afterwards (further AddEdge calls
+// accumulate on the same edge multiset).
 func (b *Builder) Build() *Graph {
-	// Sort canonical edges and deduplicate.
-	es := make([]Edge, len(b.edges))
-	copy(es, b.edges)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	uniq := es[:0]
-	for i, e := range es {
-		if i == 0 || e != es[i-1] {
-			uniq = append(uniq, e)
-		}
+	arcs := make([]uint64, 0, 2*len(b.edges))
+	for _, e := range b.edges {
+		arcs = append(arcs, packArc(e.U, e.V), packArc(e.V, e.U))
 	}
-
-	deg := make([]int64, b.n)
-	for _, e := range uniq {
-		deg[e.U]++
-		deg[e.V]++
-	}
+	arcs, _ = sortArcs(arcs, make([]uint64, len(arcs)), b.n)
 	offsets := make([]int64, b.n+1)
+	adjacency := make([]NodeID, len(arcs))
+	for i, a := range arcs {
+		offsets[(a>>32)+1]++
+		adjacency[i] = NodeID(uint32(a))
+	}
 	for v := 0; v < b.n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+		offsets[v+1] += offsets[v]
 	}
-	adjacency := make([]NodeID, offsets[b.n])
-	cursor := make([]int64, b.n)
-	copy(cursor, offsets[:b.n])
-	for _, e := range uniq {
-		adjacency[cursor[e.U]] = e.V
-		cursor[e.U]++
-		adjacency[cursor[e.V]] = e.U
-		cursor[e.V]++
-	}
-	g := &Graph{offsets: offsets, adjacency: adjacency}
-	// Neighbor lists must be sorted for HasEdge's binary search. Insertion
-	// order above is sorted by construction for the U side but not the V
-	// side, so sort each list.
-	for v := 0; v < b.n; v++ {
-		ns := g.adjacency[offsets[v]:offsets[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
-	return g
+	return &Graph{offsets: offsets, adjacency: adjacency}
 }
 
 // FromEdges builds a graph over n nodes from an edge list, validating every

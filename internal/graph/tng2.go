@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -61,28 +60,81 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// tng2Header encodes the fixed-size header for a graph with n nodes and
-// m undirected edges.
-func tng2Header(n int, m int64) [tng2HeaderSize]byte {
-	var h [tng2HeaderSize]byte
+// tng2Writer streams one TNG2 image to w in section order: the header
+// (written by newTNG2Writer), the n+1 offsets, the 2m neighbors, and
+// the footer (written by close, which checks both counts). Values are
+// encoded into a 64 KiB chunk that goes through the running CRC and on
+// to w in one Write, not one per value. The first write error sticks in
+// err and is returned by close.
+type tng2Writer struct {
+	cw                 crcWriter
+	chunk              []byte
+	offsets, neighbors int64 // still to come
+	err                error
+}
+
+// tng2ChunkSize is the size of tng2Writer's encoding buffer.
+const tng2ChunkSize = 64 << 10
+
+func newTNG2Writer(w io.Writer, n int, m int64) *tng2Writer {
 	le := binary.LittleEndian
-	copy(h[0:4], tng2Magic[:])
-	le.PutUint32(h[4:8], tng2Version)
-	le.PutUint64(h[8:16], uint64(n))
-	le.PutUint64(h[16:24], uint64(m))
+	h := append(make([]byte, 0, tng2ChunkSize), tng2Magic[:]...)
+	h = le.AppendUint32(h, tng2Version)
+	// n, m, the two sections' starts and lengths, and the reserved word.
 	offLen := uint64(n+1) * 8
-	le.PutUint64(h[24:32], tng2HeaderSize)
-	le.PutUint64(h[32:40], offLen)
-	le.PutUint64(h[40:48], tng2HeaderSize+offLen)
-	le.PutUint64(h[48:56], uint64(2*m)*4)
-	return h
+	for _, field := range []uint64{uint64(n), uint64(m), tng2HeaderSize, offLen, tng2HeaderSize + offLen, uint64(2*m) * 4, 0} {
+		h = le.AppendUint64(h, field)
+	}
+	return &tng2Writer{cw: crcWriter{w: w}, chunk: h, offsets: int64(n) + 1, neighbors: 2 * m}
+}
+
+// offset appends the next entry of the offsets section.
+func (tw *tng2Writer) offset(off int64) {
+	if len(tw.chunk)+8 > cap(tw.chunk) {
+		tw.flush()
+	}
+	tw.chunk = binary.LittleEndian.AppendUint64(tw.chunk, uint64(off))
+	tw.offsets--
+}
+
+// neighbor appends the next entry of the adjacency section.
+func (tw *tng2Writer) neighbor(v NodeID) {
+	if len(tw.chunk)+4 > cap(tw.chunk) {
+		tw.flush()
+	}
+	tw.chunk = binary.LittleEndian.AppendUint32(tw.chunk, uint32(v))
+	tw.neighbors--
+}
+
+func (tw *tng2Writer) flush() {
+	if tw.err == nil {
+		_, tw.err = tw.cw.Write(tw.chunk)
+	}
+	tw.chunk = tw.chunk[:0]
+}
+
+// close writes the last chunk and the footer.
+func (tw *tng2Writer) close() error {
+	tw.flush()
+	if tw.err != nil {
+		return tw.err
+	}
+	if tw.offsets != 0 || tw.neighbors != 0 {
+		return fmt.Errorf("graph: tng2 sections off by %d offsets and %d neighbors", tw.offsets, tw.neighbors)
+	}
+	var footer [tng2FooterSize]byte
+	binary.LittleEndian.PutUint32(footer[0:4], tw.cw.sum)
+	copy(footer[4:8], tng2Trailer[:])
+	_, err := tw.cw.w.Write(footer[:])
+	return err
 }
 
 // WriteCSR writes v in the TNG2 format, streaming: one O(n) degree pass
-// sizes the header, then offsets and neighbor lists are emitted through
-// a running CRC with O(1) extra memory — no edge sort, no dedup map, no
-// materialized CSR copy. Combine with CSRWriter (which produces TNG2
-// from an unsorted edge stream) for the bounded-memory generation path.
+// sizes the header, then offsets and neighbor lists go out through
+// tng2Writer with O(1) extra memory — no edge sort, no dedup map, no
+// materialized CSR copy. CSRWriter (which produces TNG2 from an
+// unsorted edge stream) writes through the same tng2Writer, so the two
+// agree byte for byte on the same graph.
 func WriteCSR(w io.Writer, v View) error {
 	n := v.NumNodes()
 	m := v.NumEdges()
@@ -93,44 +145,22 @@ func WriteCSR(w io.Writer, v View) error {
 	if arcs != 2*m {
 		return fmt.Errorf("graph: degree sum %d disagrees with 2m=%d", arcs, 2*m)
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &crcWriter{w: bw}
-	h := tng2Header(n, m)
-	if _, err := cw.Write(h[:]); err != nil {
-		return fmt.Errorf("write csr header: %w", err)
-	}
-	var scratch [8]byte
-	le := binary.LittleEndian
+	tw := newTNG2Writer(w, n, m)
 	off := int64(0)
-	le.PutUint64(scratch[:], 0)
-	if _, err := cw.Write(scratch[:]); err != nil {
-		return fmt.Errorf("write csr offsets: %w", err)
-	}
+	tw.offset(0)
 	for u := 0; u < n; u++ {
 		off += int64(v.Degree(NodeID(u)))
-		le.PutUint64(scratch[:], uint64(off))
-		if _, err := cw.Write(scratch[:]); err != nil {
-			return fmt.Errorf("write csr offsets: %w", err)
-		}
+		tw.offset(off)
 	}
 	var nbuf []NodeID
-	for u := 0; u < n; u++ {
+	for u := 0; u < n && tw.err == nil; u++ {
 		nbuf = v.AppendNeighbors(NodeID(u), nbuf[:0])
 		for _, x := range nbuf {
-			le.PutUint32(scratch[:4], uint32(x))
-			if _, err := cw.Write(scratch[:4]); err != nil {
-				return fmt.Errorf("write csr adjacency: %w", err)
-			}
+			tw.neighbor(x)
 		}
 	}
-	var footer [tng2FooterSize]byte
-	le.PutUint32(footer[0:4], cw.sum)
-	copy(footer[4:8], tng2Trailer[:])
-	if _, err := bw.Write(footer[:]); err != nil {
-		return fmt.Errorf("write csr footer: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("flush csr graph: %w", err)
+	if err := tw.close(); err != nil {
+		return fmt.Errorf("write csr graph: %w", err)
 	}
 	return nil
 }

@@ -175,12 +175,27 @@ func TestWriteCSRRejectsInconsistentView(t *testing.T) {
 	if err := WriteCSR(&bytes.Buffer{}, v); err == nil {
 		t.Error("WriteCSR accepted a view with an inconsistent degree sum")
 	}
+	// One whose neighbor lists disagree with its degrees must fail the
+	// section writer's count check.
+	if err := WriteCSR(&bytes.Buffer{}, shortListView{Graph: pathGraph(t, 5)}); err == nil {
+		t.Error("WriteCSR accepted a view whose neighbor lists are shorter than its degrees")
+	}
 }
 
 // brokenDegreeView doubles NumEdges to break the handshake invariant.
 type brokenDegreeView struct{ *Graph }
 
 func (b brokenDegreeView) NumEdges() int64 { return b.Graph.NumEdges() * 2 }
+
+// shortListView lists no neighbors for node 0 but keeps its degree.
+type shortListView struct{ *Graph }
+
+func (s shortListView) AppendNeighbors(v NodeID, buf []NodeID) []NodeID {
+	if v == 0 {
+		return buf
+	}
+	return s.Graph.AppendNeighbors(v, buf)
+}
 
 // FuzzReadTNG2: arbitrary bytes must never panic; valid parses must
 // satisfy the simple-graph invariants.

@@ -102,7 +102,7 @@ func AsCSR(v View) (*Graph, bool) {
 // own materialization (MaskedView, InducedView, PrefixView) return the
 // cached copy; anything else is rebuilt. Because view neighbor lists are
 // already sorted and deduplicated, rebuilding is a linear O(n+m) pass —
-// not the O(m log m) sort a Builder pays. The result must not be modified.
+// no arc sort, unlike a Builder. The result must not be modified.
 //
 // This is the kernel escape hatch: measurement entry points that run the
 // batched CSR kernels call Materialize once and amortize the copy across

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Crash-recovery smoke: a tight per-job timeout must cut the figure1
-# measurement short (nonzero exit, partial artifacts), leave valid
-# checkpoints behind, and a -resume rerun must complete with artifacts
-# bit-identical to a run that was never interrupted. With its CSVs
+# Crash-recovery smoke: a tight per-job timeout (a third of an
+# uninterrupted run's wall time) must cut the figure1 measurement short
+# (nonzero exit, partial artifacts), leave valid checkpoints behind, and
+# a -resume rerun must complete with artifacts bit-identical to a run
+# that was never interrupted. With its CSVs
 # deleted, a second -resume pass must replay the finished job from the
 # artifact cache (the only record that a job is done) and rewrite the
 # CSVs byte-identically.
@@ -18,10 +19,16 @@ ref="$tmp/ref"
 crash="$tmp/crash"
 
 echo "== reference run (uninterrupted) =="
+start=$(date +%s%N)
 "$bin" -run figure1 -quick -seed 1 -out "$ref" > "$tmp/ref.log"
+ref_ms=$(( ($(date +%s%N) - start) / 1000000 ))
 
-echo "== interrupted run (150ms budget, best-effort) =="
-if "$bin" -run figure1 -quick -seed 1 -timeout 150ms -best-effort -out "$crash" > "$tmp/crash.log" 2>&1; then
+# A fixed budget stops cutting anything short once the job gets faster
+# than it, so the interrupted run gets a third of the reference run's
+# wall time, on whatever host this runs.
+budget_ms=$(( ref_ms / 3 > 1 ? ref_ms / 3 : 1 ))
+echo "== interrupted run (${budget_ms}ms budget, a third of the reference's ${ref_ms}ms; best-effort) =="
+if "$bin" -run figure1 -quick -seed 1 -timeout "${budget_ms}ms" -best-effort -out "$crash" > "$tmp/crash.log" 2>&1; then
     echo "crashsmoke: the timeout-cut run exited 0, want nonzero" >&2
     cat "$tmp/crash.log" >&2
     exit 1
