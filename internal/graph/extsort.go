@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,8 +24,8 @@ import (
 //
 // Peak memory is about 16·BufferArcs + 8n bytes regardless of the edge
 // count: the arc buffer, a radix-sort scratch array the size of the
-// filled buffer, and the offsets array; merging adds a 1 MiB read
-// buffer per spill run.
+// filled buffer, and the offsets array; merging adds one chunk of
+// spillChunk arcs (64 KiB) per spill run.
 //
 // CSRWriters are not safe for concurrent use. Always Close a writer —
 // also after a successful Finish — to remove its spill files.
@@ -152,18 +151,18 @@ func (w *CSRWriter) spill() error {
 	if err != nil {
 		return fmt.Errorf("graph: csr writer spill: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var scratch [8]byte
-	for _, a := range w.buf {
-		binary.LittleEndian.PutUint64(scratch[:], a)
-		if _, err := bw.Write(scratch[:]); err != nil {
+	enc := make([]byte, 0, spillChunk*8)
+	for arcs := w.buf; len(arcs) > 0; {
+		k := min(len(arcs), spillChunk)
+		enc = enc[:0]
+		for _, a := range arcs[:k] {
+			enc = binary.LittleEndian.AppendUint64(enc, a)
+		}
+		if _, err := f.Write(enc); err != nil {
 			f.Close()
 			return fmt.Errorf("graph: csr writer spill: %w", err)
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("graph: csr writer spill: %w", err)
+		arcs = arcs[k:]
 	}
 	w.spilled += int64(len(w.buf)) * 8
 	w.runs = append(w.runs, f)
@@ -215,35 +214,54 @@ func sortArcs(a, tmp []uint64, n int) (sorted, spare []uint64) {
 	return slices.Compact(src), dst
 }
 
-// runReader streams one sorted spill run (or the in-memory buffer).
+// spillChunk is the number of arcs a spill run is written and read in
+// at a time: one Write or one io.ReadFull of 64 KiB.
+const spillChunk = 1 << 13
+
+// runReader streams one sorted spill run, or the in-memory buffer, from
+// mem. A run's reader refills mem from its file one chunk at a time,
+// decoding through raw, which every reader of a merge shares.
 type runReader struct {
-	br      *bufio.Reader
-	mem     []uint64
-	cur     uint64
-	ok      bool
-	scratch [8]byte
+	f     io.Reader // nil for the buffer, and once the run is read
+	raw   []byte
+	chunk []uint64
+	mem   []uint64
+	cur   uint64
+	ok    bool
 }
 
 func (r *runReader) advance() error {
-	if r.br == nil {
-		if len(r.mem) == 0 {
-			r.ok = false
-			return nil
+	if len(r.mem) == 0 && r.f != nil {
+		if err := r.refill(); err != nil {
+			return err
 		}
-		r.cur = r.mem[0]
-		r.mem = r.mem[1:]
-		r.ok = true
+	}
+	if len(r.mem) == 0 {
+		r.ok = false
 		return nil
 	}
-	if _, err := io.ReadFull(r.br, r.scratch[:]); err != nil {
-		if err == io.EOF {
-			r.ok = false
-			return nil
-		}
+	r.cur, r.mem = r.mem[0], r.mem[1:]
+	r.ok = true
+	return nil
+}
+
+// refill reads the run's next chunk into mem. A short chunk is the
+// run's last; an empty mem means the run is done.
+func (r *runReader) refill() error {
+	n, err := io.ReadFull(r.f, r.raw)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		r.f, err = nil, nil
+	}
+	if err == nil && n%8 != 0 {
+		err = fmt.Errorf("run ends inside an arc")
+	}
+	if err != nil {
 		return fmt.Errorf("graph: csr writer merge: %w", err)
 	}
-	r.cur = binary.LittleEndian.Uint64(r.scratch[:])
-	r.ok = true
+	r.mem = r.chunk[:n/8]
+	for i := range r.mem {
+		r.mem[i] = binary.LittleEndian.Uint64(r.raw[8*i:])
+	}
 	return nil
 }
 
@@ -260,11 +278,12 @@ func (w *CSRWriter) merge(fn func(arcs []uint64) error) error {
 		return fn(w.buf)
 	}
 	readers := make([]*runReader, 0, len(w.runs)+1)
+	raw := make([]byte, spillChunk*8)
 	for _, f := range w.runs {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return fmt.Errorf("graph: csr writer merge: %w", err)
 		}
-		readers = append(readers, &runReader{br: bufio.NewReaderSize(f, 1<<20)})
+		readers = append(readers, &runReader{f: f, raw: raw, chunk: make([]uint64, spillChunk)})
 	}
 	readers = append(readers, &runReader{mem: w.buf})
 	// Binary min-heap of reader indices ordered by current arc.

@@ -146,6 +146,25 @@ func TestCSRWriterSpillsMatchBuilder(t *testing.T) {
 	}
 }
 
+// TestCSRWriterSpillChunks spills runs longer than one spillChunk: with
+// distinct edges every run holds exactly BufferArcs arcs, so a buffer of
+// two chunks ends each run on a chunk boundary and one two arcs larger
+// ends it two arcs into a third chunk.
+func TestCSRWriterSpillChunks(t *testing.T) {
+	const n = 1000
+	var edges []Edge
+	for k := 1; k <= 20; k++ {
+		for u := 0; u < n; u++ {
+			edges = append(edges, Edge{NodeID(u), NodeID((u + k) % n)})
+		}
+	}
+	for _, st := range checkWriters(t, n, edges, 2*spillChunk, 2*spillChunk+2) {
+		if st.Runs != 2 {
+			t.Errorf("expected 2 spill runs, got %+v", st)
+		}
+	}
+}
+
 // TestCSRWriterDigitBoundaries writes graphs on both sides of each
 // radix digit boundary — where the node IDs' significant bits grow from
 // one radixBits digit per arc half to two, and from two to three — and
