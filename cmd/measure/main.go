@@ -50,7 +50,6 @@ func run(args []string) error {
 		expSrc  = fs.Int("expansion-sources", 0, fmt.Sprintf("sampled BFS cores for expansion; n or more measures from every node (0 = %d)", def.ExpansionSources))
 		specTol = fs.Float64("spectral-tol", 0, "SLEM tolerance: the Lanczos iteration stops once mu moves by less than this in one step (0 = the spectral package default)")
 		seed    = fs.Int64("seed", 0, fmt.Sprintf("measurement seed (0 = %d)", def.Seed))
-		shards  = fs.Int("shards", 1, "measure over a node-range-sharded view (results are identical at any shard count)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,10 +90,6 @@ func run(args []string) error {
 			show[j.Name()] = true
 		}
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-
 	g, name, err := loadGraph(*in, *dataset)
 	if err != nil {
 		return err
@@ -106,16 +101,9 @@ func run(args []string) error {
 		fmt.Printf("note: graph disconnected; measuring largest component (%d of %d nodes)\n",
 			len(kept), total)
 	}
-	if *shards > 1 {
-		sg, err := graph.NewSharded(g, *shards)
-		if err != nil {
-			return err
-		}
-		g = sg
-	}
 
-	// The canonical topology digest (identical at any shard count) lets
-	// operators tie this output to cached artifacts.
+	// The canonical topology digest lets operators tie this output to
+	// cached artifacts.
 	fmt.Printf("graph %s: n=%d m=%d fingerprint=%s\n\n", name, g.NumNodes(), g.NumEdges(), graph.Fingerprint(g))
 	reg, err := core.Jobs(g, cfg)
 	if err != nil {

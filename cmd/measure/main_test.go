@@ -70,7 +70,7 @@ func TestRunErrors(t *testing.T) {
 		// A misspelled name, and a flag after a name, fail before any
 		// measurement runs.
 		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "mixng"},
-		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "coreness", "-shards", "0"},
+		{"-dataset", "rice-grad", "-sources", "5", "-steps", "20", "coreness", "-seed", "3"},
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {
@@ -221,35 +221,6 @@ func TestRunMappedInput(t *testing.T) {
 	checkReportMatchesText(t, "g.tng2", func(path string, g *graph.Graph) error {
 		return graph.SaveCSR(path, g)
 	})
-}
-
-// TestRunSharded measures the same mmap-backed graph at 1 and 3 shards;
-// the two reports must be byte-identical, as in scripts/scalesmoke.sh.
-func TestRunSharded(t *testing.T) {
-	g, err := gen.BarabasiAlbert(250, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "g.tng2")
-	if err := graph.SaveCSR(path, g); err != nil {
-		t.Fatal(err)
-	}
-	var reports []string
-	for _, shards := range []string{"1", "3"} {
-		out, err := captureStdout(t, func() error {
-			return run([]string{"-in", path, "-shards", shards, "-sources", "5", "-steps", "20", "all"})
-		})
-		if err != nil {
-			t.Fatalf("shards=%s: %v", shards, err)
-		}
-		reports = append(reports, out)
-	}
-	if reports[0] == "" || reports[0] != reports[1] {
-		t.Errorf("3-shard report differs from monolithic:\n--- shards=1\n%s\n--- shards=3\n%s", reports[0], reports[1])
-	}
-	if err := run([]string{"-in", path, "-shards", "0", "coreness"}); err == nil {
-		t.Error("-shards 0: want error")
-	}
 }
 
 // captureStdout redirects os.Stdout around fn; run prints its report

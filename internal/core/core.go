@@ -223,9 +223,8 @@ func Jobs(g graph.View, cfg MeasureConfig) (*jobs.Registry, error) {
 // Measure runs the whole catalog on g into one Report. The graph must be
 // connected (use graph.LargestComponent first, as every measurement
 // study does). It accepts any graph.View — including an mmap-backed
-// graph.Mapped or a graph.ShardedGraph, which routes every kernel
-// through its per-shard path — and the report is bit-identical across
-// substrates.
+// graph.Mapped, whose CSR the kernels read in place — and the report is
+// bit-identical across substrates.
 func Measure(ctx context.Context, name string, g graph.View, cfg MeasureConfig) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -163,8 +163,7 @@ func (r *Result) VertexExpansion(n int) (float64, bool) {
 // (every node when cfg.Sources is nil). The context cancels the run early;
 // a cancelled run returns ctx.Err().
 //
-// It accepts any graph.View. A sharded view runs the gather-form
-// kernels.ShardedBFSBatch; any other non-CSR view is materialized once
+// It accepts any graph.View. A non-CSR view is materialized once
 // (graph.Materialize, cached by the view) and the copy is amortized
 // across all cores. Results are identical either way.
 func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
@@ -223,33 +222,16 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 		}
 		blocks := parallel.Blocks(len(todo), kernels.BFSBatchWidth)
 		obsBatches.Add(int64(len(blocks)))
-		workers := cfg.Workers
-		var levelsOf func(srcs []graph.NodeID) ([][]int64, error)
-		if sg, ok := graph.AsSharded(g); ok {
-			// Sharded substrate: parallelism moves inside each batch (one
-			// worker per shard per BFS superstep), so the outer batch loop
-			// runs inline and no Materialize flattens the shards. Levels
-			// are integers, so the fold below sees identical values.
-			batch := kernels.NewShardedBFSBatch(sg)
-			workers = 1
-			levelsOf = func(srcs []graph.NodeID) ([][]int64, error) {
-				return batch.Run(ctx, srcs, cfg.Workers)
-			}
-		} else {
-			pool := kernels.NewBFSBatchPool(graph.Materialize(g))
-			defer func() {
-				gets, news := pool.Stats()
-				obsPoolHits.Add(gets - news)
-				obsPoolMisses.Add(news)
-			}()
-			levelsOf = func(srcs []graph.NodeID) ([][]int64, error) {
-				batch := pool.Get()
-				defer pool.Put(batch)
-				return batch.Run(srcs)
-			}
-		}
-		runErr = parallel.ForEach(ctx, workers, len(blocks), func(_, b int) error {
-			part, err := levelsOf(todoSources[blocks[b].Start:blocks[b].End])
+		pool := kernels.NewBFSBatchPool(graph.Materialize(g))
+		defer func() {
+			gets, news := pool.Stats()
+			obsPoolHits.Add(gets - news)
+			obsPoolMisses.Add(news)
+		}()
+		runErr = parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
+			batch := pool.Get()
+			defer pool.Put(batch)
+			part, err := batch.Run(todoSources[blocks[b].Start:blocks[b].End])
 			if err != nil {
 				return err
 			}

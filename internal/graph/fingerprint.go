@@ -14,8 +14,8 @@ var fingerprintTable = crc64.MakeTable(crc64.ECMA)
 // node's degree and sorted neighbor list in ascending node order, each
 // value as a 64-bit little-endian word. Because the View contract fixes
 // node identity and neighbor order, the digest is identical for the
-// monolithic CSR, the mmap-backed Mapped form, the ShardedGraph, and
-// any zero-copy view of equal topology — it is the graph half of the
+// CSR, the mmap-backed Mapped form and any zero-copy view of equal
+// topology — it is the graph half of the
 // measurement-artifact cache key, shared across every substrate form.
 //
 // The stream is buffered, so the cost is one sequential O(n+m) pass

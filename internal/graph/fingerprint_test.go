@@ -47,7 +47,7 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 }
 
 // The digest must be identical across every substrate form of the same
-// topology: monolithic CSR, mmap-backed TNG2, and the sharded engine.
+// topology: CSR, mmap-backed TNG2 and an unmasked view.
 func TestFingerprintConsistentAcrossForms(t *testing.T) {
 	g := fingerprintTestGraph(t)
 	want := Fingerprint(g)
@@ -63,16 +63,6 @@ func TestFingerprintConsistentAcrossForms(t *testing.T) {
 	defer mg.Close()
 	if got := Fingerprint(mg); got != want {
 		t.Errorf("mapped fingerprint %s, want %s", got, want)
-	}
-
-	for _, shards := range []int{1, 2, 3} {
-		sg, err := NewSharded(g, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := Fingerprint(sg); got != want {
-			t.Errorf("%d-shard fingerprint %s, want %s", shards, got, want)
-		}
 	}
 
 	// A masked view with nothing masked digests identically as well.

@@ -1,19 +1,17 @@
 package graph
 
 // Rows is a read-only CSR fragment: the sorted neighbor lists of a
-// contiguous node range (see Range), carrying global node IDs. A Graph
-// is one Rows over all its nodes (Graph.Rows) and a ShardedGraph holds
-// one per shard (ShardedGraph.Shard), so a kernel that splits its work
-// by row range reads either substrate through the same inlined slice
-// arithmetic — no interface call and no shard lookup per row.
+// contiguous node range (see Range), carrying global node IDs. A Graph is
+// one Rows over all its nodes (Graph.Rows), and Slice cuts it into row
+// spans, so a kernel that splits its work by row range reads every span
+// through the same inlined slice arithmetic — no interface call per row.
 //
-// offsets is global-valued (offsets[i]-arcBase indexes adj), so a
-// CSR-backed substrate is sliced without rewriting the offsets.
+// offsets is global-valued: it indexes the whole graph's adjacency, so a
+// span is sliced without rewriting the offsets.
 type Rows struct {
 	base    NodeID
-	arcBase int64
 	offsets []int64  // len rows+1, global arc offsets
-	adj     []NodeID // this range's arcs, global neighbor IDs
+	adj     []NodeID // the whole graph's arcs, global neighbor IDs
 }
 
 // Rows returns the whole graph as one CSR fragment aliasing its storage.
@@ -32,15 +30,15 @@ func (r Rows) Range() (lo, hi NodeID) {
 // Slice returns the sub-fragment covering rows [lo, hi), which must lie
 // inside Range.
 func (r Rows) Slice(lo, hi NodeID) Rows {
-	return Rows{base: lo, arcBase: r.arcBase, offsets: r.offsets[lo-r.base : hi-r.base+1], adj: r.adj}
+	return Rows{base: lo, offsets: r.offsets[lo-r.base : hi-r.base+1], adj: r.adj}
 }
 
 // CSR returns the fragment's raw arrays, aliasing its storage, for
 // kernels whose inner loops cannot call Neighbors per row: row base+i's
-// neighbors are adj[offsets[i]-arcBase : offsets[i+1]-arcBase], and
-// len(offsets) is the row count plus one. None of them may be modified.
-func (r Rows) CSR() (base NodeID, arcBase int64, offsets []int64, adj []NodeID) {
-	return r.base, r.arcBase, r.offsets, r.adj
+// neighbors are adj[offsets[i] : offsets[i+1]], and len(offsets) is the
+// row count plus one. None of them may be modified.
+func (r Rows) CSR() (base NodeID, offsets []int64, adj []NodeID) {
+	return r.base, r.offsets, r.adj
 }
 
 // Degree returns deg(v) for a row v inside Range.
@@ -53,5 +51,5 @@ func (r Rows) Degree(v NodeID) int {
 // aliasing the fragment's storage; it must not be modified.
 func (r Rows) Neighbors(v NodeID) []NodeID {
 	i := v - r.base
-	return r.adj[r.offsets[i]-r.arcBase : r.offsets[i+1]-r.arcBase]
+	return r.adj[r.offsets[i]:r.offsets[i+1]]
 }

@@ -308,12 +308,12 @@ func ReadTNG2(r io.Reader) (*Graph, error) {
 // on little-endian unix hosts its CSR slices alias the mapping directly
 // (zero-copy; the kernel pages neighbor lists in on demand and one page
 // cache copy serves every process), elsewhere it degrades to a verified
-// copy-load. It implements View, CSRSource and NeighborSlicer, so both
-// the monolithic kernels and a ShardedGraph can sit on top of it without
-// copying the arrays.
+// copy-load. It implements View and CSRSource, so the kernels and the
+// traversals (through Adj) run over the mapping without copying the
+// arrays.
 //
-// Close unmaps the file; using the view (or any graph or shard derived
-// from it) after Close panics. Mapped views are safe for concurrent
+// Close unmaps the file; using the view (or any graph derived from it)
+// after Close panics. Mapped views are safe for concurrent
 // readers, like every immutable graph.
 type Mapped struct {
 	g    *Graph

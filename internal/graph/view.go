@@ -3,10 +3,10 @@ package graph
 import "fmt"
 
 // View is the read-only graph abstraction shared by every measurement in the
-// repository. *Graph implements it directly; MaskedView, InducedView and
-// PrefixView implement it zero-copy over a substrate *Graph, so churned,
-// induced and growth-prefix variants of one graph can be measured without
-// materializing a CSR copy per variant.
+// repository. *Graph implements it directly, and Mapped over a TNG2 file;
+// MaskedView, InducedView and PrefixView implement it zero-copy over a
+// substrate *Graph, so churned, induced and growth-prefix variants of one
+// graph can be measured without materializing a CSR copy per variant.
 //
 // Contract, mirroring Graph: nodes are dense IDs in [0, NumNodes());
 // neighbor lists are sorted ascending and free of self loops and
@@ -34,27 +34,15 @@ type View interface {
 }
 
 // CSRSource is implemented by views that are directly backed by a CSR
-// *Graph with no masking or remapping — in practice, *Graph itself. The
-// batched kernels (internal/kernels) require raw CSR arrays; dispatch sites
-// use AsCSR to take the kernel path without a copy when they can.
+// *Graph with no masking or remapping: *Graph itself and the mmap-backed
+// Mapped. The batched kernels (internal/kernels) require raw CSR arrays;
+// Materialize returns them through AsCSR without a copy, and Adj serves
+// their aliased neighbor slices.
 type CSRSource interface {
 	View
 	// CSR returns the backing CSR graph. The result views the same
 	// topology: same node IDs, same edges.
 	CSR() *Graph
-}
-
-// NeighborSlicer is implemented by views that can return an aliased,
-// allocation-free neighbor slice — *Graph, Mapped and ShardedGraph. The
-// slice must be sorted ascending, must not be modified, and is only
-// guaranteed valid until the next call on the same view. Traversal
-// helpers (Adj, and through it BFS, k-core peeling, connectivity) use it
-// as a generic fast path, so mapped and sharded graphs traverse at CSR
-// speed without implementing CSRSource.
-type NeighborSlicer interface {
-	View
-	// Neighbors returns the sorted neighbor list of v without copying.
-	Neighbors(v NodeID) []NodeID
 }
 
 // Materializer is implemented by views that cache their own CSR
@@ -178,20 +166,21 @@ func Stationary(v View) ([]float64, error) {
 }
 
 // Adj is a per-goroutine neighbor cursor over a View. On CSR-backed views
-// Neighbors is the zero-copy aliased slice; otherwise neighbors are
-// appended into one reused buffer, so steady-state traversal allocates
-// nothing either way. An Adj must not be shared between goroutines, and a
-// returned slice is only valid until the next Neighbors call.
+// (AsCSR) Neighbors is the zero-copy aliased slice; otherwise neighbors
+// are appended into one reused buffer, so steady-state traversal
+// allocates nothing either way. An Adj must not be shared between
+// goroutines, and a returned slice is only valid until the next Neighbors
+// call.
 type Adj struct {
-	sl  NeighborSlicer
+	g   *Graph
 	v   View
 	buf []NodeID
 }
 
 // NewAdj returns a cursor for v.
 func NewAdj(v View) *Adj {
-	if s, ok := v.(NeighborSlicer); ok {
-		return &Adj{sl: s}
+	if g, ok := AsCSR(v); ok {
+		return &Adj{g: g}
 	}
 	return &Adj{v: v}
 }
@@ -199,17 +188,16 @@ func NewAdj(v View) *Adj {
 // Neighbors returns the sorted neighbor list of u, valid until the next
 // call. The slice must not be modified.
 func (a *Adj) Neighbors(u NodeID) []NodeID {
-	if a.sl != nil {
-		return a.sl.Neighbors(u)
+	if a.g != nil {
+		return a.g.Neighbors(u)
 	}
 	a.buf = a.v.AppendNeighbors(u, a.buf[:0])
 	return a.buf
 }
 
 var (
-	_ CSRSource      = (*Graph)(nil)
-	_ View           = (*Graph)(nil)
-	_ NeighborSlicer = (*Graph)(nil)
+	_ CSRSource = (*Graph)(nil)
+	_ View      = (*Graph)(nil)
 )
 
 // AvgDegree returns 2m/n for a view (Graph.AverageDegree generalized), or

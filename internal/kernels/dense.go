@@ -7,8 +7,8 @@ import (
 )
 
 // The dense step's vector path. Where useVector is set (amd64 CPUs with
-// AVX2, detected once at init), shareRows, gatherRows and distancesTo
-// run the assembly bodies in dense_amd64.s instead of their pure-Go
+// AVX2, detected once at init), shareRows, gatherRows and
+// WalkBlock.DistancesTo run the assembly bodies in dense_amd64.s instead of their pure-Go
 // loops, which stay as the path everywhere else and as the reference
 // TestEquivalenceDenseStepVector compares against. The bodies compute
 // every column with the same operations in the same order as the loops,
@@ -32,30 +32,30 @@ const vectorRows = 1024
 
 // vectorFragment checks the bounds the share and gather bodies rely on
 // and returns the fragment's rows and raw arrays.
-func vectorFragment(rows graph.Rows, cur, shr []float64, st int) (lo, hi int, arcBase int64, offsets []int64, adj []graph.NodeID) {
+func vectorFragment(rows graph.Rows, cur, shr []float64, st int) (lo, hi int, offsets []int64, adj []graph.NodeID) {
 	if st <= 0 || st%8 != 0 {
 		panic(fmt.Sprintf("kernels: dense step row stride %d is not a positive multiple of 8", st))
 	}
 	n := len(cur) / st
 	l, h := rows.Range()
 	lo, hi = int(l), int(h)
-	_, arcBase, offsets, adj = rows.CSR()
+	_, offsets, adj = rows.CSR()
 	switch {
 	case len(cur) != n*st || len(shr) < n*st:
 		panic(fmt.Sprintf("kernels: dense step buffers of %d and %d values do not hold %d rows of %d", len(cur), len(shr), n, st))
 	case lo < 0 || hi > n:
 		panic(fmt.Sprintf("kernels: dense step rows [%d, %d) outside %d rows", lo, hi, n))
-	case lo < hi && (len(offsets) != hi-lo+1 || offsets[0] < arcBase || offsets[hi-lo] < offsets[0] || offsets[hi-lo]-arcBase > int64(len(adj))):
+	case lo < hi && (len(offsets) != hi-lo+1 || offsets[0] < 0 || offsets[hi-lo] < offsets[0] || offsets[hi-lo] > int64(len(adj))):
 		panic(fmt.Sprintf("kernels: dense step offsets do not match rows [%d, %d) over %d arcs", lo, hi, len(adj)))
 	}
-	return lo, hi, arcBase, offsets, adj
+	return lo, hi, offsets, adj
 }
 
 // shareRowsVector is shareRows on the vector unit. It also writes the
 // padding columns, with the same expression: they hold +0.0 in every
 // block, so it writes +0.0 there.
 func shareRowsVector(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
-	lo, hi, _, offsets, _ := vectorFragment(rows, cur, shr, st)
+	lo, hi, offsets, _ := vectorFragment(rows, cur, shr, st)
 	for u := lo; u < hi; u += vectorRows {
 		k := min(hi-u, vectorRows)
 		shareRowsAVX2(&cur[u*st], &shr[u*st], &offsets[u-lo], k, st, lazy)
@@ -64,13 +64,13 @@ func shareRowsVector(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
 
 // gatherRowsVector is gatherRows on the vector unit.
 func gatherRowsVector(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
-	lo, hi, arcBase, offsets, adj := vectorFragment(rows, cur, shr, st)
+	lo, hi, offsets, adj := vectorFragment(rows, cur, shr, st)
 	if lo == hi || offsets[0] == offsets[hi-lo] {
 		return // every row, if any, has no arcs and keeps its mass
 	}
 	for u := lo; u < hi; u += vectorRows {
 		k := min(hi-u, vectorRows)
-		gatherRowsAVX2(&cur[u*st], &shr[0], &offsets[u-lo], &adj[0], arcBase, u, k, st, lazy)
+		gatherRowsAVX2(&cur[u*st], &shr[0], &offsets[u-lo], &adj[0], u, k, st, lazy)
 	}
 }
 

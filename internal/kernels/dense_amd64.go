@@ -34,7 +34,7 @@ func xgetbv() (eax, edx uint32)
 func shareRowsAVX2(cur, shr *float64, offsets *int64, rows, st int, lazy bool)
 
 //go:noescape
-func gatherRowsAVX2(cur, shr *float64, offsets *int64, adj *graph.NodeID, arcBase int64, u, rows, st int, lazy bool)
+func gatherRowsAVX2(cur, shr *float64, offsets *int64, adj *graph.NodeID, u, rows, st int, lazy bool)
 
 //go:noescape
 func distancesAVX2(cur, target, acc *float64, rows, st int)

@@ -86,7 +86,7 @@ share_next:
 	VZEROUPPER
 	RET
 
-// func gatherRowsAVX2(cur, shr *float64, offsets *int64, adj *graph.NodeID, arcBase int64, u, rows, st int, lazy bool)
+// func gatherRowsAVX2(cur, shr *float64, offsets *int64, adj *graph.NodeID, u, rows, st int, lazy bool)
 //
 // cur points at row u's first column, offsets at row u's offset, shr and
 // adj at their first elements. Each row with arcs is rebuilt in place:
@@ -94,18 +94,15 @@ share_next:
 // leaves 8 over, one chunk of 8 (two), the chunk's sum starts at +0.0 and
 // adds the neighbors' share rows in adjacency order, with the lazy half
 // of the row's own mass at the position of its first neighbor not below u.
-TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-65
+TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-57
 	MOVQ cur+0(FP), DI
 	MOVQ shr+8(FP), SI
 	MOVQ offsets+16(FP), R8
-	MOVQ adj+24(FP), R9
-	MOVQ arcBase+32(FP), AX
-	SHLQ $2, AX
-	SUBQ AX, R9              // R9 + 4·offset addresses that arc of adj
-	MOVQ u+40(FP), R10       // R10 = current row u
-	MOVQ rows+48(FP), R11
+	MOVQ adj+24(FP), R9      // R9 + 4·offset addresses that arc of adj
+	MOVQ u+32(FP), R10       // R10 = current row u
+	MOVQ rows+40(FP), R11
 	LEAQ (R8)(R11*8), R11    // R11 = the last row's end offset: loop end
-	MOVQ st+56(FP), R12
+	MOVQ st+48(FP), R12
 	SHLQ $3, R12             // R12 = row stride in bytes
 	MOVQ $0x3fe0000000000000, AX
 	MOVQ AX, X5
@@ -119,7 +116,7 @@ gather_row:
 	LEAQ (R9)(BX*4), BX      // BX = first arc
 	LEAQ (R9)(DX*4), DX      // DX = end of the arcs
 	XORQ CX, CX              // CX = the arc the self term precedes; no arc is at address 0
-	CMPB lazy+64(FP), $0
+	CMPB lazy+56(FP), $0
 	JEQ  gather_cols
 	MOVQ BX, CX
 

@@ -14,7 +14,7 @@ func shareRowsAVX2(cur, shr *float64, offsets *int64, rows, st int, lazy bool) {
 	panic("kernels: no vector dense step on this GOARCH")
 }
 
-func gatherRowsAVX2(cur, shr *float64, offsets *int64, adj *graph.NodeID, arcBase int64, u, rows, st int, lazy bool) {
+func gatherRowsAVX2(cur, shr *float64, offsets *int64, adj *graph.NodeID, u, rows, st int, lazy bool) {
 	panic("kernels: no vector dense step on this GOARCH")
 }
 

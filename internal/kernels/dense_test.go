@@ -21,24 +21,18 @@ func skipWithoutVector(t *testing.T) {
 
 // TestEquivalenceDenseStepVector checks the vector dense step against
 // the pure-Go loops bit for bit: shareRows and gatherRows over the whole
-// graph's Rows and over every shard of 3 and 7, then distancesTo, for
-// the plain and the lazy walk at block widths 1, 5, 16, 17 and 64 (row
-// strides 8, 16, 24 and 64, with padding columns). The graph has
+// graph's Rows and over its cuts into 3 and 7 spans, then the distances,
+// for the plain and the lazy walk at block widths 1, 5, 16, 17 and 64
+// (row strides 8, 16, 24 and 64, with padding columns). The graph has
 // isolated rows, degree-1 rows and a hub, and more than vectorRows rows,
-// so the wrappers split the whole graph across several assembly calls.
+// so the wrappers split the whole graph across several assembly calls,
+// and the spans start and end inside those calls' row chunks.
 func TestEquivalenceDenseStepVector(t *testing.T) {
 	skipWithoutVector(t)
 	g := denseTestGraph(t, 2600)
 	fragments := map[string][]graph.Rows{"whole": {g.Rows()}}
 	for _, k := range []int{3, 7} {
-		sg, err := graph.NewSharded(g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("shards%d", k)
-		for s := 0; s < k; s++ {
-			fragments[name] = append(fragments[name], sg.Shard(s))
-		}
+		fragments[fmt.Sprintf("spans%d", k)] = rowSpans(g, k)
 	}
 	rng := rand.New(rand.NewSource(19))
 	value := func() float64 {
@@ -83,7 +77,7 @@ func FuzzDenseStepVector(f *testing.F) {
 	f.Add(uint16(1500), uint8(17), true, uint8(7), hub, vals)
 	f.Add(uint16(9), uint8(64), false, uint8(2), []byte{1, 0, 2, 0, 2, 0, 3, 0, 8, 0, 3, 0}, []byte{})
 	f.Add(uint16(1), uint8(1), true, uint8(1), []byte{}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, nodes uint16, width uint8, lazy bool, shards uint8, edges, values []byte) {
+	f.Fuzz(func(t *testing.T, nodes uint16, width uint8, lazy bool, spans uint8, edges, values []byte) {
 		skipWithoutVector(t)
 		n := int(nodes)%3000 + 1
 		b := int(width)%64 + 1
@@ -94,14 +88,7 @@ func FuzzDenseStepVector(f *testing.F) {
 			gb.AddEdgeSafe(graph.NodeID(u), graph.NodeID(v))
 		}
 		g := gb.Build()
-		sg, err := graph.NewSharded(g, int(shards)%8+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frags := make([]graph.Rows, sg.NumShards())
-		for s := range frags {
-			frags[s] = sg.Shard(s)
-		}
+		frags := rowSpans(g, int(spans)%8+1)
 		pool := []float64{1}
 		if len(values) >= 8 {
 			pool = pool[:0]
@@ -113,9 +100,21 @@ func FuzzDenseStepVector(f *testing.F) {
 				pool = append(pool, math.Float64frombits(bits))
 			}
 		}
-		label := fmt.Sprintf("n=%d width=%d lazy=%v shards=%d", n, b, lazy, len(frags))
+		label := fmt.Sprintf("n=%d width=%d lazy=%v spans=%d", n, b, lazy, len(frags))
 		compareDenseStep(t, label, frags, n, b, lazy, 2, func(i int) float64 { return pool[i%len(pool)] })
 	})
+}
+
+// rowSpans cuts g's rows into k contiguous spans, at i·n/k for i in
+// [1, k), so the cuts fall inside the vector bodies' row chunks rather
+// than on their boundaries. Spans may be empty when k exceeds n.
+func rowSpans(g *graph.Graph, k int) []graph.Rows {
+	n := g.NumNodes()
+	spans := make([]graph.Rows, k)
+	for i := range spans {
+		spans[i] = g.Rows().Slice(graph.NodeID(i*n/k), graph.NodeID((i+1)*n/k))
+	}
+	return spans
 }
 
 // compareDenseStep fills a block of width b over n rows with value(i)

@@ -11,6 +11,12 @@
 //     sizes via popcount — up to ~64× fewer adjacency scans for the
 //     expansion measurement of Eq. 4, with exact integer results.
 //
+// Each is the one kernel of its measurement, over the CSR that
+// graph.Materialize returns (zero-copy for a Graph or an mmap-backed
+// graph.Mapped). Neither fans out internally: walk.MeasureMixing and
+// expansion.Measure run one block of DefaultBlockWidth sources, or one
+// batch of BFSBatchWidth cores, per worker task.
+//
 // Both kernels preserve the repository's determinism contract
 // bit-for-bit. Per-source walk columns are independent and every
 // floating-point addition into a column happens in the same ascending

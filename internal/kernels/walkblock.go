@@ -29,8 +29,7 @@ import (
 // touched by the previous step are re-zeroed, so a step costs O(edges
 // incident to the frontier · B) instead of O((n+m)·B). Once the frontier
 // covers more than half the graph the block switches permanently to the
-// dense path, a gather (shareRows, then gatherRows) that ShardedWalkBlock
-// runs shard by shard.
+// dense path, a gather (shareRows, then gatherRows).
 //
 // WalkBlocks are not safe for concurrent use; create one per goroutine.
 type WalkBlock struct {
@@ -216,8 +215,7 @@ func (wb *WalkBlock) stepSparse() {
 	}
 }
 
-// The dense step is a gather in two passes over a row range, run once
-// over the whole CSR by WalkBlock and once per shard by ShardedWalkBlock.
+// The dense step is a gather in two passes over the CSR's rows.
 // shareRows writes every row's outgoing share into the share buffer;
 // gatherRows then rebuilds every row of cur in place from its neighbors'
 // shares. The bits equal the scatter's (propagate's) because destination
@@ -346,39 +344,38 @@ func gatherRowsGo(rows graph.Rows, cur, shr []float64, st int, lazy bool) {
 // DistancesTo writes the total variation distance of every column to the
 // target distribution into out (length Width), summing |p_v - target_v|
 // over ascending v exactly like walk.TotalVariation so each column's
-// distance is bit-identical to the per-source measurement.
+// distance is bit-identical to the per-source measurement. The fold runs
+// over ascending rows on one goroutine: splitting it would change the
+// floating-point addition order.
 func (wb *WalkBlock) DistancesTo(target []float64, out []float64) error {
-	return distancesTo(wb.cur, wb.width, wb.stride, target, out, wb.tvd)
+	if n := wb.g.NumNodes(); len(target) != n {
+		return fmt.Errorf("kernels: total variation length mismatch %d vs %d", n, len(target))
+	}
+	if len(out) != wb.width {
+		return fmt.Errorf("kernels: distance buffer has %d slots for %d columns", len(out), wb.width)
+	}
+	if useVector {
+		distancesToVector(wb.cur, wb.stride, target, out, wb.tvd)
+		return nil
+	}
+	distancesToGo(wb.cur, wb.width, wb.stride, target, out)
+	return nil
 }
 
 // Column copies column j's current distribution into dst (allocated when
 // nil) and returns it.
 func (wb *WalkBlock) Column(j int, dst []float64) []float64 {
-	return column(wb.cur, wb.stride, j, dst)
+	n := wb.g.NumNodes()
+	if dst == nil {
+		dst = make([]float64, n)
+	}
+	for v := 0; v < n; v++ {
+		dst[v] = wb.cur[v*wb.stride+j]
+	}
+	return dst
 }
 
-// distancesTo is DistancesTo over a column-blocked buffer of the given
-// row stride, shared by both walk kernels; acc is the block's st-long
-// accumulator for the vector path. The fold runs over ascending rows on
-// one goroutine: splitting it would change the floating-point addition
-// order.
-func distancesTo(cur []float64, b, st int, target, out, acc []float64) error {
-	n := len(cur) / st
-	if len(target) != n {
-		return fmt.Errorf("kernels: total variation length mismatch %d vs %d", n, len(target))
-	}
-	if len(out) != b {
-		return fmt.Errorf("kernels: distance buffer has %d slots for %d columns", len(out), b)
-	}
-	if useVector {
-		distancesToVector(cur, st, target, out, acc)
-		return nil
-	}
-	distancesToGo(cur, b, st, target, out)
-	return nil
-}
-
-// distancesToGo is distancesTo's fold in pure Go: it sums |p_v - target_v|
+// distancesToGo is DistancesTo's fold in pure Go: it sums |p_v - target_v|
 // into out over ascending v, then halves.
 func distancesToGo(cur []float64, b, st int, target, out []float64) {
 	n := len(target)
@@ -395,16 +392,4 @@ func distancesToGo(cur []float64, b, st int, target, out []float64) {
 	for j := range out {
 		out[j] /= 2
 	}
-}
-
-// column is Column over a column-blocked buffer of the given row stride.
-func column(cur []float64, st, j int, dst []float64) []float64 {
-	n := len(cur) / st
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	for v := 0; v < n; v++ {
-		dst[v] = cur[v*st+j]
-	}
-	return dst
 }

@@ -1,9 +1,9 @@
 // Package parallel is the shared worker-pool fan-out used by every
 // embarrassingly parallel measurement in the repository: the per-source
 // mixing curves of Eq. 2 (internal/walk), the per-core BFS expansion
-// envelopes of Eq. 4 (internal/expansion), the row-partitioned power
-// iteration behind the SLEM bound (internal/spectral), and the per-pivot
-// Brandes accumulation (internal/centrality).
+// envelopes of Eq. 4 (internal/expansion), the row-partitioned mat-vec
+// of the Lanczos iteration behind the SLEM bound (internal/spectral), and
+// the per-pivot Brandes accumulation (internal/centrality).
 //
 // The package enforces one determinism contract for all of them:
 //

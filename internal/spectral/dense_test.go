@@ -153,3 +153,23 @@ func TestSLEMResidualMatchesRitzVector(t *testing.T) {
 		}
 	}
 }
+
+func mustBA(t *testing.T, n, attach int, seed int64) *graph.Graph {
+	t.Helper()
+	g, err := gen.BarabasiAlbert(n, attach, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func mustClusteredPA(t *testing.T, comms, size, attach, bridges int, seed int64) *graph.Graph {
+	t.Helper()
+	g, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{
+		Communities: comms, CommunitySize: size, Attach: attach, Bridges: bridges, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}

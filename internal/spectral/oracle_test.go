@@ -1,7 +1,6 @@
 package spectral
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -132,8 +131,8 @@ func slemOracle(t *testing.T, v graph.View, cfg Config) oracleResult {
 // pre-scaled, unrolled mat-vec: μ, the step count, the convergence flag,
 // the residual and the rebuilt KeepVector eigenvector must equal the
 // per-arc reference bit for bit — below and above the parallel
-// threshold, on the plain graph, its shard views, a mapped TNG2 file and
-// a masked view, at 1 and 3 workers, and from a warm start.
+// threshold, on the plain graph, a mapped TNG2 file and a masked view,
+// at 1 and 3 workers, and from a warm start.
 func TestEquivalenceSLEMOracle(t *testing.T) {
 	type namedView struct {
 		name string
@@ -151,14 +150,6 @@ func TestEquivalenceSLEMOracle(t *testing.T) {
 		{"ba5000", mustBA(t, 5000, 3, 72), Config{Seed: 6, Tolerance: 1e-12, MaxIterations: 120}, false},
 		{"clustered", mustClusteredPA(t, 3, 120, 3, 2, 73), Config{Seed: 7, Tolerance: 1e-8, MaxIterations: 5000}, true},
 	} {
-		views := []namedView{{"plain", tc.g}}
-		for _, shards := range []int{1, 2, 3, 7} {
-			sg, err := graph.NewSharded(tc.g, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			views = append(views, namedView{fmt.Sprintf("sharded%d", shards), sg})
-		}
 		path := filepath.Join(t.TempDir(), tc.name+".tng2")
 		if err := graph.SaveCSR(path, tc.g); err != nil {
 			t.Fatal(err)
@@ -168,7 +159,7 @@ func TestEquivalenceSLEMOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mg.Close()
-		views = append(views, namedView{"mapped", mg}, namedView{"masked", maskedConnected(t, tc.g)})
+		views := []namedView{{"plain", tc.g}, {"mapped", mg}, {"masked", maskedConnected(t, tc.g)}}
 
 		for _, view := range views {
 			want := slemOracle(t, view.v, tc.cfg)

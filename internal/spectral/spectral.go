@@ -46,8 +46,8 @@
 // rows are partitioned across parallel workers in contiguous spans, so
 // every row's sum is accumulated by exactly one worker in a fixed order,
 // and dot products and norms are summed serially in node order: the
-// iteration is bit-for-bit identical at any worker or shard count and on
-// every view.
+// iteration is bit-for-bit identical at any worker count and on every
+// view.
 package spectral
 
 import (
@@ -297,18 +297,9 @@ func newRecurrence(v graph.View, workers int) (*recurrence, error) {
 	if v.NumEdges() == 0 {
 		return nil, errors.New("spectral: graph has no edges")
 	}
-	// The iteration needs aliased neighbor slices. A sharded substrate
-	// already serves them shard by shard; anything else is materialized
+	// The iteration needs the CSR arrays: a non-CSR view is materialized
 	// once and the copy amortized across all steps.
-	var g graph.NeighborSlicer
-	var csr *graph.Graph
-	sg, sharded := graph.AsSharded(v)
-	if sharded {
-		g = sg
-	} else {
-		csr = graph.Materialize(v)
-		g = csr
-	}
+	g := graph.Materialize(v)
 	if !graph.IsConnected(g) {
 		return nil, ErrNotConnected
 	}
@@ -328,38 +319,26 @@ func newRecurrence(v graph.View, workers int) (*recurrence, error) {
 	}
 
 	// Row-partitioned w = N q, N_uv = 1/sqrt(deg u deg v) per edge, in
-	// gather form: each span of rows is the only writer of its rows, and
-	// every row's neighbor sum is accumulated in adjacency order whatever
-	// the partition — so the result is bit-for-bit identical at any span
-	// or worker count. On a sharded substrate the spans are the shards
-	// (their natural locality); otherwise the rows split into equal
-	// spans. Below parallelThreshold rows the fan-out runs on one
-	// worker: the per-step goroutine spawn would cost more than the
-	// mat-vec, and the gather order (hence the result) is the same either
-	// way.
+	// gather form: the rows split into equal spans, one per worker, each
+	// the only writer of its rows, and every row's neighbor sum is
+	// accumulated in adjacency order whatever the partition — so the
+	// result is bit-for-bit identical at any span or worker count. Below
+	// parallelThreshold rows the fan-out runs on one worker: the per-step
+	// goroutine spawn would cost more than the mat-vec, and the gather
+	// order (hence the result) is the same either way.
 	const parallelThreshold = 4096
-	var spans []graph.Rows
-	if sharded {
-		for s := 0; s < sg.NumShards(); s++ {
-			spans = append(spans, sg.Shard(s))
-		}
-	} else {
-		rows := csr.Rows()
-		blocks := parallel.Workers(workers, n)
-		if n < parallelThreshold {
-			blocks = 1
-		}
-		blockSize := (n + blocks - 1) / blocks
-		for lo := 0; lo < n; lo += blockSize {
-			spans = append(spans, rows.Slice(graph.NodeID(lo), graph.NodeID(min(lo+blockSize, n))))
-		}
-	}
-	workers = parallel.Workers(workers, len(spans))
+	blocks := parallel.Workers(workers, n)
 	if n < parallelThreshold {
-		workers = 1
+		blocks = 1
+	}
+	blockSize := (n + blocks - 1) / blocks
+	rows := g.Rows()
+	var spans []graph.Rows
+	for lo := 0; lo < n; lo += blockSize {
+		spans = append(spans, rows.Slice(graph.NodeID(lo), graph.NodeID(min(lo+blockSize, n))))
 	}
 	return &recurrence{
-		phi: phi, invSqrtDeg: invSqrtDeg, spans: spans, workers: workers,
+		phi: phi, invSqrtDeg: invSqrtDeg, spans: spans, workers: len(spans),
 		q: make([]float64, n), prev: make([]float64, n),
 		w: make([]float64, n), scaled: make([]float64, n),
 	}, nil

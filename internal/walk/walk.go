@@ -390,8 +390,7 @@ func (r *MixingResult) MeanMixingTime(eps float64) (int, bool) {
 // trajectory across sources. Cancellation of ctx is honored between walk
 // steps, so a caller's timeout bounds even slow-mixing measurements.
 //
-// It accepts any graph.View. A sharded view runs the gather-form
-// kernels.ShardedWalkBlock; any other non-CSR view is materialized once
+// It accepts any graph.View. A non-CSR view is materialized once
 // (graph.Materialize, cached by the view) and the copy is amortized
 // across all sources and steps. Results are bit-identical either way.
 func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*MixingResult, error) {
@@ -456,25 +455,9 @@ func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*Mixing
 		}
 		blocks := parallel.Blocks(len(todo), kernels.DefaultBlockWidth)
 		obsMixKernelBlocks.Add(int64(len(blocks)))
-		workers := cfg.Workers
-		var curvesOf func(srcs []graph.NodeID) ([][]float64, error)
-		if sg, ok := graph.AsSharded(g); ok {
-			// Sharded substrate: parallelism moves inside each block step
-			// (one worker per shard in ShardedWalkBlock.Step), so the
-			// outer block loop runs inline. Bit-identical to the
-			// monolithic kernel — see internal/kernels/sharded.go.
-			workers = 1
-			curvesOf = func(srcs []graph.NodeID) ([][]float64, error) {
-				return shardedBlockCurves(ctx, sg, srcs, pi, cfg)
-			}
-		} else {
-			cg := graph.Materialize(g)
-			curvesOf = func(srcs []graph.NodeID) ([][]float64, error) {
-				return blockCurves(ctx, cg, srcs, pi, cfg)
-			}
-		}
-		runErr = parallel.ForEach(ctx, workers, len(blocks), func(_, b int) error {
-			part, err := curvesOf(todoSources[blocks[b].Start:blocks[b].End])
+		cg := graph.Materialize(g)
+		runErr = parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
+			part, err := blockCurves(ctx, cg, todoSources[blocks[b].Start:blocks[b].End], pi, cfg)
 			if err != nil {
 				return err
 			}
@@ -557,34 +540,6 @@ func blockCurves(ctx context.Context, g *graph.Graph, sources []graph.NodeID, pi
 	if wb.Dense() {
 		obsMixHandovers.Inc()
 	}
-	return curves, nil
-}
-
-// shardedBlockCurves is blockCurves over a sharded substrate: the same
-// block of sources evolves through the gather-form sharded kernel, whose
-// per-step fan-out is one worker per shard.
-func shardedBlockCurves(ctx context.Context, sg *graph.ShardedGraph, sources []graph.NodeID, pi []float64, cfg MixingConfig) ([][]float64, error) {
-	wb, err := kernels.NewShardedWalkBlock(sg, sources, cfg.Lazy)
-	if err != nil {
-		return nil, fmt.Errorf("sources %v: %w", sources, err)
-	}
-	curves := make([][]float64, len(sources))
-	for i := range curves {
-		curves[i] = make([]float64, cfg.MaxSteps)
-	}
-	dist := make([]float64, len(sources))
-	for t := 0; t < cfg.MaxSteps; t++ {
-		if err := wb.Step(ctx, cfg.Workers); err != nil {
-			return nil, err
-		}
-		if err := wb.DistancesTo(pi, dist); err != nil {
-			return nil, err
-		}
-		for i, tvd := range dist {
-			curves[i][t] = tvd
-		}
-	}
-	obsMixSteps.Add(int64(wb.StepCount()) * int64(len(sources)))
 	return curves, nil
 }
 
