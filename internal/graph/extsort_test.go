@@ -144,13 +144,10 @@ func TestCSRWriterSpillsMatchBuilder(t *testing.T) {
 	if st.SpilledBytes == 0 {
 		t.Error("expected nonzero spilled bytes")
 	}
-}
-
-// TestCSRWriterSpillChunks spills runs longer than one spillChunk: with
-// distinct edges every run holds exactly BufferArcs arcs, so a buffer of
-// two chunks ends each run on a chunk boundary and one two arcs larger
-// ends it two arcs into a third chunk.
-func TestCSRWriterSpillChunks(t *testing.T) {
+	// Runs longer than one spillChunk: with distinct edges every run
+	// holds exactly BufferArcs arcs, so a buffer of two chunks ends each
+	// run on a chunk boundary and one two arcs larger ends it two arcs
+	// into a third chunk.
 	const n = 1000
 	var edges []Edge
 	for k := 1; k <= 20; k++ {
@@ -160,7 +157,7 @@ func TestCSRWriterSpillChunks(t *testing.T) {
 	}
 	for _, st := range checkWriters(t, n, edges, 2*spillChunk, 2*spillChunk+2) {
 		if st.Runs != 2 {
-			t.Errorf("expected 2 spill runs, got %+v", st)
+			t.Errorf("expected 2 spill runs of %d arcs, got %+v", 2*spillChunk, st)
 		}
 	}
 }

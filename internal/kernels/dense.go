@@ -8,12 +8,12 @@ import (
 
 // The dense step's vector path. Where useVector is set (amd64 CPUs with
 // AVX2, detected once at init), shareRows, gatherRows and
-// WalkBlock.DistancesTo run the assembly bodies in dense_amd64.s instead of their pure-Go
-// loops, which stay as the path everywhere else and as the reference
-// TestEquivalenceDenseStepVector compares against. The bodies compute
-// every column with the same operations in the same order as the loops,
-// four columns to a 256-bit register, so the bits do not depend on the
-// path.
+// WalkBlock.DistancesTo run the assembly bodies in dense_amd64.s instead
+// of their pure-Go loops, which stay as the path everywhere else and as
+// the reference TestEquivalenceDenseStepVector compares against. The
+// bodies compute every column with the same operations in the same order
+// as the loops, four columns to a 256-bit register, so the bits do not
+// depend on the path.
 //
 // The assembly checks no bounds. The wrappers below check, before every
 // call, that the stride is a positive multiple of 8, that cur and shr

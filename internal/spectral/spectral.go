@@ -276,8 +276,8 @@ func startVector(q, phi []float64, cfg Config) error {
 // without storing the basis.
 type recurrence struct {
 	phi, invSqrtDeg []float64
-	spans           []graph.Rows
-	workers         int
+	// spans are the mat-vec's row spans, one per worker.
+	spans []graph.Rows
 	// q is the current basis vector q_k and prev is q_{k−1} (zero at
 	// k = 1); scaled is D^(-1/2) q, the copy the gather reads; w is the
 	// scratch for N q, which becomes q_{k+1}.
@@ -338,7 +338,7 @@ func newRecurrence(v graph.View, workers int) (*recurrence, error) {
 		spans = append(spans, rows.Slice(graph.NodeID(lo), graph.NodeID(min(lo+blockSize, n))))
 	}
 	return &recurrence{
-		phi: phi, invSqrtDeg: invSqrtDeg, spans: spans, workers: len(spans),
+		phi: phi, invSqrtDeg: invSqrtDeg, spans: spans,
 		q: make([]float64, n), prev: make([]float64, n),
 		w: make([]float64, n), scaled: make([]float64, n),
 	}, nil
@@ -359,7 +359,7 @@ func (r *recurrence) restart(q1 []float64) {
 func (r *recurrence) step() (alpha, beta float64) {
 	// ForEach with a background context cannot fail here: the only
 	// error sources are fn errors and cancellation.
-	_ = parallel.ForEach(context.Background(), r.workers, len(r.spans), func(_, b int) error {
+	_ = parallel.ForEach(context.Background(), len(r.spans), len(r.spans), func(_, b int) error {
 		gatherSpan(r.spans[b], r.scaled, r.w, r.invSqrtDeg)
 		return nil
 	})
