@@ -405,9 +405,6 @@ func (mg *Mapped) Valid(v NodeID) bool { return mg.g.Valid(v) }
 // Degree implements View.
 func (mg *Mapped) Degree(v NodeID) int { return mg.g.Degree(v) }
 
-// Neighbors returns the sorted neighbor list of v, aliasing the mapping.
-func (mg *Mapped) Neighbors(v NodeID) []NodeID { return mg.g.Neighbors(v) }
-
 // AppendNeighbors implements View.
 func (mg *Mapped) AppendNeighbors(v NodeID, buf []NodeID) []NodeID {
 	return mg.g.AppendNeighbors(v, buf)
