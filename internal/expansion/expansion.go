@@ -14,12 +14,15 @@
 // is O(k·m) — the paper's exact O(nm) when every node is a core. The
 // cores advance 64 at a time through the bit-parallel BFS kernel
 // (kernels.BFSBatch, uint64 frontier/visited masks, exact integer level
-// sizes), cutting the adjacency scans by up to ~64×. Batches fan out
-// across parallel workers for O(k·m/(64·workers)) wall clock; each core's
-// envelope observations are collected independently and folded into the
-// stats.KeyedSummary aggregates sequentially in source order, so the
-// result is bit-for-bit identical at any worker count (BFS is integer —
-// batch composition cannot perturb a single level count).
+// sizes), cutting the adjacency scans by up to ~64×; on deep graphs,
+// where the lanes' frontiers drift apart, a batch finishes its live lanes
+// one at a time (expansion.bfs.lane_handovers counts such batches).
+// Batches fan out across parallel workers for O(k·m/(64·workers)) wall
+// clock; each core's envelope observations are collected independently
+// and folded into the stats.KeyedSummary aggregates sequentially in
+// source order, so the result is bit-for-bit identical at any worker
+// count (BFS is integer — batch composition cannot perturb a single
+// level count).
 package expansion
 
 import (
@@ -39,11 +42,12 @@ import (
 // inside the BFS inner loops, so the kernels are untouched and results
 // stay bit-identical with metrics enabled.
 var (
-	obsBatches    = obs.Default().Counter("expansion.bfs.batches")
-	obsPoolHits   = obs.Default().Counter("expansion.pool.hits")
-	obsPoolMisses = obs.Default().Counter("expansion.pool.misses")
-	obsPartial    = obs.Default().Counter("expansion.partial")
-	obsResumed    = obs.Default().Counter("expansion.resumed_sources")
+	obsBatches       = obs.Default().Counter("expansion.bfs.batches")
+	obsLaneHandovers = obs.Default().Counter("expansion.bfs.lane_handovers")
+	obsPoolHits      = obs.Default().Counter("expansion.pool.hits")
+	obsPoolMisses    = obs.Default().Counter("expansion.pool.misses")
+	obsPartial       = obs.Default().Counter("expansion.partial")
+	obsResumed       = obs.Default().Counter("expansion.resumed_sources")
 )
 
 // Config controls a measurement run.
@@ -234,6 +238,9 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 			part, err := batch.Run(todoSources[blocks[b].Start:blocks[b].End])
 			if err != nil {
 				return err
+			}
+			if batch.LanesAlone() {
+				obsLaneHandovers.Inc()
 			}
 			for j, ls := range part {
 				levels[todo[blocks[b].Start+j]] = ls

@@ -251,3 +251,36 @@ func TestMeasureWorkerCountsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureCountsLaneHandovers: on perfbench large's clustered graph,
+// whose BFSs run for about 440 levels, the one 64-core batch hands its
+// lanes over to lone scans and expansion.bfs.lane_handovers counts it; on
+// the BA graph of the same size, whose BFSs end after 6 levels, it stays
+// batched.
+func TestMeasureCountsLaneHandovers(t *testing.T) {
+	ba, err := gen.BarabasiAlbert(40000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{Communities: 200, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want int64
+	}{{"ba", ba, 0}, {"clustered", clustered, 1}} {
+		sources, err := SampledSources(tc.g, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := obsLaneHandovers.Value()
+		if _, err := Measure(context.Background(), tc.g, Config{Sources: sources}); err != nil {
+			t.Fatal(err)
+		}
+		if got := obsLaneHandovers.Value() - before; got != tc.want {
+			t.Errorf("%s: %d lane hand-overs, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -290,8 +290,9 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta) {
 
 // rebuild re-runs source i's BFS from scratch on the new topology,
 // mirroring graph.BFSWorker.Run exactly (a down source keeps distance
-// 0 and a single level of size 1). It stays scalar: sources fall back
-// one at a time, and on graphs this deep a 64-wide kernels.BFSBatch is
+// 0 and a single level of size 1). It stays scalar: it rebuilds the
+// source's distances, which a kernels.BFSBatch does not keep, sources
+// fall back one at a time, and on graphs this deep a 64-wide batch is
 // no faster than 64 scalar runs (EXPERIMENTS.md, "Batched kernels").
 func (s *repairSlot) rebuild(i int) {
 	em := s.em

@@ -19,6 +19,17 @@ import (
 // results are exactly the integer LevelSizes a scalar graph.BFSWorker
 // produces, per source, in any batch composition.
 //
+// Sharing the scan pays only while the lanes' frontiers overlap. On a
+// graph whose BFSs run for hundreds of levels they drift apart, and a
+// level's scan advances little more than one lane per arc while still
+// paying for the masks, the touched list and the harvest. So from level
+// loneDepth on, once scanning the frontier would advance fewer than
+// loneSharing lanes per arc, every live lane finishes alone: a plain
+// queue BFS on its own bit of visited, from the active nodes that carry
+// that bit (see finishAlone). LanesAlone reports whether the last Run
+// did so. The level sizes are integers, so the hand-over changes none of
+// them.
+//
 // A batch holds three n-word masks (24n bytes of scratch); reuse one
 // across many Run calls, or draw from a BFSBatchPool under a fan-out.
 // BFSBatches are not safe for concurrent use; create one per goroutine.
@@ -27,9 +38,32 @@ type BFSBatch struct {
 	// front, next and visited are the per-node source masks.
 	front, next, visited []uint64
 	// active and touched are the sparse node lists for the current and
-	// next frontier.
+	// next frontier; after a hand-over, touched is a lone lane's queue.
 	active, touched []graph.NodeID
+	// alone records whether the last Run handed its lanes over.
+	alone bool
 }
+
+// The hand-over rule of BFSBatch.Run. Measured in process on a 2-vCPU
+// Xeon (Go 1.24.0), one goroutine, 64 sampled cores:
+//   - On perfbench large's clustered graph (200 communities of 200,
+//     about 440 levels per source) the level-32 frontier advances
+//     1.09–1.23 lanes per arc (seeds 1–3). In BenchmarkBFSBatchRun
+//     (seed 1, four rounds) the batch run to the end took 158–219 ms,
+//     64 scalar BFSs 106–141 ms, and the batch handing over at level 32
+//     111–155 ms.
+//   - large's BA graph ends after 6 levels and never reaches loneDepth.
+//   - The physics-1/2 stand-ins advance 2.74–3.06 and 2.50–2.68 lanes
+//     per arc at level 32, so the loneSharing gate keeps them batched
+//     there. Handed over at level 32 regardless, they read 7% and 5%
+//     slower (medians of 41 runs, three rounds).
+const (
+	// loneDepth is the first frontier level Run may hand over at.
+	loneDepth = 32
+	// loneSharing is the lanes advanced per scanned arc below which it
+	// does.
+	loneSharing = 1.5
+)
 
 // NewBFSBatch returns a batch runner bound to g.
 func NewBFSBatch(g *graph.Graph) *BFSBatch {
@@ -64,6 +98,7 @@ func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
 		}
 	}
 	levels := make([][]int64, len(sources))
+	b.alone = false
 	b.active = b.active[:0]
 	for j, s := range sources {
 		levels[j] = append(make([]int64, 0, 8), 1)
@@ -76,6 +111,11 @@ func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
 
 	depth := 0
 	for len(b.active) > 0 {
+		if depth >= loneDepth && b.drifted() {
+			b.finishAlone(levels)
+			b.alone = true
+			break
+		}
 		depth++
 		// Scatter: push every active node's source mask to its neighbors.
 		touched := b.touched[:0]
@@ -117,13 +157,69 @@ func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
 	}
 
 	// front and next are zero again by construction (every frontier is
-	// cleared when consumed, every touched mask on harvest); visited
-	// holds every reached node and needs one memclr per Run, amortized
-	// over the whole batch.
+	// cleared when consumed or handed over, every touched mask on
+	// harvest); visited holds every reached node and needs one memclr
+	// per Run, amortized over the whole batch.
 	for i := range b.visited {
 		b.visited[i] = 0
 	}
 	return levels, nil
+}
+
+// LanesAlone reports whether the last Run handed its live lanes over to
+// lone scans (see BFSBatch).
+func (b *BFSBatch) LanesAlone() bool { return b.alone }
+
+// drifted reports whether scanning the frontier would advance fewer
+// than loneSharing lanes per arc: over the active nodes, the sum of
+// popcount(front[v])·deg(v) falls below loneSharing times the sum of
+// deg(v). It is a pass of its own so that the level loop, which shallow
+// batches spend all their time in, carries no extra work.
+func (b *BFSBatch) drifted() bool {
+	var arcs, laneArcs int
+	for _, v := range b.active {
+		d := b.g.Degree(v)
+		arcs += d
+		laneArcs += bits.OnesCount64(b.front[v]) * d
+	}
+	return float64(laneArcs) < loneSharing*float64(arcs)
+}
+
+// finishAlone runs every lane that is still live to its end on its own.
+// Lane j's frontier is the active nodes whose front mask carries bit j;
+// it scans level by level on bit j of visited, with touched as its
+// queue, and appends its own level sizes. A lane enqueues a node at most
+// once, so the queue never outgrows touched's n slots. On return front
+// is zero and active is empty.
+func (b *BFSBatch) finishAlone(levels [][]int64) {
+	for j := range levels {
+		bit := uint64(1) << j
+		queue := b.touched[:0]
+		for _, v := range b.active {
+			if b.front[v]&bit != 0 {
+				queue = append(queue, v)
+			}
+		}
+		for head := 0; head < len(queue); {
+			end := len(queue)
+			for ; head < end; head++ {
+				for _, u := range b.g.Neighbors(queue[head]) {
+					if b.visited[u]&bit == 0 {
+						b.visited[u] |= bit
+						queue = append(queue, u)
+					}
+				}
+			}
+			if found := len(queue) - end; found > 0 {
+				levels[j] = append(levels[j], int64(found))
+			}
+		}
+		b.touched = queue[:0]
+	}
+	for _, v := range b.active {
+		b.front[v] = 0
+	}
+	b.active = b.active[:0]
 }
 
 // BFSBatchPool amortizes BFSBatch scratch (three n-word masks and two

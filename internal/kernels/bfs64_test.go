@@ -76,6 +76,95 @@ func TestEquivalenceBFSBatchVsScalar(t *testing.T) {
 	}
 }
 
+// TestEquivalenceBFSBatchHandover covers the hand-over to lone lanes on
+// graphs whose BFSs run past level 32, the first frontier level at which
+// a batch may finish its live lanes one at a time. Every lane must equal
+// the scalar BFS: lanes that end at levels 31, 32 and 33, duplicate
+// sources, an isolated source, and a disconnected batch whose shallow
+// lanes never hand over. Each deep batch must really hand over. Every
+// batch runs twice, and the shallow batches run on the BFSBatch the deep
+// ones used, so each run also proves that the lone scans left the
+// scratch clean.
+func TestEquivalenceBFSBatchHandover(t *testing.T) {
+	path, err := gen.Path(63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := gen.Cycle(129)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{Communities: 30, CommunitySize: 20, Attach: 2, Bridges: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A deep path (0..79), a 4-cycle (80..83), a star (84..90) and an
+	// isolated node (91).
+	var edges []graph.Edge
+	for v := graph.NodeID(0); v < 79; v++ {
+		edges = append(edges, graph.Edge{U: v, V: v + 1})
+	}
+	edges = append(edges, graph.Edge{U: 80, V: 81}, graph.Edge{U: 81, V: 82}, graph.Edge{U: 82, V: 83}, graph.Edge{U: 83, V: 80})
+	for v := graph.NodeID(85); v <= 90; v++ {
+		edges = append(edges, graph.Edge{U: 84, V: v})
+	}
+	disconnected, err := graph.FromEdges(92, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusteredSources, err := graph.SampleNodes(clustered, kernels.BFSBatchWidth, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := map[*graph.Graph]*kernels.BFSBatch{}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		sources []graph.NodeID
+		alone   bool
+	}{
+		// On the 63-node path, source 31 ends at level 31, 30 and 32 at
+		// 32, 29 and 33 at 33, and the ends at 62.
+		{"path", path, []graph.NodeID{31, 30, 32, 29, 33, 0, 62, 0}, true},
+		{"path/shallow", path, []graph.NodeID{31, 31}, false},
+		{"cycle129", cycle, []graph.NodeID{0, 1, 5, 17, 40, 64, 100, 128, 5}, true},
+		{"clustered", clustered, clusteredSources, true},
+		{"disconnected/deep", disconnected, []graph.NodeID{0, 40, 91, 80, 84, 86, 0, 79}, true},
+		{"disconnected/shallow", disconnected, []graph.NodeID{91, 80, 84, 86, 82, 91}, false},
+	} {
+		batch := batches[tc.g]
+		if batch == nil {
+			batch = kernels.NewBFSBatch(tc.g)
+			batches[tc.g] = batch
+		}
+		checkBFSBatch(t, tc.name, batch, tc.g, tc.sources, tc.alone)
+		checkBFSBatch(t, tc.name+" again", batch, tc.g, tc.sources, tc.alone)
+	}
+}
+
+// checkBFSBatch runs one batch and compares every lane with a scalar
+// BFS, and whether the batch handed over with alone.
+func checkBFSBatch(t *testing.T, name string, batch *kernels.BFSBatch, g *graph.Graph, sources []graph.NodeID, alone bool) {
+	t.Helper()
+	levels, err := batch.Run(sources)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	w := graph.NewBFSWorker(g)
+	for j, s := range sources {
+		ref, err := w.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(levels[j], ref.LevelSizes) {
+			t.Fatalf("%s lane %d (source %d): batch %v scalar %v", name, j, s, levels[j], ref.LevelSizes)
+		}
+	}
+	if batch.LanesAlone() != alone {
+		t.Fatalf("%s: LanesAlone() = %v, want %v", name, batch.LanesAlone(), alone)
+	}
+}
+
 // TestBFSBatchReuse runs the same batch runner back to back and with
 // duplicate sources: scratch must come back clean between runs, and a
 // result must stay valid after further runs.

@@ -11,6 +11,14 @@
 //     sizes via popcount — up to ~64× fewer adjacency scans for the
 //     expansion measurement of Eq. 4, with exact integer results.
 //
+// Each kernel has two phases and hands over between them by cost, never
+// by a setting. A walk block scatters from its sparse support until
+// that support's arcs pass an eighth of the graph's, then gathers over
+// every row. A BFS batch runs its lanes together until, from level 32
+// on, a frontier's scan would advance fewer than 1.5 lanes per arc; its
+// live lanes then finish one at a time. WalkBlock.Dense and
+// BFSBatch.LanesAlone report the hand-overs.
+//
 // Each is the one kernel of its measurement, over the CSR that
 // graph.Materialize returns (zero-copy for a Graph or an mmap-backed
 // graph.Mapped). Neither fans out internally: walk.MeasureMixing and

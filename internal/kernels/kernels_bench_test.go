@@ -24,6 +24,39 @@ func benchBA(b *testing.B, n, attach int) *graph.Graph {
 	return g
 }
 
+// namedGraph is a benchmark input.
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// largeGraphs builds the two 4·10⁴-node graph families of perfbench's
+// large workload, at seed 1: a BA graph (attach 8), whose BFSs end after
+// 6 levels, and a clustered-PA graph (200 communities of 200, attach 8,
+// 4 bridges), whose BFSs run for about 440.
+func largeGraphs(b *testing.B) []namedGraph {
+	b.Helper()
+	ba, err := gen.BarabasiAlbert(40000, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clustered, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{Communities: 200, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []namedGraph{{"ba40000", ba}, {"clustered40000", clustered}}
+}
+
+// sampled draws k seeded sources from g, as the measurements do.
+func sampled(b *testing.B, g *graph.Graph, k int, nonIsolated bool) []graph.NodeID {
+	b.Helper()
+	sources, err := graph.SampleNodes(g, k, 1, nonIsolated)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sources
+}
+
 // BenchmarkWalkBlockStep measures one blocked propagation step per graph,
 // walk and width; width1 is the per-source cost the block amortizes
 // away. The plain walk is the one the mixing measurement runs; the lazy
@@ -33,10 +66,7 @@ func benchBA(b *testing.B, n, attach int) *graph.Graph {
 // all of its steps in: the block is stepped until its frontier saturates
 // before the timer starts.
 func BenchmarkWalkBlockStep(b *testing.B) {
-	for _, bg := range []struct {
-		name string
-		g    *graph.Graph
-	}{
+	for _, bg := range []namedGraph{
 		{"ba2000", benchGraph(b)},
 		{"ba40000", benchBA(b, 40000, 8)},
 	} {
@@ -70,6 +100,39 @@ func BenchmarkWalkBlockStep(b *testing.B) {
 	}
 }
 
+// BenchmarkWalkBlockWalk measures what the mixing measurement does with
+// one block on perfbench large's two graphs: a fresh block of
+// DefaultBlockWidth sampled sources walks 20 plain steps, folding its
+// distances to the stationary distribution after each. Unlike
+// BenchmarkWalkBlockStep it includes the sparse steps and the hand-over
+// to the dense gather.
+func BenchmarkWalkBlockWalk(b *testing.B) {
+	for _, bg := range largeGraphs(b) {
+		g := bg.g
+		pi, err := g.StationaryDistribution()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sources := sampled(b, g, kernels.DefaultBlockWidth, true)
+		dist := make([]float64, len(sources))
+		b.Run(bg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				wb, err := kernels.NewWalkBlock(g, sources, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for step := 0; step < 20; step++ {
+					wb.Step()
+					if err := wb.DistancesTo(pi, dist); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWalkDistributionStep is the scalar baseline WalkBlock replaces:
 // one dense per-source step.
 func BenchmarkWalkDistributionStep(b *testing.B) {
@@ -85,14 +148,26 @@ func BenchmarkWalkDistributionStep(b *testing.B) {
 }
 
 // BenchmarkBFSBatchRun measures a full 64-lane batch against 64 scalar
-// pooled BFS runs over the same sources.
+// BFS runs over the same sources: on a 2000-node BA graph, and on
+// perfbench large's two graphs with 64 sampled sources, where the BA
+// batch stays 64 lanes wide to the end and the clustered one hands its
+// lanes over to lone scans.
 func BenchmarkBFSBatchRun(b *testing.B) {
-	g := benchGraph(b)
+	small := benchGraph(b)
 	sources := make([]graph.NodeID, kernels.BFSBatchWidth)
 	for j := range sources {
-		sources[j] = graph.NodeID((j * 13) % g.NumNodes())
+		sources[j] = graph.NodeID((j * 13) % small.NumNodes())
 	}
-	b.Run("batch64", func(b *testing.B) {
+	benchBFS(b, "ba2000", small, sources)
+	for _, bg := range largeGraphs(b) {
+		benchBFS(b, bg.name, bg.g, sampled(b, bg.g, kernels.BFSBatchWidth, false))
+	}
+}
+
+// benchBFS runs one batch over sources and, as the baseline, one scalar
+// BFS per source.
+func benchBFS(b *testing.B, name string, g *graph.Graph, sources []graph.NodeID) {
+	b.Run(name+"/batch64", func(b *testing.B) {
 		batch := kernels.NewBFSBatch(g)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -101,7 +176,7 @@ func BenchmarkBFSBatchRun(b *testing.B) {
 			}
 		}
 	})
-	b.Run("scalar64", func(b *testing.B) {
+	b.Run(name+"/scalar64", func(b *testing.B) {
 		w := graph.NewBFSWorker(g)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -27,9 +27,11 @@ import (
 // Early steps use a sparse-frontier fast path, a scatter: only nodes
 // whose block row is (possibly) nonzero are propagated, and only rows
 // touched by the previous step are re-zeroed, so a step costs O(edges
-// incident to the frontier · B) instead of O((n+m)·B). Once the frontier
-// covers more than half the graph the block switches permanently to the
-// dense path, a gather (shareRows, then gatherRows).
+// incident to the frontier · B) instead of O((n+m)·B). Per arc the
+// scatter costs several times what the dense path, a gather (shareRows,
+// then gatherRows), does, so the block switches permanently to the gather
+// as soon as the next step's support carries more than an eighth of the
+// graph's 2m arcs (denseArcShare), however few rows that is.
 //
 // WalkBlocks are not safe for concurrent use; create one per goroutine.
 type WalkBlock struct {
@@ -54,6 +56,26 @@ type WalkBlock struct {
 	tvd  []float64
 	step int
 }
+
+// denseArcShare sets the hand-over of WalkBlock.stepSparse to the dense
+// gather: it happens once the next support's rows carry more than
+// 2m/denseArcShare arcs, because per arc the scalar scatter costs 4–8×
+// what the AVX2 gather does. Measured in process on a 2-vCPU Xeon
+// (Go 1.24.0), 16 columns, fresh blocks, median of 9, on perfbench
+// large's graphs:
+//   - clustered (2m = 515,200): a sparse step from 3,486 rows (45,131
+//     arcs) took 1.0–1.9 ms, 21–43 ns per arc, and a dense step 2.6 ms,
+//     5.0 ns per arc. The block hands over after 6 steps; a rule of more
+//     than n/2 rows would still scatter at step 20, from 19,095 rows in
+//     7.5 ms.
+//   - BA (2m = 639,928): a sparse step from 7,579 rows (195,619 arcs)
+//     took 13.1 ms and a dense step 4.6–5.3 ms; the block hands over
+//     before it.
+//
+// The ratio was measured on the AVX2 gather. The pure-Go gather that
+// other CPUs run costs more per arc, and the rule was not re-measured
+// there.
+const denseArcShare = 8
 
 // rowStride returns the row stride of a width-b block: b rounded up to a
 // multiple of the 8 columns gatherRows sums at a time.
@@ -201,15 +223,17 @@ func (wb *WalkBlock) stepSparse() {
 	// step needs touched sorted too for the addition order to keep
 	// matching the per-source dense loop.
 	slices.Sort(touched)
+	var arcs int64
 	for _, v := range touched {
 		mark[v] = false
+		arcs += int64(wb.g.Degree(v))
 	}
 	wb.stale = wb.support
 	wb.support = touched
-	if len(touched) > wb.g.NumNodes()/2 {
-		// Frontier covers most of the graph: the dense gather is cheaper
-		// than list upkeep from here on (supports rarely shrink below
-		// half once mixing has spread this far).
+	if arcs*denseArcShare > 2*wb.g.NumEdges() {
+		// Scattering from the next support would cost more than
+		// gathering over every arc. The hand-over is permanent, and it
+		// keeps the bits: rows outside the support add exact +0.0.
 		wb.support = nil
 		wb.stale = nil
 	}

@@ -16,9 +16,11 @@ import (
 // both the plain and the lazy walk and at block widths whose row strides
 // are 8, 16, 24 and 64. The
 // inputs cover both step paths: the sparse-frontier scatter and, once the
-// frontier saturates, the in-place dense gather — on a graph with
-// isolated rows between live ones (which the gather must leave alone)
-// and on a graph of 4096 rows.
+// frontier's arcs pass an eighth of the graph's, the in-place dense
+// gather — on a graph with isolated rows between live ones (which the
+// gather must leave alone), on a graph of 4096 rows, and on a grid whose
+// one-source block hands over while its support still holds far fewer
+// than half the rows.
 func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 	ba, err := gen.BarabasiAlbert(300, 3, 11)
 	if err != nil {
@@ -36,13 +38,24 @@ func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid, err := gen.Grid(20, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	graphs := map[string]*graph.Graph{
 		"ba": ba, "cycle": cycle, "star": star,
 		"isolated": spreadIsolated(t, ba, 20),
 		"ba4096":   big,
+		"grid":     grid,
 	}
 	// The inputs added for the dense gather must actually reach it.
-	mustGoDense := map[string]bool{"isolated": true, "ba4096": true}
+	mustGoDense := map[string]bool{"isolated": true, "ba4096": true, "grid": true}
+	// On the grid, a one-source block from corner node 0 hands over after
+	// this many steps (plain, lazy). Its support then carries more than
+	// 2m/8 = 190 of the 1,520 arcs in 56 and 55 of the 400 rows; more
+	// than half the rows are in it only from step 19 (lazy), or not
+	// within 20 steps (plain).
+	gridFlip := map[bool]struct{ step, rows int }{false: {13, 56}, true: {9, 55}}
 
 	for name, g := range graphs {
 		for _, lazy := range []bool{false, true} {
@@ -67,6 +80,7 @@ func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 				}
 				var col []float64
 				for step := 0; step < 20; step++ {
+					wasDense := wb.Dense()
 					wb.Step()
 					for j := range refs {
 						refs[j].Step()
@@ -76,6 +90,18 @@ func TestEquivalenceWalkBlockVsDistribution(t *testing.T) {
 								t.Fatalf("%s lazy=%v width=%d step=%d col=%d node=%d: got %x want %x",
 									name, lazy, width, step, j, v, got, want)
 							}
+						}
+					}
+					if name == "grid" && width == 1 && wb.Dense() != wasDense {
+						rows := 0
+						for _, p := range refs[0].Probabilities() {
+							if p != 0 {
+								rows++
+							}
+						}
+						if want := gridFlip[lazy]; step+1 != want.step || rows != want.rows {
+							t.Fatalf("grid lazy=%v: dense after step %d with %d support rows, want step %d with %d",
+								lazy, step+1, rows, want.step, want.rows)
 						}
 					}
 				}
