@@ -84,6 +84,7 @@ func NewBFSBatch(g *graph.Graph) *BFSBatch {
 // slices are freshly allocated — unlike graph.BFSWorker.Run they alias
 // no batch scratch and stay valid across further Run calls.
 func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
+	b.alone = false
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("kernels: bfs batch needs at least one source")
 	}
@@ -98,7 +99,6 @@ func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
 		}
 	}
 	levels := make([][]int64, len(sources))
-	b.alone = false
 	b.active = b.active[:0]
 	for j, s := range sources {
 		levels[j] = append(make([]int64, 0, 8), 1)
