@@ -140,6 +140,12 @@ func TestEquivalenceBFSBatchHandover(t *testing.T) {
 		checkBFSBatch(t, tc.name, batch, tc.g, tc.sources, tc.alone)
 		checkBFSBatch(t, tc.name+" again", batch, tc.g, tc.sources, tc.alone)
 	}
+	// A Run that fails validation hands nothing over.
+	batch := batches[path]
+	checkBFSBatch(t, "path/one lane", batch, path, []graph.NodeID{0}, true)
+	if _, err := batch.Run([]graph.NodeID{63}); err == nil || batch.LanesAlone() {
+		t.Fatalf("out-of-range source: err %v, LanesAlone() %v", err, batch.LanesAlone())
+	}
 }
 
 // checkBFSBatch runs one batch and compares every lane with a scalar
