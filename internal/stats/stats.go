@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -157,62 +156,89 @@ func (s *Summary) Merge(o Summary) {
 	s.sumSq += o.sumSq
 }
 
-// KeyedSummary aggregates observations grouped by an int64 key — the
-// paper's "for each unique envelope size, the min/mean/max neighbor count"
-// aggregation (Figure 3).
+// KeyedSummary aggregates observations grouped by a non-negative int64
+// key — the paper's "for each unique envelope size, the min/mean/max
+// neighbor count" aggregation (Figure 3). Keys index a table of pages of
+// keyPage summaries, each allocated when its first key arrives, so Add
+// allocates nothing per new key, Keys walks the table in ascending order
+// without a sort, and keys spread thinly over a large range (envelope
+// sizes of a few cores on a million-node graph) cost a page each rather
+// than a slot per possible key. The zero value is ready to use.
 type KeyedSummary struct {
-	groups map[int64]*Summary
+	pages [][]Summary
+	len   int
 }
+
+// keyPage is the number of keys one KeyedSummary page holds.
+const keyPage = 256
 
 // NewKeyedSummary returns an empty keyed aggregator.
 func NewKeyedSummary() *KeyedSummary {
-	return &KeyedSummary{groups: make(map[int64]*Summary)}
+	return &KeyedSummary{}
 }
 
-// Add folds observation x into the group for key.
-func (k *KeyedSummary) Add(key int64, x float64) {
-	s, ok := k.groups[key]
-	if !ok {
-		s = &Summary{}
-		k.groups[key] = s
+// slot returns key's summary, adding its page if it has none yet. It
+// panics on a negative key.
+func (k *KeyedSummary) slot(key int64) *Summary {
+	if key < 0 {
+		panic(fmt.Sprintf("stats: keyed summary key %d is negative", key))
 	}
-	s.Add(x)
+	p := key / keyPage
+	if p >= int64(len(k.pages)) {
+		k.pages = append(k.pages, make([][]Summary, p+1-int64(len(k.pages)))...)
+	}
+	if k.pages[p] == nil {
+		k.pages[p] = make([]Summary, keyPage)
+	}
+	s := &k.pages[p][key%keyPage]
+	if s.count == 0 {
+		k.len++
+	}
+	return s
+}
+
+// Add folds observation x into the group for key, which must not be
+// negative.
+func (k *KeyedSummary) Add(key int64, x float64) {
+	k.slot(key).Add(x)
 }
 
 // Merge folds another keyed summary into k.
 func (k *KeyedSummary) Merge(o *KeyedSummary) {
-	for key, s := range o.groups {
-		dst, ok := k.groups[key]
-		if !ok {
-			dst = &Summary{}
-			k.groups[key] = dst
-		}
-		dst.Merge(*s)
+	for _, key := range o.Keys() {
+		s, _ := o.Get(key)
+		k.slot(key).Merge(s)
 	}
 }
 
 // Keys returns the keys in ascending order.
 func (k *KeyedSummary) Keys() []int64 {
-	keys := make([]int64, 0, len(k.groups))
-	for key := range k.groups {
-		keys = append(keys, key)
+	keys := make([]int64, 0, k.len)
+	for p, page := range k.pages {
+		for i := range page {
+			if page[i].count != 0 {
+				keys = append(keys, int64(p)*keyPage+int64(i))
+			}
+		}
 	}
-	slices.Sort(keys)
 	return keys
 }
 
 // Get returns the summary for key and whether it exists. The returned
 // summary is a copy.
 func (k *KeyedSummary) Get(key int64) (Summary, bool) {
-	s, ok := k.groups[key]
-	if !ok {
+	if key < 0 || key/keyPage >= int64(len(k.pages)) {
 		return Summary{}, false
 	}
-	return *s, true
+	page := k.pages[key/keyPage]
+	if page == nil || page[key%keyPage].count == 0 {
+		return Summary{}, false
+	}
+	return page[key%keyPage], true
 }
 
 // Len returns the number of distinct keys.
-func (k *KeyedSummary) Len() int { return len(k.groups) }
+func (k *KeyedSummary) Len() int { return k.len }
 
 // Histogram counts samples into uniform-width bins over [lo, hi].
 type Histogram struct {

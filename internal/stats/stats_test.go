@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -170,6 +171,23 @@ func TestKeyedSummary(t *testing.T) {
 	s, _ = k.Get(10)
 	if s.Count() != 3 || s.Max() != 5 {
 		t.Errorf("merged Get(10) = %+v", s)
+	}
+
+	// Keys across table pages, far apart, on a zero KeyedSummary.
+	var sparse KeyedSummary
+	for _, key := range []int64{70000, 0, 256, 255, 70000} {
+		sparse.Add(key, float64(key))
+	}
+	if keys := sparse.Keys(); !slices.Equal(keys, []int64{0, 255, 256, 70000}) || sparse.Len() != 4 {
+		t.Errorf("sparse Keys = %v, Len = %d", keys, sparse.Len())
+	}
+	if s, ok := sparse.Get(70000); !ok || s.Count() != 2 || s.Mean() != 70000 {
+		t.Errorf("sparse Get(70000) = %+v ok=%v", s, ok)
+	}
+	for _, key := range []int64{-1, 257, 30000, 1 << 40} {
+		if _, ok := sparse.Get(key); ok {
+			t.Errorf("sparse Get(%d) = ok, want missing", key)
+		}
 	}
 }
 
