@@ -157,7 +157,9 @@ func GNP(n int, p float64, seed int64) (*graph.Graph, error) {
 	// geometrically many pairs between successive edges.
 	v, w := 1, -1
 	for v < n {
-		skip := int(math.Log(1-rng.Float64())/logQ) + 1
+		// The conversion keeps rng.Float64's scaling multiply out of a
+		// fused multiply-subtract (see noisy in stream.go).
+		skip := int(math.Log(1-float64(rng.Float64()))/logQ) + 1
 		w += skip
 		for w >= v && v < n {
 			w -= v
@@ -240,7 +242,7 @@ func PowerLawConfiguration(n int, gamma float64, minDeg, maxDeg int, seed int64)
 		u := rng.Float64()
 		lo := math.Pow(float64(minDeg), 1-gamma)
 		hi := math.Pow(float64(maxDeg), 1-gamma)
-		d := int(math.Pow(lo+u*(hi-lo), 1/(1-gamma)))
+		d := int(math.Pow(lo+float64(u*(hi-lo)), 1/(1-gamma)))
 		if d < minDeg {
 			d = minDeg
 		}

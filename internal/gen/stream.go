@@ -163,10 +163,10 @@ func (s *rmatStream) Edges(yield func(u, v graph.NodeID) error) error {
 			a1, b1, c1 := cfg.A, cfg.B, cfg.C
 			if cfg.Noise > 0 {
 				// Multiplicative noise, renormalized.
-				a1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
-				b1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
-				c1 *= 1 + cfg.Noise*(2*rng.Float64()-1)
-				d1 := d * (1 + cfg.Noise*(2*rng.Float64()-1))
+				a1 = noisy(a1, cfg.Noise, rng)
+				b1 = noisy(b1, cfg.Noise, rng)
+				c1 = noisy(c1, cfg.Noise, rng)
+				d1 := noisy(d, cfg.Noise, rng)
 				total := a1 + b1 + c1 + d1
 				a1, b1, c1 = a1/total, b1/total, c1/total
 			}
@@ -191,6 +191,18 @@ func (s *rmatStream) Edges(yield func(u, v graph.NodeID) error) error {
 		}
 	}
 	return nil
+}
+
+// noisy returns p scaled by a factor drawn uniformly from
+// [1-noise, 1+noise). Each float64 conversion rounds its product on its
+// own, so that no architecture fuses the product into an addition, in
+// here or in the caller the function inlines into (Go may fuse x*y + z
+// into one multiply-add, and arm64 does), and the stream is the same
+// everywhere.
+func noisy(p, noise float64, rng *rand.Rand) float64 {
+	r := float64(rng.Float64())
+	u := float64(2*r) - 1
+	return float64(p * (1 + float64(noise*u)))
 }
 
 // sbmStream is the stochastic-block-model construction.
@@ -260,7 +272,9 @@ func (s *sbmStream) Edges(yield func(u, v graph.NodeID) error) error {
 		}
 		idx := int64(-1)
 		for {
-			skip := int64(math.Log(1-rng.Float64())/logQ) + 1
+			// The conversion keeps rng.Float64's scaling multiply out of
+			// a fused multiply-subtract (see noisy).
+			skip := int64(math.Log(1-float64(rng.Float64()))/logQ) + 1
 			idx += skip
 			if idx >= total {
 				return
