@@ -14,9 +14,11 @@
 // is O(k·m) — the paper's exact O(nm) when every node is a core. The
 // cores advance 64 at a time through the bit-parallel BFS kernel
 // (kernels.BFSBatch, uint64 frontier/visited masks, exact integer level
-// sizes), cutting the adjacency scans by up to ~64×; on deep graphs,
-// where the lanes' frontiers drift apart, a batch finishes its live lanes
-// one at a time (expansion.bfs.lane_handovers counts such batches).
+// sizes), cutting the adjacency scans by up to ~64×. Batches are cut
+// from the cores in node-ID order (kernels.SortByNode), so cores of one
+// community share a batch; on deep graphs, where the lanes' frontiers
+// drift apart anyway, a batch finishes its live lanes one at a time
+// (expansion.bfs.lane_handovers counts such batches).
 // Batches fan out across parallel workers for O(k·m/(64·workers)) wall
 // clock; each core's envelope observations are collected independently
 // and folded into the stats.KeyedSummary aggregates sequentially in
@@ -65,7 +67,8 @@ type Config struct {
 	// completed so far (Result.Partial true, Coverage < 1) instead of
 	// returning the context error, as long as at least one core
 	// finished. The salvage unit is a batch of kernels.BFSBatchWidth
-	// cores: a batch the deadline cuts contributes nothing. BFS is
+	// cores, cut in node-ID order: a batch the deadline cuts contributes
+	// nothing. BFS is
 	// integer, so every completed core's levels are identical to the
 	// uninterrupted run's.
 	BestEffort bool
@@ -214,12 +217,14 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Cores run 64 per task through the bit-parallel kernel. A level
-	// sequence is everything the fold needs, and the fold below runs in
-	// source order, so the keyed summaries are bit-for-bit identical at
-	// any worker count.
+	// Cores run 64 per task through the bit-parallel kernel, cut in
+	// node-ID order (kernels.SortByNode). A level sequence is everything
+	// the fold needs, and the fold below runs in source order, so the
+	// keyed summaries are bit-for-bit identical at any worker count and in
+	// any batch composition.
 	var runErr error
 	if len(todo) > 0 {
+		kernels.SortByNode(todo, sources)
 		todoSources := make([]graph.NodeID, len(todo))
 		for k, i := range todo {
 			todoSources[k] = sources[i]

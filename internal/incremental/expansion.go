@@ -8,6 +8,7 @@ import (
 	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/faults"
 	"github.com/trustnet/trustnet/internal/graph"
+	"github.com/trustnet/trustnet/internal/kernels"
 	"github.com/trustnet/trustnet/internal/obs"
 	"github.com/trustnet/trustnet/internal/parallel"
 )
@@ -15,9 +16,9 @@ import (
 // Observability instruments for the incremental expansion maintenance,
 // written once per Apply after the workers join: repaired_sources
 // counts (source, phase) repairs that ran incrementally,
-// rebuilt_sources the sources whose repair hit the budget and re-ran
-// the BFS, and orphaned_nodes the nodes the finished deletion repairs
-// orphaned.
+// rebuilt_sources the sources whose repair hit the budget and whose BFS
+// was re-run, and orphaned_nodes the nodes the finished deletion
+// repairs orphaned.
 var (
 	obsExpApplies  = obs.Default().Counter("incremental.expansion.applies")
 	obsExpRepaired = obs.Default().Counter("incremental.expansion.repaired_sources")
@@ -43,24 +44,29 @@ const infDist = int32(math.MaxInt32)
 // case: going down orphans its whole tree, coming up relaxes it.
 //
 // Each phase has a work budget (see budget). A phase that exceeds it
-// drops the source's partial repair, re-runs the source's BFS on the
-// new topology and skips the insertion phase, so a large orphan region
-// or a flipped source costs about one BFS.
+// drops the source's partial repair and skips the insertion phase, and
+// the source is marked for a fresh BFS on the new topology, so a large
+// orphan region or a flipped source costs about one BFS. Once every
+// repair has run, the marked sources are re-run 64 at a time through
+// kernels.BFSBatch.RunDistances, cut in node-ID order
+// (kernels.SortByNode), where nearby sources share most of each
+// level's scan; the initial BFSs run the same way.
 //
-// Apply and the initial BFSs spread the sources over the workers with
-// parallel.ForEach, one set of repair scratch per worker slot. The
-// adjacency snapshots are built before the fan-out and only read
-// during it, and only the slot that owns a source writes its distance
-// field and levels, so the maintained state is the same at any worker
-// count.
+// Apply spreads the repairs, and then the batches, over the workers
+// with parallel.ForEach, one set of repair scratch and one BFSBatch per
+// worker slot. The adjacency snapshots are built before the fan-out
+// and only read during it, and only the task that owns a source writes
+// its distance field and levels, so the maintained state is the same at
+// any worker count and in any source order.
 //
 // The maintained state is exact: after every Apply, each source's
 // distance field and level counts are bit-identical to a fresh BFS on
 // the current view, and Measure folds the counts through
 // expansion.Measure's resume path so the aggregate Result is
 // bit-identical to the from-scratch measurement. Memory is
-// O(len(sources) · n) for the distance fields plus about 15·n bytes of
-// scratch per worker. Not safe for concurrent use.
+// O(len(sources) · n) for the distance fields plus about 47·n bytes of
+// scratch per worker (32·n of them the BFSBatch). Not safe for
+// concurrent use.
 type ExpansionMaintainer struct {
 	view    *graph.MaskedView
 	sources []graph.NodeID
@@ -72,16 +78,20 @@ type ExpansionMaintainer struct {
 	// endpoints, so the build skips the map lookup for every other node.
 	pending   map[uint64]bool
 	pendTouch []bool
-	nbuf      []graph.NodeID
 
 	// Flat adjacency snapshots shared by every source's repair within
 	// one Apply: the repairs scan the same frozen topology up to a
 	// thousand times (once per source), so one O(n+m) materialization
 	// replaces per-edge alive/drop bitmap checks and pending-map
-	// filters with plain slice walks. ioff/iadj hold the intermediate
-	// topology (view minus pending gains), noff/nadj the new view.
-	ioff, noff []int32
-	iadj, nadj []graph.NodeID
+	// filters with plain slice walks. cur is the new view as a CSR
+	// graph (graph.MaterializeInto over the reused coff/cadj), which the
+	// rebuild batches read too; ioff/iadj hold the intermediate topology
+	// (cur minus pending gains).
+	cur  *graph.Graph
+	coff []int64
+	cadj []graph.NodeID
+	ioff []int32
+	iadj []graph.NodeID
 
 	// slots holds one set of repair scratch per worker slot.
 	slots []*repairSlot
@@ -97,8 +107,8 @@ type repairCounts struct {
 	// orphaned counts the nodes those deletion repairs orphaned.
 	orphaned int64
 	// deletionFallbacks and insertionFallbacks count the sources whose
-	// deletion or insertion phase exceeded the budget and re-ran the
-	// BFS instead.
+	// deletion or insertion phase exceeded the budget, so that their BFS
+	// was re-run instead.
 	deletionFallbacks, insertionFallbacks int64
 }
 
@@ -115,6 +125,12 @@ func (c *repairCounts) add(o repairCounts) {
 // buckets and lists empty.
 type repairSlot struct {
 	em *ExpansionMaintainer
+
+	// batch re-runs marked sources' BFSs, rebound to each Apply's cur.
+	batch *kernels.BFSBatch
+	// stale lists the sources whose repair this slot marked in the
+	// current Apply.
+	stale []int
 
 	orphan  []bool
 	fixed   []bool
@@ -145,7 +161,7 @@ type repairSlot struct {
 
 // NewExpansionMaintainer runs the initial BFS for every source on the
 // view's current topology and returns a maintainer positioned at it.
-// The BFSs, and every later Apply, spread the sources over workers
+// The BFS batches, and every later Apply, spread over workers
 // goroutines (<= 0 means GOMAXPROCS).
 func NewExpansionMaintainer(view *graph.MaskedView, sources []graph.NodeID, workers int) (*ExpansionMaintainer, error) {
 	if len(sources) == 0 {
@@ -169,6 +185,7 @@ func NewExpansionMaintainer(view *graph.MaskedView, sources []graph.NodeID, work
 	for k := range em.slots {
 		s := &repairSlot{
 			em:       em,
+			batch:    new(kernels.BFSBatch),
 			orphan:   make([]bool, n),
 			fixed:    make([]bool, n),
 			tent:     make([]int32, n),
@@ -184,33 +201,39 @@ func NewExpansionMaintainer(view *graph.MaskedView, sources []graph.NodeID, work
 		em.slots[k] = s
 	}
 	em.buildAdjacency()
-	em.forEachSource(func(s *repairSlot, i int) {
+	all := make([]int, len(sources))
+	for i := range all {
 		em.dist[i] = make([]int32, n)
-		s.rebuild(i)
-	})
+		all[i] = i
+	}
+	em.rebuild(all)
 	return em, nil
 }
 
 // buildAdjacency materializes the two per-Apply topology snapshots
-// from the view's current masks: nadj is the live adjacency as the
-// view reports it, iadj the same minus pending gained edges.
+// from the view's current masks: cur is the live adjacency as the view
+// reports it, iadj the same minus pending gained edges. It rebinds
+// every slot's batch to the new cur.
 func (em *ExpansionMaintainer) buildAdjacency() {
+	em.cur, em.coff, em.cadj = graph.MaterializeInto(em.view, em.coff, em.cadj)
 	n := em.view.NumNodes()
 	em.ioff = append(em.ioff[:0], 0)
-	em.noff = append(em.noff[:0], 0)
 	em.iadj = em.iadj[:0]
-	em.nadj = em.nadj[:0]
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		em.nbuf = em.view.AppendNeighbors(v, em.nbuf[:0])
-		filter := len(em.pending) != 0 && em.pendTouch[v]
-		for _, u := range em.nbuf {
-			em.nadj = append(em.nadj, u)
-			if !filter || !em.pending[packEdge(v, u)] {
-				em.iadj = append(em.iadj, u)
+		ns := em.cur.Neighbors(v)
+		if len(em.pending) == 0 || !em.pendTouch[v] {
+			em.iadj = append(em.iadj, ns...)
+		} else {
+			for _, u := range ns {
+				if !em.pending[packEdge(v, u)] {
+					em.iadj = append(em.iadj, u)
+				}
 			}
 		}
 		em.ioff = append(em.ioff, int32(len(em.iadj)))
-		em.noff = append(em.noff, int32(len(em.nadj)))
+	}
+	for _, s := range em.slots {
+		s.batch.Rebind(em.cur)
 	}
 }
 
@@ -224,6 +247,38 @@ func (em *ExpansionMaintainer) forEachSource(fn func(s *repairSlot, i int)) {
 		fn(em.slots[slot], i)
 		return nil
 	})
+}
+
+// rebuild re-runs the BFSs of the sources at indices idx on the new
+// topology, replacing their distance fields and level counts. The
+// indices are sorted into node-ID order (kernels.SortByNode) and cut
+// into batches of kernels.BFSBatchWidth lanes, which fan out over the
+// slots' BFSBatches. A down source keeps distance 0 and a single level
+// of size 1, as in a fresh graph.BFSWorker run.
+func (em *ExpansionMaintainer) rebuild(idx []int) {
+	kernels.SortByNode(idx, em.sources)
+	blocks := parallel.Blocks(len(idx), kernels.BFSBatchWidth)
+	err := parallel.ForEach(context.Background(), len(em.slots), len(blocks), func(slot, b int) error {
+		batch := idx[blocks[b].Start:blocks[b].End]
+		lanes := make([]graph.NodeID, len(batch))
+		fields := make([][]int32, len(batch))
+		for j, i := range batch {
+			lanes[j], fields[j] = em.sources[i], em.dist[i]
+		}
+		levels, err := em.slots[slot].batch.RunDistances(lanes, fields)
+		if err != nil {
+			return err
+		}
+		for j, i := range batch {
+			em.levels[i] = levels[j]
+		}
+		return nil
+	})
+	if err != nil {
+		// The sources were validated at construction and every distance
+		// field holds n entries, so the kernel has nothing to refuse.
+		panic(fmt.Sprintf("incremental: expansion rebuild: %v", err))
+	}
 }
 
 // budget is each repair phase's work ceiling. A fresh BFS scans every
@@ -244,12 +299,6 @@ func (em *ExpansionMaintainer) Sources() []graph.NodeID { return em.sources }
 // the next Apply and not to be modified.
 func (em *ExpansionMaintainer) Levels(i int) []int64 { return em.levels[i] }
 
-// neighborsN lists v's neighbors in the new topology, as a read-only
-// slice of the per-Apply snapshot.
-func (em *ExpansionMaintainer) neighborsN(v graph.NodeID) []graph.NodeID {
-	return em.nadj[em.noff[v]:em.noff[v+1]]
-}
-
 // Apply repairs every source's distance field and level counts across
 // one epoch delta. The view must already hold the post-advance
 // topology (AdvanceEpochDelta, then Apply).
@@ -269,57 +318,27 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta) {
 	for _, s := range em.slots {
 		s.budget = budget
 		s.repairCounts = repairCounts{}
+		s.stale = s.stale[:0]
 	}
 	em.forEachSource(func(s *repairSlot, i int) {
 		if !s.repairDeletions(i, d) {
 			s.deletionFallbacks++
-			s.rebuild(i)
+			s.stale = append(s.stale, i)
 		} else if !s.applyInsertions(i, d) {
 			s.insertionFallbacks++
-			s.rebuild(i)
+			s.stale = append(s.stale, i)
 		}
 	})
 	em.last = repairCounts{}
+	var stale []int
 	for _, s := range em.slots {
 		em.last.add(s.repairCounts)
+		stale = append(stale, s.stale...)
 	}
+	em.rebuild(stale)
 	obsExpRepaired.Add(em.last.repaired)
 	obsExpRebuilt.Add(em.last.deletionFallbacks + em.last.insertionFallbacks)
 	obsExpOrphans.Add(em.last.orphaned)
-}
-
-// rebuild re-runs source i's BFS from scratch on the new topology,
-// mirroring graph.BFSWorker.Run exactly (a down source keeps distance
-// 0 and a single level of size 1). It stays scalar: it rebuilds the
-// source's distances, which a kernels.BFSBatch does not keep, sources
-// fall back one at a time, and on graphs this deep a 64-wide batch is
-// no faster than 64 scalar runs (EXPERIMENTS.md, "Batched kernels").
-func (s *repairSlot) rebuild(i int) {
-	em := s.em
-	dist := em.dist[i]
-	for v := range dist {
-		dist[v] = -1
-	}
-	src := em.sources[i]
-	dist[src] = 0
-	levels := append(em.levels[i][:0], 1)
-	s.queue = append(s.queue[:0], src)
-	for head := 0; head < len(s.queue); head++ {
-		v := s.queue[head]
-		dv := dist[v]
-		for _, u := range em.neighborsN(v) {
-			if dist[u] < 0 {
-				dist[u] = dv + 1
-				s.queue = append(s.queue, u)
-				if int(dv+1) == len(levels) {
-					levels = append(levels, 0)
-				}
-				levels[dv+1]++
-			}
-		}
-	}
-	s.queue = s.queue[:0]
-	em.levels[i] = levels
 }
 
 // scanI lists v's neighbors in the intermediate topology (the view
@@ -334,7 +353,7 @@ func (s *repairSlot) scanI(v graph.NodeID) []graph.NodeID {
 // scanN returns v's new-topology neighbors and charges the scan to the
 // phase's work.
 func (s *repairSlot) scanN(v graph.NodeID) []graph.NodeID {
-	ns := s.em.neighborsN(v)
+	ns := s.em.cur.Neighbors(v)
 	s.work += len(ns) + 1
 	return ns
 }

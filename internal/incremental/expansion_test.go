@@ -147,6 +147,71 @@ func TestEquivalenceExpansionMaintainerWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestEquivalenceExpansionMaintainerSourceOrder repairs the same drift
+// sweep with the sources in sampled, reversed and sorted order, at one
+// worker and at three. The rebuild batches are cut in node-ID order
+// whatever the source order, so each order puts other sources' lanes
+// next to each other only through the batch boundaries and the worker
+// slots; every source's distance field and levels must still be the
+// same after every Apply, and so must the repair counts, which include
+// budget fallbacks that were rebuilt.
+func TestEquivalenceExpansionMaintainerSourceOrder(t *testing.T) {
+	g, fcfg, sampled := clusteredSweep(t)
+	fcfg.Drift = 0.02
+	m, err := faults.New(g, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := slices.Clone(sampled)
+	slices.Reverse(reversed)
+	sorted := slices.Clone(sampled)
+	slices.Sort(sorted)
+	var ems []*ExpansionMaintainer
+	for _, srcs := range [][]graph.NodeID{sampled, reversed, sorted} {
+		for _, workers := range []int{1, 3} {
+			em, err := NewExpansionMaintainer(m.View(), srcs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ems = append(ems, em)
+		}
+	}
+	// at[k][s] is the index of source s in ems[k].
+	at := make([]map[graph.NodeID]int, len(ems))
+	for k, em := range ems {
+		at[k] = make(map[graph.NodeID]int, len(em.Sources()))
+		for i, s := range em.Sources() {
+			at[k][s] = i
+		}
+	}
+	var rebuilt int64
+	var d *faults.EpochDelta
+	for e := 0; e <= 8; e++ {
+		if e > 0 {
+			d = m.AdvanceEpochDelta(d)
+			for _, em := range ems {
+				em.Apply(d)
+			}
+			rebuilt += ems[0].last.deletionFallbacks + ems[0].last.insertionFallbacks
+		}
+		for k, em := range ems[1:] {
+			if em.last != ems[0].last {
+				t.Fatalf("epoch %d: repair counts %+v in order %d, %+v in sampled order at one worker", e, em.last, k+1, ems[0].last)
+			}
+			for i, s := range ems[0].Sources() {
+				j := at[k+1][s]
+				if !slices.Equal(em.dist[j], ems[0].dist[i]) || !slices.Equal(em.levels[j], ems[0].levels[i]) {
+					t.Fatalf("epoch %d source %d: maintainer %d differs from sampled order at one worker", e, s, k+1)
+				}
+			}
+		}
+	}
+	checkExpansionExact(t, 8, ems[len(ems)-1], m.View())
+	if rebuilt == 0 {
+		t.Fatal("no source fell back to a rebuild; the sweep does not exercise the batches")
+	}
+}
+
 // TestEquivalenceExpansionMaintainerBudgetPaths runs the quick epoch
 // sweep's graph and sources under a faster drift, so that within six
 // epochs the deletion budget, the insertion budget and a source going

@@ -1,8 +1,10 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +33,9 @@ import (
 // them.
 //
 // A batch holds three n-word masks (24n bytes of scratch); reuse one
-// across many Run calls, or draw from a BFSBatchPool under a fan-out.
+// across many Run calls, or draw from a BFSBatchPool under a fan-out,
+// and Rebind it to a new graph of the same size instead of allocating
+// another. RunDistances also fills each lane's distance field.
 // BFSBatches are not safe for concurrent use; create one per goroutine.
 type BFSBatch struct {
 	g *graph.Graph
@@ -81,12 +85,68 @@ func NewBFSBatch(g *graph.Graph) *BFSBatch {
 	}
 }
 
+// Rebind points the batch at g for the Runs that follow. When g has as
+// many nodes as the graph the batch was bound to, the scratch stays (it
+// is clean between Runs), so a caller that re-materializes a mutating
+// view every epoch keeps one batch across them; otherwise, and on a
+// zero BFSBatch, Rebind allocates scratch for g.
+func (b *BFSBatch) Rebind(g *graph.Graph) {
+	if g.NumNodes() != len(b.front) {
+		*b = *NewBFSBatch(g)
+		return
+	}
+	b.g = g
+}
+
+// SortByNode orders idx, a list of indices into sources, by source node
+// ID and then by index: the order to cut BFSBatch lanes in. The
+// community generators number each community's nodes consecutively, so
+// lanes cut from consecutive IDs start near each other, keep
+// overlapping frontiers for longer and share more of each level's scan:
+// on the epochs benchmark's clustered graph, 1,024 sampled sources ran
+// as 16 batches in about a quarter of the time they took in sampled
+// order (EXPERIMENTS.md, "Batched envelope rebuilds"). BFS is integer,
+// so the order changes no level count.
+func SortByNode(idx []int, sources []graph.NodeID) {
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(sources[a], sources[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // Run performs one BFS per source (at most BFSBatchWidth of them) and
 // returns each source's level-size sequence: out[j][d] is the number of
 // nodes at distance d from sources[j], with out[j][0] == 1. The returned
 // slices are freshly allocated — unlike graph.BFSWorker.Run they alias
 // no batch scratch and stay valid across further Run calls.
 func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
+	return b.run(sources, nil)
+}
+
+// RunDistances is Run that also fills each lane's distance field:
+// dist[j][v] becomes the distance of v from sources[j], or -1 where
+// lane j never reaches v, exactly the graph.BFSWorker distances. dist
+// holds one n-entry slice per source. A lane writes a node's level when
+// it discovers the node, in the batched harvest, or as the level closes
+// once the lane runs alone; Run's own loops carry none of it.
+func (b *BFSBatch) RunDistances(sources []graph.NodeID, dist [][]int32) ([][]int64, error) {
+	if len(dist) != len(sources) {
+		b.alone = false
+		return nil, fmt.Errorf("kernels: bfs batch of %d sources given %d distance fields", len(sources), len(dist))
+	}
+	for j, d := range dist {
+		if len(d) != len(b.front) {
+			b.alone = false
+			return nil, fmt.Errorf("kernels: distance field %d holds %d nodes, the graph %d", j, len(d), len(b.front))
+		}
+	}
+	return b.run(sources, dist)
+}
+
+// run is Run, and RunDistances when dist is non-nil.
+func (b *BFSBatch) run(sources []graph.NodeID, dist [][]int32) ([][]int64, error) {
 	b.alone = false
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("kernels: bfs batch needs at least one source")
@@ -111,11 +171,17 @@ func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
 		b.front[s] |= 1 << j
 		b.visited[s] |= 1 << j
 	}
+	for j, d := range dist {
+		for v := range d {
+			d[v] = -1
+		}
+		d[sources[j]] = 0
+	}
 
 	depth := 0
 	for len(b.active) > 0 {
 		if depth >= loneDepth && b.drifted() {
-			b.finishAlone(levels)
+			b.finishAlone(levels, dist)
 			b.alone = true
 			break
 		}
@@ -139,6 +205,11 @@ func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
 		// Harvest: keep only first-time discoveries, popcount them into
 		// the per-source level sizes, and form the next frontier.
 		b.active = b.active[:0]
+		if dist != nil {
+			b.harvestDistances(touched, levels, dist, depth)
+			b.touched = touched[:0]
+			continue
+		}
 		for _, u := range touched {
 			discovered := b.next[u] &^ b.visited[u]
 			b.next[u] = 0
@@ -169,6 +240,31 @@ func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
 	return levels, nil
 }
 
+// harvestDistances is Run's harvest for RunDistances: the same pass over
+// the touched nodes, which also writes depth into the distance field of
+// every lane that discovers the node.
+func (b *BFSBatch) harvestDistances(touched []graph.NodeID, levels [][]int64, dist [][]int32, depth int) {
+	d := int32(depth)
+	for _, u := range touched {
+		discovered := b.next[u] &^ b.visited[u]
+		b.next[u] = 0
+		if discovered == 0 {
+			continue
+		}
+		b.visited[u] |= discovered
+		b.front[u] = discovered
+		b.active = append(b.active, u)
+		for rem := discovered; rem != 0; rem &= rem - 1 {
+			j := bits.TrailingZeros64(rem)
+			if len(levels[j]) == depth {
+				levels[j] = append(levels[j], 0)
+			}
+			levels[j][depth]++
+			dist[j][u] = d
+		}
+	}
+}
+
 // LanesAlone reports whether the last Run handed its live lanes over to
 // lone scans (see BFSBatch).
 func (b *BFSBatch) LanesAlone() bool { return b.alone }
@@ -192,9 +288,10 @@ func (b *BFSBatch) drifted() bool {
 // Lane j's frontier is the active nodes whose front mask carries bit j;
 // it scans level by level on bit j of visited, with touched as its
 // queue, and appends its own level sizes. A lane enqueues a node at most
-// once, so the queue never outgrows touched's n slots. On return front
-// is zero and active is empty.
-func (b *BFSBatch) finishAlone(levels [][]int64) {
+// once, so the queue never outgrows touched's n slots. With dist, each
+// closed level writes its distance into the lane's field for the nodes
+// the level queued. On return front is zero and active is empty.
+func (b *BFSBatch) finishAlone(levels [][]int64, dist [][]int32) {
 	for j := range levels {
 		bit := uint64(1) << j
 		queue := b.touched[:0]
@@ -214,6 +311,12 @@ func (b *BFSBatch) finishAlone(levels [][]int64) {
 				}
 			}
 			if found := len(queue) - end; found > 0 {
+				if dist != nil {
+					d := int32(len(levels[j]))
+					for _, u := range queue[end:] {
+						dist[j][u] = d
+					}
+				}
 				levels[j] = append(levels[j], int64(found))
 			}
 		}

@@ -148,6 +148,116 @@ func TestEquivalenceBFSBatchHandover(t *testing.T) {
 	}
 }
 
+// TestEquivalenceBFSBatchDistances checks RunDistances against
+// graph.BFSWorker, distances and levels of every lane, on the shapes of
+// TestEquivalenceBFSBatchHandover: lanes that end at levels 31, 32 and
+// 33, a cycle of 129, the clustered graph, and duplicate and isolated
+// sources, in batches that hand over and batches that do not. A plain
+// Run of the same sources follows each one on the same BFSBatch, so the
+// distance run must leave the scratch clean, and the fields must be
+// overwritten whole: they start dirty.
+func TestEquivalenceBFSBatchDistances(t *testing.T) {
+	path, err := gen.Path(63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := gen.Cycle(129)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{Communities: 30, CommunitySize: 20, Attach: 2, Bridges: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusteredSources, err := graph.SampleNodes(clustered, kernels.BFSBatchWidth, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two paths (0..39, 40..79) and an isolated node (80).
+	var edges []graph.Edge
+	for v := graph.NodeID(0); v < 79; v++ {
+		if v != 39 {
+			edges = append(edges, graph.Edge{U: v, V: v + 1})
+		}
+	}
+	twoPaths, err := graph.FromEdges(81, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		sources []graph.NodeID
+		alone   bool
+	}{
+		{"path", path, []graph.NodeID{31, 30, 32, 29, 33, 0, 62, 0}, true},
+		{"path/shallow", path, []graph.NodeID{31, 31}, false},
+		{"cycle129", cycle, []graph.NodeID{0, 1, 5, 17, 40, 64, 100, 128, 5}, true},
+		{"clustered", clustered, clusteredSources, true},
+		{"twopaths", twoPaths, []graph.NodeID{0, 80, 79, 40, 0, 80}, true},
+		{"twopaths/isolated", twoPaths, []graph.NodeID{80}, false},
+	} {
+		n := tc.g.NumNodes()
+		batch := kernels.NewBFSBatch(tc.g)
+		dist := make([][]int32, len(tc.sources))
+		for j := range dist {
+			dist[j] = make([]int32, n)
+			for v := range dist[j] {
+				dist[j][v] = int32(v + 7)
+			}
+		}
+		levels, err := batch.RunDistances(tc.sources, dist)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if batch.LanesAlone() != tc.alone {
+			t.Fatalf("%s: LanesAlone() = %v, want %v", tc.name, batch.LanesAlone(), tc.alone)
+		}
+		w := graph.NewBFSWorker(tc.g)
+		for j, s := range tc.sources {
+			ref, err := w.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(levels[j], ref.LevelSizes) {
+				t.Fatalf("%s lane %d (source %d): levels %v, scalar %v", tc.name, j, s, levels[j], ref.LevelSizes)
+			}
+			if !reflect.DeepEqual(dist[j], ref.Dist) {
+				t.Fatalf("%s lane %d (source %d): distances differ from the scalar BFS", tc.name, j, s)
+			}
+		}
+		checkBFSBatch(t, tc.name+" then Run", batch, tc.g, tc.sources, tc.alone)
+	}
+}
+
+// TestBFSBatchDistancesErrors covers the distance fields' contract and
+// Rebind: a mismatched field count or length is refused before any
+// scratch is touched, and a batch rebound to a graph of another size
+// runs on it.
+func TestBFSBatchDistancesErrors(t *testing.T) {
+	g, err := gen.Path(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := kernels.NewBFSBatch(g)
+	if _, err := batch.RunDistances([]graph.NodeID{0, 1}, [][]int32{make([]int32, 10)}); err == nil {
+		t.Error("two sources, one field: want error")
+	}
+	if _, err := batch.RunDistances([]graph.NodeID{0}, [][]int32{make([]int32, 9)}); err == nil {
+		t.Error("short field: want error")
+	}
+	checkBFSBatch(t, "after refusals", batch, g, []graph.NodeID{0, 9}, false)
+	big, err := gen.Path(70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch.Rebind(big)
+	checkBFSBatch(t, "rebound to a 70-node path", batch, big, []graph.NodeID{0, 69}, true)
+	var zero kernels.BFSBatch
+	zero.Rebind(g)
+	checkBFSBatch(t, "zero batch, rebound", &zero, g, []graph.NodeID{3}, false)
+}
+
 // checkBFSBatch runs one batch and compares every lane with a scalar
 // BFS, and whether the batch handed over with alone.
 func checkBFSBatch(t *testing.T, name string, batch *kernels.BFSBatch, g *graph.Graph, sources []graph.NodeID, alone bool) {

@@ -23,7 +23,10 @@
 // graph.Materialize returns (zero-copy for a Graph or an mmap-backed
 // graph.Mapped). Neither fans out internally: walk.MeasureMixing and
 // expansion.Measure run one block of DefaultBlockWidth sources, or one
-// batch of BFSBatchWidth cores, per worker task.
+// batch of BFSBatchWidth cores, per worker task. BFSBatch also serves
+// incremental.ExpansionMaintainer, whose rebuilds need each lane's
+// distances (BFSBatch.RunDistances); both BFS callers cut their batches
+// in node-ID order (SortByNode), where nearby cores share most scans.
 //
 // Both kernels preserve the repository's determinism contract
 // bit-for-bit. Per-source walk columns are independent and every

@@ -2,6 +2,7 @@ package kernels_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/gen"
@@ -151,7 +152,10 @@ func BenchmarkWalkDistributionStep(b *testing.B) {
 // BFS runs over the same sources: on a 2000-node BA graph, and on
 // perfbench large's two graphs with 64 sampled sources, where the BA
 // batch stays 64 lanes wide to the end and the clustered one hands its
-// lanes over to lone scans.
+// lanes over to lone scans. The epochs10000 rows run the 1,024 sources
+// of perfbench epochs (its clustered 50×200 graph, attach 8, 4 bridges,
+// seed 97) as 16 batches, cut in sampled order and in node-ID order;
+// alone/op counts the batches that handed over.
 func BenchmarkBFSBatchRun(b *testing.B) {
 	small := benchGraph(b)
 	sources := make([]graph.NodeID, kernels.BFSBatchWidth)
@@ -162,6 +166,41 @@ func BenchmarkBFSBatchRun(b *testing.B) {
 	for _, bg := range largeGraphs(b) {
 		benchBFS(b, bg.name, bg.g, sampled(b, bg.g, kernels.BFSBatchWidth, false))
 	}
+
+	epochs, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{Communities: 50, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 97})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The seed is the one perfbench epochs samples its sources with.
+	inSample, err := graph.SampleNodes(epochs, 1024, 8513542685296429273, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inID := slices.Clone(inSample)
+	slices.Sort(inID)
+	benchBatches(b, "epochs10000/sampled1024", epochs, inSample)
+	benchBatches(b, "epochs10000/sorted1024", epochs, inID)
+}
+
+// benchBatches runs sources through one BFSBatch, BFSBatchWidth at a
+// time in the order given.
+func benchBatches(b *testing.B, name string, g *graph.Graph, sources []graph.NodeID) {
+	b.Run(name, func(b *testing.B) {
+		batch := kernels.NewBFSBatch(g)
+		alone := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for start := 0; start < len(sources); start += kernels.BFSBatchWidth {
+				if _, err := batch.Run(sources[start:min(start+kernels.BFSBatchWidth, len(sources))]); err != nil {
+					b.Fatal(err)
+				}
+				if batch.LanesAlone() {
+					alone++
+				}
+			}
+		}
+		b.ReportMetric(float64(alone)/float64(b.N), "alone/op")
+	})
 }
 
 // benchBFS runs one batch over sources and, as the baseline, one scalar
