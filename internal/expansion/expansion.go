@@ -68,9 +68,8 @@ type Config struct {
 	// returning the context error, as long as at least one core
 	// finished. The salvage unit is a batch of kernels.BFSBatchWidth
 	// cores, cut in node-ID order: a batch the deadline cuts contributes
-	// nothing. BFS is
-	// integer, so every completed core's levels are identical to the
-	// uninterrupted run's.
+	// nothing. BFS is integer, so every completed core's levels are
+	// identical to the uninterrupted run's.
 	BestEffort bool
 	// Resume seeds the measurement with level sequences completed by an
 	// earlier (interrupted) run over the *same* source list: cores whose

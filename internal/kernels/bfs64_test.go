@@ -76,16 +76,22 @@ func TestEquivalenceBFSBatchVsScalar(t *testing.T) {
 	}
 }
 
-// TestEquivalenceBFSBatchHandover covers the hand-over to lone lanes on
-// graphs whose BFSs run past level 32, the first frontier level at which
-// a batch may finish its live lanes one at a time. Every lane must equal
-// the scalar BFS: lanes that end at levels 31, 32 and 33, duplicate
-// sources, an isolated source, and a disconnected batch whose shallow
-// lanes never hand over. Each deep batch must really hand over. Every
-// batch runs twice, and the shallow batches run on the BFSBatch the deep
-// ones used, so each run also proves that the lone scans left the
-// scratch clean.
-func TestEquivalenceBFSBatchHandover(t *testing.T) {
+// bfsCase is one batch of the hand-over shapes: its graph, its sources
+// and whether it must hand over.
+type bfsCase struct {
+	name    string
+	g       *graph.Graph
+	sources []graph.NodeID
+	alone   bool
+}
+
+// handoverCases are graphs whose BFSs run past level 32, the first
+// frontier level at which a batch may finish its live lanes one at a
+// time: lanes that end at levels 31, 32 and 33, duplicate sources, an
+// isolated source, and a disconnected batch whose shallow lanes never
+// hand over.
+func handoverCases(t *testing.T) []bfsCase {
+	t.Helper()
 	path, err := gen.Path(63)
 	if err != nil {
 		t.Fatal(err)
@@ -116,13 +122,7 @@ func TestEquivalenceBFSBatchHandover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := map[*graph.Graph]*kernels.BFSBatch{}
-	for _, tc := range []struct {
-		name    string
-		g       *graph.Graph
-		sources []graph.NodeID
-		alone   bool
-	}{
+	return []bfsCase{
 		// On the 63-node path, source 31 ends at level 31, 30 and 32 at
 		// 32, 29 and 33 at 33, and the ends at 62.
 		{"path", path, []graph.NodeID{31, 30, 32, 29, 33, 0, 62, 0}, true},
@@ -131,7 +131,18 @@ func TestEquivalenceBFSBatchHandover(t *testing.T) {
 		{"clustered", clustered, clusteredSources, true},
 		{"disconnected/deep", disconnected, []graph.NodeID{0, 40, 91, 80, 84, 86, 0, 79}, true},
 		{"disconnected/shallow", disconnected, []graph.NodeID{91, 80, 84, 86, 82, 91}, false},
-	} {
+	}
+}
+
+// TestEquivalenceBFSBatchHandover covers the hand-over to lone lanes on
+// the handoverCases. Every lane must equal the scalar BFS, and each deep
+// batch must really hand over. Every batch runs twice, and the shallow
+// batches run on the BFSBatch the deep ones used, so each run also
+// proves that the lone scans left the scratch clean.
+func TestEquivalenceBFSBatchHandover(t *testing.T) {
+	cases := handoverCases(t)
+	batches := map[*graph.Graph]*kernels.BFSBatch{}
+	for _, tc := range cases {
 		batch := batches[tc.g]
 		if batch == nil {
 			batch = kernels.NewBFSBatch(tc.g)
@@ -141,6 +152,7 @@ func TestEquivalenceBFSBatchHandover(t *testing.T) {
 		checkBFSBatch(t, tc.name+" again", batch, tc.g, tc.sources, tc.alone)
 	}
 	// A Run that fails validation hands nothing over.
+	path := cases[0].g
 	batch := batches[path]
 	checkBFSBatch(t, "path/one lane", batch, path, []graph.NodeID{0}, true)
 	if _, err := batch.Run([]graph.NodeID{63}); err == nil || batch.LanesAlone() {
@@ -149,54 +161,13 @@ func TestEquivalenceBFSBatchHandover(t *testing.T) {
 }
 
 // TestEquivalenceBFSBatchDistances checks RunDistances against
-// graph.BFSWorker, distances and levels of every lane, on the shapes of
-// TestEquivalenceBFSBatchHandover: lanes that end at levels 31, 32 and
-// 33, a cycle of 129, the clustered graph, and duplicate and isolated
-// sources, in batches that hand over and batches that do not. A plain
-// Run of the same sources follows each one on the same BFSBatch, so the
-// distance run must leave the scratch clean, and the fields must be
-// overwritten whole: they start dirty.
+// graph.BFSWorker, the distances and the levels of every lane, on the
+// handoverCases, in batches that hand over and batches that do not. The
+// fields start dirty, so they must be overwritten whole, and a plain
+// Run of the same sources follows on the same BFSBatch, so the distance
+// run must leave the scratch clean.
 func TestEquivalenceBFSBatchDistances(t *testing.T) {
-	path, err := gen.Path(63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle, err := gen.Cycle(129)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustered, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{Communities: 30, CommunitySize: 20, Attach: 2, Bridges: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusteredSources, err := graph.SampleNodes(clustered, kernels.BFSBatchWidth, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two paths (0..39, 40..79) and an isolated node (80).
-	var edges []graph.Edge
-	for v := graph.NodeID(0); v < 79; v++ {
-		if v != 39 {
-			edges = append(edges, graph.Edge{U: v, V: v + 1})
-		}
-	}
-	twoPaths, err := graph.FromEdges(81, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		g       *graph.Graph
-		sources []graph.NodeID
-		alone   bool
-	}{
-		{"path", path, []graph.NodeID{31, 30, 32, 29, 33, 0, 62, 0}, true},
-		{"path/shallow", path, []graph.NodeID{31, 31}, false},
-		{"cycle129", cycle, []graph.NodeID{0, 1, 5, 17, 40, 64, 100, 128, 5}, true},
-		{"clustered", clustered, clusteredSources, true},
-		{"twopaths", twoPaths, []graph.NodeID{0, 80, 79, 40, 0, 80}, true},
-		{"twopaths/isolated", twoPaths, []graph.NodeID{80}, false},
-	} {
+	for _, tc := range handoverCases(t) {
 		n := tc.g.NumNodes()
 		batch := kernels.NewBFSBatch(tc.g)
 		dist := make([][]int32, len(tc.sources))

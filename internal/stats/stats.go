@@ -166,7 +166,7 @@ func (s *Summary) Merge(o Summary) {
 // than a slot per possible key. The zero value is ready to use.
 type KeyedSummary struct {
 	pages [][]Summary
-	len   int
+	nkeys int
 }
 
 // keyPage is the number of keys one KeyedSummary page holds.
@@ -192,7 +192,7 @@ func (k *KeyedSummary) slot(key int64) *Summary {
 	}
 	s := &k.pages[p][key%keyPage]
 	if s.count == 0 {
-		k.len++
+		k.nkeys++
 	}
 	return s
 }
@@ -213,7 +213,7 @@ func (k *KeyedSummary) Merge(o *KeyedSummary) {
 
 // Keys returns the keys in ascending order.
 func (k *KeyedSummary) Keys() []int64 {
-	keys := make([]int64, 0, k.len)
+	keys := make([]int64, 0, k.nkeys)
 	for p, page := range k.pages {
 		for i := range page {
 			if page[i].count != 0 {
@@ -238,7 +238,7 @@ func (k *KeyedSummary) Get(key int64) (Summary, bool) {
 }
 
 // Len returns the number of distinct keys.
-func (k *KeyedSummary) Len() int { return k.len }
+func (k *KeyedSummary) Len() int { return k.nkeys }
 
 // Histogram counts samples into uniform-width bins over [lo, hi].
 type Histogram struct {
