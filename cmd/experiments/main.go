@@ -121,7 +121,7 @@ func run(args []string) error {
 		maxRetries  = fs.Int("max-retries", 2, "retries per job after a transient failure (0 = no retries)")
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "base delay of the exponential retry backoff")
 		bestEffort  = fs.Bool("best-effort", false, "return partial results with coverage annotations when a job hits its -timeout")
-		incr        = fs.Bool("incremental", false, "route epoch-sweep measurements through the incremental maintainers (delta-repaired cores and BFS, warm-started SLEM)")
+		incr        = fs.Bool("incremental", false, "route epoch-sweep measurements through the incremental engine (cores decomposed on each epoch's CSR, delta-repaired BFS, warm-started SLEM)")
 		ckptDir     = fs.String("ckpt-dir", "", "checkpoint directory (default <out>/ckpt)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")

@@ -15,10 +15,10 @@ import (
 )
 
 // epochSweepGraph generates the community graph the epoch sweep runs
-// on. It is clustered rather than plain preferential-attachment so the
-// coreness landscape is diverse: a delta's subcores stay community-
-// sized, which is the regime the incremental core repair is built for
-// (a single-plateau BA graph legitimately falls back every insertion).
+// on. It is clustered rather than plain preferential-attachment so it
+// has the paper's slow-mixer shape: weakly bridged communities, μ close
+// to 1, and epochs in which a lost bridge re-levels whole communities
+// of the BFS envelope.
 func epochSweepGraph(opts *Options) (*graph.Graph, error) {
 	g, _, err := gen.ClusteredPA(gen.ClusteredPAConfig{
 		Communities:   opts.pick(10, 50),
@@ -54,14 +54,11 @@ type EpochSweepPoint struct {
 	SLEM            float64
 	ComponentSize   int
 	MaxEccentricity int
-	// CoreIncremental reports whether the coreness repair ran
-	// incrementally this epoch (always false in full mode and at epoch 0).
-	CoreIncremental bool
 }
 
 // EpochSweepResult tracks the three §III structural metrics across a
 // drifting fault schedule, measured either from scratch every epoch or
-// through the incremental maintainers (Options.Incremental).
+// through the incremental engine (Options.Incremental).
 type EpochSweepResult struct {
 	Points      []EpochSweepPoint
 	Incremental bool
@@ -77,15 +74,11 @@ func (r *EpochSweepResult) Table() (*report.Table, error) {
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Epoch sweep: structural metrics under drifting faults (%s)", mode),
-		"Epoch", "Degeneracy", "mu", "Component", "Max ecc", "Core repair")
+		"Epoch", "Degeneracy", "mu", "Component", "Max ecc")
 	for _, p := range r.Points {
-		repair := "full"
-		if p.CoreIncremental {
-			repair = "incremental"
-		}
 		if err := t.AddRow(report.Int(p.Epoch), report.Int(p.Degeneracy),
 			report.Float(p.SLEM, 4), report.Int(p.ComponentSize),
-			report.Int(p.MaxEccentricity), repair); err != nil {
+			report.Int(p.MaxEccentricity)); err != nil {
 			return nil, err
 		}
 	}
@@ -94,11 +87,11 @@ func (r *EpochSweepResult) Table() (*report.Table, error) {
 
 // EpochSweep measures degeneracy, SLEM, and the expansion envelope at
 // every epoch of a drifting fault schedule. With Options.Incremental
-// the three measurements ride the internal/incremental maintainers
-// (exact cores and expansion, warm-started SLEM); otherwise each epoch
-// recomputes from scratch. Both modes walk identical schedules, so
-// their integer columns agree exactly and μ agrees within 1e-4 (see
-// Options.Incremental).
+// the three measurements ride the internal/incremental engine (cores
+// decomposed on each epoch's CSR, delta-repaired expansion,
+// warm-started SLEM); otherwise each epoch recomputes from scratch.
+// Both modes walk identical schedules, so their integer columns agree
+// exactly and μ agrees within 1e-4 (see Options.Incremental).
 func EpochSweep(ctx context.Context, opts Options) (*EpochSweepResult, error) {
 	opts.fill()
 	g, err := epochSweepGraph(&opts)
@@ -128,11 +121,10 @@ func EpochSweep(ctx context.Context, opts Options) (*EpochSweepResult, error) {
 		}
 	}
 	for e := 0; e < epochs; e++ {
-		coreInc := false
 		var meas *incremental.EpochMeasurement
 		if en != nil {
 			if e > 0 {
-				coreInc = en.Advance()
+				en.Advance()
 			}
 			if meas, err = en.Measure(ctx); err != nil {
 				return nil, fmt.Errorf("experiments: epoch sweep epoch %d: %w", e, err)
@@ -151,7 +143,6 @@ func EpochSweep(ctx context.Context, opts Options) (*EpochSweepResult, error) {
 			SLEM:            meas.SLEM.SLEM,
 			ComponentSize:   meas.ComponentSize,
 			MaxEccentricity: meas.Expansion.MaxEccentricity,
-			CoreIncremental: coreInc,
 		})
 	}
 	return res, nil

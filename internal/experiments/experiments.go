@@ -44,14 +44,15 @@ type Options struct {
 	// run.
 	Resume bool
 	// Incremental routes epoch-sweep measurements through the
-	// internal/incremental maintainers (delta-repaired cores and BFS,
-	// warm-started SLEM) instead of recomputing every epoch from
-	// scratch. Integer results are bit-identical either way. SLEM is
-	// not: the Lanczos iteration stops when its estimate moves by less
-	// than its tolerance, which bounds the step, not the distance to μ,
-	// so the warm and cold starts stop at different points. The two
-	// agree within 1e-4 (TestEpochSweepQuick); ROADMAP.md's certified-
-	// SLEM item replaces that stopping rule with a residual bound.
+	// internal/incremental engine (cores decomposed on each epoch's
+	// CSR, delta-repaired BFS, warm-started SLEM) instead of
+	// recomputing every epoch from scratch on the masked view. Integer
+	// results are bit-identical either way. SLEM is not: the Lanczos
+	// iteration stops when its estimate moves by less than its
+	// tolerance, which bounds the step, not the distance to μ, so the
+	// warm and cold starts stop at different points. The two agree
+	// within 1e-4 (TestEpochSweepQuick); ROADMAP.md's certified-SLEM
+	// item replaces that stopping rule with a residual bound.
 	Incremental bool
 	// Substrate is the canonical graph-substrate fingerprint of the run
 	// (see SubstrateFingerprint). Runners fold it into their per-dataset

@@ -26,7 +26,7 @@ type JobConfig struct {
 	Quick bool  `json:"quick"`
 	Seed  int64 `json:"seed"`
 	// Incremental routes the epoch sweep through the incremental
-	// maintainers; only the epochs job sets it (SLEM differs between the
+	// engine; only the epochs job sets it (SLEM differs between the
 	// two paths, by up to 1e-4 — see Options.Incremental — so they must
 	// not share a cache slot).
 	Incremental bool `json:"incremental,omitempty"`

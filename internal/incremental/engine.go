@@ -12,11 +12,8 @@ import (
 	"github.com/trustnet/trustnet/internal/spectral"
 )
 
-// Observability instruments for the epoch engine.
-var (
-	obsEngineAdvances = obs.Default().Counter("incremental.engine.advances")
-	obsEngineCoreInc  = obs.Default().Counter("incremental.engine.core_incremental")
-)
+// obsEngineAdvances counts the epoch engine's Advance calls.
+var obsEngineAdvances = obs.Default().Counter("incremental.engine.advances")
 
 // EngineConfig configures an epoch measurement engine.
 type EngineConfig struct {
@@ -26,9 +23,8 @@ type EngineConfig struct {
 	// KeepVector are managed by the engine).
 	Spectral spectral.Config
 	// Workers bounds the expansion maintainer's fan-out over its sources
-	// (the initial BFSs and every Apply's repair) and the expansion fold
-	// in Measure; <= 0 means GOMAXPROCS. The results are the same at any
-	// worker count.
+	// (the initial BFSs, and every Apply's repairs and rebuilds); <= 0
+	// means GOMAXPROCS. The results are the same at any worker count.
 	Workers int
 }
 
@@ -37,11 +33,9 @@ type EngineConfig struct {
 type EpochMeasurement struct {
 	// Epoch is the fault-model epoch the measurement describes.
 	Epoch int
-	// Degeneracy is the maximum coreness on the current view (§III-B).
+	// Degeneracy is the maximum coreness on the epoch's topology
+	// (§III-B).
 	Degeneracy int
-	// CoreIncremental reports whether the epoch's coreness repair ran
-	// incrementally (false on epoch 0 and on budget fallbacks).
-	CoreIncremental bool
 	// Expansion is the folded BFS envelope measurement (§III-D).
 	Expansion *expansion.Result
 	// SLEM is the mixing measurement on the largest component (§III-C).
@@ -50,11 +44,14 @@ type EpochMeasurement struct {
 	ComponentSize int
 }
 
-// Engine drives the three incremental maintainers in lockstep with a
-// fault model: each Advance moves the model one epoch and repairs the
-// maintained coreness and BFS state from the epoch delta; Measure
-// snapshots all three metrics on the current view, warm-starting the
-// SLEM from the previous epoch's eigenvector.
+// Engine measures the three structural metrics in lockstep with a
+// fault model. Each epoch's topology is read once, as the CSR
+// faults.Model.Degraded materializes into buffers the model reuses,
+// and all three measurements run on it: the coreness is
+// kcore.Decompose of it, the expansion maintainer repairs its BFS state
+// from the epoch delta on it, and Measure takes the SLEM's largest
+// component from it, warm-starting from the previous epoch's
+// eigenvector.
 //
 // An interrupted sweep resumes by rebuilding: faults.Model.SetEpoch
 // replays the schedule to any epoch deterministically, and a fresh
@@ -65,67 +62,73 @@ type EpochMeasurement struct {
 // history differs). Not safe for concurrent use.
 type Engine struct {
 	model *faults.Model
-	cores *CoreMaintainer
+	// g is the epoch's topology (model.Degraded) and cores its
+	// decomposition.
+	g     *graph.Graph
+	cores *kcore.Decomposition
 	exp   *ExpansionMaintainer
 	slem  *SLEMMaintainer
-	cfg   EngineConfig
 	delta *faults.EpochDelta
 }
 
-// NewEngine builds the three maintainers against the model's current
-// view and epoch.
+// NewEngine measures the model's current epoch and returns an engine
+// positioned at it.
 func NewEngine(m *faults.Model, cfg EngineConfig) (*Engine, error) {
 	if len(cfg.Sources) == 0 {
 		return nil, fmt.Errorf("incremental: engine needs expansion sources")
 	}
-	cm, err := NewCoreMaintainer(m.View())
+	g := m.Degraded()
+	dec, err := decompose(g)
 	if err != nil {
 		return nil, err
 	}
-	em, err := NewExpansionMaintainer(m.View(), cfg.Sources, cfg.Workers)
+	em, err := NewExpansionMaintainer(g, cfg.Sources, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{
 		model: m,
-		cores: cm,
+		g:     g,
+		cores: dec,
 		exp:   em,
-		slem:  NewSLEMMaintainer(m.View(), cfg.Spectral),
-		cfg:   cfg,
+		slem:  NewSLEMMaintainer(cfg.Spectral),
 	}, nil
 }
 
-// Epoch returns the fault-model epoch the maintained state describes.
+// Epoch returns the fault-model epoch the engine's state describes.
 func (en *Engine) Epoch() int { return en.model.Epoch() }
 
-// Cores exposes the maintained coreness array (owned by the engine,
-// valid until the next Advance).
-func (en *Engine) Cores() []int { return en.cores.Cores() }
+// Cores returns every node's coreness at the current epoch, indexed by
+// node ID, as a fresh copy.
+func (en *Engine) Cores() []int { return en.cores.CorenessValues() }
 
-// Advance moves the fault model one epoch and repairs all maintained
-// state from the delta. It reports whether the coreness repair ran
-// incrementally.
-func (en *Engine) Advance() bool {
+// Advance moves the fault model one epoch, decomposes the epoch's
+// topology and repairs the expansion maintainer's BFS state from the
+// delta.
+func (en *Engine) Advance() {
 	obsEngineAdvances.Inc()
 	en.delta = en.model.AdvanceEpochDelta(en.delta)
-	inc := en.cores.Apply(en.delta)
-	if inc {
-		obsEngineCoreInc.Inc()
+	en.g = en.model.Degraded()
+	dec, err := decompose(en.g)
+	if err != nil {
+		// Unreachable: the constructor already decomposed a topology with
+		// the same (nonzero) node count.
+		panic(err)
 	}
-	en.exp.Apply(en.delta)
-	return inc
+	en.cores = dec
+	en.exp.Apply(en.delta, en.g)
 }
 
-// Measure snapshots the three structural metrics on the current view.
+// Measure snapshots the three structural metrics on the current epoch.
 // The coreness and expansion parts are bit-identical to from-scratch
 // measurements; the SLEM is warm-started and matches a cold start only
 // within the band the package comment describes.
 func (en *Engine) Measure(ctx context.Context) (*EpochMeasurement, error) {
-	exp, err := en.exp.Measure(ctx, en.cfg.Workers)
+	exp, err := en.exp.Measure(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: expansion at epoch %d: %w", en.Epoch(), err)
 	}
-	slem, compSize, err := en.slem.Measure(ctx)
+	slem, compSize, err := en.slem.Measure(ctx, en.g)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: slem at epoch %d: %w", en.Epoch(), err)
 	}
@@ -138,21 +141,22 @@ func (en *Engine) Measure(ctx context.Context) (*EpochMeasurement, error) {
 	}, nil
 }
 
-// kcoreDecompose runs the full decomposition and returns its
-// degeneracy — the baseline for the maintained coreness.
-func kcoreDecompose(view *graph.MaskedView) (int, error) {
-	dec, err := kcore.Decompose(view)
+// decompose runs the k-core decomposition of g.
+func decompose(g graph.View) (*kcore.Decomposition, error) {
+	dec, err := kcore.Decompose(g)
 	if err != nil {
-		return 0, fmt.Errorf("incremental: full decompose: %w", err)
+		return nil, fmt.Errorf("incremental: decompose: %w", err)
 	}
-	return dec.Degeneracy(), nil
+	return dec, nil
 }
 
-// MeasureFull computes the same snapshot from scratch on an arbitrary
-// view — the non-incremental baseline the engine's results are
-// validated (and benchmarked) against.
+// MeasureFull computes the same snapshot from scratch on a masked view
+// — the non-incremental baseline the engine's results are validated
+// (and benchmarked) against. It works on the view, not on the
+// faults.Model.Degraded CSR the engine reads, so the two share no
+// materialized topology.
 func MeasureFull(ctx context.Context, view *graph.MaskedView, cfg EngineConfig) (*EpochMeasurement, error) {
-	dec, err := kcoreDecompose(view)
+	dec, err := decompose(view)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +175,7 @@ func MeasureFull(ctx context.Context, view *graph.MaskedView, cfg EngineConfig) 
 		return nil, fmt.Errorf("incremental: full slem: %w", err)
 	}
 	return &EpochMeasurement{
-		Degeneracy:    dec,
+		Degeneracy:    dec.Degeneracy(),
 		Expansion:     exp,
 		SLEM:          slem,
 		ComponentSize: len(nodes),

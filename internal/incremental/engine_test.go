@@ -146,12 +146,14 @@ func TestKillAndResumeEngineEquivalence(t *testing.T) {
 }
 
 // TestEquivalenceEngineVsFullSweep validates every engine epoch
-// against from-scratch baselines on the same view: per-node cores
-// against kcore.Decompose, the rest against MeasureFull. The clustered
-// row is the quick epoch sweep of internal/experiments (graph, fault
-// schedule, sources, spectral settings), where the core repair runs
-// incrementally instead of falling back as it does on the single-
-// plateau BA graph; its μ band is the one Options.Incremental there
+// against from-scratch baselines on the same masked view: per-node
+// cores against kcore.Decompose, the rest against MeasureFull. The
+// ba-redraw row runs without drift, so consecutive epochs are
+// independent redraws: the deltas are huge, the expansion repairs fall
+// back, and the live edge count that sizes the epoch's Degraded CSR
+// swings from epoch to epoch. The clustered row is the quick epoch
+// sweep of internal/experiments (graph, fault schedule, sources,
+// spectral settings); its μ band is the one Options.Incremental there
 // documents for a 1e-8 stopping tolerance.
 func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 	ba := sweepGraph(t)
@@ -163,14 +165,16 @@ func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 		cfg     EngineConfig
 		epochs  int
 		slemTol float64
-		// wantCoreInc requires at least one Advance to repair the
-		// cores incrementally.
-		wantCoreInc bool
 	}{
 		{
 			name: "ba-3000", g: ba, faults: engineFaults,
 			cfg:    EngineConfig{Sources: expansionSources(t, ba, 8), Workers: 1},
 			epochs: 6, slemTol: 1e-8,
+		},
+		{
+			name: "ba-redraw", g: ba, faults: faults.Config{Churn: 0.2, EdgeLoss: 0.1, Seed: 5},
+			cfg:    EngineConfig{Sources: expansionSources(t, ba, 8), Workers: 1},
+			epochs: 4, slemTol: 1e-8,
 		},
 		{
 			name: "clustered-sweep", g: clustered, faults: clusteredFaults,
@@ -179,7 +183,7 @@ func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 				Spectral: spectral.Config{Tolerance: 1e-8, Seed: 1},
 				Workers:  1,
 			},
-			epochs: 3, slemTol: 1e-4, wantCoreInc: true,
+			epochs: 3, slemTol: 1e-4,
 		},
 	}
 	for _, r := range rows {
@@ -192,15 +196,11 @@ func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coreInc := 0
 			for e := 0; e <= r.epochs; e++ {
-				if e > 0 && en.Advance() {
-					coreInc++
+				if e > 0 {
+					en.Advance()
 				}
 				compareEpochRecords(t, e, recordEpoch(t, en), fullRecord(t, m.View(), r.cfg), r.slemTol)
-			}
-			if r.wantCoreInc && coreInc == 0 {
-				t.Fatalf("no Advance of %d repaired the cores incrementally", r.epochs)
 			}
 		})
 	}

@@ -33,8 +33,8 @@ const infDist = int32(math.MaxInt32)
 // counts current across epoch deltas, so the §III-D envelope
 // measurement never re-runs an untouched BFS. Each Apply repairs every
 // source with a unit-weight Ramalingam–Reps pass: deletions first on
-// the intermediate topology (old minus losses — equal to the new view
-// with gained edges masked out), by orphaning nodes whose every
+// the intermediate topology (old minus losses — equal to the new
+// topology minus the gained edges), by orphaning nodes whose every
 // shortest-path parent died and re-leveling them from the clean
 // boundary; then insertions on the new topology as a bucketed
 // multi-source relaxation seeded at the gained edges. Distances only
@@ -54,21 +54,22 @@ const infDist = int32(math.MaxInt32)
 //
 // Apply spreads the repairs, and then the batches, over the workers
 // with parallel.ForEach, one set of repair scratch and one BFSBatch per
-// worker slot. The adjacency snapshots are built before the fan-out
-// and only read during it, and only the task that owns a source writes
-// its distance field and levels, so the maintained state is the same at
-// any worker count and in any source order.
+// worker slot. The maintainer materializes no topology of its own:
+// every Apply is handed the epoch's CSR (the engine's
+// faults.Model.Degraded) and filters only the intermediate topology
+// from it, before the fan-out. Both are only read during it, and only the task that owns a source
+// writes its distance field and levels, so the maintained state is the
+// same at any worker count and in any source order.
 //
 // The maintained state is exact: after every Apply, each source's
 // distance field and level counts are bit-identical to a fresh BFS on
-// the current view, and Measure folds the counts through
+// the current topology, and Measure folds the counts through
 // expansion.Measure's resume path so the aggregate Result is
 // bit-identical to the from-scratch measurement. Memory is
 // O(len(sources) · n) for the distance fields plus about 47·n bytes of
 // scratch per worker (32·n of them the BFSBatch). Not safe for
 // concurrent use.
 type ExpansionMaintainer struct {
-	view    *graph.MaskedView
 	sources []graph.NodeID
 	dist    [][]int32
 	levels  [][]int64
@@ -79,17 +80,12 @@ type ExpansionMaintainer struct {
 	pending   map[uint64]bool
 	pendTouch []bool
 
-	// Flat adjacency snapshots shared by every source's repair within
-	// one Apply: the repairs scan the same frozen topology up to a
-	// thousand times (once per source), so one O(n+m) materialization
-	// replaces per-edge alive/drop bitmap checks and pending-map
-	// filters with plain slice walks. cur is the new view as a CSR
-	// graph (graph.MaterializeInto over the reused coff/cadj), which the
-	// rebuild batches read too; ioff/iadj hold the intermediate topology
-	// (cur minus pending gains).
+	// The topologies every source's repair within one Apply scans, up
+	// to a thousand times (once per source), as plain slice walks. cur
+	// is the epoch's CSR as the last Apply (or the constructor) was
+	// handed it, which the rebuild batches read too; ioff/iadj hold the
+	// intermediate topology (cur minus pending gains).
 	cur  *graph.Graph
-	coff []int64
-	cadj []graph.NodeID
 	ioff []int32
 	iadj []graph.NodeID
 
@@ -159,22 +155,21 @@ type repairSlot struct {
 	repairCounts
 }
 
-// NewExpansionMaintainer runs the initial BFS for every source on the
-// view's current topology and returns a maintainer positioned at it.
-// The BFS batches, and every later Apply, spread over workers
-// goroutines (<= 0 means GOMAXPROCS).
-func NewExpansionMaintainer(view *graph.MaskedView, sources []graph.NodeID, workers int) (*ExpansionMaintainer, error) {
+// NewExpansionMaintainer runs the initial BFS for every source on g
+// and returns a maintainer positioned at it. g must stay unchanged until
+// the first Apply. The BFS batches, and every later Apply, spread over
+// workers goroutines (<= 0 means GOMAXPROCS).
+func NewExpansionMaintainer(g *graph.Graph, sources []graph.NodeID, workers int) (*ExpansionMaintainer, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("incremental: expansion needs at least one source")
 	}
 	for _, s := range sources {
-		if !view.Valid(s) {
+		if !g.Valid(s) {
 			return nil, fmt.Errorf("incremental: expansion source %d out of range", s)
 		}
 	}
-	n := view.NumNodes()
+	n := g.NumNodes()
 	em := &ExpansionMaintainer{
-		view:      view,
 		sources:   append([]graph.NodeID(nil), sources...),
 		dist:      make([][]int32, len(sources)),
 		levels:    make([][]int64, len(sources)),
@@ -200,7 +195,7 @@ func NewExpansionMaintainer(view *graph.MaskedView, sources []graph.NodeID, work
 		}
 		em.slots[k] = s
 	}
-	em.buildAdjacency()
+	em.buildAdjacency(g)
 	all := make([]int, len(sources))
 	for i := range all {
 		em.dist[i] = make([]int32, n)
@@ -210,13 +205,12 @@ func NewExpansionMaintainer(view *graph.MaskedView, sources []graph.NodeID, work
 	return em, nil
 }
 
-// buildAdjacency materializes the two per-Apply topology snapshots
-// from the view's current masks: cur is the live adjacency as the view
-// reports it, iadj the same minus pending gained edges. It rebinds
-// every slot's batch to the new cur.
-func (em *ExpansionMaintainer) buildAdjacency() {
-	em.cur, em.coff, em.cadj = graph.MaterializeInto(em.view, em.coff, em.cadj)
-	n := em.view.NumNodes()
+// buildAdjacency makes g the current topology, filters the
+// intermediate one from it (iadj: g minus pending gained edges) and
+// rebinds every slot's batch to g.
+func (em *ExpansionMaintainer) buildAdjacency(g *graph.Graph) {
+	em.cur = g
+	n := g.NumNodes()
 	em.ioff = append(em.ioff[:0], 0)
 	em.iadj = em.iadj[:0]
 	for v := graph.NodeID(0); int(v) < n; v++ {
@@ -233,8 +227,16 @@ func (em *ExpansionMaintainer) buildAdjacency() {
 		em.ioff = append(em.ioff, int32(len(em.iadj)))
 	}
 	for _, s := range em.slots {
-		s.batch.Rebind(em.cur)
+		s.batch.Rebind(g)
 	}
+}
+
+// packEdge packs a canonical (min, max) node pair into one map key.
+func packEdge(u, v graph.NodeID) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
 }
 
 // forEachSource runs fn for every source index across the worker
@@ -283,13 +285,13 @@ func (em *ExpansionMaintainer) rebuild(idx []int) {
 
 // budget is each repair phase's work ceiling. A fresh BFS scans every
 // node and both endpoints of every live edge, n + 2m neighbor-list
-// entries in the units CoreMaintainer.budget counts; a phase may spend
-// an eighth of that. A repair pays more per entry than the BFS does
+// entries in the units the repairs count; a phase may spend an eighth
+// of that. A repair pays more per entry than the BFS does
 // and loses what it spent when it falls back, and in a sweep of the
 // fraction from 1 down to 1/32 on the epochs benchmark's graph an
 // eighth took the least time (EXPERIMENTS.md).
 func (em *ExpansionMaintainer) budget() int {
-	return (em.view.NumNodes() + 2*int(em.view.NumEdges())) / 8
+	return (em.cur.NumNodes() + 2*int(em.cur.NumEdges())) / 8
 }
 
 // Sources returns the maintained source list (owned by the maintainer).
@@ -300,15 +302,15 @@ func (em *ExpansionMaintainer) Sources() []graph.NodeID { return em.sources }
 func (em *ExpansionMaintainer) Levels(i int) []int64 { return em.levels[i] }
 
 // Apply repairs every source's distance field and level counts across
-// one epoch delta. The view must already hold the post-advance
-// topology (AdvanceEpochDelta, then Apply).
-func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta) {
+// one epoch delta. g is the post-advance topology (AdvanceEpochDelta,
+// then Degraded) and must stay unchanged until the next Apply.
+func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta, g *graph.Graph) {
 	obsExpApplies.Inc()
 	for _, e := range d.EdgesGained {
 		em.pending[packEdge(e.U, e.V)] = true
 		em.pendTouch[e.U], em.pendTouch[e.V] = true, true
 	}
-	em.buildAdjacency()
+	em.buildAdjacency(g)
 	for _, e := range d.EdgesGained {
 		em.pendTouch[e.U], em.pendTouch[e.V] = false, false
 	}
@@ -341,7 +343,7 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta) {
 	obsExpOrphans.Add(em.last.orphaned)
 }
 
-// scanI lists v's neighbors in the intermediate topology (the view
+// scanI lists v's neighbors in the intermediate topology (the new one
 // minus pending gained edges), as a read-only slice of the per-Apply
 // snapshot, and charges the scan to the phase's work.
 func (s *repairSlot) scanI(v graph.NodeID) []graph.NodeID {
@@ -612,9 +614,9 @@ func trimLevels(levels []int64) []int64 {
 // Measure folds the maintained level counts into the standard
 // expansion aggregates by running expansion.Measure with a fully
 // populated resume checkpoint: every source is already measured, so
-// the call is a pure fold and the Result is bit-identical to a
-// from-scratch measurement on the current view.
-func (em *ExpansionMaintainer) Measure(ctx context.Context, workers int) (*expansion.Result, error) {
+// the call runs no BFS, only the sequential fold, and the Result is
+// bit-identical to a from-scratch measurement on the current topology.
+func (em *ExpansionMaintainer) Measure(ctx context.Context) (*expansion.Result, error) {
 	ck := &expansion.Checkpoint{
 		Sources: em.sources,
 		Levels:  make([][]int64, len(em.levels)),
@@ -622,9 +624,8 @@ func (em *ExpansionMaintainer) Measure(ctx context.Context, workers int) (*expan
 	for i, ls := range em.levels {
 		ck.Levels[i] = append([]int64(nil), ls...)
 	}
-	return expansion.Measure(ctx, em.view, expansion.Config{
+	return expansion.Measure(ctx, em.cur, expansion.Config{
 		Sources: em.sources,
-		Workers: workers,
 		Resume:  ck,
 	})
 }

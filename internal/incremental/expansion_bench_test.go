@@ -16,8 +16,8 @@ import (
 // full-size clustered graph (50 communities of 200 nodes) with 256
 // sources, at one worker and at GOMAXPROCS. One op is the whole
 // ten-epoch window, which holds the schedule's heaviest early delta (a
-// lost bridge edge in epoch 3); the fault-model advances and the
-// initial BFSs run off the clock. The extra metrics are the window's
+// lost bridge edge in epoch 3); the fault-model advances, their
+// Degraded CSRs and the initial BFSs run off the clock. The extra metrics are the window's
 // repair counts: sources that fell back to a BFS, and orphaned nodes.
 func BenchmarkExpansionMaintainerApply(b *testing.B) {
 	const window = 10
@@ -45,15 +45,16 @@ func BenchmarkExpansionMaintainerApply(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				em, err := NewExpansionMaintainer(m.View(), srcs, w)
+				em, err := NewExpansionMaintainer(m.Degraded(), srcs, w)
 				if err != nil {
 					b.Fatal(err)
 				}
 				var d *faults.EpochDelta
 				for e := 1; e <= window; e++ {
 					d = m.AdvanceEpochDelta(d)
+					g := m.Degraded()
 					b.StartTimer()
-					em.Apply(d)
+					em.Apply(d, g)
 					b.StopTimer()
 					total.add(em.last)
 				}

@@ -12,6 +12,16 @@ import (
 	"github.com/trustnet/trustnet/internal/parallel"
 )
 
+// sweepGraph is the BA graph the maintainer and engine sweeps run on.
+func sweepGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := gen.BarabasiAlbert(3000, 6, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func expansionSources(t *testing.T, g *graph.Graph, k int) []graph.NodeID {
 	t.Helper()
 	srcs, err := expansion.SampledSources(g, k, 99)
@@ -60,7 +70,7 @@ func checkExpansionExact(t *testing.T, epoch int, em *ExpansionMaintainer, view 
 	}
 
 	ctx := context.Background()
-	got, err := em.Measure(ctx, 1)
+	got, err := em.Measure(ctx)
 	if err != nil {
 		t.Fatalf("epoch %d: incremental measure: %v", epoch, err)
 	}
@@ -94,7 +104,7 @@ func TestEquivalenceExpansionMaintainerDriftSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := NewExpansionMaintainer(m.View(), srcs, 2)
+	em, err := NewExpansionMaintainer(m.Degraded(), srcs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestEquivalenceExpansionMaintainerDriftSweep(t *testing.T) {
 	var d *faults.EpochDelta
 	for e := 1; e <= 8; e++ {
 		d = m.AdvanceEpochDelta(d)
-		em.Apply(d)
+		em.Apply(d, m.Degraded())
 		checkExpansionExact(t, e, em, m.View())
 	}
 }
@@ -119,7 +129,7 @@ func TestEquivalenceExpansionMaintainerWorkerCounts(t *testing.T) {
 	}
 	var ems [2]*ExpansionMaintainer
 	for k, workers := range []int{1, 4} {
-		if ems[k], err = NewExpansionMaintainer(m.View(), srcs, workers); err != nil {
+		if ems[k], err = NewExpansionMaintainer(m.Degraded(), srcs, workers); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,8 +140,9 @@ func TestEquivalenceExpansionMaintainerWorkerCounts(t *testing.T) {
 	for e := 0; e <= 8; e++ {
 		if e > 0 {
 			d = m.AdvanceEpochDelta(d)
-			ems[0].Apply(d)
-			ems[1].Apply(d)
+			g := m.Degraded()
+			ems[0].Apply(d, g)
+			ems[1].Apply(d, g)
 			if ems[0].last != ems[1].last {
 				t.Fatalf("epoch %d: repair counts %+v at 1 worker, %+v at 4", e, ems[0].last, ems[1].last)
 			}
@@ -169,7 +180,7 @@ func TestEquivalenceExpansionMaintainerSourceOrder(t *testing.T) {
 	var ems []*ExpansionMaintainer
 	for _, srcs := range [][]graph.NodeID{sampled, reversed, sorted} {
 		for _, workers := range []int{1, 3} {
-			em, err := NewExpansionMaintainer(m.View(), srcs, workers)
+			em, err := NewExpansionMaintainer(m.Degraded(), srcs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,8 +200,9 @@ func TestEquivalenceExpansionMaintainerSourceOrder(t *testing.T) {
 	for e := 0; e <= 8; e++ {
 		if e > 0 {
 			d = m.AdvanceEpochDelta(d)
+			g := m.Degraded()
 			for _, em := range ems {
-				em.Apply(d)
+				em.Apply(d, g)
 			}
 			rebuilt += ems[0].last.deletionFallbacks + ems[0].last.insertionFallbacks
 		}
@@ -224,7 +236,7 @@ func TestEquivalenceExpansionMaintainerBudgetPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := NewExpansionMaintainer(m.View(), srcs, 2)
+	em, err := NewExpansionMaintainer(m.Degraded(), srcs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +259,7 @@ func TestEquivalenceExpansionMaintainerBudgetPaths(t *testing.T) {
 		d = m.AdvanceEpochDelta(d)
 		down += count(d.NodesDown)
 		up += count(d.NodesUp)
-		em.Apply(d)
+		em.Apply(d, m.Degraded())
 		checkExpansionExact(t, e, em, m.View())
 		total.add(em.last)
 	}
@@ -268,14 +280,14 @@ func TestEquivalenceExpansionMaintainerRedrawSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := NewExpansionMaintainer(m.View(), srcs, 2)
+	em, err := NewExpansionMaintainer(m.Degraded(), srcs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var d *faults.EpochDelta
 	for e := 1; e <= 3; e++ {
 		d = m.AdvanceEpochDelta(d)
-		em.Apply(d)
+		em.Apply(d, m.Degraded())
 		checkExpansionExact(t, e, em, m.View())
 	}
 }
@@ -286,7 +298,7 @@ func TestEquivalenceExpansionMaintainerEdgeCases(t *testing.T) {
 	g := sweepGraph(t)
 	srcs := expansionSources(t, g, 6)
 	mv := graph.NewMaskedView(g)
-	em, err := NewExpansionMaintainer(mv, srcs, 2)
+	em, err := NewExpansionMaintainer(graph.Materialize(mv), srcs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +309,7 @@ func TestEquivalenceExpansionMaintainerEdgeCases(t *testing.T) {
 		snap = mv.Snapshot(snap)
 		mutate()
 		mv.DiffSnapshot(snap, &delta.MaskDelta)
-		em.Apply(&delta)
+		em.Apply(&delta, graph.Materialize(mv))
 		checkExpansionExact(t, -1, em, mv)
 	}
 

@@ -29,7 +29,7 @@ const enginePinnedSourceSeed = 8513542685296429273
 // configuration — the clustered 50×200 graph (attach 8, 4 bridges, seed
 // 97), its drifting fault schedule, 1,024 sampled sources and a 1e-8
 // SLEM tolerance — and compares the state after epochs 1–10 with
-// enginePinnedFile: digests of the maintained coreness and of the
+// enginePinnedFile: digests of the engine's coreness and of the
 // envelope's level sequences, the bits of the warm μ and of its Ritz
 // residual, and the Lanczos step count. A change that moves a pin says
 // why in CHANGES.md and updates the file with the table this test

@@ -17,12 +17,13 @@ var (
 
 // SLEMMaintainer carries the SLEM's Ritz vector across epochs so each
 // epoch's Lanczos iteration warm-starts from the previous one's. Unlike
-// the core and expansion maintainers it has no delta to repair — the
-// iteration itself is the repair — so there is no Apply: after each
-// epoch advance, call Measure on the current view.
+// the expansion maintainer it has no delta to repair — the iteration
+// itself is the repair — so there is no Apply: after each epoch
+// advance, call Measure on the epoch's topology (the engine hands it
+// the CSR faults.Model.Degraded returns).
 //
 // The eigenvector is stored indexed by original node ID, because the
-// measurement runs on the view's largest connected component and the
+// measurement runs on the topology's largest connected component and the
 // component (hence the local ID space) shifts between epochs. Nodes
 // that enter the component start at zero in the warm vector, which the
 // deflation and normalization inside spectral.SLEMContext absorb; if
@@ -32,8 +33,7 @@ var (
 // starting affects the step count, never correctness. Not safe for
 // concurrent use.
 type SLEMMaintainer struct {
-	view *graph.MaskedView
-	cfg  spectral.Config
+	cfg spectral.Config
 	// warm is the previous epoch's eigenvector by original node ID;
 	// nil until the first successful Measure.
 	warm []float64
@@ -41,21 +41,20 @@ type SLEMMaintainer struct {
 	local []float64
 }
 
-// NewSLEMMaintainer returns a maintainer measuring SLEM on view's
-// largest connected component with cfg (Warm and KeepVector are
-// overridden per measurement).
-func NewSLEMMaintainer(view *graph.MaskedView, cfg spectral.Config) *SLEMMaintainer {
-	return &SLEMMaintainer{view: view, cfg: cfg}
+// NewSLEMMaintainer returns a maintainer measuring SLEM with cfg (Warm
+// and KeepVector are overridden per measurement).
+func NewSLEMMaintainer(cfg spectral.Config) *SLEMMaintainer {
+	return &SLEMMaintainer{cfg: cfg}
 }
 
-// Measure computes the SLEM of the view's current largest connected
-// component, warm-starting from the previous epoch's eigenvector when
-// one is available. On success the rebuilt Ritz vector is stored for
-// the next call. The returned component size lets callers weigh the
-// measurement.
-func (sm *SLEMMaintainer) Measure(ctx context.Context) (*spectral.Result, int, error) {
+// Measure computes the SLEM of g's largest connected component,
+// warm-starting from the previous epoch's eigenvector when one is
+// available. Every call must pass a topology over the same node set.
+// On success the rebuilt Ritz vector is stored for the next call. The
+// returned component size lets callers weigh the measurement.
+func (sm *SLEMMaintainer) Measure(ctx context.Context, g graph.View) (*spectral.Result, int, error) {
 	obsSLEMMeasures.Inc()
-	comp, nodes := graph.LargestComponentView(sm.view)
+	comp, nodes := graph.LargestComponentView(g)
 
 	cfg := sm.cfg
 	cfg.KeepVector = true
@@ -79,7 +78,7 @@ func (sm *SLEMMaintainer) Measure(ctx context.Context) (*spectral.Result, int, e
 	}
 	if ev := res.Eigenvector(); ev != nil && !res.Partial {
 		if sm.warm == nil {
-			sm.warm = make([]float64, sm.view.NumNodes())
+			sm.warm = make([]float64, g.NumNodes())
 		}
 		// Zero stale entries so nodes leaving and re-entering the
 		// component don't inject an old epoch's values.

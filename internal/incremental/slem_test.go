@@ -11,8 +11,9 @@ import (
 )
 
 // TestEquivalenceSLEMMaintainerDriftSweep checks that warm-started
-// epoch measurements agree with cold starts within tolerance at every
-// epoch, and that carrying the eigenvector saves iterations overall.
+// epoch measurements on the epoch's Degraded CSR agree with cold starts
+// on the masked view within tolerance at every epoch, and that carrying
+// the eigenvector saves iterations overall.
 func TestEquivalenceSLEMMaintainerDriftSweep(t *testing.T) {
 	g := sweepGraph(t)
 	m, err := faults.New(g, faults.Config{Churn: 0.05, EdgeLoss: 0.03, Drift: 0.01, Seed: 17})
@@ -20,7 +21,7 @@ func TestEquivalenceSLEMMaintainerDriftSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := spectral.Config{Seed: 7, Workers: 1}
-	sm := NewSLEMMaintainer(m.View(), cfg)
+	sm := NewSLEMMaintainer(cfg)
 	ctx := context.Background()
 
 	warmIters, coldIters := 0, 0
@@ -29,7 +30,7 @@ func TestEquivalenceSLEMMaintainerDriftSweep(t *testing.T) {
 		if e > 0 {
 			d = m.AdvanceEpochDelta(d)
 		}
-		res, size, err := sm.Measure(ctx)
+		res, size, err := sm.Measure(ctx, m.Degraded())
 		if err != nil {
 			t.Fatalf("epoch %d: warm measure: %v", e, err)
 		}
@@ -65,8 +66,8 @@ func TestEquivalenceSLEMMaintainerFirstMeasureIsCold(t *testing.T) {
 	g := sweepGraph(t)
 	mv := graph.NewMaskedView(g)
 	cfg := spectral.Config{Seed: 3, Workers: 1}
-	sm := NewSLEMMaintainer(mv, cfg)
-	res, _, err := sm.Measure(context.Background())
+	sm := NewSLEMMaintainer(cfg)
+	res, _, err := sm.Measure(context.Background(), mv)
 	if err != nil {
 		t.Fatal(err)
 	}

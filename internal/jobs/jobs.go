@@ -43,8 +43,10 @@ import (
 // since the config fingerprint cannot tell the results apart: v2 is the
 // switch of the SLEM from power iteration to Lanczos, v3 the one
 // measurement catalog's summaries (the TVD table, the top core, the
-// small-set mean α, and min α as the sampled vertex expansion).
-const SchemaVersion = "trustnet/artifact/v3"
+// small-set mean α, and min α as the sampled vertex expansion), v4 the
+// epochs table without its "Core repair" column, whose key (job name,
+// substrate and JobConfig) did not change when the column went.
+const SchemaVersion = "trustnet/artifact/v4"
 
 // Job is one addressable measurement: a named unit of work whose
 // configuration is fingerprinted into the artifact cache key and whose

@@ -29,7 +29,7 @@ if [ ! -e "${entries[0]}" ]; then
     exit 1
 fi
 echo "== validating ${#entries[@]} cache entrie(s) =="
-go run ./scripts/jsonlint -want-schema trustnet/artifact/v3 "${entries[@]}"
+go run ./scripts/jsonlint -want-schema trustnet/artifact/v4 "${entries[@]}"
 
 echo "== second run (must be an all-hits replay) =="
 "$bin" -run tableI -quick -seed 1 -out "$out" > "$tmp/second.log"
