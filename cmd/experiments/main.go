@@ -16,17 +16,15 @@
 // still run (disable with -keep-going=false), and any failure makes the
 // process exit nonzero with a summary table (panic stacks included).
 // Transient failures are retried with seeded-jitter exponential backoff
-// (-max-retries, -retry-base). The artifact cache is the record of
-// finished jobs: a rerun replays them. tableI and figure1 also
-// checkpoint each finished dataset — and figure1, with -best-effort,
-// partial progress — under <out>/ckpt, keyed by the canonical
-// graph-substrate fingerprint, so a crashed or killed run continues
-// where it left off when rerun with -resume, producing bit-identical
-// artifacts.
+// (-max-retries, -retry-base). The artifact cache is the only record of
+// finished work, kept per job: a job cut by -timeout, a crash or Ctrl-C
+// writes and caches nothing, and a plain rerun replays every finished
+// job and runs the cut one again from its start, producing
+// bit-identical files.
 //
 // Usage:
 //
-//	experiments                 # run everything (minutes)
+//	experiments                 # run everything (about 17 s on 2 vCPUs)
 //	experiments -list           # enumerate registered jobs + fingerprints
 //	experiments -run tableII    # one experiment
 //	experiments -run tableI,figure1  # a comma-separated subset
@@ -34,8 +32,6 @@
 //	experiments -no-cache       # recompute even on a cache hit
 //	experiments -timeout 2m     # bound each job
 //	experiments -workers 4      # bound measurement parallelism
-//	experiments -best-effort    # salvage partial results at the deadline
-//	experiments -resume         # continue tableI/figure1 from out/ckpt checkpoints
 //	experiments -max-retries 3 -retry-base 200ms  # transient-failure retries
 //	experiments -run epochs -incremental  # epoch sweep via internal/incremental
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof  # profile any run
@@ -117,12 +113,9 @@ func run(args []string) error {
 		timeout     = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
 		keepGoing   = fs.Bool("keep-going", true, "run remaining jobs after a failure and summarize at the end")
 		workers     = fs.Int("workers", 0, "measurement parallelism; 0 = GOMAXPROCS")
-		resume      = fs.Bool("resume", false, "continue tableI and figure1 from the per-dataset checkpoints in -ckpt-dir (finished jobs replay from <out>/cache)")
 		maxRetries  = fs.Int("max-retries", 2, "retries per job after a transient failure (0 = no retries)")
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "base delay of the exponential retry backoff")
-		bestEffort  = fs.Bool("best-effort", false, "return partial results with coverage annotations when a job hits its -timeout")
 		incr        = fs.Bool("incremental", false, "route epoch-sweep measurements through the incremental engine (cores decomposed on each epoch's CSR, delta-repaired BFS, warm-started SLEM)")
-		ckptDir     = fs.String("ckpt-dir", "", "checkpoint directory (default <out>/ckpt)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsAddr = fs.String("metrics-addr", "", "serve live metrics snapshots over HTTP on this address (e.g. :8080)")
@@ -165,16 +158,11 @@ func run(args []string) error {
 		}()
 	}
 
-	if *ckptDir == "" {
-		*ckptDir = filepath.Join(*out, "ckpt")
-	}
-	store := resilience.NewStore(*ckptDir)
 	opts := experiments.Options{
 		// One shared dataset cache: the substrate fingerprint generates
 		// every registry graph once and the jobs reuse them.
 		Cache: &datasets.Cache{},
 		Quick: *quick, Seed: *seed, Workers: *workers,
-		BestEffort: *bestEffort, Ckpt: store, Resume: *resume,
 		Incremental: *incr,
 	}
 
@@ -228,8 +216,8 @@ func run(args []string) error {
 	}
 
 	// The canonical substrate digest: the graph half of every artifact
-	// cache key and dataset checkpoint fingerprint. Generating it warms
-	// the shared dataset cache the jobs draw from.
+	// cache key. Generating it warms the shared dataset cache the jobs
+	// draw from.
 	graphFP, err := experiments.SubstrateFingerprint(opts)
 	if err != nil {
 		return err
@@ -243,7 +231,7 @@ func run(args []string) error {
 	}
 	runner := &jobs.Runner{
 		Cache:  cache,
-		Env:    jobs.Env{GraphFingerprint: graphFP, Ckpt: store, Resume: *resume},
+		Env:    jobs.Env{GraphFingerprint: graphFP},
 		OutDir: *out,
 		Stdout: os.Stdout,
 	}
@@ -351,9 +339,12 @@ func runJobs(ctx context.Context, queue []job, rc runnerConfig, mc *metricsColle
 // exit. The goroutine carries the "experiment" pprof label so CPU
 // profile samples attribute to the job.
 //
-// When the deadline fires, the runner grants a short grace period for a
-// cooperative best-effort job to salvage its partial results: a job that
-// returns nil within the grace window counts as a success.
+// When the deadline fires, the runner waits a short grace period for the
+// job to return before moving on, so that a cooperative job's late
+// output (a summary printed, or files written, just as the deadline
+// fired) lands before the next job's instead of inside it. A job that
+// returns nil within the grace window finished its work and counts as a
+// success.
 func runOne(parent context.Context, j job, timeout time.Duration) (err error) {
 	ctx := parent
 	if timeout > 0 {
@@ -380,7 +371,7 @@ func runOne(parent context.Context, j job, timeout time.Duration) (err error) {
 		select {
 		case err = <-done:
 			if err == nil {
-				return nil // best-effort salvage beat the grace period
+				return nil // the job finished within the grace period
 			}
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return fmt.Errorf("timed out after %v: %w", timeout, err)
@@ -392,9 +383,8 @@ func runOne(parent context.Context, j job, timeout time.Duration) (err error) {
 	}
 }
 
-// graceFor is how long a deadline-hit job gets to return its salvaged
-// partial result before the runner abandons it: a fifth of the timeout,
-// clamped to [100ms, 2s].
+// graceFor is how long a deadline-hit job gets to return before the
+// runner abandons it: a fifth of the timeout, clamped to [100ms, 2s].
 func graceFor(timeout time.Duration) time.Duration {
 	g := timeout / 5
 	if g < 100*time.Millisecond {

@@ -221,14 +221,6 @@ func TestRunSecondRunIsCacheHit(t *testing.T) {
 	}
 }
 
-// TestRunResumeReplaysFromCache: the artifact cache is the only record
-// that a job is done, so a -resume rerun of a finished job replays it
-// from <out>/cache like any other rerun.
-func TestRunResumeReplaysFromCache(t *testing.T) {
-	dir := t.TempDir()
-	checkSecondRunReplays(t, dir, "-quick", "-run", "tableI", "-resume", "-out", dir)
-}
-
 // A positional argument stops flag parsing, so "tableI -quick" would
 // otherwise run the whole battery in full mode; run rejects it instead.
 func TestRunBadFlag(t *testing.T) {

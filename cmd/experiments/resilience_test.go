@@ -98,9 +98,8 @@ func TestRunJobsFatalNotRetried(t *testing.T) {
 // workers), so a checkpoint taken over one dataset registry silently
 // resumed a run over a completely different substrate. The artifact
 // cache is now the only done record, and run keys it by the canonical
-// graph fingerprint: under -resume, the same job and configuration over
-// a different graph runs again, while the first graph's entry still
-// replays.
+// graph fingerprint: the same job and configuration over a different
+// graph runs again, while the first graph's entry still replays.
 func TestRunJobsResumeKeyedByGraphFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	ran := 0
@@ -125,34 +124,34 @@ func TestRunJobsResumeKeyedByGraphFingerprint(t *testing.T) {
 		{"graph-aaaa", 2, true},
 	} {
 		var buf bytes.Buffer
-		runner.Env = jobs.Env{GraphFingerprint: step.graphFP, Resume: true}
+		runner.Env = jobs.Env{GraphFingerprint: step.graphFP}
 		runner.Stdout = &buf
 		if err := runJobs(context.Background(), queue, testRunnerConfig(0, true), nil, &buf); err != nil {
 			t.Fatal(err)
 		}
 		if ran != step.runs || strings.Contains(buf.String(), "CACHED a") != step.cached {
-			t.Fatalf("-resume over %s: %d runs, want %d; cached want %v:\n%s",
+			t.Fatalf("rerun over %s: %d runs, want %d; cached want %v:\n%s",
 				step.graphFP, ran, step.runs, step.cached, buf.String())
 		}
 	}
 }
 
-// A cooperative best-effort job that returns nil shortly after its
-// deadline fires is a success: the grace window exists precisely so
-// partial results can be salvaged and written.
-func TestRunOneGraceSalvagesBestEffort(t *testing.T) {
-	j := job{name: "salvage", run: func(ctx context.Context) error {
+// A cooperative job that returns nil shortly after its deadline fires
+// is a success: the grace window lets its late output land before the
+// next job starts.
+func TestRunOneGraceAcceptsLateFinish(t *testing.T) {
+	j := job{name: "late", run: func(ctx context.Context) error {
 		<-ctx.Done()
-		time.Sleep(10 * time.Millisecond) // simulate writing partial artifacts
+		time.Sleep(10 * time.Millisecond) // simulate writing its files
 		return nil
 	}}
 	if err := runOne(context.Background(), j, 30*time.Millisecond); err != nil {
-		t.Fatalf("salvaged job = %v, want nil", err)
+		t.Fatalf("late-finishing job = %v, want nil", err)
 	}
 }
 
-// A job that responds to its deadline with the context error (no
-// salvage) still fails with a timeout.
+// A job that responds to its deadline with the context error still
+// fails with a timeout.
 func TestRunOneGraceStillTimesOut(t *testing.T) {
 	j := job{name: "stubborn", run: func(ctx context.Context) error {
 		<-ctx.Done()

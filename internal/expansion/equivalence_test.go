@@ -10,7 +10,6 @@ import (
 
 	"github.com/trustnet/trustnet/internal/gen"
 	"github.com/trustnet/trustnet/internal/graph"
-	"github.com/trustnet/trustnet/internal/kernels"
 	"github.com/trustnet/trustnet/internal/parallel"
 )
 
@@ -92,9 +91,9 @@ func TestEquivalenceBFSBatchWidths(t *testing.T) {
 // cuts its batches in: on a clustered graph deep enough for batches to
 // hand their lanes over, 150 sampled cores and a duplicate, in sampled
 // and in reversed order, must equal the scalar oracle at every worker
-// count. A best-effort run cut after two batches must have completed
-// the 128 cores first in node-ID order, salvaged by source index, and
-// resuming it must give the uninterrupted Result.
+// count, and so must a run resumed from a checkpoint holding every
+// second core's levels, whose remaining cores are cut into batches in
+// node-ID order.
 func TestEquivalenceExpansionSourceOrder(t *testing.T) {
 	g := mustClusteredPA(t, 30, 20, 2, 1, 3)
 	srcs, err := SampledSources(g, 150, 9)
@@ -108,33 +107,14 @@ func TestEquivalenceExpansionSourceOrder(t *testing.T) {
 	checkExpansionOracle(t, g, Config{Sources: reversed})
 
 	want := oracleExpansion(t, g, Config{Sources: srcs, Workers: 1})
-	partial, err := Measure(newCountCtx(2), g, Config{Sources: srcs, Workers: 1, BestEffort: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Partial || partial.Completed != 2*kernels.BFSBatchWidth {
-		t.Fatalf("cut run: partial %v, %d of %d cores", partial.Partial, partial.Completed, partial.Sources)
-	}
-	order := make([]int, len(srcs))
-	for i := range order {
-		order[i] = i
-	}
-	kernels.SortByNode(order, srcs)
-	for k, i := range order {
-		ls := partial.levels[i]
-		if (ls != nil) != (k < partial.Completed) {
-			t.Fatalf("cut run: core %d (source %d, %d-th in node-ID order) completed %v", i, srcs[i], k, ls != nil)
+	for _, workers := range []int{1, 3} {
+		got, err := Measure(context.Background(), g, Config{Sources: srcs, Workers: workers, Resume: partialCheckpoint(want, 2)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ls != nil && !slices.Equal(ls, want.levels[i]) {
-			t.Fatalf("cut run: core %d (source %d) has levels %v, the oracle %v", i, srcs[i], ls, want.levels[i])
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: resumed run differs from the oracle", workers)
 		}
-	}
-	got, err := Measure(context.Background(), g, Config{Sources: srcs, Workers: 1, Resume: partial.Checkpoint()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("resumed run differs from the oracle")
 	}
 }
 

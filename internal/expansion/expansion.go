@@ -29,7 +29,6 @@ package expansion
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/trustnet/trustnet/internal/graph"
@@ -48,7 +47,6 @@ var (
 	obsLaneHandovers = obs.Default().Counter("expansion.bfs.lane_handovers")
 	obsPoolHits      = obs.Default().Counter("expansion.pool.hits")
 	obsPoolMisses    = obs.Default().Counter("expansion.pool.misses")
-	obsPartial       = obs.Default().Counter("expansion.partial")
 	obsResumed       = obs.Default().Counter("expansion.resumed_sources")
 )
 
@@ -62,27 +60,18 @@ type Config struct {
 	// all-cores measurement is O(nm) total, embarrassingly parallel per
 	// batch of cores.
 	Workers int
-	// BestEffort salvages a deadline-hit measurement: when ctx is
-	// canceled or times out mid-run, Measure aggregates the cores
-	// completed so far (Result.Partial true, Coverage < 1) instead of
-	// returning the context error, as long as at least one core
-	// finished. The salvage unit is a batch of kernels.BFSBatchWidth
-	// cores, cut in node-ID order: a batch the deadline cuts contributes
-	// nothing. BFS is integer, so every completed core's levels are
-	// identical to the uninterrupted run's.
-	BestEffort bool
-	// Resume seeds the measurement with level sequences completed by an
-	// earlier (interrupted) run over the *same* source list: cores whose
-	// checkpoint entry is non-nil are not re-measured. A checkpoint
-	// whose sources differ from this run's is stale state and an error.
+	// Resume seeds the measurement with level sequences measured
+	// earlier over the *same* source list: cores whose checkpoint entry
+	// is non-nil are not re-measured. The incremental maintainer folds
+	// its repaired levels through a full checkpoint. A checkpoint whose
+	// sources differ from this run's is stale state and an error.
 	Resume *Checkpoint
 }
 
-// Checkpoint is the resumable progress of an expansion measurement: the
-// BFS cores and, per core, the completed level-size sequence (nil for
-// cores not yet measured). BFS levels are integers, so the JSON round
-// trip through internal/resilience's store is exact and a resumed run
-// reproduces the uninterrupted result bit-for-bit.
+// Checkpoint is the per-core state of an expansion measurement: the BFS
+// cores and, per core, the level-size sequence (nil for cores not yet
+// measured). BFS levels are integers, so a measurement resumed from a
+// checkpoint reproduces the uninterrupted result bit-for-bit.
 type Checkpoint struct {
 	Sources []graph.NodeID `json:"sources"`
 	Levels  [][]int64      `json:"levels"`
@@ -113,11 +102,9 @@ type Result struct {
 	FactorBySetSize *stats.KeyedSummary
 	// Sources is the number of configured BFS cores.
 	Sources int
-	// Completed counts the cores whose BFS finished; it equals Sources
-	// on a complete run.
-	Completed int
-	// Partial reports that a best-effort run was cut short: the
-	// aggregates cover only Completed of Sources cores.
+	// Partial is always false: Measure returns a result only when every
+	// core was measured. The field stays because the benchmark harness
+	// (perfbench/epochs.go) still reads it.
 	Partial bool
 	// MaxEccentricity is the largest BFS depth observed (a diameter lower
 	// bound when all nodes are used as sources).
@@ -126,15 +113,6 @@ type Result struct {
 	// sourceList and levels retain the per-core state Checkpoint needs.
 	sourceList []graph.NodeID
 	levels     [][]int64
-}
-
-// Coverage is the fraction of configured cores with a completed BFS —
-// 1 for a complete measurement, in (0, 1) for a salvaged partial one.
-func (r *Result) Coverage() float64 {
-	if r.Sources == 0 {
-		return 0
-	}
-	return float64(r.Completed) / float64(r.Sources)
 }
 
 // Checkpoint returns the result's resumable state. The checkpoint
@@ -166,8 +144,9 @@ func (r *Result) VertexExpansion(n int) (float64, bool) {
 }
 
 // Measure runs the envelope measurement from every configured source
-// (every node when cfg.Sources is nil). The context cancels the run early;
-// a cancelled run returns ctx.Err().
+// (every node when cfg.Sources is nil). An empty, non-nil cfg.Sources is
+// an error. The context cancels the run early; a cancelled run returns
+// ctx.Err() and no result.
 //
 // It accepts any graph.View. A non-CSR view is materialized once
 // (graph.Materialize, cached by the view) and the copy is amortized
@@ -184,6 +163,9 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 			sources[v] = graph.NodeID(v)
 		}
 	}
+	if len(sources) == 0 {
+		return nil, fmt.Errorf("expansion: no cores to measure")
+	}
 	for _, s := range sources {
 		if !g.Valid(s) {
 			return nil, fmt.Errorf("expansion: source %d out of range", s)
@@ -195,8 +177,7 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 	// levels[i] belongs to sources[i]; resumed cores are merged up front
 	// and todo holds the indices still to measure. Each worker task owns
 	// distinct level slots, and parallel.ForEach joins every worker
-	// before returning, so the post-fan-out read is race-free even when
-	// a deadline stops the run mid-flight.
+	// before returning.
 	levels := make([][]int64, len(sources))
 	if cfg.Resume != nil {
 		if !cfg.Resume.matches(sources) {
@@ -221,7 +202,6 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 	// the fold needs, and the fold below runs in source order, so the
 	// keyed summaries are bit-for-bit identical at any worker count and in
 	// any batch composition.
-	var runErr error
 	if len(todo) > 0 {
 		kernels.SortByNode(todo, sources)
 		todoSources := make([]graph.NodeID, len(todo))
@@ -236,7 +216,7 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 			obsPoolHits.Add(gets - news)
 			obsPoolMisses.Add(news)
 		}()
-		runErr = parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
+		if err := parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
 			batch := pool.Get()
 			defer pool.Put(batch)
 			part, err := batch.Run(todoSources[blocks[b].Start:blocks[b].End])
@@ -250,7 +230,9 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 				levels[todo[blocks[b].Start+j]] = ls
 			}
 			return nil
-		})
+		}); err != nil {
+			return nil, fmt.Errorf("expansion: %w", err)
+		}
 	}
 
 	res := &Result{
@@ -260,20 +242,7 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 		sourceList:         sources,
 		levels:             levels,
 	}
-	if runErr != nil {
-		if !cfg.BestEffort || !isInterrupt(runErr) {
-			return nil, fmt.Errorf("expansion: %w", runErr)
-		}
-		// Deadline or cancellation in best-effort mode: salvage whatever
-		// completed. Zero coverage has nothing to salvage.
-		obsPartial.Inc()
-		res.Partial = true
-	}
 	for _, ls := range levels {
-		if ls == nil {
-			continue
-		}
-		res.Completed++
 		if ecc := len(ls) - 1; ecc > res.MaxEccentricity {
 			res.MaxEccentricity = ecc
 		}
@@ -287,20 +256,7 @@ func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 			res.FactorBySetSize.Add(envelope, float64(next)/float64(envelope))
 		}
 	}
-	if res.Completed == 0 {
-		if runErr != nil {
-			return nil, fmt.Errorf("expansion: %w", runErr)
-		}
-		return nil, fmt.Errorf("expansion: no cores measured")
-	}
 	return res, nil
-}
-
-// isInterrupt reports whether err is a context cancellation or deadline
-// — the two failure classes best-effort mode may salvage a partial
-// result from.
-func isInterrupt(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // SampledSources returns k seeded uniform distinct sources for large

@@ -2,13 +2,14 @@ package expansion
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/trustnet/trustnet/internal/gen"
+	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/stats"
 )
 
@@ -56,44 +57,47 @@ func sameSummaries(a, b *stats.KeyedSummary) bool {
 	return true
 }
 
-func TestMeasureBestEffortPartial(t *testing.T) {
+// A deadline that cuts the measurement, before the first 64-core batch
+// or after it (Err() is consulted once per batch at Workers=1), is the
+// measurement's error: no result comes back.
+func TestMeasureDeadlineIsError(t *testing.T) {
 	g, err := gen.BarabasiAlbert(80, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 1, BestEffort: true}
-	// Err() is consulted once per 64-core batch: a budget of 1 completes
-	// the first batch and cuts the second, 64 of the 80 cores.
-	r, err := Measure(newCountCtx(1), g, cfg)
-	if err != nil {
-		t.Fatalf("best-effort run returned error: %v", err)
-	}
-	if !r.Partial {
-		t.Fatal("interrupted run not flagged Partial")
-	}
-	if r.Completed <= 0 || r.Completed >= r.Sources {
-		t.Fatalf("Completed = %d of %d, want strictly between", r.Completed, r.Sources)
-	}
-	if cov := r.Coverage(); cov <= 0 || cov >= 1 {
-		t.Fatalf("Coverage() = %v, want in (0, 1)", cov)
-	}
-
-	// Without BestEffort the same interruption is an error.
-	cfg.BestEffort = false
-	if _, err := Measure(newCountCtx(1), g, cfg); err == nil || !isInterrupt(err) {
-		t.Fatalf("without BestEffort, interrupted run = %v, want deadline error", err)
-	}
-
-	// Zero coverage has nothing to salvage even in best-effort mode.
-	cfg.BestEffort = true
-	if _, err := Measure(newCountCtx(0), g, cfg); err == nil || !isInterrupt(err) {
-		t.Fatalf("zero-coverage best-effort run = %v, want deadline error", err)
+	for _, budget := range []int64{0, 1} {
+		r, err := Measure(newCountCtx(budget), g, Config{Workers: 1})
+		if !errors.Is(err, context.DeadlineExceeded) || r != nil {
+			t.Fatalf("budget %d: Measure = (%v, %v), want no result and the deadline error", budget, r, err)
+		}
 	}
 }
 
-// The resilience contract: interrupt a run, checkpoint it through a JSON
-// round-trip (as internal/resilience would), resume, and the final
-// result is bit-identical to the never-interrupted measurement.
+// An empty, non-nil source list has no core to measure and is an error,
+// unlike a nil list, which means every node.
+func TestMeasureEmptySourcesIsError(t *testing.T) {
+	g, err := gen.BarabasiAlbert(80, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Measure(context.Background(), g, Config{Sources: []graph.NodeID{}, Workers: 1}); err == nil {
+		t.Fatalf("empty source list measured: %+v", r)
+	}
+}
+
+// partialCheckpoint keeps the levels of cores 0, every, 2·every, … of a
+// complete result and leaves the other cores unmeasured.
+func partialCheckpoint(r *Result, every int) *Checkpoint {
+	full := r.Checkpoint()
+	levels := make([][]int64, len(full.Levels))
+	for i := 0; i < len(levels); i += every {
+		levels[i] = full.Levels[i]
+	}
+	return &Checkpoint{Sources: full.Sources, Levels: levels}
+}
+
+// Resuming from a checkpoint that holds every second core's levels
+// measures the rest and reproduces the uninterrupted result bit for bit.
 func TestMeasureResumeBitIdentical(t *testing.T) {
 	g, err := gen.BarabasiAlbert(80, 3, 5)
 	if err != nil {
@@ -104,34 +108,11 @@ func TestMeasureResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cut := cfg
-	cut.BestEffort = true
-	partial, err := Measure(newCountCtx(1), g, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Partial || partial.Completed == 0 {
-		t.Fatalf("setup: expected a partial result, got %+v", partial)
-	}
-
-	data, err := json.Marshal(partial.Checkpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpt Checkpoint
-	if err := json.Unmarshal(data, &ckpt); err != nil {
-		t.Fatal(err)
-	}
-
 	resumed := cfg
-	resumed.Resume = &ckpt
+	resumed.Resume = partialCheckpoint(ref, 2)
 	got, err := Measure(context.Background(), g, resumed)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Partial || got.Completed != got.Sources || got.Coverage() != 1 {
-		t.Fatalf("resumed run incomplete: completed %d of %d", got.Completed, got.Sources)
 	}
 	if got.MaxEccentricity != ref.MaxEccentricity {
 		t.Fatalf("MaxEccentricity = %d, want %d", got.MaxEccentricity, ref.MaxEccentricity)
@@ -144,8 +125,8 @@ func TestMeasureResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// Resume on the bit-parallel kernel path, where the cut lands between
-// 64-core batches.
+// Resume on the bit-parallel kernel path: the 400 unmeasured cores of a
+// checkpoint holding every third core run as 64-core batches.
 func TestMeasureResumeKernelPath(t *testing.T) {
 	g, err := gen.BarabasiAlbert(600, 3, 7)
 	if err != nil {
@@ -156,19 +137,8 @@ func TestMeasureResumeKernelPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := cfg
-	cut.BestEffort = true
-	// Err() is consulted once per 64-wide batch: budget 4 cuts the run
-	// after roughly 256 of the 600 cores.
-	partial, err := Measure(newCountCtx(4), g, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Partial {
-		t.Fatalf("setup: expected a partial result, got coverage %v", partial.Coverage())
-	}
 	resumed := cfg
-	resumed.Resume = partial.Checkpoint()
+	resumed.Resume = partialCheckpoint(ref, 3)
 	got, err := Measure(context.Background(), g, resumed)
 	if err != nil {
 		t.Fatal(err)

@@ -322,8 +322,17 @@ func TestRunnersHonorCanceledContext(t *testing.T) {
 	if _, err := TableI(ctx, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("TableI: %v, want context.Canceled", err)
 	}
+	if _, err := Figure1(ctx, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("Figure1: %v, want context.Canceled", err)
+	}
 	if _, err := Figure2(ctx, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("Figure2: %v, want context.Canceled", err)
+	}
+	if _, err := Figure3(ctx, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("Figure3: %v, want context.Canceled", err)
+	}
+	if _, err := Figure4(ctx, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("Figure4: %v, want context.Canceled", err)
 	}
 	if _, err := Figure5(ctx, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("Figure5: %v, want context.Canceled", err)

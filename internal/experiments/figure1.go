@@ -6,7 +6,6 @@ import (
 
 	"github.com/trustnet/trustnet/internal/datasets"
 	"github.com/trustnet/trustnet/internal/report"
-	"github.com/trustnet/trustnet/internal/resilience"
 	"github.com/trustnet/trustnet/internal/stats"
 	"github.com/trustnet/trustnet/internal/walk"
 )
@@ -27,82 +26,29 @@ type Figure1Result struct {
 	// social graph" view the paper's sampling method exists to expose
 	// (sources that never mix within budget are recorded at budget+1).
 	SourceECDFs []report.Series
-	// Coverage maps each measured dataset to the fraction of its
-	// sampled sources that completed — 1 except for the dataset a
-	// best-effort deadline cut short.
-	Coverage map[string]float64
-	// Partial reports that a best-effort run was cut short: the last
-	// dataset's series covers only part of its sources, or the cut
-	// dataset salvaged nothing and is missing, and later datasets were
-	// not measured at all.
-	Partial bool
 }
 
 // Figure1 measures the mixing curves of every dataset. ctx cancels the
-// underlying mixing measurements between walk steps. With
-// Options.BestEffort a deadline mid-dataset yields a partial result (an
-// error only when it cuts the first dataset before any of it completes);
-// with Options.Ckpt/Resume progress is checkpointed per dataset and a
-// rerun continues from the saved curves, reproducing the uninterrupted
-// measurement bit-for-bit.
+// underlying mixing measurements between walk steps; a canceled or
+// deadline-hit run returns the context error and no result.
 func Figure1(ctx context.Context, opts Options) (*Figure1Result, error) {
 	opts.fill()
-	res := &Figure1Result{MixingTimes: make(map[string]int), Coverage: make(map[string]float64)}
+	res := &Figure1Result{MixingTimes: make(map[string]int)}
 	run := func(specs []datasets.Spec, panel *[]report.Series) error {
 		for _, spec := range specs {
-			if res.Partial {
-				return nil // the deadline already hit; later datasets stay unmeasured
-			}
 			g, err := opts.graphFor(spec.Name)
 			if err != nil {
 				return err
 			}
 			cfg := walk.MixingConfig{
-				MaxSteps:   opts.pick(60, 200),
-				Sources:    opts.pick(10, 50),
-				Seed:       opts.Seed,
-				Workers:    opts.Workers,
-				BestEffort: opts.BestEffort,
-			}
-			key := "figure1-" + spec.Name
-			fp := resilience.Fingerprint("figure1", spec.Name, opts.Quick, opts.Seed, cfg.MaxSteps, cfg.Sources, opts.Substrate)
-			if opts.Ckpt != nil && opts.Resume {
-				c, err := opts.Ckpt.Load(key, fp)
-				if err != nil {
-					return fmt.Errorf("experiments: figure 1: %w", err)
-				}
-				if c != nil {
-					var mck walk.MixingCheckpoint
-					if err := c.DecodePayload(&mck); err != nil {
-						return fmt.Errorf("experiments: figure 1: %w", err)
-					}
-					cfg.Resume = &mck
-				}
+				MaxSteps: opts.pick(60, 200),
+				Sources:  opts.pick(10, 50),
+				Seed:     opts.Seed,
+				Workers:  opts.Workers,
 			}
 			mr, err := walk.MeasureMixing(ctx, g, cfg)
-			if opts.cutBeforeSalvage(err, len(res.Coverage)) {
-				res.Partial = true
-				return nil
-			}
 			if err != nil {
 				return fmt.Errorf("experiments: figure 1 mixing of %s: %w", spec.Name, err)
-			}
-			if opts.Ckpt != nil {
-				status := resilience.StatusDone
-				if mr.Partial {
-					status = resilience.StatusPartial
-				}
-				c := &resilience.Checkpoint{Job: key, Fingerprint: fp, Status: status}
-				if err := c.SetPayload(mr.Checkpoint()); err != nil {
-					return err
-				}
-				if err := opts.Ckpt.Save(c); err != nil {
-					return fmt.Errorf("experiments: figure 1: %w", err)
-				}
-			}
-			res.Coverage[spec.Name] = mr.Coverage()
-			if mr.Partial {
-				res.Partial = true
 			}
 			s := report.Series{Name: spec.Name}
 			for t, tvd := range mr.MeanTVD {

@@ -13,11 +13,9 @@ import (
 
 // JobConfig is the typed configuration every experiment registers into
 // the job registry with; jobs.ConfigFingerprint over this struct is the
-// config half of the artifact cache key. Worker count and best-effort
-// mode are deliberately absent: the determinism contract makes complete
-// results identical at any worker count, and a best-effort run that
-// finishes in time is indistinguishable from a plain one (partial
-// results are never cached at all).
+// config half of the artifact cache key. Worker count is deliberately
+// absent: the determinism contract makes results identical at any
+// worker count.
 type JobConfig struct {
 	// Job is the registry name, so two experiments with otherwise equal
 	// knobs never share a fingerprint.
@@ -38,9 +36,9 @@ type JobConfig struct {
 // registry otherwise), combined per dataset name. Graphs are generated
 // through the shared Options.Cache, so the jobs that follow reuse them
 // instead of regenerating. The result is the graph half of every
-// artifact cache key and job checkpoint fingerprint — a changed
-// generator or dataset registry invalidates cached results instead of
-// replaying them over the wrong data.
+// artifact cache key — a changed generator or dataset registry
+// invalidates cached results instead of replaying them over the wrong
+// data.
 func SubstrateFingerprint(opts Options) (string, error) {
 	opts.fill()
 	specs := datasets.All()
@@ -61,8 +59,10 @@ func SubstrateFingerprint(opts Options) (string, error) {
 // Jobs builds the full measurement battery as a jobs.Registry: one
 // registered job per table, figure, and derived experiment, each with a
 // typed JobConfig fingerprint. The returned jobs capture opts (sharing
-// its dataset cache) but take their checkpoint store, resume flag, and
-// substrate fingerprint from the jobs.Env they run under.
+// its dataset cache). A job either returns its complete artifact or
+// fails with nothing to emit: the jobs.Runner's artifact cache is the
+// only record of finished work, and a job cut by a deadline runs again
+// from its start.
 func Jobs(opts Options) (*jobs.Registry, error) {
 	opts.fill()
 	reg := jobs.NewRegistry()
@@ -93,57 +93,18 @@ func Jobs(opts Options) (*jobs.Registry, error) {
 		if a.name == "epochs" {
 			cfg.Incremental = opts.Incremental
 		}
-		j := jobs.New(a.name, cfg, func(ctx context.Context, env jobs.Env) (*jobs.Artifact, error) {
-			o := opts
-			o.Ckpt, o.Resume, o.Substrate = env.Ckpt, env.Resume, env.GraphFingerprint
+		j := jobs.New(a.name, cfg, func(ctx context.Context, _ jobs.Env) (*jobs.Artifact, error) {
 			b := jobs.NewBuilder()
-			err := a.run(ctx, o, b)
-			if err != nil && !b.Partial() {
-				// A hard failure produced no replayable output; partial
-				// best-effort artifacts, by contrast, are still emitted.
+			if err := a.run(ctx, opts, b); err != nil {
 				return nil, err
 			}
-			return b.Artifact(), err
+			return b.Artifact(), nil
 		})
 		if err := reg.Register(j); err != nil {
 			return nil, err
 		}
 	}
 	return reg, nil
-}
-
-// partialErr is the failure a best-effort job reports after salvaging
-// its partial artifacts: the deadline (not the job) is the cause, so it
-// carries the context error — classified ClassDeadline, never retried —
-// and the run still exits nonzero so the operator knows to rerun with
-// -resume.
-func partialErr(ctx context.Context, name string) error {
-	cause := ctx.Err()
-	if cause == nil {
-		cause = context.DeadlineExceeded
-	}
-	return fmt.Errorf("%s: partial results written (rerun with -resume to continue): %w", name, cause)
-}
-
-// panelCSV is one figure panel bound for its CSV file.
-type panelCSV struct {
-	path   string
-	series []report.Series
-}
-
-// savePanels files each panel as a CSV, in order. A best-effort run cut
-// short may leave its later panels empty; those files are skipped so the
-// salvaged panels still reach the artifact.
-func savePanels(b *jobs.Builder, partial bool, panels ...panelCSV) error {
-	for _, p := range panels {
-		if partial && len(p.series) == 0 {
-			continue
-		}
-		if err := b.SaveCSV(p.path, p.series); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // tableIJob renders and files the Table I reproduction.
@@ -159,14 +120,7 @@ func tableIJob(ctx context.Context, opts Options, b *jobs.Builder) error {
 	if err := b.Table(t); err != nil {
 		return err
 	}
-	if err := b.SaveTable("tableI.txt", t); err != nil {
-		return err
-	}
-	if res.Partial {
-		b.MarkPartial()
-		return partialErr(ctx, "tableI")
-	}
-	return nil
+	return b.SaveTable("tableI.txt", t)
 }
 
 // figure1Job files both mixing-curve panels and the per-source ECDFs,
@@ -176,10 +130,13 @@ func figure1Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 	if err != nil {
 		return err
 	}
-	if err := savePanels(b, res.Partial,
-		panelCSV{"figure1a.csv", res.PanelA},
-		panelCSV{"figure1b.csv", res.PanelB},
-		panelCSV{"figure1-sources.csv", res.SourceECDFs}); err != nil {
+	if err := b.SaveCSV("figure1a.csv", res.PanelA); err != nil {
+		return err
+	}
+	if err := b.SaveCSV("figure1b.csv", res.PanelB); err != nil {
+		return err
+	}
+	if err := b.SaveCSV("figure1-sources.csv", res.SourceECDFs); err != nil {
 		return err
 	}
 	t := report.NewTable("Figure 1: mixing time T(0.1) per dataset (0 = not within budget)", "Dataset", "T(0.1)")
@@ -187,21 +144,8 @@ func figure1Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 		if err := t.AddRow(s.Name, report.Int(res.MixingTimes[s.Name])); err != nil {
 			return err
 		}
-		if cov := res.Coverage[s.Name]; cov < 1 {
-			t.AddNote(fmt.Sprintf("PARTIAL: %s covers %.0f%% of its sampled sources", s.Name, cov*100))
-		}
 	}
-	if res.Partial {
-		t.AddNote("PARTIAL: the run was cut short; later datasets are missing (rerun with -resume to continue)")
-	}
-	if err := b.Table(t); err != nil {
-		return err
-	}
-	if res.Partial {
-		b.MarkPartial()
-		return partialErr(ctx, "figure1")
-	}
-	return nil
+	return b.Table(t)
 }
 
 // figure2Job files both coreness panels and renders the degeneracy
@@ -255,11 +199,6 @@ func figure3Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 		}
 	}
 	b.Printf("wrote %d figure 3 panels\n", len(res.Panels))
-	if res.Partial {
-		b.Printf("PARTIAL: the run was cut short; the last panel may cover only part of its cores and later datasets are missing\n")
-		b.MarkPartial()
-		return partialErr(ctx, "figure3")
-	}
 	return nil
 }
 
@@ -270,9 +209,10 @@ func figure4Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 	if err != nil {
 		return err
 	}
-	if err := savePanels(b, res.Partial,
-		panelCSV{"figure4a.csv", res.PanelA},
-		panelCSV{"figure4b.csv", res.PanelB}); err != nil {
+	if err := b.SaveCSV("figure4a.csv", res.PanelA); err != nil {
+		return err
+	}
+	if err := b.SaveCSV("figure4b.csv", res.PanelB); err != nil {
 		return err
 	}
 	t := report.NewTable("Figure 4: mean expansion factor over small sets", "Dataset", "mean alpha")
@@ -281,17 +221,7 @@ func figure4Job(ctx context.Context, opts Options, b *jobs.Builder) error {
 			return err
 		}
 	}
-	if res.Partial {
-		t.AddNote("PARTIAL: the run was cut short; the last dataset may cover only part of its cores and later datasets are missing")
-	}
-	if err := b.Table(t); err != nil {
-		return err
-	}
-	if res.Partial {
-		b.MarkPartial()
-		return partialErr(ctx, "figure4")
-	}
-	return nil
+	return b.Table(t)
 }
 
 // figure5Job files one CSV per core-structure panel and renders the

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"github.com/trustnet/trustnet/internal/datasets"
-	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/report"
-	"github.com/trustnet/trustnet/internal/resilience"
 	"github.com/trustnet/trustnet/internal/spectral"
 )
 
@@ -24,20 +22,13 @@ type TableIRow struct {
 	// Converged reports whether the Lanczos iteration converged within
 	// its budget; when false SLEM is the last estimate.
 	Converged bool
-	// Partial reports a best-effort deadline cut the Lanczos iteration
-	// short; SLEM is the running estimate after Coverage of the budget.
-	Partial  bool
-	Coverage float64
-	Class    datasets.Class
+	Class     datasets.Class
 }
 
 // TableIResult is the Table I reproduction: every dataset with its size
 // and second largest eigenvalue of the transition matrix.
 type TableIResult struct {
 	Rows []TableIRow
-	// Partial reports that a best-effort run was cut short: the last row
-	// carries a running SLEM estimate and later datasets are missing.
-	Partial bool
 }
 
 // Table renders the result in the paper's column layout.
@@ -55,13 +46,6 @@ func (r *TableIResult) Table() (*report.Table, error) {
 		); err != nil {
 			return nil, err
 		}
-		if row.Partial {
-			t.AddNote(fmt.Sprintf("PARTIAL: %s mu is a running estimate at %.0f%% of the iteration budget",
-				row.Name, row.Coverage*100))
-		}
-	}
-	if r.Partial {
-		t.AddNote("PARTIAL: the run was cut short; later datasets are missing (rerun with -resume to continue)")
 	}
 	return t, nil
 }
@@ -83,32 +67,11 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 			MaxIterations: opts.pick(3000, 20000),
 			Seed:          opts.Seed,
 			Workers:       opts.Workers,
-			BestEffort:    opts.BestEffort,
 		}
 		if opts.Quick {
 			scfg.Tolerance = 1e-5
 		}
-		key := "tableI-" + spec.Name
-		// The artifact schema is part of the fingerprint, so a row that
-		// an older SLEM method measured is never spliced into the table.
-		fp := resilience.Fingerprint("tableI", jobs.SchemaVersion, spec.Name, opts.Quick, opts.Seed, scfg.MaxIterations, scfg.Tolerance, opts.Substrate)
-		if opts.Ckpt != nil && opts.Resume {
-			c, err := opts.Ckpt.Load(key, fp)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: table I: %w", err)
-			}
-			if c != nil && c.Status == resilience.StatusDone {
-				// The dataset finished in an earlier run: reuse its row
-				// verbatim, no measurement needed.
-				var row TableIRow
-				if err := c.DecodePayload(&row); err != nil {
-					return nil, fmt.Errorf("experiments: table I: %w", err)
-				}
-				res.Rows = append(res.Rows, row)
-				continue
-			}
-		}
-		if err := ctx.Err(); err != nil && !opts.BestEffort {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: table I: %w", err)
 		}
 		g, err := opts.graphFor(spec.Name)
@@ -119,7 +82,7 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table I slem of %s: %w", spec.Name, err)
 		}
-		row := TableIRow{
+		res.Rows = append(res.Rows, TableIRow{
 			Name:       spec.Name,
 			PaperNodes: spec.PaperNodes,
 			PaperEdges: spec.PaperEdges,
@@ -127,26 +90,8 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 			Edges:      g.NumEdges(),
 			SLEM:       sr.SLEM,
 			Converged:  sr.Converged,
-			Partial:    sr.Partial,
-			Coverage:   sr.Coverage,
 			Class:      spec.Class,
-		}
-		// A dataset cut short is measured again from the start on
-		// -resume: a restart costs a few hundred Lanczos steps.
-		if opts.Ckpt != nil && !sr.Partial {
-			c := &resilience.Checkpoint{Job: key, Fingerprint: fp, Status: resilience.StatusDone}
-			if err := c.SetPayload(row); err != nil {
-				return nil, err
-			}
-			if err := opts.Ckpt.Save(c); err != nil {
-				return nil, fmt.Errorf("experiments: table I: %w", err)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-		if sr.Partial {
-			res.Partial = true
-			break // the deadline already hit; later datasets stay unmeasured
-		}
+		})
 	}
 	return res, nil
 }

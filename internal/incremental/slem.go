@@ -76,7 +76,7 @@ func (sm *SLEMMaintainer) Measure(ctx context.Context, g graph.View) (*spectral.
 	if err != nil {
 		return nil, 0, err
 	}
-	if ev := res.Eigenvector(); ev != nil && !res.Partial {
+	if ev := res.Eigenvector(); ev != nil {
 		if sm.warm == nil {
 			sm.warm = make([]float64, g.NumNodes())
 		}

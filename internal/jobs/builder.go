@@ -16,7 +16,6 @@ import (
 type Builder struct {
 	summary strings.Builder
 	files   []File
-	partial bool
 }
 
 // NewBuilder returns an empty builder.
@@ -60,19 +59,11 @@ func (b *Builder) SaveCSV(path string, series []report.Series) error {
 	return nil
 }
 
-// MarkPartial flags the artifact as a best-effort partial result: it is
-// still written to disk, but never cached.
-func (b *Builder) MarkPartial() { b.partial = true }
-
-// Partial reports whether MarkPartial was called.
-func (b *Builder) Partial() bool { return b.partial }
-
 // Artifact returns the accumulated artifact. The Runner fills in the
 // job name and fingerprints.
 func (b *Builder) Artifact() *Artifact {
 	return &Artifact{
 		Summary: b.summary.String(),
 		Files:   append([]File(nil), b.files...),
-		Partial: b.partial,
 	}
 }

@@ -33,8 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 // SchemaVersion versions the artifact envelope and cache key. Bumping
@@ -58,25 +56,21 @@ type Job interface {
 	// half of the artifact cache key. Equal fingerprints promise equal
 	// results on the same graph substrate.
 	Fingerprint() string
-	// Run executes the measurement. A non-nil Artifact is persisted even
-	// alongside an error when it is marked partial (best-effort salvage);
-	// a nil Artifact with an error persists nothing.
+	// Run executes the measurement. A job either finishes and returns
+	// its complete Artifact, or fails with an error; on an error the
+	// Runner emits and caches nothing, and the next run executes the
+	// job again from its start.
 	Run(ctx context.Context, env Env) (*Artifact, error)
 }
 
 // Env is the runtime surrounding a job executes in, distinct from the
 // job's own fingerprinted configuration: the identity of the data
-// substrate and the resilience plumbing for checkpointed progress.
+// substrate.
 type Env struct {
 	// GraphFingerprint identifies the graph substrate the job measures;
 	// the Runner combines it with the job's config fingerprint into the
-	// artifact cache key, and jobs key their internal checkpoints by it.
+	// artifact cache key.
 	GraphFingerprint string
-	// Ckpt, when non-nil, receives the job's partial-progress
-	// checkpoints (per-dataset rows, completed mixing curves).
-	Ckpt *resilience.Store
-	// Resume makes jobs consult Ckpt before measuring.
-	Resume bool
 }
 
 // File is one output file of a job, stored inside the artifact with a
@@ -106,10 +100,6 @@ type Artifact struct {
 	// Files are the job's outputs, written under the run's -out
 	// directory both on first run and on replay.
 	Files []File `json:"files,omitempty"`
-	// Partial marks a best-effort run cut short by its deadline. Partial
-	// artifacts are written to disk but never cached: the next run must
-	// recompute (or resume) rather than replay an incomplete result.
-	Partial bool `json:"partial,omitempty"`
 	// Digest is the FNV-1a integrity digest over Summary and Files,
 	// filled by the Store on save and verified on load, so a corrupted
 	// cache entry falls back to recompute instead of replaying garbage.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,19 +197,6 @@ func TestStoreLoadRejectsStaleSchema(t *testing.T) {
 	}
 }
 
-func TestStoreNeverCachesPartial(t *testing.T) {
-	s := NewStore(t.TempDir())
-	a := &Artifact{Job: "tableI", GraphFingerprint: "g1", ConfigFingerprint: "c1", Summary: "cut short\n", Partial: true}
-	// Even if a partial artifact lands in the cache dir somehow, Load
-	// refuses to replay it.
-	if err := s.Save(a); err != nil {
-		t.Fatal(err)
-	}
-	if s.Load("tableI", "g1", "c1") != nil {
-		t.Error("partial artifact replayed from cache")
-	}
-}
-
 func TestRunnerCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	runs := 0
@@ -371,32 +359,38 @@ func TestRunnerResumeKeyedByFingerprints(t *testing.T) {
 	}
 }
 
-func TestRunnerPartialEmittedNotCached(t *testing.T) {
+// A job that fails writes nothing and caches nothing, even when it
+// returns an artifact with its error; the next run executes it again.
+func TestRunnerFailedJobWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	runs := 0
 	type cfg struct{}
 	j := New("figure1", cfg{}, func(ctx context.Context, env Env) (*Artifact, error) {
 		runs++
 		b := NewBuilder()
-		b.Printf("partial summary\n")
+		b.Printf("cut summary\n")
 		b.AddFile("figure1a.csv", []byte("series,x,y\n"))
-		b.MarkPartial()
-		return b.Artifact(), errors.New("figure1: partial results written")
+		return b.Artifact(), context.DeadlineExceeded
 	})
 	var out bytes.Buffer
-	r := &Runner{Cache: NewStore(filepath.Join(dir, "cache")), Env: Env{GraphFingerprint: "g1"}, OutDir: dir, Stdout: &out}
-	if _, err := r.Run(context.Background(), j); err == nil {
-		t.Fatal("partial run: want the salvage error back")
+	cache := NewStore(filepath.Join(dir, "cache"))
+	r := &Runner{Cache: cache, Env: Env{GraphFingerprint: "g1"}, OutDir: dir, Stdout: &out}
+	for run := 1; run <= 2; run++ {
+		if _, err := r.Run(context.Background(), j); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("run %d: err = %v, want the job's error", run, err)
+		}
+		if runs != run {
+			t.Fatalf("run %d: job executed %d times, want %d", run, runs, run)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "figure1a.csv")); err != nil {
-		t.Errorf("partial artifact file not written: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "figure1a.csv")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed job's file written (stat: %v)", err)
 	}
-	// The partial result must not have been cached: the next run executes.
-	if _, err := r.Run(context.Background(), j); err == nil {
-		t.Fatal("second partial run: want the salvage error back")
+	if out.Len() != 0 {
+		t.Errorf("failed job's summary emitted:\n%s", out.String())
 	}
-	if runs != 2 {
-		t.Fatalf("runs = %d, want 2 (partial results are never replayed)", runs)
+	if st, err := cache.Stats(); err != nil || st.Entries != 0 {
+		t.Errorf("cache after failed runs = %+v, %v; want empty", st, err)
 	}
 }
 

@@ -26,7 +26,10 @@ var (
 // Runner executes jobs through the artifact cache: a hit replays the
 // stored artifact byte-identically (summary to Stdout, files under
 // OutDir) without invoking the job; a miss runs the job, emits its
-// artifact the same way, and caches complete results.
+// artifact the same way, and caches it. The cache is the only record
+// of finished work: a job that fails emits and caches nothing, so a
+// rerun replays every finished job and runs the failed one again from
+// its start.
 type Runner struct {
 	// Cache is the artifact store; nil disables caching (every run
 	// executes).
@@ -48,9 +51,8 @@ type Runner struct {
 // Run executes j through the cache, returning whether the result was
 // replayed (from a cached artifact, or from a concurrent execution of
 // the same key when a Flight is configured). On a miss the job executes
-// under the caller's ctx; its artifact (when non-nil) is emitted even
-// alongside a partial-salvage error, but only complete, error-free
-// artifacts are cached.
+// under the caller's ctx; its artifact is emitted and cached only when
+// the job returns no error.
 func (r *Runner) Run(ctx context.Context, j Job) (cached bool, err error) {
 	w := r.Stdout
 	if w == nil {
@@ -112,22 +114,22 @@ func (r *Runner) execute(ctx context.Context, j Job, w io.Writer, configFP, key 
 	ctx, span := obs.StartSpan(ctx, "jobs.execute")
 	a, err := j.Run(ctx, r.Env)
 	span.End()
-	if a == nil {
+	if err != nil {
 		return nil, false, err
 	}
 	a.Schema = SchemaVersion
 	a.Job = j.Name()
 	a.GraphFingerprint = r.Env.GraphFingerprint
 	a.ConfigFingerprint = configFP
-	if emitErr := r.emit(w, a); emitErr != nil && err == nil {
-		err = emitErr
+	if err := r.emit(w, a); err != nil {
+		return a, false, err
 	}
-	if err == nil && !a.Partial && r.Cache != nil {
-		if saveErr := r.Cache.Save(a); saveErr != nil {
-			err = saveErr
+	if r.Cache != nil {
+		if err := r.Cache.Save(a); err != nil {
+			return a, false, err
 		}
 	}
-	return a, false, err
+	return a, false, nil
 }
 
 // emit writes the artifact's files under OutDir (atomically, creating

@@ -93,11 +93,10 @@ func (s *Store) Path(job, key string) string {
 }
 
 // Save persists the artifact under its content address, filling in the
-// schema and integrity digest. Partial artifacts are the caller's
-// responsibility to withhold (the Runner never saves them). The write
-// is atomic, so a crash never leaves a truncated envelope; concurrent
-// Saves are serialized. When a byte cap is set, Save then prunes the
-// oldest entries until the directory fits it again. A prune failure is
+// schema and integrity digest. The write is atomic, so a crash never
+// leaves a truncated envelope; concurrent Saves are serialized. When a
+// byte cap is set, Save then prunes the oldest entries until the
+// directory fits it again. A prune failure is
 // counted (jobs.cache.prune_errors), not returned: by then the
 // artifact is durably saved, and an over-full cache must not report a
 // successful run as failed.
@@ -211,7 +210,7 @@ func (s *Store) Load(job, graphFP, configFP string) *Artifact {
 		obsCacheStale.Inc()
 		return nil
 	}
-	if a.Partial || a.Digest != a.ContentDigest() {
+	if a.Digest != a.ContentDigest() {
 		obsCacheCorrupt.Inc()
 		return nil
 	}

@@ -85,7 +85,9 @@ func rowStride(b int) int { return (b + 7) &^ 7 }
 // The block width is len(sources): walk.MeasureMixing passes at most
 // DefaultBlockWidth, but any width works. Sources must be valid
 // non-isolated nodes of a graph with at least one edge, exactly as
-// walk.NewDistribution requires.
+// walk.NewDistribution requires. NewWalkBlock only reads sources and
+// keeps no reference to it, so callers may pass a window of a longer
+// list.
 func NewWalkBlock(g *graph.Graph, sources []graph.NodeID, lazy bool) (*WalkBlock, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("kernels: walk block needs at least one source")

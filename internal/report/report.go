@@ -19,7 +19,6 @@ type Table struct {
 	title   string
 	headers []string
 	rows    [][]string
-	notes   []string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -41,11 +40,6 @@ func (t *Table) AddRow(cells ...string) error {
 
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
-
-// AddNote appends an annotation rendered after the rows — used for
-// caveats that apply to the whole table, like partial-coverage warnings
-// on best-effort results.
-func (t *Table) AddNote(note string) { t.notes = append(t.notes, note) }
 
 // Render writes the table to w. Column widths are measured in runes,
 // not bytes, so multibyte cells (ν̃_k, α, § in the paper's headers) stay
@@ -89,11 +83,6 @@ func (t *Table) Render(w io.Writer) error {
 	b.WriteByte('\n')
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	for _, note := range t.notes {
-		b.WriteString("note: ")
-		b.WriteString(note)
-		b.WriteByte('\n')
 	}
 	_, err := io.WriteString(w, b.String())
 	if err != nil {

@@ -2,35 +2,32 @@
 // measurement runs alive through the failure classes the distributed
 // formulations of the paper's properties assume (node crashes, lost
 // work, deadline storms): error classification, bounded retry with
-// seeded-jitter exponential backoff, and atomic checkpoint/resume
-// state. The experiment runner (cmd/experiments) wraps every job in it,
-// and the measurement packages (walk, expansion, spectral) produce the
-// partial-progress payloads its checkpoint store persists.
+// seeded-jitter exponential backoff, and atomic file writes. The
+// experiment runner (cmd/experiments) wraps every job in it.
 //
 // The contract, in order of importance:
 //
-//   - Determinism survives failure. A retried or resumed computation
-//     must produce bit-identical results to an uninterrupted one:
-//     checkpoints carry exact float64 state (encoding/json round-trips
-//     float64 exactly via the shortest-representation formatter), retry
-//     jitter is drawn from a seeded stream so schedules are
+//   - Determinism survives failure. A retried job reruns from its
+//     start and produces bit-identical results to an uninterrupted one:
+//     retry jitter is drawn from a seeded stream so schedules are
 //     reproducible, and nothing in this package reorders or reseeds the
-//     measurement itself.
+//     measurement itself. Finished work is recorded per job, by the
+//     artifact cache (internal/jobs); nothing below the job is saved.
 //   - Failures are classified, not guessed at. Classify distinguishes
 //     ClassCanceled (caller intent — never retried), ClassDeadline
-//     (budget exhausted — not retried by default, since a deterministic
-//     job will exhaust it again; best-effort partial results are the
-//     right response), ClassTransient (worth retrying: marked
+//     (budget exhausted — not retried, since a deterministic job will
+//     exhaust it again), ClassTransient (worth retrying: marked
 //     transient, or a recovered panic, which in this system comes from
 //     injected faults and flaky state), and ClassFatal (everything
 //     else — retrying a deterministic bug wastes the budget).
 //   - Crash-safe artifacts. WriteFileAtomic (temp file + fsync +
-//     rename) backs every checkpoint and metrics/bench artifact write,
-//     so a killed run never leaves truncated JSON behind.
+//     rename) backs every cache entry, output file and metrics
+//     artifact write, so a killed run never leaves truncated JSON
+//     behind.
 //
 // Cost model: Classify is a handful of errors.Is/As walks; a retry
-// sleeps under the caller's context; Save marshals the payload once and
-// costs one temp-file write + rename. Nothing here runs on a
+// sleeps under the caller's context; WriteFileAtomic costs one
+// temp-file write, fsync and rename. Nothing here runs on a
 // measurement hot path.
 package resilience
 
@@ -40,8 +37,8 @@ import (
 	"fmt"
 )
 
-// Class is the failure class of a job error, driving the retry and
-// checkpoint decisions of the runner.
+// Class is the failure class of a job error, driving the retry
+// decisions of the runner.
 type Class int
 
 const (
@@ -52,8 +49,8 @@ const (
 	ClassTransient
 	// ClassDeadline failures exhausted a time budget
 	// (context.DeadlineExceeded). Retrying a deterministic job against
-	// the same budget just loses again, so the default policy does not
-	// retry them; salvage a partial result instead.
+	// the same budget just loses again, so they are not retried; a rerun
+	// with a larger budget starts the job over.
 	ClassDeadline
 	// ClassCanceled failures are caller intent (context.Canceled) and
 	// are never retried.
@@ -100,19 +97,15 @@ func Classify(err error) Class {
 		return ClassDeadline
 	}
 	var t transienter
-	if errors.As(err, &t) {
-		if t.Transient() {
-			return ClassTransient
-		}
-		return ClassFatal
+	if errors.As(err, &t) && t.Transient() {
+		return ClassTransient
 	}
 	return ClassFatal
 }
 
-// marked wraps an error with an explicit transience verdict.
+// marked wraps an error that MarkTransient declared worth retrying.
 type marked struct {
-	err       error
-	transient bool
+	err error
 }
 
 // Error returns the wrapped error's message unchanged.
@@ -122,23 +115,14 @@ func (m *marked) Error() string { return m.err.Error() }
 func (m *marked) Unwrap() error { return m.err }
 
 // Transient reports the marked verdict; Classify consults it first.
-func (m *marked) Transient() bool { return m.transient }
+func (m *marked) Transient() bool { return true }
 
 // MarkTransient marks err as worth retrying. A nil err stays nil.
 func MarkTransient(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &marked{err: err, transient: true}
-}
-
-// MarkFatal marks err as not worth retrying, overriding any transient
-// marker deeper in the chain. A nil err stays nil.
-func MarkFatal(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &marked{err: err, transient: false}
+	return &marked{err: err}
 }
 
 // PanicError is a recovered panic converted into an error: the runner's

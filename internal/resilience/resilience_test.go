@@ -25,7 +25,6 @@ func TestClassify(t *testing.T) {
 		{"wrapped deadline", fmt.Errorf("timed out: %w", context.DeadlineExceeded), ClassDeadline},
 		{"transient", MarkTransient(base), ClassTransient},
 		{"wrapped transient", fmt.Errorf("epoch 3: %w", MarkTransient(base)), ClassTransient},
-		{"fatal overrides transient", MarkFatal(MarkTransient(base)), ClassFatal},
 		{"panic", &PanicError{Value: "exploded"}, ClassTransient},
 		{"wrapped panic", fmt.Errorf("job: %w", &PanicError{Value: 7}), ClassTransient},
 		// A canceled context outranks a transient marker: the user asked
@@ -40,7 +39,7 @@ func TestClassify(t *testing.T) {
 }
 
 func TestMarkNilStaysNil(t *testing.T) {
-	if MarkTransient(nil) != nil || MarkFatal(nil) != nil {
+	if MarkTransient(nil) != nil {
 		t.Fatal("marking nil must stay nil")
 	}
 }

@@ -23,13 +23,10 @@ type Policy struct {
 	// values < 1 mean one attempt.
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt; each further
-	// attempt multiplies it by Multiplier, capped at MaxDelay.
+	// attempt doubles it, capped at MaxDelay.
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff. 0 means no cap.
 	MaxDelay time.Duration
-	// Multiplier grows the backoff between attempts; values <= 1 default
-	// to 2.
-	Multiplier float64
 	// Jitter is the fraction of each delay randomized: the slept delay
 	// is d·(1 + Jitter·u) with u uniform in [-1, 1] from the seeded
 	// stream. Values outside [0, 1] are clamped. 0 disables jitter.
@@ -40,15 +37,10 @@ type Policy struct {
 	// AttemptTimeout, when > 0, bounds every attempt with its own
 	// deadline derived from the run context: each retry starts with a
 	// fresh budget instead of inheriting whatever the failed attempt
-	// left behind. On its own a timed-out attempt is still terminal
-	// (ClassDeadline is not retried); pair it with RetryDeadline when
-	// deadline failures should consume the retry budget too.
+	// left behind. A timed-out attempt is still terminal: ClassDeadline
+	// is not retried, since a deterministic job that exhausted one
+	// budget will exhaust the next.
 	AttemptTimeout time.Duration
-	// RetryDeadline also retries ClassDeadline failures. Off by default:
-	// each attempt gets a fresh budget from the caller, but a
-	// deterministic job that exhausted one budget will exhaust the next;
-	// enable it only for jobs whose deadline pressure is environmental.
-	RetryDeadline bool
 	// OnRetry, when non-nil, observes each scheduled retry before its
 	// backoff sleep: the attempt that failed, its error and class, and
 	// the backoff about to be slept.
@@ -64,25 +56,14 @@ type Outcome struct {
 	Attempts int
 	// Class classifies the final error (ClassOK on success).
 	Class Class
-	// BackoffTotal is the total backoff slept between attempts.
-	BackoffTotal time.Duration
-}
-
-// retryable reports whether a failure class is retried under the policy.
-func (p Policy) retryable(c Class) bool {
-	return c == ClassTransient || (c == ClassDeadline && p.RetryDeadline)
 }
 
 // backoff returns the jittered delay before attempt n+1 (n >= 1), drawn
 // deterministically from the policy's seeded stream.
 func (p Policy) backoff(rng *rand.Rand, n int) time.Duration {
 	d := float64(p.BaseDelay)
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	for i := 1; i < n; i++ {
-		d *= mult
+		d *= 2
 		if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
@@ -137,7 +118,7 @@ func (p Policy) Run(ctx context.Context, fn func(ctx context.Context, attempt in
 			err = fn(ctx, n)
 		}
 		out.Class = Classify(err)
-		if err == nil || n >= attempts || !p.retryable(out.Class) {
+		if err == nil || n >= attempts || out.Class != ClassTransient {
 			break
 		}
 		if rng == nil {
@@ -153,9 +134,8 @@ func (p Policy) Run(ctx context.Context, fn func(ctx context.Context, attempt in
 			out.Class = Classify(serr)
 			break
 		}
-		out.BackoffTotal += d
 	}
-	if err != nil && p.retryable(out.Class) {
+	if err != nil && out.Class == ClassTransient {
 		obsGiveups.Inc()
 	}
 	return out, err

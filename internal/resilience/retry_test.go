@@ -72,18 +72,18 @@ func TestRetryCanceledNotRetried(t *testing.T) {
 	}
 }
 
-func TestRetryDeadlineOptIn(t *testing.T) {
+// A deterministic job that exhausted its budget will exhaust the next
+// one: deadline failures are not retried.
+func TestRetryDeadlineNotRetried(t *testing.T) {
 	var slept []time.Duration
 	pol := Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Sleep: fakeSleep(&slept)}
 	calls := 0
 	fn := func(context.Context, int) error { calls++; return context.DeadlineExceeded }
-	if out, _ := pol.Run(context.Background(), fn); out.Attempts != 1 {
-		t.Fatalf("deadline retried without opt-in: %+v", out)
+	if out, _ := pol.Run(context.Background(), fn); out.Attempts != 1 || calls != 1 || out.Class != ClassDeadline {
+		t.Fatalf("deadline retried: %+v calls=%d", out, calls)
 	}
-	pol.RetryDeadline = true
-	calls = 0
-	if out, _ := pol.Run(context.Background(), fn); out.Attempts != 3 || calls != 3 {
-		t.Fatalf("deadline not retried with RetryDeadline: %+v calls=%d", out, calls)
+	if len(slept) != 0 {
+		t.Fatalf("slept %v before giving up on a deadline", slept)
 	}
 }
 

@@ -2,7 +2,7 @@ package spectral
 
 import (
 	"context"
-	"math"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,39 +35,18 @@ func (c *countCtx) Err() error {
 
 func (c *countCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 
-func TestSLEMContextBestEffortPartial(t *testing.T) {
+// A deadline that cuts the Lanczos iteration, before its first step or
+// after 40 of them, is the measurement's error: no estimate comes back.
+func TestSLEMContextDeadlineIsError(t *testing.T) {
 	g, err := gen.BarabasiAlbert(200, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Seed: 5, Workers: 1, MaxIterations: 500, Tolerance: 1e-300}
-	cfg.BestEffort = true
-	r, err := SLEMContext(newCountCtx(40), g, cfg)
-	if err != nil {
-		t.Fatalf("best-effort run returned error: %v", err)
-	}
-	if !r.Partial || r.Converged {
-		t.Fatalf("interrupted run: Partial=%v Converged=%v", r.Partial, r.Converged)
-	}
-	if r.Iterations != 40 {
-		t.Fatalf("Iterations = %d, want exactly 40 (one Err() check per step)", r.Iterations)
-	}
-	if cov := r.Coverage; cov <= 0 || cov >= 1 {
-		t.Fatalf("Coverage = %v, want in (0, 1)", cov)
-	}
-	if math.IsInf(r.SLEM, 0) || math.IsNaN(r.SLEM) {
-		t.Fatalf("salvaged SLEM estimate = %v", r.SLEM)
-	}
-
-	// Without BestEffort the same interruption is an error.
-	cfg.BestEffort = false
-	if _, err := SLEMContext(newCountCtx(40), g, cfg); err == nil {
-		t.Fatal("without BestEffort, interrupted run returned no error")
-	}
-
-	// Zero completed iterations has nothing to salvage.
-	cfg.BestEffort = true
-	if _, err := SLEMContext(newCountCtx(0), g, cfg); err == nil {
-		t.Fatal("zero-iteration best-effort run returned no error")
+	cfg := Config{Seed: 5, Workers: 1, MaxIterations: 500, Tolerance: 1e-300, KeepVector: true}
+	for _, budget := range []int64{0, 40} {
+		r, err := SLEMContext(newCountCtx(budget), g, cfg)
+		if !errors.Is(err, context.DeadlineExceeded) || r != nil {
+			t.Fatalf("budget %d: SLEMContext = (%v, %v), want no result and the deadline error", budget, r, err)
+		}
 	}
 }

@@ -70,7 +70,6 @@ var (
 	obsSLEMIterations = obs.Default().Counter("spectral.slem.iterations")
 	obsSLEMRitzMatVec = obs.Default().Counter("spectral.slem.ritz_matvecs")
 	obsSLEMConverged  = obs.Default().Counter("spectral.slem.converged")
-	obsSLEMPartial    = obs.Default().Counter("spectral.slem.partial")
 	obsSLEMWarm       = obs.Default().Counter("spectral.slem.warm_starts")
 	obsSLEMWarmFallbk = obs.Default().Counter("spectral.slem.warm_fallbacks")
 	obsSLEMResidual   = obs.Default().Gauge("spectral.slem.residual")
@@ -90,12 +89,6 @@ type Config struct {
 	// Workers bounds the row-partitioned mat-vec parallelism; <= 0 uses
 	// GOMAXPROCS. The SLEM is bit-for-bit identical at any worker count.
 	Workers int
-	// BestEffort salvages a deadline-hit run: when ctx is canceled or
-	// times out mid-iteration, SLEMContext returns the current estimate
-	// (Result.Partial true, Coverage < 1) instead of the context error,
-	// as long as at least one step completed. A cut run cannot be
-	// resumed; measuring again starts over.
-	BestEffort bool
 	// Warm seeds the start vector with an approximate eigenvector —
 	// typically the previous epoch's, carried across a small topology
 	// delta — instead of a random draw. It is only a hint: the vector is
@@ -110,8 +103,7 @@ type Config struct {
 	// stops, so callers can feed it back as the next epoch's Warm vector
 	// via Eigenvector(). The rebuild runs the recurrence a second time:
 	// Iterations−1 more mat-vecs, counted by spectral.slem.ritz_matvecs
-	// rather than in Iterations, not interruptible by ctx. A partial
-	// result carries no vector.
+	// rather than in Iterations, not interruptible by ctx.
 	KeepVector bool
 }
 
@@ -143,13 +135,6 @@ type Result struct {
 	// Residual is the Ritz residual β_k·|s_k| of SLEM: N has an
 	// eigenvalue within Residual of the Ritz value behind it.
 	Residual float64
-	// Partial reports that a best-effort run was cut short: SLEM is the
-	// estimate after Iterations of the configured budget.
-	Partial bool
-	// Coverage is the fraction of the iteration budget spent — 1 on a
-	// complete (converged or budget-exhausted) run, in (0, 1) on a
-	// salvaged partial one.
-	Coverage float64
 
 	// eigvec is the rebuilt Ritz vector when Config.KeepVector is set.
 	eigvec []float64
@@ -157,7 +142,7 @@ type Result struct {
 
 // Eigenvector returns the unit Ritz vector behind the SLEM — an
 // approximation of the eigenvector of N — when the run was configured
-// with KeepVector and completed, and nil otherwise. The slice is owned
+// with KeepVector, and nil otherwise. The slice is owned
 // by the Result and must not be modified; copy it before reuse.
 func (r *Result) Eigenvector() []float64 { return r.eigvec }
 
@@ -175,8 +160,8 @@ func SLEM(v graph.View, cfg Config) (*Result, error) {
 }
 
 // SLEMContext is SLEM under a context: cancellation is honored between
-// Lanczos steps, and with cfg.BestEffort a deadline-hit run returns its
-// current estimate as a partial result instead of an error.
+// Lanczos steps, and a canceled or deadline-hit run returns the context
+// error and no estimate.
 func SLEMContext(ctx context.Context, v graph.View, cfg Config) (*Result, error) {
 	cfg.fill()
 	ctx, span := obs.StartSpan(ctx, "spectral.slem")
@@ -194,7 +179,7 @@ func SLEMContext(ctx context.Context, v graph.View, cfg Config) (*Result, error)
 	}
 	rec.restart(rec.q)
 
-	res := &Result{Coverage: 1}
+	res := &Result{}
 	defer func() {
 		obsSLEMIterations.Add(int64(res.Iterations))
 		if res.Converged {
@@ -205,13 +190,7 @@ func SLEMContext(ctx context.Context, v graph.View, cfg Config) (*Result, error)
 	mu := math.Inf(1)
 	for res.Iterations < cfg.MaxIterations {
 		if err := ctx.Err(); err != nil {
-			if !cfg.BestEffort || res.Iterations == 0 {
-				return nil, fmt.Errorf("spectral: %w", err)
-			}
-			obsSLEMPartial.Inc()
-			res.Partial = true
-			res.Coverage = float64(res.Iterations) / float64(cfg.MaxIterations)
-			break
+			return nil, fmt.Errorf("spectral: %w", err)
 		}
 		alpha, beta := rec.step()
 		res.Iterations++
@@ -227,7 +206,7 @@ func SLEMContext(ctx context.Context, v graph.View, cfg Config) (*Result, error)
 	s := ends.vector()
 	res.Residual = ends.residual(s)
 	obsSLEMResidual.Set(res.Residual)
-	if cfg.KeepVector && !res.Partial {
+	if cfg.KeepVector {
 		res.eigvec = rec.ritzVector(q1, s)
 		obsSLEMRitzMatVec.Add(int64(len(s) - 1))
 	}

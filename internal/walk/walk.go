@@ -40,8 +40,6 @@ var (
 	obsMixSteps        = obs.Default().Counter("walk.mixing.steps")
 	obsMixKernelBlocks = obs.Default().Counter("walk.mixing.kernel_blocks")
 	obsMixHandovers    = obs.Default().Counter("walk.mixing.sparse_to_dense")
-	obsMixPartial      = obs.Default().Counter("walk.mixing.partial")
-	obsMixResumed      = obs.Default().Counter("walk.mixing.resumed_sources")
 )
 
 // ErrNoEdges is returned when the random walk is undefined because the
@@ -241,22 +239,6 @@ type MixingConfig struct {
 	// to GOMAXPROCS when <= 0. Results are deterministic regardless of
 	// worker count because each source's curve is independent.
 	Workers int
-	// BestEffort salvages a deadline-hit measurement: when ctx is
-	// canceled or times out mid-run, MeasureMixing returns the curves of
-	// the sources completed so far (Result.Partial true, Coverage < 1)
-	// instead of the context error, as long as at least one source
-	// finished. The salvage unit is a block of kernels.DefaultBlockWidth
-	// sources: a block the deadline cuts mid-walk contributes nothing.
-	// Each completed curve is bit-identical to what the uninterrupted run
-	// would have produced, so partial results compose with Resume into
-	// exact continuations.
-	BestEffort bool
-	// Resume seeds the measurement with curves completed by an earlier
-	// (interrupted) run of the *same* configuration: sources whose
-	// checkpoint curve is non-nil are not re-measured. The checkpoint's
-	// source list must match this run's sampled sources exactly —
-	// anything else is stale state and an error.
-	Resume *MixingCheckpoint
 }
 
 func (c MixingConfig) validate() error {
@@ -267,37 +249,6 @@ func (c MixingConfig) validate() error {
 		return fmt.Errorf("walk: Sources must be >= 1, got %d", c.Sources)
 	}
 	return nil
-}
-
-// MixingCheckpoint is the resumable progress of a mixing measurement:
-// the sampled sources and, per source, the completed TVD curve (nil for
-// sources not yet measured). Because each curve is a pure function of
-// (graph, source, config), merging a checkpoint into a resumed run
-// reproduces the uninterrupted measurement bit-for-bit. The JSON
-// encoding round-trips float64 exactly, so a checkpoint that passed
-// through internal/resilience's store resumes losslessly.
-type MixingCheckpoint struct {
-	Sources []graph.NodeID `json:"sources"`
-	Curves  [][]float64    `json:"curves"`
-}
-
-// matches reports whether the checkpoint belongs to a measurement with
-// these sources and step budget.
-func (c *MixingCheckpoint) matches(sources []graph.NodeID, maxSteps int) bool {
-	if len(c.Sources) != len(sources) || len(c.Curves) != len(sources) {
-		return false
-	}
-	for i, s := range c.Sources {
-		if s != sources[i] {
-			return false
-		}
-	}
-	for _, curve := range c.Curves {
-		if curve != nil && len(curve) != maxSteps {
-			return false
-		}
-	}
-	return true
 }
 
 // MixingResult is the outcome of the sampling-method measurement.
@@ -315,32 +266,8 @@ type MixingResult struct {
 	// Curves[i] is source i's full TVD trajectory — retained because the
 	// paper's methodology (§III-C) is precisely to look at the
 	// *distribution* of mixing across sources, not only the worst case
-	// the eigenvalue bound captures. In a partial (best-effort) result,
-	// sources the deadline cut off have a nil curve and are excluded
-	// from every aggregate.
+	// the eigenvalue bound captures.
 	Curves [][]float64
-	// Completed counts the sources with a finished curve; it equals
-	// len(Sources) on a complete run.
-	Completed int
-	// Partial reports that a best-effort run was cut short: the
-	// aggregates cover only Completed of len(Sources) sources.
-	Partial bool
-}
-
-// Coverage is the fraction of sampled sources with a completed curve —
-// 1 for a complete measurement, in (0, 1) for a salvaged partial one.
-func (r *MixingResult) Coverage() float64 {
-	if len(r.Sources) == 0 {
-		return 0
-	}
-	return float64(r.Completed) / float64(len(r.Sources))
-}
-
-// Checkpoint returns the result's resumable state. The checkpoint
-// aliases the result's Sources and Curves slices — serialize it before
-// mutating the result.
-func (r *MixingResult) Checkpoint() *MixingCheckpoint {
-	return &MixingCheckpoint{Sources: r.Sources, Curves: r.Curves}
 }
 
 // SourceMixingTimes returns, for each sampled source, the smallest walk
@@ -420,67 +347,26 @@ func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*Mixing
 		res.MinTVD[t] = math.Inf(1)
 	}
 
-	// curves[i] belongs to sources[i]; resumed curves are merged up
-	// front and todo holds the indices still to measure. Each worker
-	// task owns distinct curve slots, and parallel.ForEach joins every
-	// worker before returning, so the post-fan-out read is race-free
-	// even when a deadline stops the run mid-flight.
-	curves := make([][]float64, len(sources))
-	if cfg.Resume != nil {
-		if !cfg.Resume.matches(sources, cfg.MaxSteps) {
-			return nil, fmt.Errorf("measure mixing: resume checkpoint does not match this configuration (sources or step budget differ)")
-		}
-		copy(curves, cfg.Resume.Curves)
-		for _, c := range curves {
-			if c != nil {
-				obsMixResumed.Inc()
-			}
-		}
-	}
-	todo := make([]int, 0, len(sources))
-	for i, c := range curves {
-		if c == nil {
-			todo = append(todo, i)
-		}
-	}
-
 	// One worker task per block of sources, each with its own propagation
-	// buffers; the fold below runs in source order so the aggregate is
+	// buffers. curves[i] belongs to sources[i]; each task owns distinct
+	// curve slots, and parallel.ForEach joins every worker before
+	// returning. The fold below runs in source order, so the aggregate is
 	// bit-for-bit identical at any worker count.
-	var runErr error
-	if len(todo) > 0 {
-		todoSources := make([]graph.NodeID, len(todo))
-		for k, i := range todo {
-			todoSources[k] = sources[i]
+	curves := make([][]float64, len(sources))
+	blocks := parallel.Blocks(len(sources), kernels.DefaultBlockWidth)
+	obsMixKernelBlocks.Add(int64(len(blocks)))
+	cg := graph.Materialize(g)
+	if err := parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
+		part, err := blockCurves(ctx, cg, sources[blocks[b].Start:blocks[b].End], pi, cfg)
+		if err != nil {
+			return err
 		}
-		blocks := parallel.Blocks(len(todo), kernels.DefaultBlockWidth)
-		obsMixKernelBlocks.Add(int64(len(blocks)))
-		cg := graph.Materialize(g)
-		runErr = parallel.ForEach(ctx, cfg.Workers, len(blocks), func(_, b int) error {
-			part, err := blockCurves(ctx, cg, todoSources[blocks[b].Start:blocks[b].End], pi, cfg)
-			if err != nil {
-				return err
-			}
-			for j, curve := range part {
-				curves[todo[blocks[b].Start+j]] = curve
-			}
-			return nil
-		})
-	}
-	if runErr != nil {
-		if !cfg.BestEffort || !isInterrupt(runErr) {
-			return nil, fmt.Errorf("measure mixing: %w", runErr)
-		}
-		// Deadline or cancellation in best-effort mode: salvage whatever
-		// completed. Zero coverage has nothing to salvage.
-		obsMixPartial.Inc()
-		res.Partial = true
+		copy(curves[blocks[b].Start:], part)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("measure mixing: %w", err)
 	}
 	for _, curve := range curves {
-		if curve == nil {
-			continue
-		}
-		res.Completed++
 		for t, tvd := range curve {
 			res.MeanTVD[t] += tvd
 			if tvd > res.MaxTVD[t] {
@@ -491,24 +377,11 @@ func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*Mixing
 			}
 		}
 	}
-	if res.Completed == 0 {
-		if runErr != nil {
-			return nil, fmt.Errorf("measure mixing: %w", runErr)
-		}
-		return nil, fmt.Errorf("measure mixing: no sources measured")
-	}
 	for t := range res.MeanTVD {
-		res.MeanTVD[t] /= float64(res.Completed)
+		res.MeanTVD[t] /= float64(len(sources))
 	}
 	res.Curves = curves
 	return res, nil
-}
-
-// isInterrupt reports whether err is a context cancellation or deadline
-// — the two failure classes best-effort mode may salvage a partial
-// result from.
-func isInterrupt(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // blockCurves evolves one block of sources through the blocked

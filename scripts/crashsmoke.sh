@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Crash-recovery smoke: a tight per-job timeout (a third of an
-# uninterrupted run's wall time) must cut the figure1 measurement short
-# (nonzero exit, partial artifacts), leave valid checkpoints behind, and
-# a -resume rerun must complete with artifacts bit-identical to a run
-# that was never interrupted. With its CSVs
-# deleted, a second -resume pass must replay the finished job from the
-# artifact cache (the only record that a job is done) and rewrite the
-# CSVs byte-identically.
+# Crash-recovery smoke at job granularity. The artifact cache under
+# <out>/cache is the only record of finished work: a job cut short
+# writes and caches nothing, and a plain rerun replays the finished jobs
+# and runs the cut one again from its start.
+#
+# A per-job timeout of a third of an uninterrupted figure1 run's wall
+# time must cut figure1 short in a `-run tableI,figure1` run (nonzero
+# exit, FAILED figure1, no figure1a.csv) while tableI finishes; the
+# run's METRICS.json and cache entries must parse with their schemas. A
+# plain rerun must replay tableI, run figure1 again, and reproduce the
+# reference's four files byte for byte. A third run, with the files
+# deleted, must replay both jobs and rewrite the files byte-identically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,47 +21,69 @@ go build -o "$bin" ./cmd/experiments
 
 ref="$tmp/ref"
 crash="$tmp/crash"
+files=(tableI.txt figure1a.csv figure1b.csv figure1-sources.csv)
+args=(-run tableI,figure1 -quick -seed 1)
 
-echo "== reference run (uninterrupted) =="
+echo "== reference runs (uninterrupted) =="
+"$bin" -run tableI -quick -seed 1 -no-cache -out "$ref" > "$tmp/ref-tableI.log"
 start=$(date +%s%N)
-"$bin" -run figure1 -quick -seed 1 -out "$ref" > "$tmp/ref.log"
+"$bin" -run figure1 -quick -seed 1 -no-cache -out "$ref" > "$tmp/ref-figure1.log"
 ref_ms=$(( ($(date +%s%N) - start) / 1000000 ))
 
 # A fixed budget stops cutting anything short once the job gets faster
-# than it, so the interrupted run gets a third of the reference run's
-# wall time, on whatever host this runs.
+# than it, so the interrupted run gets a third of the reference figure1
+# run's wall time, on whatever host this runs.
 budget_ms=$(( ref_ms / 3 > 1 ? ref_ms / 3 : 1 ))
-echo "== interrupted run (${budget_ms}ms budget, a third of the reference's ${ref_ms}ms; best-effort) =="
-if "$bin" -run figure1 -quick -seed 1 -timeout "${budget_ms}ms" -best-effort -out "$crash" > "$tmp/crash.log" 2>&1; then
+echo "== interrupted run (${budget_ms}ms per job, a third of the reference figure1 run's ${ref_ms}ms) =="
+if "$bin" "${args[@]}" -timeout "${budget_ms}ms" -out "$crash" > "$tmp/crash.log" 2>&1; then
     echo "crashsmoke: the timeout-cut run exited 0, want nonzero" >&2
     cat "$tmp/crash.log" >&2
     exit 1
 fi
-
-ckpts=("$crash"/ckpt/*.json)
-if [ ! -e "${ckpts[0]}" ]; then
-    echo "crashsmoke: the interrupted run left no checkpoints" >&2
+if ! grep -q "FAILED figure1" "$tmp/crash.log"; then
+    echo "crashsmoke: the interrupted run did not report FAILED figure1" >&2
     cat "$tmp/crash.log" >&2
     exit 1
 fi
-echo "== validating ${#ckpts[@]} checkpoint(s) =="
-go run ./scripts/jsonlint -want-schema trustnet/checkpoint/v1 "${ckpts[@]}"
+if [ -e "$crash/figure1a.csv" ]; then
+    echo "crashsmoke: the cut figure1 job wrote figure1a.csv" >&2
+    exit 1
+fi
+if [ -e "$crash/ckpt" ]; then
+    echo "crashsmoke: the run wrote $crash/ckpt; the cache is the only record of finished work" >&2
+    exit 1
+fi
+
+entries=("$crash"/cache/*.json)
+if [ ! -e "${entries[0]}" ]; then
+    echo "crashsmoke: the interrupted run cached nothing (tableI must finish inside ${budget_ms}ms)" >&2
+    cat "$tmp/crash.log" >&2
+    exit 1
+fi
+echo "== validating METRICS.json and ${#entries[@]} cache entrie(s) =="
 go run ./scripts/jsonlint -want-schema trustnet/metrics/v1 "$crash/METRICS.json"
+go run ./scripts/jsonlint -want-schema trustnet/artifact/v4 "${entries[@]}"
 
-echo "== resumed run =="
-"$bin" -run figure1 -quick -seed 1 -resume -out "$crash" > "$tmp/resume.log"
-
-echo "== comparing artifacts against the uninterrupted reference =="
-for f in figure1a.csv figure1b.csv figure1-sources.csv; do
+echo "== rerun: replay tableI, run figure1 again =="
+"$bin" "${args[@]}" -out "$crash" > "$tmp/rerun.log"
+grep -q "CACHED tableI" "$tmp/rerun.log"
+if grep -q "CACHED figure1" "$tmp/rerun.log"; then
+    echo "crashsmoke: the cut figure1 job replayed from the cache" >&2
+    exit 1
+fi
+for f in "${files[@]}"; do
     cmp "$ref/$f" "$crash/$f"
 done
 
-echo "== rerun must replay the finished job from the artifact cache =="
-rm "$crash"/figure1a.csv "$crash"/figure1b.csv "$crash"/figure1-sources.csv
-"$bin" -run figure1 -quick -seed 1 -resume -out "$crash" > "$tmp/replay.log"
+echo "== third run, files deleted: both jobs replay from the cache =="
+for f in "${files[@]}"; do
+    rm "$crash/$f"
+done
+"$bin" "${args[@]}" -out "$crash" > "$tmp/replay.log"
+grep -q "CACHED tableI" "$tmp/replay.log"
 grep -q "CACHED figure1" "$tmp/replay.log"
-for f in figure1a.csv figure1b.csv figure1-sources.csv; do
+for f in "${files[@]}"; do
     cmp "$ref/$f" "$crash/$f"
 done
 
-echo "crashsmoke: OK (interrupted run resumed to bit-identical artifacts)"
+echo "crashsmoke: OK (the cut job reran to bit-identical files; finished jobs replayed)"

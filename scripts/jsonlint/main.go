@@ -1,9 +1,10 @@
 // Command jsonlint validates that each argument file parses as JSON —
-// the cheap integrity check the crash-recovery smoke runs over the
-// checkpoints an interrupted run leaves behind (a torn write would fail
-// to parse; resilience.WriteFileAtomic exists to make that impossible).
-// With -want-schema, each document must also be an object whose
-// "schema" field equals the given value.
+// the cheap integrity check the crash-recovery and cache smokes run over
+// the METRICS.json and artifact cache entries a run leaves behind, an
+// interrupted run included (a torn write would fail to parse;
+// resilience.WriteFileAtomic exists to make that impossible). With
+// -want-schema, each document must also be an object whose "schema"
+// field equals the given value.
 package main
 
 import (
