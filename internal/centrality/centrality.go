@@ -34,6 +34,7 @@ type Config struct {
 // Betweenness computes (exact or pivot-sampled) shortest-path betweenness
 // for every node. Endpoint pairs are excluded, and each unordered pair is
 // counted once, following the standard convention for undirected graphs.
+// The scores are bit-identical at any worker count.
 func Betweenness(ctx context.Context, g graph.View, cfg Config) ([]float64, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -43,27 +44,25 @@ func Betweenness(ctx context.Context, g graph.View, cfg Config) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	// Sharded accumulation: slot s owns partials[s] and its Brandes
-	// scratch, so the fan-out needs no locks; shards merge in slot order.
-	workers := parallel.Workers(cfg.Workers, len(sources))
+	workers := parallel.Workers(cfg.Workers, (len(sources)+blockSources-1)/blockSources)
 	partials := make([][]float64, workers)
 	states := make([]*brandesState, workers)
 	for s := 0; s < workers; s++ {
 		partials[s] = make([]float64, n)
 		states[s] = newBrandesState(g)
 	}
-	err = parallel.ForEach(ctx, workers, len(sources), func(slot, i int) error {
+	out := make([]float64, n)
+	err = forEachBlock(ctx, workers, len(sources), func(slot, i int) {
 		states[slot].run(sources[i], partials[slot])
-		return nil
+	}, func(slot int) {
+		p := partials[slot]
+		for v := range out {
+			out[v] += p[v]
+			p[v] = 0
+		}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("centrality: betweenness: %w", err)
-	}
-	out := make([]float64, n)
-	for _, p := range partials {
-		for v := range out {
-			out[v] += p[v]
-		}
 	}
 	// Each unordered pair was visited from both endpoints in the exact
 	// case; halve, then apply the sampling scale.
@@ -71,6 +70,38 @@ func Betweenness(ctx context.Context, g graph.View, cfg Config) ([]float64, erro
 		out[v] *= scale / 2
 	}
 	return out, nil
+}
+
+// blockSources is how many consecutive sources one partial sum
+// covers. It does not depend on the worker count, so neither do the
+// float sums.
+const blockSources = 16
+
+// forEachBlock cuts the sources [0, n) into blocks of blockSources and
+// runs them in waves of workers blocks: block j of a wave runs its
+// sources in order as run(j, i) on slot j, which sums them into slot
+// j's partial, and once the wave has joined, merge(j) folds that
+// partial into the total, and clears it, for each block j in block
+// order. The total is then the same sum, in the same order, at any
+// worker count, and memory stays one partial per worker.
+func forEachBlock(ctx context.Context, workers, n int, run func(slot, i int), merge func(slot int)) error {
+	blocks := parallel.Blocks(n, blockSources)
+	for start := 0; start < len(blocks); start += workers {
+		wave := blocks[start:min(start+workers, len(blocks))]
+		err := parallel.ForEach(ctx, len(wave), len(wave), func(_, j int) error {
+			for i := wave[j].Start; i < wave[j].End; i++ {
+				run(j, i)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for j := range wave {
+			merge(j)
+		}
+	}
+	return nil
 }
 
 // brandesState holds per-worker scratch for Brandes' algorithm, including

@@ -312,3 +312,56 @@ func TestHighDegreeNodesCentralInBA(t *testing.T) {
 		}
 	}
 }
+
+// TestEquivalenceBetweennessWorkerCounts requires node and edge
+// betweenness to be bit-identical at any worker count, exact and
+// pivot-sampled: the float sums must not depend on which worker took
+// which source.
+func TestEquivalenceBetweennessWorkerCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n, attach int
+		pivots    int
+	}{
+		{"exact", 300, 3, 0},
+		{"sampled", 1000, 4, 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := gen.BarabasiAlbert(tc.n, tc.attach, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			var nodes0 []float64
+			var edges0 map[graph.Edge]float64
+			for _, workers := range []int{1, 2, 3, 7} {
+				cfg := Config{Pivots: tc.pivots, Workers: workers}
+				nodes, err := Betweenness(ctx, g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edges, err := EdgeBetweenness(ctx, g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					nodes0, edges0 = nodes, edges
+					continue
+				}
+				for v := range nodes0 {
+					if math.Float64bits(nodes[v]) != math.Float64bits(nodes0[v]) {
+						t.Fatalf("workers=%d: node %d scores %v, %v at one worker", workers, v, nodes[v], nodes0[v])
+					}
+				}
+				if len(edges) != len(edges0) {
+					t.Fatalf("workers=%d: %d edges scored, %d at one worker", workers, len(edges), len(edges0))
+				}
+				for e, want := range edges0 {
+					if got := edges[e]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("workers=%d: edge %v scores %v, %v at one worker", workers, e, got, want)
+					}
+				}
+			}
+		})
+	}
+}

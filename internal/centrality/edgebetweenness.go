@@ -19,7 +19,8 @@ type EdgeScore struct {
 // the Brandes edge variant (each unordered source pair counted once).
 // Attack edges in a Sybil attack are bridges between two well-connected
 // regions, so they acquire anomalously high edge betweenness — the signal
-// the bridge-removal defense (internal/sybil/bridgecut) exploits.
+// the bridge-removal defense (internal/sybil/bridgecut) exploits. The
+// scores are bit-identical at any worker count.
 func EdgeBetweenness(ctx context.Context, g graph.View, cfg Config) (map[graph.Edge]float64, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -29,26 +30,26 @@ func EdgeBetweenness(ctx context.Context, g graph.View, cfg Config) (map[graph.E
 	if err != nil {
 		return nil, err
 	}
-	// Sharded per-slot edge maps, merged in slot order after the fan-out.
-	workers := parallel.Workers(cfg.Workers, len(sources))
+	// Per-slot edge maps, summed a block of sources at a time and
+	// merged in block order (forEachBlock).
+	workers := parallel.Workers(cfg.Workers, (len(sources)+blockSources-1)/blockSources)
 	partials := make([]map[graph.Edge]float64, workers)
 	states := make([]*brandesState, workers)
 	for s := 0; s < workers; s++ {
 		partials[s] = make(map[graph.Edge]float64, int(g.NumEdges()))
 		states[s] = newBrandesState(g)
 	}
-	err = parallel.ForEach(ctx, workers, len(sources), func(slot, i int) error {
+	out := make(map[graph.Edge]float64, int(g.NumEdges()))
+	err = forEachBlock(ctx, workers, len(sources), func(slot, i int) {
 		states[slot].runEdges(sources[i], partials[slot])
-		return nil
+	}, func(slot int) {
+		for e, v := range partials[slot] {
+			out[e] += v
+		}
+		clear(partials[slot])
 	})
 	if err != nil {
 		return nil, fmt.Errorf("centrality: edge betweenness: %w", err)
-	}
-	out := make(map[graph.Edge]float64, int(g.NumEdges()))
-	for _, p := range partials {
-		for e, v := range p {
-			out[e] += v
-		}
 	}
 	for e := range out {
 		out[e] *= scale / 2

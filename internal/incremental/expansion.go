@@ -35,44 +35,55 @@ const infDist = int32(math.MaxInt32)
 // source with a unit-weight Ramalingam–Reps pass: deletions first on
 // the intermediate topology (old minus losses — equal to the new
 // topology minus the gained edges), by orphaning nodes whose every
-// shortest-path parent died and re-leveling them from the clean
-// boundary; then insertions on the new topology as a bucketed
-// multi-source relaxation seeded at the gained edges. Distances only
-// grow in the first phase and only shrink in the second, which is what
-// makes both sweeps linear in the size of the affected region rather
-// than the graph. A source whose own aliveness flipped needs no special
-// case: going down orphans its whole tree, coming up relaxes it.
+// shortest-path parent died, in a level-order cascade, and re-leveling
+// them from the clean boundary; then insertions on the new topology as
+// a bucketed multi-source relaxation seeded at the gained edges.
+// Distances only grow in the first phase and only shrink in the
+// second, which is what makes both sweeps linear in the size of the
+// affected region rather than the graph. A source whose own aliveness
+// flipped needs no special case: going down orphans its whole tree,
+// coming up relaxes it.
 //
 // Each phase has a work budget (see budget). A phase that exceeds it
 // drops the source's partial repair and skips the insertion phase, and
-// the source is marked for a fresh BFS on the new topology, so a large
-// orphan region or a flipped source costs about one BFS. Once every
-// repair has run, the marked sources are re-run 64 at a time through
-// kernels.BFSBatch.RunDistances, cut in node-ID order
-// (kernels.SortByNode), where nearby sources share most of each
-// level's scan; the initial BFSs run the same way.
+// the source is marked for a fresh BFS on the new topology. Apply cuts
+// the sources, in node-ID order (kernels.SortByNode), into runs of
+// kernels.BFSBatchWidth and repairs each run in order: each fallback
+// halves the next source's budget, and each finished repair restores
+// the full one. The community generators number each community's nodes
+// consecutively, so a heavy delta (a lost bridge) dooms neighbouring
+// sources together, and a run of them then spends a few budgets instead
+// of one each; the rule is exact on any numbering. Once every repair
+// has run, the marked sources are re-run 64 at a time through
+// kernels.BFSBatch.RunDistances, cut in node-ID order, where nearby
+// sources share most of each level's scan; the initial BFSs run the
+// same way.
 //
-// Apply spreads the repairs, and then the batches, over the workers
-// with parallel.ForEach, one set of repair scratch and one BFSBatch per
-// worker slot. The maintainer materializes no topology of its own:
-// every Apply is handed the epoch's CSR (the engine's
-// faults.Model.Degraded) and filters only the intermediate topology
-// from it, before the fan-out. Both are only read during it, and only the task that owns a source
-// writes its distance field and levels, so the maintained state is the
-// same at any worker count and in any source order.
+// The runs, ⌈k/64⌉ tasks for k sources (16 at 1,024), and then the
+// rebuild batches fan out over the workers with parallel.ForEach, one
+// set of repair scratch and one BFSBatch per worker slot. Every Apply
+// is handed the epoch's CSR (the engine's faults.Model.Degraded) and
+// filters the intermediate topology from it before the fan-out; both
+// are only read during it. Only the task that owns a run writes its
+// sources' distance fields and levels, and a run's outcomes depend only
+// on its sources' state and the delta, so the maintained state and the
+// repair counts are the same at any worker count and in any source
+// order.
 //
 // The maintained state is exact: after every Apply, each source's
 // distance field and level counts are bit-identical to a fresh BFS on
 // the current topology, and Measure folds the counts through
 // expansion.Measure's resume path so the aggregate Result is
 // bit-identical to the from-scratch measurement. Memory is
-// O(len(sources) · n) for the distance fields plus about 47·n bytes of
+// O(len(sources) · n) for the distance fields plus about 39·n bytes of
 // scratch per worker (32·n of them the BFSBatch). Not safe for
 // concurrent use.
 type ExpansionMaintainer struct {
 	sources []graph.NodeID
-	dist    [][]int32
-	levels  [][]int64
+	// order lists the source indices in node-ID order, cut into runs.
+	order  []int
+	dist   [][]int32
+	levels [][]int64
 
 	// pending holds the delta's gained edges while buildAdjacency masks
 	// them out of the intermediate snapshot; pendTouch marks their
@@ -106,6 +117,9 @@ type repairCounts struct {
 	// deletion or insertion phase exceeded the budget, so that their BFS
 	// was re-run instead.
 	deletionFallbacks, insertionFallbacks int64
+	// halved counts the sources whose repair started under a halved
+	// budget, and restored those of them that finished.
+	halved, restored int64
 }
 
 // add accumulates o into c.
@@ -114,10 +128,12 @@ func (c *repairCounts) add(o repairCounts) {
 	c.orphaned += o.orphaned
 	c.deletionFallbacks += o.deletionFallbacks
 	c.insertionFallbacks += o.insertionFallbacks
+	c.halved += o.halved
+	c.restored += o.restored
 }
 
 // repairSlot is one worker's repair scratch. Between repairs every
-// mark is clear: orphan, fixed and proc false, tent infDist, and the
+// mark is clear: cand, orphan and fixed false, tent infDist, and the
 // buckets and lists empty.
 type repairSlot struct {
 	em *ExpansionMaintainer
@@ -128,26 +144,20 @@ type repairSlot struct {
 	// current Apply.
 	stale []int
 
+	// cand marks the nodes the orphan cascade examines, listed in
+	// cands; orphan marks those that lost every parent.
+	cand    []bool
+	cands   []graph.NodeID
 	orphan  []bool
 	fixed   []bool
 	tent    []int32
 	orphans []graph.NodeID
 	touched []graph.NodeID
-	queue   []graph.NodeID
-	// buckets[d] queues nodes at tentative distance d; blo and bhi
-	// bound the buckets in use (infDist and -1 when none is).
+	// buckets[d] queues nodes at distance d, the cascade's candidates
+	// and the sweeps' tentative distances; blo and bhi bound the
+	// buckets in use (infDist and -1 when none is).
 	buckets  [][]graph.NodeID
 	blo, bhi int32
-
-	// nsup memoizes each node's surviving shortest-path parent count
-	// during one deletion repair (valid iff supStamp matches stampGen);
-	// proc marks orphans whose children have been visited. Together
-	// they make the orphan cascade O(region·deg): each touched node is
-	// scanned once, later parent deaths are O(1) decrements.
-	nsup     []int32
-	supStamp []int32
-	stampGen int32
-	proc     []bool
 
 	// work counts the neighbor-list entries the current phase scanned;
 	// past budget the phase falls back.
@@ -171,24 +181,24 @@ func NewExpansionMaintainer(g *graph.Graph, sources []graph.NodeID, workers int)
 	n := g.NumNodes()
 	em := &ExpansionMaintainer{
 		sources:   append([]graph.NodeID(nil), sources...),
+		order:     make([]int, len(sources)),
 		dist:      make([][]int32, len(sources)),
 		levels:    make([][]int64, len(sources)),
 		pending:   make(map[uint64]bool),
 		pendTouch: make([]bool, n),
-		slots:     make([]*repairSlot, parallel.Workers(workers, len(sources))),
+		// Apply's largest fan-out is one task per run of sources.
+		slots: make([]*repairSlot, parallel.Workers(workers, (len(sources)+kernels.BFSBatchWidth-1)/kernels.BFSBatchWidth)),
 	}
 	for k := range em.slots {
 		s := &repairSlot{
-			em:       em,
-			batch:    new(kernels.BFSBatch),
-			orphan:   make([]bool, n),
-			fixed:    make([]bool, n),
-			tent:     make([]int32, n),
-			blo:      infDist,
-			bhi:      -1,
-			nsup:     make([]int32, n),
-			supStamp: make([]int32, n),
-			proc:     make([]bool, n),
+			em:     em,
+			batch:  new(kernels.BFSBatch),
+			cand:   make([]bool, n),
+			orphan: make([]bool, n),
+			fixed:  make([]bool, n),
+			tent:   make([]int32, n),
+			blo:    infDist,
+			bhi:    -1,
 		}
 		for v := range s.tent {
 			s.tent[v] = infDist
@@ -196,12 +206,12 @@ func NewExpansionMaintainer(g *graph.Graph, sources []graph.NodeID, workers int)
 		em.slots[k] = s
 	}
 	em.buildAdjacency(g)
-	all := make([]int, len(sources))
-	for i := range all {
+	for i := range em.order {
 		em.dist[i] = make([]int32, n)
-		all[i] = i
+		em.order[i] = i
 	}
-	em.rebuild(all)
+	kernels.SortByNode(em.order, em.sources)
+	em.rebuild(em.order)
 	return em, nil
 }
 
@@ -239,26 +249,12 @@ func packEdge(u, v graph.NodeID) uint64 {
 	return uint64(u)<<32 | uint64(v)
 }
 
-// forEachSource runs fn for every source index across the worker
-// slots (parallel.ForEach's assignment: source i goes to slot
-// i % len(slots)).
-func (em *ExpansionMaintainer) forEachSource(fn func(s *repairSlot, i int)) {
-	// fn never fails and the background context never ends, so
-	// ForEach cannot return an error.
-	_ = parallel.ForEach(context.Background(), len(em.slots), len(em.sources), func(slot, i int) error {
-		fn(em.slots[slot], i)
-		return nil
-	})
-}
-
-// rebuild re-runs the BFSs of the sources at indices idx on the new
-// topology, replacing their distance fields and level counts. The
-// indices are sorted into node-ID order (kernels.SortByNode) and cut
-// into batches of kernels.BFSBatchWidth lanes, which fan out over the
-// slots' BFSBatches. A down source keeps distance 0 and a single level
-// of size 1, as in a fresh graph.BFSWorker run.
+// rebuild re-runs, on the new topology, the BFSs of the sources at
+// indices idx, which are in node-ID order, replacing their distance
+// fields and level counts, in batches of kernels.BFSBatchWidth lanes
+// over the slots' BFSBatches. A down source keeps distance 0 and a
+// single level of size 1, as in a fresh graph.BFSWorker run.
 func (em *ExpansionMaintainer) rebuild(idx []int) {
-	kernels.SortByNode(idx, em.sources)
 	blocks := parallel.Blocks(len(idx), kernels.BFSBatchWidth)
 	err := parallel.ForEach(context.Background(), len(em.slots), len(blocks), func(slot, b int) error {
 		batch := idx[blocks[b].Start:blocks[b].End]
@@ -283,13 +279,14 @@ func (em *ExpansionMaintainer) rebuild(idx []int) {
 	}
 }
 
-// budget is each repair phase's work ceiling. A fresh BFS scans every
-// node and both endpoints of every live edge, n + 2m neighbor-list
-// entries in the units the repairs count; a phase may spend an eighth
-// of that. A repair pays more per entry than the BFS does
-// and loses what it spent when it falls back, and in a sweep of the
-// fraction from 1 down to 1/32 on the epochs benchmark's graph an
-// eighth took the least time (EXPERIMENTS.md).
+// budget is each repair phase's full work ceiling. A fresh BFS scans
+// every node and both endpoints of every live edge, n + 2m
+// neighbor-list entries in the units the repairs count; a phase may
+// spend an eighth of that, less after fallbacks in its run (Apply).
+// Under halving, Apply over the epochs benchmark's 100-epoch window
+// took a median 3.14 s of CPU at an eighth, against 4.03 s at a half,
+// 3.31 s at a quarter and 3.49 s at a sixteenth (in process, six
+// alternating rounds; EXPERIMENTS.md, "Doomed repairs").
 func (em *ExpansionMaintainer) budget() int {
 	return (em.cur.NumNodes() + 2*int(em.cur.NumEdges())) / 8
 }
@@ -316,20 +313,16 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta, g *graph.Graph) {
 	}
 	clear(em.pending)
 
-	budget := em.budget()
 	for _, s := range em.slots {
-		s.budget = budget
 		s.repairCounts = repairCounts{}
 		s.stale = s.stale[:0]
 	}
-	em.forEachSource(func(s *repairSlot, i int) {
-		if !s.repairDeletions(i, d) {
-			s.deletionFallbacks++
-			s.stale = append(s.stale, i)
-		} else if !s.applyInsertions(i, d) {
-			s.insertionFallbacks++
-			s.stale = append(s.stale, i)
-		}
+	budget := em.budget()
+	runs := parallel.Blocks(len(em.order), kernels.BFSBatchWidth)
+	// No task fails and the context never ends: ForEach returns nil.
+	_ = parallel.ForEach(context.Background(), len(em.slots), len(runs), func(slot, r int) error {
+		em.slots[slot].repairRun(em.order[runs[r].Start:runs[r].End], d, budget)
+		return nil
 	})
 	em.last = repairCounts{}
 	var stale []int
@@ -337,10 +330,38 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta, g *graph.Graph) {
 		em.last.add(s.repairCounts)
 		stale = append(stale, s.stale...)
 	}
+	kernels.SortByNode(stale, em.sources)
 	em.rebuild(stale)
 	obsExpRepaired.Add(em.last.repaired)
 	obsExpRebuilt.Add(em.last.deletionFallbacks + em.last.insertionFallbacks)
 	obsExpOrphans.Add(em.last.orphaned)
+}
+
+// repairRun repairs the sources at indices run, in order, and marks
+// those that overrun their budget for the rebuild. The first starts
+// with the full budget; each fallback halves the next source's budget,
+// and each finished repair restores the full one.
+func (s *repairSlot) repairRun(run []int, d *faults.EpochDelta, full int) {
+	s.budget = full
+	for _, i := range run {
+		if s.budget < full {
+			s.halved++
+		}
+		switch {
+		case !s.repairDeletions(i, d):
+			s.deletionFallbacks++
+		case !s.applyInsertions(i, d):
+			s.insertionFallbacks++
+		default:
+			if s.budget < full {
+				s.restored++
+			}
+			s.budget = full
+			continue
+		}
+		s.stale = append(s.stale, i)
+		s.budget /= 2
+	}
 }
 
 // scanI lists v's neighbors in the intermediate topology (the new one
@@ -373,14 +394,17 @@ func (s *repairSlot) overBudget() bool {
 // reset clears every mark the current phase set, whether it finished
 // or is being dropped, so the slot is ready for the next repair.
 func (s *repairSlot) reset() {
+	for _, v := range s.cands {
+		s.cand[v] = false
+	}
 	for _, o := range s.orphans {
-		s.orphan[o], s.fixed[o], s.proc[o] = false, false, false
+		s.orphan[o], s.fixed[o] = false, false
 		s.tent[o] = infDist
 	}
 	for _, v := range s.touched {
 		s.tent[v] = infDist
 	}
-	s.orphans, s.touched, s.queue = s.orphans[:0], s.touched[:0], s.queue[:0]
+	s.cands, s.orphans, s.touched = s.cands[:0], s.orphans[:0], s.touched[:0]
 	for d := s.blo; d <= s.bhi; d++ {
 		s.buckets[d] = s.buckets[d][:0]
 	}
@@ -397,33 +421,14 @@ func (s *repairSlot) bucketPush(d int32, v graph.NodeID) {
 	s.blo, s.bhi = min(s.blo, d), max(s.bhi, d)
 }
 
-// supportCount returns how many shortest-path parents v retains in the
-// intermediate topology: neighbors one level closer that are either
-// non-orphaned or marked orphans whose children have not been visited
-// yet (those still decrement the memoized count exactly once when they
-// are). The first call per repair pass scans v's neighbors; later
-// calls are O(1).
-func (s *repairSlot) supportCount(v graph.NodeID, dist []int32) int32 {
-	if s.supStamp[v] == s.stampGen {
-		return s.nsup[v]
+// candidate queues v, at distance dist[v], for the orphan cascade
+// unless it already is.
+func (s *repairSlot) candidate(v graph.NodeID, dist []int32) {
+	if !s.cand[v] {
+		s.cand[v] = true
+		s.cands = append(s.cands, v)
+		s.bucketPush(dist[v], v)
 	}
-	s.supStamp[v] = s.stampGen
-	dv := dist[v]
-	cnt := int32(0)
-	for _, x := range s.scanI(v) {
-		if dist[x] == dv-1 && (!s.orphan[x] || !s.proc[x]) {
-			cnt++
-		}
-	}
-	s.nsup[v] = cnt
-	return cnt
-}
-
-// markOrphan flags v and queues it for cascade processing.
-func (s *repairSlot) markOrphan(v graph.NodeID) {
-	s.orphan[v] = true
-	s.orphans = append(s.orphans, v)
-	s.queue = append(s.queue, v)
 }
 
 // repairDeletions brings source i from the old topology to the
@@ -436,51 +441,45 @@ func (s *repairSlot) repairDeletions(i int, d *faults.EpochDelta) bool {
 	em := s.em
 	dist := em.dist[i]
 	s.work = 0
-	s.stampGen++
-	if s.stampGen == math.MaxInt32 {
-		clear(s.supStamp)
-		s.stampGen = 1
-	}
 
-	// Seed orphans from lost edges: the farther endpoint of a
-	// parent-child edge that has no surviving parent.
+	// Seed: the farther endpoint of every lost parent-child edge.
 	for _, e := range d.EdgesLost {
-		u, v := e.U, e.V
-		for r := 0; r < 2; r++ {
-			if dist[u] >= 0 && dist[v] == dist[u]+1 && !s.orphan[v] && s.supportCount(v, dist) == 0 {
-				s.markOrphan(v)
-			}
-			u, v = v, u
+		if dist[e.U] >= 0 && dist[e.V] == dist[e.U]+1 {
+			s.candidate(e.V, dist)
+		} else if dist[e.V] >= 0 && dist[e.U] == dist[e.V]+1 {
+			s.candidate(e.U, dist)
 		}
 	}
-	// Cascade: an orphaned node may have been its children's only
-	// support. Visiting each orphan's children once is sound because a
-	// child's memoized count still includes every marked-but-unvisited
-	// orphan parent, and each such parent decrements it exactly once
-	// when its own children are visited (proc set first, so the child's
-	// first-touch scan never counts the current orphan and then gets
-	// decremented for it too).
-	for head := 0; head < len(s.queue); head++ {
-		if s.overBudget() {
-			return false
-		}
-		o := s.queue[head]
-		s.proc[o] = true
-		do := dist[o]
-		for _, c := range s.scanI(o) {
-			if s.orphan[c] || dist[c] != do+1 {
-				continue
+	// Cascade in level order: a candidate at level L is an orphan iff
+	// no parent (neighbor at L−1) is un-orphaned, and an orphan's
+	// children join level L+1. Level L−1 is decided before L is
+	// examined, so each node is examined once and its scan stops at
+	// the first surviving parent.
+	for di := s.blo; di <= s.bhi; di++ {
+	examine:
+		for _, v := range s.buckets[di] {
+			if s.overBudget() {
+				return false
 			}
-			if s.supStamp[c] == s.stampGen {
-				if s.nsup[c]--; s.nsup[c] == 0 {
-					s.markOrphan(c)
+			ns := s.scanI(v)
+			for _, x := range ns {
+				if dist[x] == di-1 && !s.orphan[x] {
+					continue examine
 				}
-			} else if s.supportCount(c, dist) == 0 {
-				s.markOrphan(c)
+			}
+			s.orphan[v] = true
+			s.orphans = append(s.orphans, v)
+			for _, c := range ns {
+				if dist[c] == di+1 {
+					s.candidate(c, dist)
+				}
 			}
 		}
+		s.buckets[di] = s.buckets[di][:0]
 	}
+	s.blo, s.bhi = infDist, -1
 	if len(s.orphans) == 0 {
+		s.reset()
 		return true
 	}
 	levels := em.levels[i]

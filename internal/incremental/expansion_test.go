@@ -132,8 +132,10 @@ func TestEquivalenceExpansionMaintainerWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(ems[1].slots); got != 4 {
-		t.Fatalf("workers=4 maintainer has %d slots", got)
+	// Apply fans out one task per run of 64 sources, so 128 sources
+	// keep two of the four worker slots.
+	if got := len(ems[1].slots); got != 2 {
+		t.Fatalf("workers=4 maintainer over 128 sources has %d slots, want 2", got)
 	}
 	var d *faults.EpochDelta
 	for e := 0; e <= 8; e++ {
@@ -225,7 +227,8 @@ func TestEquivalenceExpansionMaintainerSourceOrder(t *testing.T) {
 
 // TestEquivalenceExpansionMaintainerBudgetPaths runs the quick epoch
 // sweep's graph and sources under a faster drift, so that within six
-// epochs the deletion budget, the insertion budget and a source going
+// epochs the deletion budget, the insertion budget, a repair under a
+// halved budget (and one that finishes under it) and a source going
 // down and coming up each fire, and checks the whole state against
 // fresh BFSs after every Apply.
 func TestEquivalenceExpansionMaintainerBudgetPaths(t *testing.T) {
@@ -262,7 +265,8 @@ func TestEquivalenceExpansionMaintainerBudgetPaths(t *testing.T) {
 		checkExpansionExact(t, e, em, m.View())
 		total.add(em.last)
 	}
-	if down == 0 || up == 0 || total.repaired == 0 || total.deletionFallbacks == 0 || total.insertionFallbacks == 0 {
+	if down == 0 || up == 0 || total.repaired == 0 || total.deletionFallbacks == 0 || total.insertionFallbacks == 0 ||
+		total.halved == 0 || total.restored == 0 {
 		t.Fatalf("want every path to fire: %d sources went down, %d came up, counts %+v", down, up, total)
 	}
 }
@@ -326,4 +330,78 @@ func TestEquivalenceExpansionMaintainerEdgeCases(t *testing.T) {
 		mv.DropEdge(e0.U, e0.V)
 		mv.SetAlive(7, true)
 	})
+}
+
+// TestEquivalenceExpansionMaintainerCascadeCases drops edges from small
+// hand-built graphs and checks every node, as a source, against a fresh
+// BFS after one Apply. The cases are the orders an orphan cascade must
+// decide in level order: a node whose two parents die in one delta, one
+// through its own lost edge and one through a cascade from two levels
+// up (examined before that cascade reaches it, it would keep a dead
+// parent); a node whose parent edge is lost but which keeps another
+// parent; a lost edge between two nodes of one level; and seeds on
+// several levels at once. Each graph carries isolated padding nodes,
+// which no BFS reaches, so that the budget, (n + 2m)/8, covers every
+// repair and none falls back.
+func TestEquivalenceExpansionMaintainerCascadeCases(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges [][2]graph.NodeID
+		drop  [][2]graph.NodeID
+	}{{
+		// From 0: 5 sits at level 3 under 2 and 4. Losing 0–1 orphans 1
+		// at level 1 and then 2 at level 2; losing 4–5 takes 5's other
+		// parent. 1, 2 and 5 re-level through 6–7–8.
+		name:  "both parents die",
+		n:     9,
+		edges: [][2]graph.NodeID{{0, 1}, {1, 2}, {0, 3}, {3, 4}, {2, 5}, {4, 5}, {0, 6}, {6, 7}, {7, 8}, {8, 1}},
+		drop:  [][2]graph.NodeID{{0, 1}, {4, 5}},
+	}, {
+		name:  "another parent survives",
+		n:     5,
+		edges: [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}},
+		drop:  [][2]graph.NodeID{{1, 3}},
+	}, {
+		name:  "same-level loss",
+		n:     4,
+		edges: [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}},
+		drop:  [][2]graph.NodeID{{1, 2}},
+	}, {
+		name: "seeds on several levels",
+		n:    9,
+		edges: [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}, {4, 6}, {5, 7}, {6, 7},
+			{1, 4}, {3, 6}, {7, 8}, {2, 8}},
+		drop: [][2]graph.NodeID{{0, 1}, {3, 5}, {6, 7}, {2, 8}},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const padding = 1000
+			b := graph.NewBuilder(tc.n + padding)
+			for _, e := range tc.edges {
+				if err := b.AddEdge(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mv := graph.NewMaskedView(b.Build())
+			srcs := make([]graph.NodeID, tc.n)
+			for v := range srcs {
+				srcs[v] = graph.NodeID(v)
+			}
+			em, err := NewExpansionMaintainer(graph.Materialize(mv), srcs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := mv.Snapshot(nil)
+			for _, e := range tc.drop {
+				mv.DropEdge(e[0], e[1])
+			}
+			var delta faults.EpochDelta
+			mv.DiffSnapshot(snap, &delta.MaskDelta)
+			em.Apply(&delta, graph.Materialize(mv))
+			checkExpansionExact(t, 1, em, mv)
+			if c := em.last; c.orphaned == 0 || c.deletionFallbacks+c.insertionFallbacks > 0 {
+				t.Fatalf("want orphans and no fallback: %+v", c)
+			}
+		})
+	}
 }

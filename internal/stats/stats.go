@@ -100,7 +100,9 @@ func (s *Summary) Add(x float64) {
 	}
 	s.count++
 	s.sum += x
-	s.sumSq += x * x
+	// The conversion rounds the square on its own, so that no
+	// architecture fuses it into the addition (scripts/fmacheck.sh).
+	s.sumSq += float64(x * x)
 }
 
 // Count returns the number of observations.

@@ -1,12 +1,16 @@
 #!/bin/sh
-# fmacheck: fail if any internal/gen function compiles to a fused
-# multiply-add on arm64. Go may fuse x*y + z into one instruction, which
-# rounds once instead of twice, so a fused generator could draw
-# different edges there than on amd64 and move the pinned generator and
-# fingerprint tests. The generators keep their float expressions
-# fusion-proof with explicit float64 conversions; this cross-builds
-# cmd/trustnetd and the gen test binary (which links every generator)
-# for arm64 and searches their disassembly. CI runs it in quickcheck.
+# fmacheck: fail if the daemon's measurement path or a generator
+# compiles to a fused multiply-add on arm64. Go may fuse x*y + z into one
+# instruction, which rounds once instead of twice, so a fused generator
+# could draw different edges there than on amd64 and move the pinned
+# generator and fingerprint tests, and a fused measurement could report
+# other bits than the pinned tables hold. The code keeps its float
+# expressions fusion-proof with explicit float64 conversions; this
+# cross-builds cmd/trustnetd and the gen test binary (which links every
+# generator) for arm64 and searches their disassembly: every internal/
+# function in trustnetd except those of spectral, kernels and
+# resilience, which still fuse (ROADMAP.md, item 6), and every
+# internal/gen function in the test binary. CI runs it in quickcheck.
 #
 #   ./scripts/fmacheck.sh
 set -eu
@@ -18,13 +22,21 @@ GOARCH=arm64 go build -o "$dir/trustnetd" ./cmd/trustnetd
 GOARCH=arm64 go test -c -o "$dir/gen.test" ./internal/gen
 
 status=0
-for bin in trustnetd gen.test; do
-    hits=$(go tool objdump -s 'internal/gen\.' "$dir/$bin" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+# scan BIN SYMBOLS SKIP WHAT searches the functions of BIN whose names
+# match the objdump regexp SYMBOLS, minus those matching the awk regexp
+# SKIP (empty: none), and reports their fused multiply-adds as WHAT.
+scan() {
+    hits=$(go tool objdump -s "$2" "$dir/$1" | awk -v skip="$3" '
+        /^TEXT / { sym = $2; keep = skip == "" || sym !~ skip; next }
+        keep && /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ { print sym ": " $0 }')
     if [ -n "$hits" ]; then
-        echo "fmacheck: fused multiply-adds in internal/gen ($bin, arm64):" >&2
+        echo "fmacheck: fused multiply-adds in $4 ($1, arm64):" >&2
         echo "$hits" >&2
         status=1
     fi
-done
-[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in internal/gen on arm64"
+}
+scan trustnetd 'trustnet/internal/' 'internal/(spectral|kernels|resilience)[.]' \
+    'internal/ outside spectral, kernels and resilience'
+scan gen.test 'internal/gen\.' '' 'internal/gen'
+[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in internal/ (bar spectral, kernels, resilience) or internal/gen on arm64"
 exit "$status"
