@@ -83,13 +83,17 @@ const blockSources = 16
 // j's partial, and once the wave has joined, merge(j) folds that
 // partial into the total, and clears it, for each block j in block
 // order. The total is then the same sum, in the same order, at any
-// worker count, and memory stays one partial per worker.
+// worker count, and memory stays one partial per worker. Cancellation
+// is checked before every source.
 func forEachBlock(ctx context.Context, workers, n int, run func(slot, i int), merge func(slot int)) error {
 	blocks := parallel.Blocks(n, blockSources)
 	for start := 0; start < len(blocks); start += workers {
 		wave := blocks[start:min(start+workers, len(blocks))]
 		err := parallel.ForEach(ctx, len(wave), len(wave), func(_, j int) error {
 			for i := wave[j].Start; i < wave[j].End; i++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 				run(j, i)
 			}
 			return nil

@@ -2,6 +2,7 @@ package centrality
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -217,6 +218,22 @@ func TestBetweennessErrors(t *testing.T) {
 	}
 	if _, err := Betweenness(ctx, big, Config{Workers: 1}); err == nil {
 		t.Error("Betweenness(cancelled): want error")
+	}
+}
+
+// TestForEachBlockCancelsMidBlock cancels the context from inside a
+// block's first source: no further source may run, no partial may be
+// merged, and the cancellation must come back as the error.
+func TestForEachBlockCancelsMidBlock(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := 0
+	err := forEachBlock(ctx, 1, 3*blockSources, func(_, _ int) {
+		ran++
+		cancel()
+	}, func(int) { t.Error("merged a cancelled block") })
+	if !errors.Is(err, context.Canceled) || ran != 1 {
+		t.Fatalf("ran %d sources and returned %v, want 1 and context.Canceled", ran, err)
 	}
 }
 

@@ -30,35 +30,73 @@ func EdgeBetweenness(ctx context.Context, g graph.View, cfg Config) (map[graph.E
 	if err != nil {
 		return nil, err
 	}
-	// Per-slot edge maps, summed a block of sources at a time and
-	// merged in block order (forEachBlock).
+	// Per-slot partials indexed by edge number, summed a block of
+	// sources at a time and merged in block order (forEachBlock).
+	ix := newEdgeIndex(g)
 	workers := parallel.Workers(cfg.Workers, (len(sources)+blockSources-1)/blockSources)
-	partials := make([]map[graph.Edge]float64, workers)
+	partials := make([][]float64, workers)
 	states := make([]*brandesState, workers)
 	for s := 0; s < workers; s++ {
-		partials[s] = make(map[graph.Edge]float64, int(g.NumEdges()))
+		partials[s] = make([]float64, len(ix.edges))
 		states[s] = newBrandesState(g)
 	}
-	out := make(map[graph.Edge]float64, int(g.NumEdges()))
+	sum := make([]float64, len(ix.edges))
 	err = forEachBlock(ctx, workers, len(sources), func(slot, i int) {
-		states[slot].runEdges(sources[i], partials[slot])
+		states[slot].runEdges(sources[i], ix, partials[slot])
 	}, func(slot int) {
-		for e, v := range partials[slot] {
-			out[e] += v
+		p := partials[slot]
+		for e := range sum {
+			sum[e] += p[e]
+			p[e] = 0
 		}
-		clear(partials[slot])
 	})
 	if err != nil {
 		return nil, fmt.Errorf("centrality: edge betweenness: %w", err)
 	}
-	for e := range out {
-		out[e] *= scale / 2
+	// Every dependency is positive, so the edges on no sampled shortest
+	// path are the ones left at zero, and they stay out of the map.
+	out := make(map[graph.Edge]float64, len(ix.edges))
+	for e, v := range sum {
+		if v != 0 {
+			out[ix.edges[e]] = v * (scale / 2)
+		}
 	}
 	return out, nil
 }
 
-// runEdges accumulates per-edge dependencies from source s into acc.
-func (st *brandesState) runEdges(s graph.NodeID, acc map[graph.Edge]float64) {
+// edgeIndex numbers a view's undirected edges: arc[off[u]+j] is the
+// number of the edge from u to its j-th neighbor, and edges[k] is edge
+// k in canonical form.
+type edgeIndex struct {
+	off   []int
+	arc   []int32
+	edges []graph.Edge
+}
+
+func newEdgeIndex(g graph.View) *edgeIndex {
+	n := g.NumNodes()
+	nbr := graph.NewAdj(g)
+	ix := &edgeIndex{off: make([]int, n+1)}
+	num := make(map[graph.Edge]int32, int(g.NumEdges()))
+	for u := graph.NodeID(0); int(u) < n; u++ {
+		for _, v := range nbr.Neighbors(u) {
+			e := graph.Edge{U: u, V: v}.Canonical()
+			k, ok := num[e]
+			if !ok {
+				k = int32(len(ix.edges))
+				num[e] = k
+				ix.edges = append(ix.edges, e)
+			}
+			ix.arc = append(ix.arc, k)
+		}
+		ix.off[u+1] = len(ix.arc)
+	}
+	return ix
+}
+
+// runEdges accumulates per-edge dependencies from source s into acc,
+// indexed by ix's edge numbers.
+func (st *brandesState) runEdges(s graph.NodeID, ix *edgeIndex, acc []float64) {
 	for i := range st.dist {
 		st.dist[i] = -1
 		st.sigma[i] = 0
@@ -85,11 +123,12 @@ func (st *brandesState) runEdges(s graph.NodeID, acc map[graph.Edge]float64) {
 	}
 	for i := len(st.order) - 1; i >= 0; i-- {
 		w := st.order[i]
-		for _, v := range st.nbr.Neighbors(w) {
+		arcs := ix.arc[ix.off[w]:ix.off[w+1]]
+		for j, v := range st.nbr.Neighbors(w) {
 			if st.dist[v] == st.dist[w]-1 {
 				c := st.sigma[v] / st.sigma[w] * (1 + st.delta[w])
 				st.delta[v] += c
-				acc[graph.Edge{U: v, V: w}.Canonical()] += c
+				acc[arcs[j]] += c
 			}
 		}
 	}

@@ -48,27 +48,26 @@ const infDist = int32(math.MaxInt32)
 // drops the source's partial repair and skips the insertion phase, and
 // the source is marked for a fresh BFS on the new topology. Apply cuts
 // the sources, in node-ID order (kernels.SortByNode), into runs of
-// kernels.BFSBatchWidth and repairs each run in order: each fallback
-// halves the next source's budget, and each finished repair restores
-// the full one. The community generators number each community's nodes
+// repairRunLen and repairs each run in order: each fallback halves the
+// next source's budget, and each finished repair restores the full
+// one. The community generators number each community's nodes
 // consecutively, so a heavy delta (a lost bridge) dooms neighbouring
 // sources together, and a run of them then spends a few budgets instead
-// of one each; the rule is exact on any numbering. Once every repair
-// has run, the marked sources are re-run 64 at a time through
-// kernels.BFSBatch.RunDistances, cut in node-ID order, where nearby
-// sources share most of each level's scan; the initial BFSs run the
-// same way.
+// of one each; the rule is exact on any numbering. The marked sources
+// are then re-run 64 at a time through kernels.BFSBatch.RunDistances,
+// cut in node-ID order, where nearby sources share most of each level's
+// scan; the initial BFSs run the same way.
 //
-// The runs, ⌈k/64⌉ tasks for k sources (16 at 1,024), and then the
-// rebuild batches fan out over the workers with parallel.ForEach, one
-// set of repair scratch and one BFSBatch per worker slot. Every Apply
-// is handed the epoch's CSR (the engine's faults.Model.Degraded) and
-// filters the intermediate topology from it before the fan-out; both
-// are only read during it. Only the task that owns a run writes its
-// sources' distance fields and levels, and a run's outcomes depend only
-// on its sources' state and the delta, so the maintained state and the
-// repair counts are the same at any worker count and in any source
-// order.
+// The runs, ⌈k/16⌉ tasks for k sources (64 at 1,024, 8 at 128), and
+// then the rebuild batches fan out over the workers with
+// parallel.ForEach, one set of repair scratch and one BFSBatch per
+// worker slot. Every Apply is handed the epoch's CSR (the engine's
+// faults.Model.Degraded) and filters the intermediate topology from it
+// before the fan-out; both are only read during it. Only the task that
+// owns a run writes its sources' distance fields and levels, and a
+// run's outcomes depend only on its sources' state and the delta, so
+// the maintained state and the repair counts are the same at any
+// worker count and in any source order.
 //
 // The maintained state is exact: after every Apply, each source's
 // distance field and level counts are bit-identical to a fresh BFS on
@@ -91,11 +90,10 @@ type ExpansionMaintainer struct {
 	pending   map[uint64]bool
 	pendTouch []bool
 
-	// The topologies every source's repair within one Apply scans, up
-	// to a thousand times (once per source), as plain slice walks. cur
-	// is the epoch's CSR as the last Apply (or the constructor) was
-	// handed it, which the rebuild batches read too; ioff/iadj hold the
-	// intermediate topology (cur minus pending gains).
+	// The topologies every repair within one Apply scans, as plain
+	// slice walks: cur is the epoch's CSR as the last Apply (or the
+	// constructor) was handed it, which the rebuild batches read too;
+	// ioff/iadj hold the intermediate one (cur minus pending gains).
 	cur  *graph.Graph
 	ioff []int32
 	iadj []graph.NodeID
@@ -187,7 +185,7 @@ func NewExpansionMaintainer(g *graph.Graph, sources []graph.NodeID, workers int)
 		pending:   make(map[uint64]bool),
 		pendTouch: make([]bool, n),
 		// Apply's largest fan-out is one task per run of sources.
-		slots: make([]*repairSlot, parallel.Workers(workers, (len(sources)+kernels.BFSBatchWidth-1)/kernels.BFSBatchWidth)),
+		slots: make([]*repairSlot, parallel.Workers(workers, (len(sources)+repairRunLen-1)/repairRunLen)),
 	}
 	for k := range em.slots {
 		s := &repairSlot{
@@ -283,10 +281,9 @@ func (em *ExpansionMaintainer) rebuild(idx []int) {
 // every node and both endpoints of every live edge, n + 2m
 // neighbor-list entries in the units the repairs count; a phase may
 // spend an eighth of that, less after fallbacks in its run (Apply).
-// Under halving, Apply over the epochs benchmark's 100-epoch window
-// took a median 3.14 s of CPU at an eighth, against 4.03 s at a half,
-// 3.31 s at a quarter and 3.49 s at a sixteenth (in process, six
-// alternating rounds; EXPERIMENTS.md, "Doomed repairs").
+// Under halving, Apply over the epochs benchmark's window took a median
+// 2.66 s of CPU at an eighth, 2.74 s at a quarter, 2.98 s at a
+// sixteenth and 3.41 s at a half (EXPERIMENTS.md, "Doomed repairs").
 func (em *ExpansionMaintainer) budget() int {
 	return (em.cur.NumNodes() + 2*int(em.cur.NumEdges())) / 8
 }
@@ -318,7 +315,7 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta, g *graph.Graph) {
 		s.stale = s.stale[:0]
 	}
 	budget := em.budget()
-	runs := parallel.Blocks(len(em.order), kernels.BFSBatchWidth)
+	runs := parallel.Blocks(len(em.order), repairRunLen)
 	// No task fails and the context never ends: ForEach returns nil.
 	_ = parallel.ForEach(context.Background(), len(em.slots), len(runs), func(slot, r int) error {
 		em.slots[slot].repairRun(em.order[runs[r].Start:runs[r].End], d, budget)
@@ -336,6 +333,10 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta, g *graph.Graph) {
 	obsExpRebuilt.Add(em.last.deletionFallbacks + em.last.insertionFallbacks)
 	obsExpOrphans.Add(em.last.orphaned)
 }
+
+// repairRunLen is how many sources, consecutive in node-ID order, one
+// repair task takes in turn (repairRun; EXPERIMENTS.md, "Run length").
+const repairRunLen = 16
 
 // repairRun repairs the sources at indices run, in order, and marks
 // those that overrun their budget for the rebuild. The first starts

@@ -95,10 +95,10 @@ func checkExpansionExact(t *testing.T, epoch int, em *ExpansionMaintainer, view 
 
 // TestEquivalenceExpansionMaintainerDriftSweep drives a drifting fault
 // model and checks the maintained BFS state against fresh BFSs at
-// every epoch.
+// every epoch. Its two runs of sources repair on both worker slots.
 func TestEquivalenceExpansionMaintainerDriftSweep(t *testing.T) {
 	g := sweepGraph(t)
-	srcs := expansionSources(t, g, 16)
+	srcs := expansionSources(t, g, 2*repairRunLen)
 	m, err := faults.New(g, faults.Config{Churn: 0.1, EdgeLoss: 0.05, Drift: 0.02, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +132,8 @@ func TestEquivalenceExpansionMaintainerWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Apply fans out one task per run of 64 sources, so 128 sources
-	// keep two of the four worker slots.
-	if got := len(ems[1].slots); got != 2 {
-		t.Fatalf("workers=4 maintainer over 128 sources has %d slots, want 2", got)
+	if got := len(ems[1].slots); got != 4 {
+		t.Fatalf("workers=4 maintainer has %d slots", got)
 	}
 	var d *faults.EpochDelta
 	for e := 0; e <= 8; e++ {
@@ -187,6 +185,9 @@ func TestEquivalenceExpansionMaintainerSourceOrder(t *testing.T) {
 			}
 			ems = append(ems, em)
 		}
+	}
+	if got := len(ems[1].slots); got != 3 {
+		t.Fatalf("workers=3 maintainer has %d slots", got)
 	}
 	// at[k][s] is the index of source s in ems[k].
 	at := make([]map[graph.NodeID]int, len(ems))
@@ -274,11 +275,11 @@ func TestEquivalenceExpansionMaintainerBudgetPaths(t *testing.T) {
 // TestEquivalenceExpansionMaintainerRedrawSweep runs without drift, so
 // consecutive epochs are independent redraws and the deltas are huge —
 // a stress test of the budget fallback as well as of the orphan
-// cascade and re-level sweep. The state must stay exact at any delta
-// size.
+// cascade and re-level sweep, on both worker slots. The state must stay
+// exact at any delta size.
 func TestEquivalenceExpansionMaintainerRedrawSweep(t *testing.T) {
 	g := sweepGraph(t)
-	srcs := expansionSources(t, g, 8)
+	srcs := expansionSources(t, g, 2*repairRunLen)
 	m, err := faults.New(g, faults.Config{Churn: 0.2, EdgeLoss: 0.1, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
@@ -296,10 +297,10 @@ func TestEquivalenceExpansionMaintainerRedrawSweep(t *testing.T) {
 }
 
 // TestEquivalenceExpansionMaintainerEdgeCases exercises targeted deltas
-// including a source going down and coming back.
+// including a source going down and coming back, on both worker slots.
 func TestEquivalenceExpansionMaintainerEdgeCases(t *testing.T) {
 	g := sweepGraph(t)
-	srcs := expansionSources(t, g, 6)
+	srcs := expansionSources(t, g, 2*repairRunLen)
 	mv := graph.NewMaskedView(g)
 	em, err := NewExpansionMaintainer(graph.Materialize(mv), srcs, 2)
 	if err != nil {
