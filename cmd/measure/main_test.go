@@ -110,7 +110,7 @@ func TestRunMatchesDaemonArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := trustnetd.New(trustnetd.Config{
-		DataDir: filepath.Join(dir, "data"), CacheDir: filepath.Join(dir, "cache"), OutDir: filepath.Join(dir, "out"),
+		DataDir: filepath.Join(dir, "data"), CacheDir: filepath.Join(dir, "cache"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,11 @@
 //	trustnetd -addr :8080 -data out/daemon/data -out out/daemon
 //
 // With -addr :0 the kernel picks a free port; -addr-file writes the
-// bound address to a file so scripts can discover it. SIGTERM (or
-// SIGINT) drains: queued measurements finish, in-flight responses
-// complete, then the process exits 0.
+// bound address to a file so scripts can discover it. -out roots the
+// artifact cache at <out>/cache; a job's artifact there, files inside,
+// is the one copy of its output, served by GET /v1/jobs/{id}/artifact.
+// SIGTERM (or SIGINT) drains: queued measurements finish, in-flight
+// responses complete, then the process exits 0.
 package main
 
 import (
@@ -31,7 +33,7 @@ func main() {
 		addr          = flag.String("addr", ":8080", "listen address (\":0\" picks a free port)")
 		addrFile      = flag.String("addr-file", "", "write the bound address to this file once listening")
 		data          = flag.String("data", "out/daemon/data", "directory holding registered graph files")
-		out           = flag.String("out", "out/daemon", "output directory (artifact cache under <out>/cache, job files under <out>/jobs)")
+		out           = flag.String("out", "out/daemon", "output directory: the artifact cache, every job's files inside, lives under <out>/cache")
 		cacheMaxBytes = flag.Int64("cache-max-bytes", 0, "artifact cache byte cap, oldest evicted first (0 = unbounded)")
 		workers       = flag.Int("workers", 2, "measurement worker-pool size")
 		queueDepth    = flag.Int("queue-depth", 256, "maximum queued-but-unstarted measurements")
@@ -44,7 +46,6 @@ func main() {
 	srv, err := trustnetd.New(trustnetd.Config{
 		DataDir:       *data,
 		CacheDir:      filepath.Join(*out, "cache"),
-		OutDir:        *out,
 		CacheMaxBytes: *cacheMaxBytes,
 		Workers:       *workers,
 		QueueDepth:    *queueDepth,

@@ -394,6 +394,60 @@ func TestRunnerFailedJobWritesNothing(t *testing.T) {
 	}
 }
 
+// TestRunnerWithoutOutDirWritesOnlyItsCache checks the daemon's runner:
+// with no OutDir a Runner executes, caches and replays the artifact,
+// files inside, byte-identically, and creates no file outside its cache,
+// neither beside it nor relative to the working directory.
+func TestRunnerWithoutOutDirWritesOnlyItsCache(t *testing.T) {
+	dir := t.TempDir()
+	runs := 0
+	j := testJob("nooutdir", &runs)
+	cache := NewStore(filepath.Join(dir, "cache"))
+	var out1, out2 bytes.Buffer
+	r := &Runner{Cache: cache, Env: Env{GraphFingerprint: "g1"}, Stdout: &out1}
+	if cached, err := r.Run(context.Background(), j); err != nil || cached || runs != 1 {
+		t.Fatalf("first run: cached=%v runs=%d err=%v, want executed once", cached, runs, err)
+	}
+	key := Key("nooutdir", "g1", j.Fingerprint())
+	first, err := os.ReadFile(cache.Path("nooutdir", key))
+	if err != nil {
+		t.Fatalf("artifact not cached: %v", err)
+	}
+	r.Stdout = &out2
+	if cached, err := r.Run(context.Background(), j); err != nil || !cached || runs != 1 {
+		t.Fatalf("second run: cached=%v runs=%d err=%v, want replayed with zero executions", cached, runs, err)
+	}
+	second, err := os.ReadFile(cache.Path("nooutdir", key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Error("the replay rewrote the cached envelope")
+	}
+	if want := "CACHED nooutdir (artifact " + key + " replayed byte-identically)\n" + out1.String(); out2.String() != want {
+		t.Errorf("replay printed %q, want %q", out2.String(), want)
+	}
+	a := cache.Load("nooutdir", "g1", j.Fingerprint())
+	if a == nil || len(a.Files) != 1 || a.Files[0].Path != "nooutdir.csv" || string(a.Files[0].Data) != "series,x,y\na,1,2\n" {
+		t.Fatalf("cached artifact does not carry the job's file: %+v", a)
+	}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if rel, _ := filepath.Rel(dir, path); !d.IsDir() && !strings.HasPrefix(rel, "cache"+string(filepath.Separator)) {
+			t.Errorf("file %s written outside the cache", rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat("nooutdir.csv"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("nooutdir.csv in the working directory: %v", err)
+	}
+}
+
 func TestRunnerNilCacheAlwaysExecutes(t *testing.T) {
 	dir := t.TempDir()
 	runs := 0

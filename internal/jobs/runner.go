@@ -25,10 +25,10 @@ var (
 
 // Runner executes jobs through the artifact cache: a hit replays the
 // stored artifact byte-identically (summary to Stdout, files under
-// OutDir) without invoking the job; a miss runs the job, emits its
-// artifact the same way, and caches it. The cache is the only record
-// of finished work: a job that fails emits and caches nothing, so a
-// rerun replays every finished job and runs the failed one again from
+// OutDir when it is set) without invoking the job; a miss runs the job,
+// emits its artifact the same way, and caches it. The cache is the only
+// record of finished work: a job that fails emits and caches nothing, so
+// a rerun replays every finished job and runs the failed one again from
 // its start.
 type Runner struct {
 	// Cache is the artifact store; nil disables caching (every run
@@ -42,7 +42,9 @@ type Runner struct {
 	// Env is handed to jobs at execution time; Env.GraphFingerprint is
 	// also the graph half of every cache key.
 	Env Env
-	// OutDir is where artifact files are written (on run and on replay).
+	// OutDir is where artifact files are written, on run and on replay.
+	// Empty writes no files: the artifact, with its files inside, is
+	// only emitted as a summary and cached, as the daemon keeps it.
 	OutDir string
 	// Stdout receives the CACHED/summary output; nil discards it.
 	Stdout io.Writer
@@ -133,16 +135,19 @@ func (r *Runner) execute(ctx context.Context, j Job, w io.Writer, configFP, key 
 }
 
 // emit writes the artifact's files under OutDir (atomically, creating
-// parent directories) and its summary to w — identical whether the
-// artifact was just computed or replayed from cache.
+// parent directories; none when OutDir is empty) and its summary to w —
+// identical whether the artifact was just computed or replayed from
+// cache.
 func (r *Runner) emit(w io.Writer, a *Artifact) error {
-	for _, f := range a.Files {
-		path := filepath.Join(r.OutDir, filepath.FromSlash(f.Path))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("jobs: artifact file %s: %w", f.Path, err)
-		}
-		if err := resilience.WriteFileAtomic(path, f.Data, 0o644); err != nil {
-			return fmt.Errorf("jobs: artifact file %s: %w", f.Path, err)
+	if r.OutDir != "" {
+		for _, f := range a.Files {
+			path := filepath.Join(r.OutDir, filepath.FromSlash(f.Path))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				return fmt.Errorf("jobs: artifact file %s: %w", f.Path, err)
+			}
+			if err := resilience.WriteFileAtomic(path, f.Data, 0o644); err != nil {
+				return fmt.Errorf("jobs: artifact file %s: %w", f.Path, err)
+			}
 		}
 	}
 	if a.Summary != "" {

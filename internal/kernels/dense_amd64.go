@@ -31,10 +31,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func shareRowsAVX2(cur, shr *float64, offsets *int64, rows, st int, lazy bool)
+func shareRowsAVX2(mass, shr *float64, offsets *int64, rows, st int, lazy bool)
 
 //go:noescape
-func gatherRowsAVX2(cur, shr *float64, offsets *int64, adj *graph.NodeID, u, rows, st int, lazy bool)
+func stepRowsAVX2(mass, in, out *float64, offsets *int64, adj *graph.NodeID, target, acc *float64, u, rows, st int, lazy bool)
 
 //go:noescape
-func distancesAVX2(cur, target, acc *float64, rows, st int)
+func distancesAVX2(mass, target, acc *float64, rows, st int)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/graph"
@@ -20,10 +21,12 @@ func skipWithoutVector(t *testing.T) {
 }
 
 // TestEquivalenceDenseStepVector checks the vector dense step against
-// the pure-Go loops bit for bit: shareRows and gatherRows over the whole
-// graph's Rows and over its cuts into 3 and 7 spans, then the distances,
-// for the plain and the lazy walk at block widths 1, 5, 16, 17 and 64
-// (row strides 8, 16, 24 and 64, with padding columns). The graph has
+// the pure-Go loops bit for bit: the sparse steps' distances, the
+// hand-over's shareRows and then the fused stepRows, with and without
+// the distance fold, over the whole graph's Rows and over its cuts into
+// 3 and 7 spans, for the plain and the lazy walk at block widths 1, 5,
+// 16, 17 and 64 (row strides 8, 16, 24 and 64, with padding columns,
+// and an 8-column tail after the 16-column chunks at 24). The graph has
 // isolated rows, degree-1 rows and a hub, and more than vectorRows rows,
 // so the wrappers split the whole graph across several assembly calls,
 // and the spans start and end inside those calls' row chunks.
@@ -58,10 +61,10 @@ func TestEquivalenceDenseStepVector(t *testing.T) {
 }
 
 // FuzzDenseStepVector runs fuzzed graphs and column values through both
-// dense-step paths. The edge list is a sequence of uint16 endpoint
-// pairs; the values, finite and non-negative, are every 8 bytes of
-// values with the sign cleared and an infinite or NaN exponent made
-// finite, reused cyclically.
+// dense-step paths, as TestEquivalenceDenseStepVector does. The edge
+// list is a sequence of uint16 endpoint pairs; the values, finite and
+// non-negative, are every 8 bytes of values with the sign cleared and an
+// infinite or NaN exponent made finite, reused cyclically.
 func FuzzDenseStepVector(f *testing.F) {
 	hub := make([]byte, 0, 4*40)
 	for v := uint16(1); v <= 40; v++ {
@@ -119,39 +122,60 @@ func rowSpans(g *graph.Graph, k int) []graph.Rows {
 
 // compareDenseStep fills a block of width b over n rows with value(i)
 // for its i-th live entry (padding columns hold +0.0, as in every
-// block), then runs steps dense steps over frags, and the distances to a
-// target drawn from value too, through both paths, checking every buffer
-// bit for bit after each pass.
+// block) and draws a target from value too. Through both paths it folds
+// the block's distances to the target as a sparse step does, writes its
+// share rows as the hand-over does, then takes steps fused dense steps
+// over frags, folding the distances on even steps and not on odd ones,
+// and checks every buffer bit for bit after each pass. A plain step gets
+// no mass, as in a block.
 func compareDenseStep(t *testing.T, label string, frags []graph.Rows, n, b int, lazy bool, steps int, value func(int) float64) {
 	t.Helper()
 	st := rowStride(b)
-	cur := make([]float64, n*st)
+	mass := make([]float64, n*st)
 	for v := 0; v < n; v++ {
 		for j := 0; j < b; j++ {
-			cur[v*st+j] = value(v*b + j)
+			mass[v*st+j] = value(v*b + j)
 		}
 	}
 	target := make([]float64, n)
 	for v := range target {
 		target[v] = value(n*b + v)
 	}
-	shr := make([]float64, n*st)
-	goCur, goShr := append([]float64(nil), cur...), append([]float64(nil), shr...)
-	out, goOut, acc := make([]float64, b), make([]float64, b), make([]float64, st)
+	out, goOut, acc, goAcc := make([]float64, b), make([]float64, b), make([]float64, st), make([]float64, st)
+	distancesToGo(mass, b, st, target, goOut)
+	distancesToVector(mass, st, target, out, acc)
+	sameBits(t, label+" distances", b, goOut, out)
+
+	in, next := make([]float64, n*st), make([]float64, n*st)
+	goIn, goNext := make([]float64, n*st), make([]float64, n*st)
+	for _, r := range frags {
+		shareRowsGo(r, mass, goIn, b, st, lazy)
+		shareRowsVector(r, mass, in, st, lazy)
+	}
+	sameBits(t, label+" share", st, goIn, in)
+	goMass := slices.Clone(mass)
+	if !lazy {
+		mass, goMass = nil, nil
+	}
 	for step := 0; step < steps; step++ {
-		for _, r := range frags {
-			shareRowsGo(r, goCur, goShr, b, st, lazy)
-			shareRowsVector(r, cur, shr, st, lazy)
+		what := fmt.Sprintf("%s step=%d", label, step)
+		var tgt []float64
+		if step%2 == 0 {
+			tgt = target
+			clear(acc)
+			clear(goAcc)
 		}
-		sameBits(t, fmt.Sprintf("%s step=%d share", label, step), st, goShr, shr)
 		for _, r := range frags {
-			gatherRowsGo(r, goCur, goShr, st, lazy)
-			gatherRowsVector(r, cur, shr, st, lazy)
+			stepRowsGo(r, goMass, goIn, goNext, st, lazy, tgt, goAcc)
+			stepRowsVector(r, mass, in, next, st, lazy, tgt, acc)
 		}
-		sameBits(t, fmt.Sprintf("%s step=%d gather", label, step), st, goCur, cur)
-		distancesToGo(goCur, b, st, target, goOut)
-		distancesToVector(cur, st, target, out, acc)
-		sameBits(t, fmt.Sprintf("%s step=%d distances", label, step), b, goOut, out)
+		sameBits(t, what+" shares", st, goNext, next)
+		sameBits(t, what+" mass", st, goMass, mass)
+		if tgt != nil {
+			sameBits(t, what+" distance sums", st, goAcc, acc)
+		}
+		in, next = next, in
+		goIn, goNext = goNext, goIn
 	}
 }
 

@@ -36,15 +36,20 @@
 // order the per-source scatter delivers them (zero-mass nodes contribute
 // exact +0.0, a bitwise no-op on the non-negative values a walk
 // produces) — so blocked results equal per-source results at every
-// block width. BFS is integer, so batching cannot change its
+// block width. A dense step is one pass over the CSR: each row sums its
+// neighbors' share rows (mass/deg, written by the step before), folds
+// its distance to stationarity when the caller asks for it
+// (WalkBlock.StepDistances), and writes its own share for the next
+// step, with the operations and the order of a separate gather, fold
+// and share pass. BFS is integer, so batching cannot change its
 // level counts at all. The per-source loops are kept only as the
 // reference oracles the TestEquivalence* suites in walk and expansion
 // compare the kernels against.
 //
 // On amd64 CPUs with AVX2, chosen once at init from CPUID, the walk's
-// dense step (the share, the gather and the total-variation fold) runs
-// assembly on 256-bit lanes, four columns at a time (dense.go,
-// dense_amd64.s). A lane is a column, and the assembly makes the same
+// dense step, the hand-over's share pass and the sparse steps'
+// total-variation fold run assembly on 256-bit lanes, four columns at a
+// time (dense.go, dense_amd64.s). A lane is a column, and the assembly makes the same
 // IEEE-754 operations in the same order as the pure-Go loops, which
 // remain the path on every other CPU and GOARCH, so the bits do not
 // depend on the path.

@@ -65,7 +65,8 @@ func sampled(b *testing.B, g *graph.Graph, k int, nonIsolated bool) []graph.Node
 // size of perfbench's large workload, with an n×16 working set (5 MB)
 // above L2. Steps run in the dense regime the measurement spends nearly
 // all of its steps in: the block is stepped until its frontier saturates
-// before the timer starts.
+// before the timer starts. Step does not fold distances, so this times
+// the fused pass without its fold.
 func BenchmarkWalkBlockStep(b *testing.B) {
 	for _, bg := range []namedGraph{
 		{"ba2000", benchGraph(b)},
@@ -104,9 +105,9 @@ func BenchmarkWalkBlockStep(b *testing.B) {
 // BenchmarkWalkBlockWalk measures what the mixing measurement does with
 // one block on perfbench large's two graphs: a fresh block of
 // DefaultBlockWidth sampled sources walks 20 plain steps, folding its
-// distances to the stationary distribution after each. Unlike
-// BenchmarkWalkBlockStep it includes the sparse steps and the hand-over
-// to the dense gather.
+// distances to the stationary distribution in each (StepDistances).
+// Unlike BenchmarkWalkBlockStep it includes the sparse steps and the
+// hand-over to the dense gather.
 func BenchmarkWalkBlockWalk(b *testing.B) {
 	for _, bg := range largeGraphs(b) {
 		g := bg.g
@@ -124,8 +125,7 @@ func BenchmarkWalkBlockWalk(b *testing.B) {
 					b.Fatal(err)
 				}
 				for step := 0; step < 20; step++ {
-					wb.Step()
-					if err := wb.DistancesTo(pi, dist); err != nil {
+					if err := wb.StepDistances(pi, dist); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -80,7 +80,12 @@ func (p Policy) backoff(rng *rand.Rand, n int) time.Duration {
 		jitter = 1
 	}
 	if jitter > 0 {
-		d *= 1 + jitter*(2*rng.Float64()-1)
+		// The conversions round each product, so no multiply fuses into
+		// the add after it: not the draw's own scaling into 2u-1, nor
+		// jitter·(2u-1) into 1+.
+		u := float64(rng.Float64())
+		r := float64(2*u) - 1
+		d *= 1 + float64(jitter*r)
 	}
 	if d < 0 {
 		d = 0

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -52,7 +51,6 @@ type task struct {
 type queue struct {
 	store  *jobs.Store
 	flight *jobs.Flight
-	outDir string
 	policy resilience.Policy
 
 	mu     sync.Mutex
@@ -71,7 +69,7 @@ type queue struct {
 }
 
 // newQueue starts workers goroutines draining a depth-bounded intake.
-func newQueue(store *jobs.Store, outDir string, workers, depth int, policy resilience.Policy) *queue {
+func newQueue(store *jobs.Store, workers, depth int, policy resilience.Policy) *queue {
 	if workers < 1 {
 		workers = 2
 	}
@@ -82,7 +80,6 @@ func newQueue(store *jobs.Store, outDir string, workers, depth int, policy resil
 	q := &queue{
 		store:     store,
 		flight:    &jobs.Flight{},
-		outDir:    outDir,
 		policy:    policy,
 		tasks:     make(map[string]*task),
 		pending:   make(chan *task, depth),
@@ -159,11 +156,12 @@ func (q *queue) run(t *task) {
 	t.status.State = StateRunning
 	q.mu.Unlock()
 
+	// No OutDir: the artifact the store keeps, files inside, is the one
+	// copy of a job's output, and GET /v1/jobs/{id}/artifact serves it.
 	runner := &jobs.Runner{
 		Cache:  q.store,
 		Flight: q.flight,
 		Env:    jobs.Env{GraphFingerprint: t.status.GraphFingerprint},
-		OutDir: filepath.Join(q.outDir, "jobs", t.status.ID),
 		Stdout: io.Discard,
 	}
 	var cached bool

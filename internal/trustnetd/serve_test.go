@@ -24,7 +24,6 @@ func TestServeCutsSlowRequestHeader(t *testing.T) {
 	s, err := New(Config{
 		DataDir:  filepath.Join(root, "data"),
 		CacheDir: filepath.Join(root, "cache"),
-		OutDir:   root,
 		Workers:  1,
 	})
 	if err != nil {

@@ -32,7 +32,6 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	s, err := New(Config{
 		DataDir:      filepath.Join(root, "data"),
 		CacheDir:     filepath.Join(root, "cache"),
-		OutDir:       root,
 		Workers:      2,
 		JobTimeout:   time.Minute,
 		DrainTimeout: 10 * time.Second,
@@ -358,7 +357,6 @@ func TestJobMatchesDirectRunnerBytes(t *testing.T) {
 	runner := &jobs.Runner{
 		Cache:  store,
 		Env:    jobs.Env{GraphFingerprint: info.Fingerprint},
-		OutDir: t.TempDir(),
 		Stdout: io.Discard,
 	}
 	if _, err := runner.Run(context.Background(), j); err != nil {
@@ -370,6 +368,58 @@ func TestJobMatchesDirectRunnerBytes(t *testing.T) {
 	}
 	if !bytes.Equal(viaHTTP, direct) {
 		t.Fatalf("daemon artifact differs from direct runner envelope (%d vs %d bytes)", len(viaHTTP), len(direct))
+	}
+}
+
+// TestJobFilesOnlyInCache lays the daemon's directories out as
+// cmd/trustnetd does, with the cache at <out>/cache, and runs a mixing
+// job: afterwards <out> holds only cache/, since the cached artifact is
+// the one copy of the job's files, and the artifact route serves it with
+// mixing.csv inside.
+func TestJobFilesOnlyInCache(t *testing.T) {
+	root := t.TempDir()
+	out := filepath.Join(root, "out")
+	s, err := New(Config{
+		DataDir:      filepath.Join(root, "data"),
+		CacheDir:     filepath.Join(out, "cache"),
+		Workers:      1,
+		JobTimeout:   time.Minute,
+		DrainTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	generateGraph(t, ts, "g")
+	var st JobStatus
+	code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Graph: "g", Job: "mixing", Config: MeasureConfig{Seed: 3, Sources: 4, MaxSteps: 30}}, &st)
+	if code != http.StatusAccepted {
+		t.Fatalf("enqueue: status %d", code)
+	}
+	if st = waitDone(t, ts, st.ID); st.State != StateDone {
+		t.Fatalf("job failed: %s", st.Error)
+	}
+	entries, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"cache"}) {
+		t.Fatalf("%s holds %v after a job, want only cache", out, names)
+	}
+	var a jobs.Artifact
+	if err := json.Unmarshal(fetchArtifact(t, ts, st.ID), &a); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Files) != 1 || a.Files[0].Path != "mixing.csv" || len(a.Files[0].Data) == 0 {
+		t.Fatalf("artifact files %v, want mixing.csv", a.Files)
 	}
 }
 
@@ -704,7 +754,6 @@ func TestQueueFullAnswers429(t *testing.T) {
 	s, err := New(Config{
 		DataDir:      filepath.Join(root, "data"),
 		CacheDir:     filepath.Join(root, "cache"),
-		OutDir:       root,
 		Workers:      1,
 		QueueDepth:   1,
 		JobTimeout:   time.Minute,

@@ -37,10 +37,10 @@ import (
 type Config struct {
 	// DataDir holds registered graph files (TNG2). Required.
 	DataDir string
-	// CacheDir holds the content-addressed artifact store. Required.
+	// CacheDir holds the content-addressed artifact store, the one copy
+	// of every job's output: the artifact route serves it, files inside.
+	// Required.
 	CacheDir string
-	// OutDir receives per-job output files. Required.
-	OutDir string
 	// CacheMaxBytes caps the artifact store; 0 leaves it unbounded.
 	CacheMaxBytes int64
 	// Workers is the measurement worker-pool size (default 2).
@@ -71,8 +71,8 @@ type Server struct {
 // New builds a Server from cfg, creating the data directory and
 // starting the measurement worker pool.
 func New(cfg Config) (*Server, error) {
-	if cfg.DataDir == "" || cfg.CacheDir == "" || cfg.OutDir == "" {
-		return nil, fmt.Errorf("trustnetd: DataDir, CacheDir, and OutDir are required")
+	if cfg.DataDir == "" || cfg.CacheDir == "" {
+		return nil, fmt.Errorf("trustnetd: DataDir and CacheDir are required")
 	}
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 10 * time.Minute
@@ -101,7 +101,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		graphs: graphs,
-		queue:  newQueue(store, cfg.OutDir, cfg.Workers, cfg.QueueDepth, policy),
+		queue:  newQueue(store, cfg.Workers, cfg.QueueDepth, policy),
 		store:  store,
 	}
 	routes := s.routes()

@@ -11,10 +11,12 @@
 // kernels.DefaultBlockWidth over the blocked propagation kernel
 // (kernels.WalkBlock), which streams the adjacency once per step for a
 // whole block instead of once per source, for O(k·T·m/(workers·B))
-// adjacency scans. Results are bit-for-bit independent of the worker
-// count: each source's curve is a pure function of the graph (blocked
-// columns receive the same additions in the same order as a per-source
-// Distribution), and curves are folded in source order.
+// adjacency scans. Once the block's walks have spread, that one pass
+// also folds every source's distance to stationarity, so measuring a
+// step costs no pass of its own. Results are bit-for-bit independent of
+// the worker count: each source's curve is a pure function of the graph
+// (blocked columns receive the same additions in the same order as a
+// per-source Distribution), and curves are folded in source order.
 package walk
 
 import (
@@ -386,7 +388,9 @@ func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*Mixing
 
 // blockCurves evolves one block of sources through the blocked
 // propagation kernel and returns their TVD trajectories, checking for
-// cancellation between steps.
+// cancellation between steps. Each step is one StepDistances call, which
+// advances the block and folds its distances to pi; a dense step does
+// both in one pass over the graph.
 func blockCurves(ctx context.Context, g *graph.Graph, sources []graph.NodeID, pi []float64, cfg MixingConfig) ([][]float64, error) {
 	wb, err := kernels.NewWalkBlock(g, sources, cfg.Lazy)
 	if err != nil {
@@ -401,8 +405,7 @@ func blockCurves(ctx context.Context, g *graph.Graph, sources []graph.NodeID, pi
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		wb.Step()
-		if err := wb.DistancesTo(pi, dist); err != nil {
+		if err := wb.StepDistances(pi, dist); err != nil {
 			return nil, err
 		}
 		for i, tvd := range dist {

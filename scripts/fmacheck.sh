@@ -8,9 +8,9 @@
 # expressions fusion-proof with explicit float64 conversions; this
 # cross-builds cmd/trustnetd and the gen test binary (which links every
 # generator) for arm64 and searches their disassembly: every internal/
-# function in trustnetd except those of spectral, kernels and
-# resilience, which still fuse (ROADMAP.md, item 6), and every
-# internal/gen function in the test binary. CI runs it in quickcheck.
+# function in trustnetd except those of spectral, which still fuse
+# (ROADMAP.md, item 6), and every internal/gen function in the test
+# binary. CI runs it in quickcheck.
 #
 #   ./scripts/fmacheck.sh
 set -eu
@@ -35,8 +35,8 @@ scan() {
         status=1
     fi
 }
-scan trustnetd 'trustnet/internal/' 'internal/(spectral|kernels|resilience)[.]' \
-    'internal/ outside spectral, kernels and resilience'
+scan trustnetd 'trustnet/internal/' 'internal/spectral[.]' \
+    'internal/ outside spectral'
 scan gen.test 'internal/gen\.' '' 'internal/gen'
-[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in internal/ (bar spectral, kernels, resilience) or internal/gen on arm64"
+[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in internal/ (bar spectral) or internal/gen on arm64"
 exit "$status"
