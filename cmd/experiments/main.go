@@ -15,12 +15,11 @@
 // its -timeout is reported as a failed job while the remaining jobs
 // still run (disable with -keep-going=false), and any failure makes the
 // process exit nonzero with a summary table (panic stacks included).
-// Transient failures are retried with seeded-jitter exponential backoff
-// (-max-retries, -retry-base). The artifact cache is the only record of
-// finished work, kept per job: a job cut by -timeout, a crash or Ctrl-C
-// writes and caches nothing, and a plain rerun replays every finished
-// job and runs the cut one again from its start, producing
-// bit-identical files.
+// Each job runs once: a failed attempt is a failed job. The artifact
+// cache is the only record of finished work, kept per job: a job cut by
+// -timeout, a crash or Ctrl-C writes and caches nothing, and a plain
+// rerun replays every finished job and runs the cut one again from its
+// start, producing bit-identical files.
 //
 // Usage:
 //
@@ -32,7 +31,6 @@
 //	experiments -no-cache       # recompute even on a cache hit
 //	experiments -timeout 2m     # bound each job
 //	experiments -workers 4      # bound measurement parallelism
-//	experiments -max-retries 3 -retry-base 200ms  # transient-failure retries
 //	experiments -run epochs -incremental  # epoch sweep via internal/incremental
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof  # profile any run
 //	experiments -metrics-addr :8080  # live metrics snapshots over HTTP
@@ -65,7 +63,6 @@ import (
 	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/obs"
 	"github.com/trustnet/trustnet/internal/report"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 func main() {
@@ -85,20 +82,27 @@ type job struct {
 
 // jobFailure records one failed job for the summary.
 type jobFailure struct {
-	name     string
-	err      error
-	class    resilience.Class
-	attempts int
+	name string
+	err  error
 }
 
 // runnerConfig bundles the fault-tolerance knobs runJobs runs under.
 type runnerConfig struct {
 	timeout   time.Duration
 	keepGoing bool
-	// policy retries transient job failures; MaxAttempts <= 1 disables
-	// retrying.
-	policy resilience.Policy
 }
+
+// panicError is a recovered job panic converted into an error. It keeps
+// the panicking goroutine's stack (debug.Stack, captured inside the
+// recovering deferred call) so the failure summary can print the
+// panicking frame, not only the panic value.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+// Error reports the panic value; the summary prints the stack.
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
@@ -113,8 +117,6 @@ func run(args []string) error {
 		timeout     = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
 		keepGoing   = fs.Bool("keep-going", true, "run remaining jobs after a failure and summarize at the end")
 		workers     = fs.Int("workers", 0, "measurement parallelism; 0 = GOMAXPROCS")
-		maxRetries  = fs.Int("max-retries", 2, "retries per job after a transient failure (0 = no retries)")
-		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "base delay of the exponential retry backoff")
 		incr        = fs.Bool("incremental", false, "route epoch-sweep measurements through the incremental engine (cores decomposed on each epoch's CSR, delta-repaired BFS, warm-started SLEM)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -249,16 +251,7 @@ func run(args []string) error {
 			},
 		})
 	}
-	rc := runnerConfig{
-		timeout:   *timeout,
-		keepGoing: *keepGoing,
-		policy: resilience.Policy{
-			MaxAttempts: *maxRetries + 1,
-			BaseDelay:   *retryBase,
-			Jitter:      0.25,
-			Seed:        *seed,
-		},
-	}
+	rc := runnerConfig{timeout: *timeout, keepGoing: *keepGoing}
 	err = runJobs(context.Background(), queue, rc, mc, os.Stdout)
 	if path, werr := mc.write(*out); werr != nil {
 		if err == nil {
@@ -270,13 +263,12 @@ func run(args []string) error {
 	return err
 }
 
-// runJobs executes the queued jobs sequentially with per-job timeout,
-// panic recovery, and transient-failure retries. With keepGoing, a
-// failed job is recorded and the remaining jobs still run; the failures
-// are summarized on w (with the recovered stack for panics) and
-// returned as a single error so the process exits nonzero.
-// When mc is non-nil, each job's wall time, allocator deltas, attempt
-// count, and metrics window are collected.
+// runJobs executes the queued jobs sequentially, each once, with
+// per-job timeout and panic recovery. With keepGoing, a failed job is
+// recorded and the remaining jobs still run; the failures are
+// summarized on w (with the recovered stack for panics) and returned as
+// a single error so the process exits nonzero. When mc is non-nil, each
+// job's wall time, allocator deltas and metrics window are collected.
 func runJobs(ctx context.Context, queue []job, rc runnerConfig, mc *metricsCollector, w io.Writer) error {
 	var failures []jobFailure
 	for _, j := range queue {
@@ -286,19 +278,12 @@ func runJobs(ctx context.Context, queue []job, rc runnerConfig, mc *metricsColle
 		if mc != nil {
 			before = mc.beforeJob()
 		}
-		pol := rc.policy
-		pol.OnRetry = func(attempt int, err error, class resilience.Class, backoff time.Duration) {
-			fmt.Fprintf(w, "RETRY %s (attempt %d failed %s: %v; next in %v)\n",
-				j.name, attempt, class, err, backoff.Round(time.Millisecond))
-		}
-		outcome, err := pol.Run(ctx, func(ctx context.Context, _ int) error {
-			return runOne(ctx, j, rc.timeout)
-		})
+		err := runOne(ctx, j, rc.timeout)
 		if mc != nil {
-			mc.afterJob(j.name, err, time.Since(start), before, outcome.Attempts)
+			mc.afterJob(j.name, err, time.Since(start), before)
 		}
 		if err != nil {
-			failures = append(failures, jobFailure{name: j.name, err: err, class: outcome.Class, attempts: outcome.Attempts})
+			failures = append(failures, jobFailure{name: j.name, err: err})
 			fmt.Fprintf(w, "FAILED %s after %v: %v\n\n", j.name, time.Since(start).Round(time.Millisecond), err)
 			if !rc.keepGoing {
 				break
@@ -311,9 +296,9 @@ func runJobs(ctx context.Context, queue []job, rc runnerConfig, mc *metricsColle
 		return nil
 	}
 	t := report.NewTable(fmt.Sprintf("%d of %d jobs failed", len(failures), len(queue)),
-		"Job", "Class", "Attempts", "Error")
+		"Job", "Error")
 	for _, f := range failures {
-		if err := t.AddRow(f.name, f.class.String(), fmt.Sprintf("%d", f.attempts), f.err.Error()); err != nil {
+		if err := t.AddRow(f.name, f.err.Error()); err != nil {
 			return err
 		}
 	}
@@ -323,16 +308,16 @@ func runJobs(ctx context.Context, queue []job, rc runnerConfig, mc *metricsColle
 	// Panic stacks are too wide for a table cell; print them after the
 	// summary so the failing frame is on record.
 	for _, f := range failures {
-		if pe, ok := resilience.AsPanic(f.err); ok {
-			fmt.Fprintf(w, "\npanic stack for %s:\n%s", f.name, pe.Stack)
+		var pe *panicError
+		if errors.As(f.err, &pe) {
+			fmt.Fprintf(w, "\npanic stack for %s:\n%s", f.name, pe.stack)
 		}
 	}
 	return fmt.Errorf("%d job(s) failed (first: %s: %v)", len(failures), failures[0].name, failures[0].err)
 }
 
 // runOne runs a single job under its timeout, converting a panic into a
-// reported failure carrying the recovered stack (resilience.PanicError,
-// classified transient so the retry policy may re-run it). The job runs
+// reported failure carrying the recovered stack (panicError). The job runs
 // in its own goroutine so a job that ignores its context cannot stall
 // the runner past the deadline; such a goroutine is abandoned (it holds
 // no locks the runner needs) and the leak lasts at most until process
@@ -357,7 +342,7 @@ func runOne(parent context.Context, j job, timeout time.Duration) (err error) {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				done <- &resilience.PanicError{Value: r, Stack: debug.Stack()}
+				done <- &panicError{value: r, stack: debug.Stack()}
 			}
 		}()
 		pprof.Do(jctx, pprof.Labels(), func(jctx context.Context) {

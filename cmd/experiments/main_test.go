@@ -257,7 +257,7 @@ func TestRunJobsKeepGoingAfterFailure(t *testing.T) {
 		{name: "after", run: func(ctx context.Context) error { ran = append(ran, "after"); return nil }},
 	}
 	var buf bytes.Buffer
-	err := runJobs(context.Background(), jobs, testRunnerConfig(0, true), nil, &buf)
+	err := runJobs(context.Background(), jobs, runnerConfig{keepGoing: true}, nil, &buf)
 	if err == nil {
 		t.Fatal("runJobs with a failing job: want error (nonzero exit)")
 	}
@@ -277,7 +277,7 @@ func TestRunJobsPanicIsReportedFailure(t *testing.T) {
 		{name: "survivor", run: func(ctx context.Context) error { ran = append(ran, "survivor"); return nil }},
 	}
 	var buf bytes.Buffer
-	err := runJobs(context.Background(), jobs, testRunnerConfig(0, true), nil, &buf)
+	err := runJobs(context.Background(), jobs, runnerConfig{keepGoing: true}, nil, &buf)
 	if err == nil {
 		t.Fatal("runJobs with a panicking job: want error")
 	}
@@ -306,7 +306,7 @@ func TestRunJobsTimeout(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	start := time.Now()
-	err := runJobs(context.Background(), jobs, testRunnerConfig(50*time.Millisecond, true), nil, &buf)
+	err := runJobs(context.Background(), jobs, runnerConfig{timeout: 50 * time.Millisecond, keepGoing: true}, nil, &buf)
 	if err == nil {
 		t.Fatal("runJobs with a timed-out job: want error")
 	}
@@ -327,7 +327,7 @@ func TestRunJobsIgnoredContextStillTimesOut(t *testing.T) {
 	defer close(block)
 	jobs := []job{{name: "stuck", run: func(ctx context.Context) error { <-block; return nil }}}
 	var buf bytes.Buffer
-	if err := runJobs(context.Background(), jobs, testRunnerConfig(50*time.Millisecond, true), nil, &buf); err == nil {
+	if err := runJobs(context.Background(), jobs, runnerConfig{timeout: 50 * time.Millisecond, keepGoing: true}, nil, &buf); err == nil {
 		t.Fatal("runJobs with a stuck job: want error")
 	}
 }
@@ -339,7 +339,7 @@ func TestRunJobsStopsWithoutKeepGoing(t *testing.T) {
 		{name: "after", run: func(ctx context.Context) error { ran = append(ran, "after"); return nil }},
 	}
 	var buf bytes.Buffer
-	if err := runJobs(context.Background(), jobs, testRunnerConfig(0, false), nil, &buf); err == nil {
+	if err := runJobs(context.Background(), jobs, runnerConfig{}, nil, &buf); err == nil {
 		t.Fatal("want error")
 	}
 	if len(ran) != 0 {
@@ -392,7 +392,7 @@ func TestRunJobsCanceledTableIWritesNothing(t *testing.T) {
 	}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := runJobs(ctx, jobs, testRunnerConfig(0, true), nil, out); err == nil {
+	if err := runJobs(ctx, jobs, runnerConfig{keepGoing: true}, nil, out); err == nil {
 		t.Fatal("canceled run: want error")
 	}
 	// Grace period for a ctx-ignoring job to misbehave before we look.

@@ -8,8 +8,8 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/obs"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 // metricsSchema versions the METRICS.json layout so downstream tooling
@@ -22,12 +22,9 @@ const metricsSchema = "trustnet/metrics/v1"
 // run sequentially, so diffing the shared registry snapshot around each
 // job attributes every metric unambiguously.
 type jobMetrics struct {
-	Name   string `json:"name"`
-	Status string `json:"status"` // "ok" or "failed"
-	Error  string `json:"error,omitempty"`
-	// Attempts counts how many times the job ran, > 1 when the retry
-	// policy re-ran a transient failure.
-	Attempts    int     `json:"attempts,omitempty"`
+	Name        string  `json:"name"`
+	Status      string  `json:"status"` // "ok" or "failed"
+	Error       string  `json:"error,omitempty"`
 	WallSeconds float64 `json:"wall_seconds"`
 	// Allocs and AllocBytes are deltas of the runtime's cumulative
 	// malloc count and allocated bytes across the job.
@@ -92,14 +89,13 @@ func (c *metricsCollector) beforeJob() runtime.MemStats {
 
 // afterJob closes the job's window: allocator deltas, heap state, and
 // the registry diff since the previous job.
-func (c *metricsCollector) afterJob(name string, jobErr error, wall time.Duration, before runtime.MemStats, attempts int) {
+func (c *metricsCollector) afterJob(name string, jobErr error, wall time.Duration, before runtime.MemStats) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	snap := c.reg.Snapshot()
 	jm := jobMetrics{
 		Name:           name,
 		Status:         "ok",
-		Attempts:       attempts,
 		WallSeconds:    wall.Seconds(),
 		Allocs:         after.Mallocs - before.Mallocs,
 		AllocBytes:     after.TotalAlloc - before.TotalAlloc,
@@ -128,9 +124,9 @@ func (c *metricsCollector) write(dir string) (string, error) {
 		return "", fmt.Errorf("metrics: %w", err)
 	}
 	path := filepath.Join(dir, "METRICS.json")
-	// Atomic so a crash mid-write (the exact scenario the checkpoint
-	// store exists for) never leaves a truncated METRICS.json behind.
-	if err := resilience.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
+	// Atomic so a crash mid-write never leaves a truncated METRICS.json
+	// behind.
+	if err := jobs.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("metrics: %w", err)
 	}
 	return path, nil

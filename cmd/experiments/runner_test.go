@@ -10,29 +10,23 @@ import (
 	"time"
 
 	"github.com/trustnet/trustnet/internal/jobs"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
-// testRunnerConfig is the runner without retries, used by tests that
-// exercise timeout/panic/keep-going handling in isolation.
-func testRunnerConfig(timeout time.Duration, keepGoing bool) runnerConfig {
-	return runnerConfig{
-		timeout:   timeout,
-		keepGoing: keepGoing,
-		policy:    resilience.Policy{MaxAttempts: 1},
-	}
-}
-
-// The failure summary must include the recovered panic stack so the
-// crashing frame survives into logs.
+// A panicking job runs exactly once, and the failure summary must
+// include the recovered panic stack so the crashing frame survives into
+// logs.
 func TestRunJobsPanicStackInSummary(t *testing.T) {
+	calls := 0
 	jobs := []job{
-		{name: "detonator", run: func(ctx context.Context) error { panic("boom with stack") }},
+		{name: "detonator", run: func(ctx context.Context) error { calls++; panic("boom with stack") }},
 	}
 	var buf bytes.Buffer
-	err := runJobs(context.Background(), jobs, testRunnerConfig(0, true), nil, &buf)
+	err := runJobs(context.Background(), jobs, runnerConfig{keepGoing: true}, nil, &buf)
 	if err == nil {
 		t.Fatal("panicking job: want error")
+	}
+	if calls != 1 {
+		t.Fatalf("panicking job ran %d times, want 1", calls)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "panic stack for detonator") {
@@ -44,53 +38,6 @@ func TestRunJobsPanicStackInSummary(t *testing.T) {
 	// The stack must name the panicking function, not just the runner.
 	if !strings.Contains(out, "TestRunJobsPanicStackInSummary") {
 		t.Fatalf("stack does not reach the panicking frame:\n%s", out)
-	}
-	if !strings.Contains(out, "transient") {
-		t.Fatalf("summary table does not classify the panic:\n%s", out)
-	}
-}
-
-func TestRunJobsRetriesTransient(t *testing.T) {
-	calls := 0
-	jobs := []job{
-		{name: "flaky", run: func(ctx context.Context) error {
-			calls++
-			if calls < 3 {
-				return resilience.MarkTransient(errors.New("injected"))
-			}
-			return nil
-		}},
-	}
-	rc := testRunnerConfig(0, true)
-	rc.policy = resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}
-	var buf bytes.Buffer
-	if err := runJobs(context.Background(), jobs, rc, nil, &buf); err != nil {
-		t.Fatalf("transient failures within budget: %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("job ran %d times, want 3", calls)
-	}
-	if got := strings.Count(buf.String(), "RETRY flaky"); got != 2 {
-		t.Fatalf("RETRY logged %d times, want 2:\n%s", got, buf.String())
-	}
-}
-
-func TestRunJobsFatalNotRetried(t *testing.T) {
-	calls := 0
-	jobs := []job{
-		{name: "broken", run: func(ctx context.Context) error { calls++; return errors.New("deterministic") }},
-	}
-	rc := testRunnerConfig(0, true)
-	rc.policy = resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}
-	var buf bytes.Buffer
-	if err := runJobs(context.Background(), jobs, rc, nil, &buf); err == nil {
-		t.Fatal("fatal job: want error")
-	}
-	if calls != 1 {
-		t.Fatalf("fatal job ran %d times, want 1", calls)
-	}
-	if !strings.Contains(buf.String(), "fatal") {
-		t.Fatalf("summary does not classify the failure:\n%s", buf.String())
 	}
 }
 
@@ -126,7 +73,7 @@ func TestRunJobsResumeKeyedByGraphFingerprint(t *testing.T) {
 		var buf bytes.Buffer
 		runner.Env = jobs.Env{GraphFingerprint: step.graphFP}
 		runner.Stdout = &buf
-		if err := runJobs(context.Background(), queue, testRunnerConfig(0, true), nil, &buf); err != nil {
+		if err := runJobs(context.Background(), queue, runnerConfig{keepGoing: true}, nil, &buf); err != nil {
 			t.Fatal(err)
 		}
 		if ran != step.runs || strings.Contains(buf.String(), "CACHED a") != step.cached {

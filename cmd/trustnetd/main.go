@@ -37,8 +37,7 @@ func main() {
 		cacheMaxBytes = flag.Int64("cache-max-bytes", 0, "artifact cache byte cap, oldest evicted first (0 = unbounded)")
 		workers       = flag.Int("workers", 2, "measurement worker-pool size")
 		queueDepth    = flag.Int("queue-depth", 256, "maximum queued-but-unstarted measurements")
-		jobTimeout    = flag.Duration("job-timeout", 10*time.Minute, "per-attempt measurement deadline")
-		attempts      = flag.Int("attempts", 2, "retry budget per measurement (transient failures only)")
+		jobTimeout    = flag.Duration("job-timeout", 10*time.Minute, "per-job measurement deadline")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for queued measurements")
 	)
 	flag.Parse()
@@ -50,7 +49,6 @@ func main() {
 		Workers:       *workers,
 		QueueDepth:    *queueDepth,
 		JobTimeout:    *jobTimeout,
-		MaxAttempts:   *attempts,
 		DrainTimeout:  *drainTimeout,
 	})
 	if err != nil {

@@ -222,7 +222,7 @@ func Track(ctx context.Context, snaps []Snapshot, cfg TrackConfig) ([]TrackPoint
 			Edges:         g.NumEdges(),
 			AverageDegree: graph.AvgDegree(g),
 		}
-		sr, err := spectral.SLEM(g, spectral.Config{Tolerance: 1e-6, Seed: cfg.Seed})
+		sr, err := spectral.SLEMContext(ctx, g, spectral.Config{Tolerance: 1e-6, Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: slem at n=%d: %w", snap.Nodes, err)
 		}

@@ -2,9 +2,11 @@ package dynamic
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/graph"
+	"github.com/trustnet/trustnet/internal/obs"
 )
 
 func grow(t *testing.T, cfg GrowthConfig) []Snapshot {
@@ -137,5 +139,21 @@ func TestTrackStablePropertiesUnderGrowth(t *testing.T) {
 func TestTrackValidation(t *testing.T) {
 	if _, err := Track(context.Background(), nil, TrackConfig{}); err == nil {
 		t.Error("Track(no snapshots): want error")
+	}
+}
+
+// Track's SLEM runs under Track's context: an already-canceled run
+// returns context.Canceled before its first Lanczos step.
+func TestTrackCanceledRunsNoLanczosStep(t *testing.T) {
+	snaps := grow(t, GrowthConfig{FinalNodes: 200, Attach: 3, Snapshots: []int{200}, Seed: 1})
+	iterations := obs.Default().Counter("spectral.slem.iterations")
+	before := iterations.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Track(ctx, snaps, TrackConfig{Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := iterations.Value() - before; got != 0 {
+		t.Fatalf("canceled track ran %d Lanczos steps, want 0", got)
 	}
 }

@@ -344,3 +344,18 @@ func TestRunnersHonorCanceledContext(t *testing.T) {
 		t.Errorf("AttackerModels: %v, want context.Canceled", err)
 	}
 }
+
+func TestFingerprintDistinguishesParts(t *testing.T) {
+	a := fingerprint("tableI", "wiki-vote", 1, true)
+	b := fingerprint("tableI", "wiki-vote", 1, false)
+	c := fingerprint("tableI", "wiki-vote", 1, true)
+	if a == b {
+		t.Fatal("different parts fingerprint identically")
+	}
+	if a != c {
+		t.Fatal("identical parts fingerprint differently")
+	}
+	if len(a) != 16 {
+		t.Fatalf("fingerprint %q not 16 hex chars", a)
+	}
+}

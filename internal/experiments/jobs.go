@@ -3,12 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 
 	"github.com/trustnet/trustnet/internal/datasets"
 	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/report"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 // JobConfig is the typed configuration every experiment registers into
@@ -53,7 +53,18 @@ func SubstrateFingerprint(opts Options) (string, error) {
 		}
 		parts = append(parts, spec.Name, graph.Fingerprint(g))
 	}
-	return resilience.Fingerprint(parts...), nil
+	return fingerprint(parts...), nil
+}
+
+// fingerprint digests its parts with FNV-1a into a short hex token.
+// SubstrateFingerprint feeds it each dataset's name and canonical graph
+// fingerprint, so any change yields a different token.
+func fingerprint(parts ...any) string {
+	h := fnv.New64a()
+	for _, p := range parts {
+		fmt.Fprintf(h, "%v\x00", p)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Jobs builds the full measurement battery as a jobs.Registry: one

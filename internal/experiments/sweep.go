@@ -75,7 +75,7 @@ func BridgeSweep(ctx context.Context, opts Options) (*SweepResult, error) {
 		}
 		pt := SweepPoint{Bridges: bridges}
 
-		sr, err := spectral.SLEM(g, spectral.Config{Tolerance: 1e-6, Seed: opts.Seed})
+		sr, err := spectral.SLEMContext(ctx, g, spectral.Config{Tolerance: 1e-6, Seed: opts.Seed, Workers: opts.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sweep slem bridges=%d: %w", bridges, err)
 		}

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"github.com/trustnet/trustnet/internal/obs"
 )
 
 func TestBridgeSweepQuick(t *testing.T) {
@@ -44,5 +47,20 @@ func TestBridgeSweepQuick(t *testing.T) {
 	}
 	if tab.NumRows() != 3 {
 		t.Errorf("table rows = %d", tab.NumRows())
+	}
+}
+
+// The sweep's SLEM runs under the sweep's context: an already-canceled
+// run returns context.Canceled before its first Lanczos step.
+func TestBridgeSweepCanceledRunsNoLanczosStep(t *testing.T) {
+	iterations := obs.Default().Counter("spectral.slem.iterations")
+	before := iterations.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BridgeSweep(ctx, sharedOpts()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := iterations.Value() - before; got != 0 {
+		t.Fatalf("canceled sweep ran %d Lanczos steps, want 0", got)
 	}
 }

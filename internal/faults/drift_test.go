@@ -110,38 +110,8 @@ func TestDriftDeterministic(t *testing.T) {
 			a.AdvanceEpoch()
 			b.AdvanceEpoch()
 		}
-		if a.ScheduleFingerprint() != b.ScheduleFingerprint() {
+		if scheduleFingerprint(a) != scheduleFingerprint(b) {
 			t.Fatalf("epoch %d: drifting schedules diverge between identical models", e)
-		}
-	}
-}
-
-// TestDriftSetEpochReplayEquivalence checks that SetEpoch(e) under
-// drift reproduces the schedule e successive advances build, so
-// resumed sweeps re-enter the chain bit-identically.
-func TestDriftSetEpochReplayEquivalence(t *testing.T) {
-	g := epochGraph(t)
-	cfg := Config{Churn: 0.15, EdgeLoss: 0.1, Drift: 0.05, Seed: 21}
-	walked, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e <= 6; e++ {
-		if e > 0 {
-			walked.AdvanceEpoch()
-		}
-		jumped, err := New(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := jumped.SetEpoch(e); err != nil {
-			t.Fatal(err)
-		}
-		if jumped.ScheduleFingerprint() != walked.ScheduleFingerprint() {
-			t.Fatalf("epoch %d: SetEpoch schedule differs from advanced schedule", e)
-		}
-		if jumped.NumDown() != walked.NumDown() || jumped.NumLostEdges() != walked.NumLostEdges() {
-			t.Fatalf("epoch %d: SetEpoch counters differ from advanced counters", e)
 		}
 	}
 }

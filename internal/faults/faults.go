@@ -281,18 +281,6 @@ func (m *Model) driftEpoch(e int) {
 	obsEdgesMasked.Add(int64(m.numLost))
 }
 
-// redraw produces epoch e's schedule: a fresh independent draw, or —
-// under drift, for e > 0 — one evolution step from the current state.
-// Drift callers must therefore already hold epoch e−1's schedule, which
-// AdvanceEpoch guarantees and SetEpoch reconstructs by replay.
-func (m *Model) redraw(e int) {
-	if m.cfg.Drift > 0 && e > 0 {
-		m.driftEpoch(e)
-	} else {
-		m.drawEpoch(e)
-	}
-}
-
 // Epoch returns the current epoch index, starting at 0.
 func (m *Model) Epoch() int { return m.epoch }
 
@@ -306,7 +294,11 @@ func (m *Model) Epoch() int { return m.epoch }
 // View().
 func (m *Model) AdvanceEpoch() {
 	m.epoch++
-	m.redraw(m.epoch)
+	if m.cfg.Drift > 0 {
+		m.driftEpoch(m.epoch)
+	} else {
+		m.drawEpoch(m.epoch)
+	}
 }
 
 // EpochDelta is the live-topology difference one AdvanceEpochDelta call
@@ -341,65 +333,6 @@ func (m *Model) AdvanceEpochDelta(d *EpochDelta) *EpochDelta {
 	m.view.DiffSnapshot(m.prevSnap, &d.MaskDelta)
 	d.Epoch = m.epoch
 	return d
-}
-
-// SetEpoch jumps the structural schedule directly to epoch e. Each
-// epoch's schedule is a pure function of (seed, epoch), so SetEpoch(e)
-// produces the same degraded topology as e successive AdvanceEpoch
-// calls on a fresh model — which is what lets a resumed sweep re-enter
-// at the epoch it crashed in. Without drift that is a single O(n + m)
-// draw; with Config.Drift set the schedule is a chain, so SetEpoch
-// replays it deterministically from epoch 0 in O(e·(n + m)). The
-// message stream is untouched. e must be >= 0.
-func (m *Model) SetEpoch(e int) error {
-	if e < 0 {
-		return fmt.Errorf("faults: epoch %d must be >= 0", e)
-	}
-	m.epoch = e
-	if m.cfg.Drift > 0 {
-		m.drawEpoch(0)
-		for k := 1; k <= e; k++ {
-			m.driftEpoch(k)
-		}
-		return nil
-	}
-	m.drawEpoch(e)
-	return nil
-}
-
-// ScheduleFingerprint returns a 64-bit FNV-1a digest of the current
-// epoch's structural schedule: the down-node set and the lost-edge set,
-// both visited in canonical order. Two models agree on the fingerprint
-// exactly when they agree on the degraded topology, so a resumed or
-// retried epoch sweep can prove its schedules bit-identical to an
-// uninterrupted run without storing the schedules themselves.
-func (m *Model) ScheduleFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
-	n := m.g.NumNodes()
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		if !m.view.Alive(v) {
-			mix(uint64(v))
-		}
-	}
-	mix(^uint64(0)) // separates the node section from the edge section
-	m.g.VisitEdges(func(edge graph.Edge) bool {
-		if m.view.Alive(edge.U) && m.view.Alive(edge.V) && m.view.Dropped(edge.U, edge.V) {
-			mix(uint64(edge.U)<<32 | uint64(edge.V))
-		}
-		return true
-	})
-	return h
 }
 
 // View returns the degraded graph as a zero-copy graph.MaskedView: hand

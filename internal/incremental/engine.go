@@ -53,13 +53,8 @@ type EpochMeasurement struct {
 // component from it, warm-starting from the previous epoch's
 // eigenvector.
 //
-// An interrupted sweep resumes by rebuilding: faults.Model.SetEpoch
-// replays the schedule to any epoch deterministically, and a fresh
-// Engine constructed there produces measurements equivalent to the
-// uninterrupted run — bit-identical cores and expansion (both are
-// exact at every epoch regardless of the repair path taken), and SLEM
-// within the band the package comment describes (the warm-start
-// history differs). Not safe for concurrent use.
+// An interrupted sweep is not resumed: the job that ran it runs again
+// from epoch 0. Not safe for concurrent use.
 type Engine struct {
 	model *faults.Model
 	// g is the epoch's topology (model.Degraded) and cores its

@@ -15,15 +15,6 @@ import (
 // through.
 var engineFaults = faults.Config{Churn: 0.08, EdgeLoss: 0.04, Drift: 0.015, Seed: 21}
 
-func engineModel(t *testing.T, g *graph.Graph) *faults.Model {
-	t.Helper()
-	m, err := faults.New(g, engineFaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // epochRecord is the comparable footprint of one epoch's measurement.
 type epochRecord struct {
 	cores      []int
@@ -99,49 +90,6 @@ func compareEpochRecords(t *testing.T, epoch int, a, b epochRecord, slemTol floa
 	}
 	if a.compSize != b.compSize {
 		t.Fatalf("epoch %d: component size diverged: %d vs %d", epoch, a.compSize, b.compSize)
-	}
-}
-
-// TestKillAndResumeEngineEquivalence kills a sweep mid-flight and
-// resumes it cold: the fault schedule replays to the kill epoch with
-// SetEpoch, a fresh Engine rebuilds there, and the resumed epochs must
-// match the uninterrupted run — bit-identical cores and expansion,
-// SLEM within tolerance (the warm-start lineage differs, the
-// convergence target does not).
-func TestKillAndResumeEngineEquivalence(t *testing.T) {
-	g := sweepGraph(t)
-	cfg := EngineConfig{Sources: expansionSources(t, g, 8), Workers: 1}
-
-	// Uninterrupted run: epochs 0..8.
-	m1 := engineModel(t, g)
-	en1, err := NewEngine(m1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := make([]epochRecord, 0, 9)
-	records = append(records, recordEpoch(t, en1))
-	for e := 1; e <= 8; e++ {
-		en1.Advance()
-		records = append(records, recordEpoch(t, en1))
-	}
-
-	// "Killed" at epoch 4: replay the schedule, rebuild, continue.
-	const killAt = 4
-	m2 := engineModel(t, g)
-	if err := m2.SetEpoch(killAt); err != nil {
-		t.Fatal(err)
-	}
-	en2, err := NewEngine(m2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareEpochRecords(t, killAt, records[killAt], recordEpoch(t, en2), 1e-6)
-	for e := killAt + 1; e <= 8; e++ {
-		en2.Advance()
-		if en2.Epoch() != e {
-			t.Fatalf("resumed engine at epoch %d, want %d", en2.Epoch(), e)
-		}
-		compareEpochRecords(t, e, records[e], recordEpoch(t, en2), 1e-6)
 	}
 }
 

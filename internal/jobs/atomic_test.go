@@ -1,4 +1,4 @@
-package resilience
+package jobs
 
 import (
 	"os"
@@ -29,20 +29,5 @@ func TestWriteFileAtomicReplacesAndLeavesNoTemp(t *testing.T) {
 			names[i] = e.Name()
 		}
 		t.Fatalf("temp files left behind: %v", names)
-	}
-}
-
-func TestFingerprintDistinguishesParts(t *testing.T) {
-	a := Fingerprint("tableI", "wiki-vote", 1, true)
-	b := Fingerprint("tableI", "wiki-vote", 1, false)
-	c := Fingerprint("tableI", "wiki-vote", 1, true)
-	if a == b {
-		t.Fatal("different parts fingerprint identically")
-	}
-	if a != c {
-		t.Fatal("identical parts fingerprint differently")
-	}
-	if len(a) != 16 {
-		t.Fatalf("fingerprint %q not 16 hex chars", a)
 	}
 }

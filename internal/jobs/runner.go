@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"github.com/trustnet/trustnet/internal/obs"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 // Observability instruments for job execution. A replayed run shows
@@ -145,7 +144,7 @@ func (r *Runner) emit(w io.Writer, a *Artifact) error {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				return fmt.Errorf("jobs: artifact file %s: %w", f.Path, err)
 			}
-			if err := resilience.WriteFileAtomic(path, f.Data, 0o644); err != nil {
+			if err := WriteFileAtomic(path, f.Data, 0o644); err != nil {
 				return fmt.Errorf("jobs: artifact file %s: %w", f.Path, err)
 			}
 		}

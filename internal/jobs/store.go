@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/trustnet/trustnet/internal/obs"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 // Observability instruments for the artifact cache. Hits and misses are
@@ -117,7 +116,7 @@ func (s *Store) Save(a *Artifact) error {
 	}
 	key := Key(a.Job, a.GraphFingerprint, a.ConfigFingerprint)
 	path := s.Path(a.Job, key)
-	if err := resilience.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
+	if err := WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("jobs: save artifact %q: %w", a.Job, err)
 	}
 	obsCacheSaves.Inc()

@@ -47,7 +47,9 @@
 // every row's sum is accumulated by exactly one worker in a fixed order,
 // and dot products and norms are summed serially in node order: the
 // iteration is bit-for-bit identical at any worker count and on every
-// view.
+// view. Every product that meets an addition is rounded on its own by
+// an explicit float64 conversion, so no architecture fuses the two into
+// a multiply-add and arm64 reports amd64's bits (scripts/fmacheck.sh).
 package spectral
 
 import (
@@ -227,7 +229,7 @@ func startVector(q, phi []float64, cfg Config) error {
 		copy(q, cfg.Warm)
 		in := 0.0
 		for _, e := range q {
-			in += e * e
+			in += float64(e * e)
 		}
 		deflate(q, phi)
 		if out := normalize(q); out > 1e-8*math.Sqrt(in) && out > 0 {
@@ -289,7 +291,7 @@ func newRecurrence(v graph.View, workers int) (*recurrence, error) {
 	norm := 0.0
 	for v := 0; v < n; v++ {
 		phi[v] = math.Sqrt(float64(g.Degree(graph.NodeID(v))))
-		norm += phi[v] * phi[v]
+		norm += float64(phi[v] * phi[v])
 		invSqrtDeg[v] = 1 / math.Sqrt(float64(g.Degree(graph.NodeID(v))))
 	}
 	norm = math.Sqrt(norm)
@@ -345,16 +347,16 @@ func (r *recurrence) step() (alpha, beta float64) {
 	q, prev, w, phi := r.q, r.prev, r.w, r.phi
 	dot := 0.0
 	for v, x := range w {
-		dot += x * phi[v]
+		dot += float64(x * phi[v])
 	}
 	for v := range w {
-		w[v] -= dot * phi[v]
-		alpha += q[v] * w[v]
+		w[v] -= float64(dot * phi[v])
+		alpha += float64(q[v] * w[v])
 	}
 	ss := 0.0
 	for v := range w {
-		w[v] = w[v] - alpha*q[v] - r.beta*prev[v]
-		ss += w[v] * w[v]
+		w[v] = w[v] - float64(alpha*q[v]) - float64(r.beta*prev[v])
+		ss += float64(w[v] * w[v])
 	}
 	beta = math.Sqrt(ss)
 	if beta <= breakdown {
@@ -379,7 +381,7 @@ func (r *recurrence) ritzVector(q1, s []float64) []float64 {
 			r.step()
 		}
 		for v, x := range r.q {
-			y[v] += sj * x
+			y[v] += float64(sj * x)
 		}
 	}
 	normalize(y)
@@ -458,7 +460,7 @@ func (r *ritzEnds) grow(alpha, beta float64) float64 {
 		// faster, Weyl's bound (T_k is diag(T_{k−1}, α_k) plus a
 		// coupling of norm β_{k−1}) gives a start that is always above
 		// it; repeating the bound's margin only absorbs rounding.
-		sigma := prev + 2*r.move[e] + newtonFloor
+		sigma := prev + float64(2*r.move[e]) + newtonFloor
 		step, ok := r.newton(s, sigma)
 		if !ok {
 			for sigma = max(prev, s*alpha) + coupling; ; sigma += coupling {
@@ -485,21 +487,21 @@ func (r *ritzEnds) grow(alpha, beta float64) float64 {
 // d_1 = σ − sα_1, d_i = σ − sα_i − β²_{i−1}/d_{i−1} of σI − sT,
 // p = Π d_i, so p'/p = Σ d_i'/d_i with d_i' = 1 + β²_{i−1}·d_{i−1}'/d²_{i−1}.
 func (r *ritzEnds) newton(s, sigma float64) (float64, bool) {
-	d := sigma - s*r.alpha[0]
+	d := sigma - float64(s*r.alpha[0])
 	if !(d > 0) {
 		return 0, false
 	}
 	inv := 1 / d
 	sum, dd := inv, 1.0
 	for i, b := range r.beta[:len(r.alpha)-1] {
-		t := b * b * inv
-		dd = 1 + t*inv*dd
-		d = sigma - s*r.alpha[i+1] - t
+		t := float64(b * b * inv)
+		dd = 1 + float64(t*inv*dd)
+		d = sigma - float64(s*r.alpha[i+1]) - t
 		if !(d > 0) {
 			return 0, false
 		}
 		inv = 1 / d
-		sum += dd * inv
+		sum += float64(dd * inv)
 	}
 	return 1 / sum, true
 }
@@ -521,11 +523,11 @@ func (r *ritzEnds) vector() []float64 {
 	s, sigma := endSign[e], r.top[e]
 	d := make([]float64, k)   // pivots
 	l := make([]float64, k-1) // l[i] is the multiplier below pivot i
-	d[0] = sigma - s*r.alpha[0]
+	d[0] = sigma - float64(s*r.alpha[0])
 	for i, b := range r.beta[:k-1] {
 		inv := 1 / d[i]
 		l[i] = -s * b * inv
-		d[i+1] = sigma - s*r.alpha[i+1] - b*b*inv
+		d[i+1] = sigma - float64(s*r.alpha[i+1]) - float64(b*b*inv)
 	}
 	z := make([]float64, k)
 	for i := range z {
@@ -533,13 +535,13 @@ func (r *ritzEnds) vector() []float64 {
 	}
 	for range 2 {
 		for i := 1; i < k; i++ {
-			z[i] -= l[i-1] * z[i-1]
+			z[i] -= float64(l[i-1] * z[i-1])
 		}
 		for i := range z {
 			z[i] /= d[i]
 		}
 		for i := k - 2; i >= 0; i-- {
-			z[i] -= l[i] * z[i+1]
+			z[i] -= float64(l[i] * z[i+1])
 		}
 		normalize(z)
 	}
@@ -556,10 +558,10 @@ func (r *ritzEnds) residual(s []float64) float64 {
 func deflate(x, phi []float64) {
 	dot := 0.0
 	for i := range x {
-		dot += x[i] * phi[i]
+		dot += float64(x[i] * phi[i])
 	}
 	for i := range x {
-		x[i] -= dot * phi[i]
+		x[i] -= float64(dot * phi[i])
 	}
 }
 
@@ -567,7 +569,7 @@ func deflate(x, phi []float64) {
 func normalize(x []float64) float64 {
 	norm := 0.0
 	for _, v := range x {
-		norm += v * v
+		norm += float64(v * v)
 	}
 	norm = math.Sqrt(norm)
 	if norm == 0 {

@@ -111,10 +111,7 @@ type JobStatus struct {
 	// Cached reports whether the result was replayed from the artifact
 	// store (or a concurrent identical run) without executing.
 	Cached bool `json:"cached"`
-	// Attempts counts retry-policy attempts consumed (0 until the run
-	// starts).
-	Attempts int `json:"attempts,omitempty"`
-	// WallSeconds is the wall-clock run time including retries.
+	// WallSeconds is the wall-clock run time.
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
 	// Error carries the failure message when State is failed.
 	Error string `json:"error,omitempty"`

@@ -10,7 +10,6 @@ import (
 
 	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/obs"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 // Observability instruments for the job queue.
@@ -33,25 +32,22 @@ const (
 // the mutable status the API reports. Status fields are guarded by the
 // queue mutex.
 type task struct {
-	status JobStatus
-	// seq is the task's position in the enqueue sequence; it seeds the
-	// retry jitter so concurrent tasks back off on distinct schedules.
-	seq     int
+	status  JobStatus
 	job     jobs.Job
 	release func() // unpins the graph; called exactly once, after the run
 	done    chan struct{}
 }
 
 // queue is the daemon's async measurement executor: a bounded intake
-// channel drained by a fixed worker pool. Each task runs through a
+// channel drained by a fixed worker pool. Each task runs once through a
 // jobs.Runner sharing the daemon's artifact store and single-flight
-// group, under a resilience.Policy whose per-attempt deadline bounds
-// every try. Drain closes the intake and waits for queued work to
-// finish — in-flight measurements complete, they are never severed.
+// group, under the per-job deadline; a failed run is a failed job.
+// Drain closes the intake and waits for queued work to finish —
+// in-flight measurements complete, they are never severed.
 type queue struct {
-	store  *jobs.Store
-	flight *jobs.Flight
-	policy resilience.Policy
+	store      *jobs.Store
+	flight     *jobs.Flight
+	jobTimeout time.Duration
 
 	mu     sync.Mutex
 	tasks  map[string]*task
@@ -68,8 +64,9 @@ type queue struct {
 	cancelRun context.CancelFunc
 }
 
-// newQueue starts workers goroutines draining a depth-bounded intake.
-func newQueue(store *jobs.Store, workers, depth int, policy resilience.Policy) *queue {
+// newQueue starts workers goroutines draining a depth-bounded intake;
+// each job runs under its own jobTimeout deadline.
+func newQueue(store *jobs.Store, workers, depth int, jobTimeout time.Duration) *queue {
 	if workers < 1 {
 		workers = 2
 	}
@@ -78,13 +75,13 @@ func newQueue(store *jobs.Store, workers, depth int, policy resilience.Policy) *
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &queue{
-		store:     store,
-		flight:    &jobs.Flight{},
-		policy:    policy,
-		tasks:     make(map[string]*task),
-		pending:   make(chan *task, depth),
-		runCtx:    ctx,
-		cancelRun: cancel,
+		store:      store,
+		flight:     &jobs.Flight{},
+		jobTimeout: jobTimeout,
+		tasks:      make(map[string]*task),
+		pending:    make(chan *task, depth),
+		runCtx:     ctx,
+		cancelRun:  cancel,
 	}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -120,7 +117,6 @@ func (q *queue) enqueue(j jobs.Job, info GraphInfo, graphKey string, release fun
 			ConfigFingerprint: j.Fingerprint(),
 			State:             StateQueued,
 		},
-		seq:     q.nextID,
 		job:     j,
 		release: release,
 		done:    make(chan struct{}),
@@ -150,7 +146,7 @@ func (q *queue) worker() {
 }
 
 // run executes one task through the cache-and-dedup runner under the
-// retry policy, recording the outcome on the task status.
+// per-job deadline, recording the outcome on the task status.
 func (q *queue) run(t *task) {
 	q.mu.Lock()
 	t.status.State = StateRunning
@@ -164,20 +160,14 @@ func (q *queue) run(t *task) {
 		Env:    jobs.Env{GraphFingerprint: t.status.GraphFingerprint},
 		Stdout: io.Discard,
 	}
-	var cached bool
 	start := time.Now()
-	pol := q.policy
-	pol.Seed = int64(t.seq) // per-task deterministic jitter seed
-	outcome, err := pol.Run(q.runCtx, func(ctx context.Context, _ int) error {
-		var runErr error
-		cached, runErr = runner.Run(ctx, t.job)
-		return runErr
-	})
+	ctx, cancel := context.WithTimeout(q.runCtx, q.jobTimeout)
+	cached, err := runner.Run(ctx, t.job)
+	cancel()
 	t.release()
 
 	q.mu.Lock()
 	t.status.Cached = cached
-	t.status.Attempts = outcome.Attempts
 	t.status.WallSeconds = time.Since(start).Seconds()
 	if err != nil {
 		t.status.State = StateFailed

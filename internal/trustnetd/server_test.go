@@ -504,6 +504,51 @@ func TestSecondIdenticalRequestServedFromCache(t *testing.T) {
 	}
 }
 
+// TestJobPastDeadlineFailsOnce runs a mixing request on a daemon whose
+// per-job deadline expires at once: the job ends failed with the
+// deadline error after exactly one execution and caches nothing, so an
+// identical second request executes again.
+func TestJobPastDeadlineFailsOnce(t *testing.T) {
+	root := t.TempDir()
+	s, err := New(Config{
+		DataDir:      filepath.Join(root, "data"),
+		CacheDir:     filepath.Join(root, "cache"),
+		Workers:      1,
+		JobTimeout:   time.Nanosecond,
+		DrainTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	generateGraph(t, ts, "g")
+	cfg := MeasureConfig{Seed: 3, Sources: 4, MaxSteps: 30}
+	executed := obs.Default().Counter("jobs.run.executed")
+
+	for i := 1; i <= 2; i++ {
+		before := executed.Value()
+		var st JobStatus
+		code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Graph: "g", Job: "mixing", Config: cfg}, &st)
+		if code != http.StatusAccepted {
+			t.Fatalf("request %d: enqueue: status %d", i, code)
+		}
+		st = waitDone(t, ts, st.ID)
+		if st.State != StateFailed || !strings.Contains(st.Error, context.DeadlineExceeded.Error()) {
+			t.Fatalf("request %d: state %s, error %q; want failed with the deadline error", i, st.State, st.Error)
+		}
+		if got := executed.Value() - before; got != 1 {
+			t.Fatalf("request %d: jobs.run.executed advanced by %d, want 1", i, got)
+		}
+		if st.Cached || s.store.Load(st.Job, st.GraphFingerprint, st.ConfigFingerprint) != nil {
+			t.Fatalf("request %d: a failed job left a cached artifact", i)
+		}
+	}
+}
+
 // listJobs returns the daemon's job list.
 func listJobs(t *testing.T, ts *httptest.Server) []JobStatus {
 	t.Helper()

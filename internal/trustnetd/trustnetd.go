@@ -13,8 +13,9 @@
 // jobs.Registry, runs them through the jobs.Runner with single-flight
 // dedup and the content-addressed artifact Store — identical requests
 // are answered from cache byte-for-byte, concurrent identical requests
-// execute once — under a resilience.Policy with fresh per-attempt
-// deadlines. Typed routes describe themselves: an OpenAPI document is
+// execute once — each under its own deadline (Config.JobTimeout); a
+// failed run is a failed job, and an identical request runs it again.
+// Typed routes describe themselves: an OpenAPI document is
 // derived by reflection from the request/response structs, /metrics
 // serves the internal/obs registry, and SIGTERM drains queued work and
 // in-flight responses before exit.
@@ -29,7 +30,6 @@ import (
 
 	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/obs"
-	"github.com/trustnet/trustnet/internal/resilience"
 )
 
 // Config sizes and wires a Server. The zero value of every field takes
@@ -47,11 +47,8 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds queued-but-unstarted jobs (default 256).
 	QueueDepth int
-	// JobTimeout is the per-attempt measurement deadline (default 10m).
+	// JobTimeout is the per-job measurement deadline (default 10m).
 	JobTimeout time.Duration
-	// MaxAttempts is the retry budget per job (default 2: one retry for
-	// transient failures; deterministic failures are never retried).
-	MaxAttempts int
 	// DrainTimeout bounds shutdown: queued jobs get this long to finish
 	// before in-flight measurements are canceled (default 30s).
 	DrainTimeout time.Duration
@@ -77,9 +74,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 10 * time.Minute
 	}
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = 2
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
@@ -91,17 +85,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheMaxBytes > 0 {
 		store.SetMaxBytes(cfg.CacheMaxBytes)
 	}
-	policy := resilience.Policy{
-		MaxAttempts:    cfg.MaxAttempts,
-		BaseDelay:      200 * time.Millisecond,
-		MaxDelay:       5 * time.Second,
-		Jitter:         0.2,
-		AttemptTimeout: cfg.JobTimeout,
-	}
 	s := &Server{
 		cfg:    cfg,
 		graphs: graphs,
-		queue:  newQueue(store, cfg.Workers, cfg.QueueDepth, policy),
+		queue:  newQueue(store, cfg.Workers, cfg.QueueDepth, cfg.JobTimeout),
 		store:  store,
 	}
 	routes := s.routes()

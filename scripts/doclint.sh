@@ -43,5 +43,5 @@ echo "doclint: measurement entry points accept graph.View"
 # surface other layers program against must carry a doc comment
 # (scripts/godoclint, an AST-level check; the package-comment lint above
 # only guarantees the package clause).
-go run ./scripts/godoclint internal/incremental internal/resilience internal/obs internal/jobs internal/trustnetd
-echo "doclint: exported identifiers documented (incremental, resilience, obs, jobs, trustnetd)"
+go run ./scripts/godoclint internal/incremental internal/obs internal/jobs internal/trustnetd
+echo "doclint: exported identifiers documented (incremental, obs, jobs, trustnetd)"

@@ -8,8 +8,7 @@
 # expressions fusion-proof with explicit float64 conversions; this
 # cross-builds cmd/trustnetd and the gen test binary (which links every
 # generator) for arm64 and searches their disassembly: every internal/
-# function in trustnetd except those of spectral, which still fuse
-# (ROADMAP.md, item 6), and every internal/gen function in the test
+# function in trustnetd, and every internal/gen function in the test
 # binary. CI runs it in quickcheck.
 #
 #   ./scripts/fmacheck.sh
@@ -22,21 +21,20 @@ GOARCH=arm64 go build -o "$dir/trustnetd" ./cmd/trustnetd
 GOARCH=arm64 go test -c -o "$dir/gen.test" ./internal/gen
 
 status=0
-# scan BIN SYMBOLS SKIP WHAT searches the functions of BIN whose names
-# match the objdump regexp SYMBOLS, minus those matching the awk regexp
-# SKIP (empty: none), and reports their fused multiply-adds as WHAT.
+# scan BIN SYMBOLS WHAT searches the functions of BIN whose names match
+# the objdump regexp SYMBOLS and reports their fused multiply-adds as
+# WHAT.
 scan() {
-    hits=$(go tool objdump -s "$2" "$dir/$1" | awk -v skip="$3" '
-        /^TEXT / { sym = $2; keep = skip == "" || sym !~ skip; next }
-        keep && /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ { print sym ": " $0 }')
+    hits=$(go tool objdump -s "$2" "$dir/$1" | awk '
+        /^TEXT / { sym = $2; next }
+        /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ { print sym ": " $0 }')
     if [ -n "$hits" ]; then
-        echo "fmacheck: fused multiply-adds in $4 ($1, arm64):" >&2
+        echo "fmacheck: fused multiply-adds in $3 ($1, arm64):" >&2
         echo "$hits" >&2
         status=1
     fi
 }
-scan trustnetd 'trustnet/internal/' 'internal/spectral[.]' \
-    'internal/ outside spectral'
-scan gen.test 'internal/gen\.' '' 'internal/gen'
-[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in internal/ (bar spectral) or internal/gen on arm64"
+scan trustnetd 'trustnet/internal/' 'internal/'
+scan gen.test 'internal/gen\.' 'internal/gen'
+[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in internal/ or internal/gen on arm64"
 exit "$status"

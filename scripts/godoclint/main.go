@@ -1,8 +1,9 @@
 // Command godoclint fails when a package directory contains exported
 // identifiers without godoc comments. scripts/doclint.sh runs it over
 // the packages whose exported surface is an API contract other layers
-// program against (incremental, resilience, obs); the package-comment
-// and graph.View lints in that script cover the rest of the tree.
+// program against (incremental, obs, jobs, trustnetd); the
+// package-comment and graph.View lints in that script cover the rest of
+// the tree.
 //
 // Usage:
 //

@@ -2,7 +2,7 @@
 // the cheap integrity check the crash-recovery and cache smokes run over
 // the METRICS.json and artifact cache entries a run leaves behind, an
 // interrupted run included (a torn write would fail to parse;
-// resilience.WriteFileAtomic exists to make that impossible). With
+// jobs.WriteFileAtomic exists to make that impossible). With
 // -want-schema, each document must also be an object whose "schema"
 // field equals the given value.
 package main
