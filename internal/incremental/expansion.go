@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/faults"
@@ -73,16 +74,29 @@ const infDist = int32(math.MaxInt32)
 // distance field and level counts are bit-identical to a fresh BFS on
 // the current topology, and Measure folds the counts through
 // expansion.Measure's resume path so the aggregate Result is
-// bit-identical to the from-scratch measurement. Memory is
-// O(len(sources) · n) for the distance fields plus about 39·n bytes of
-// scratch per worker (32·n of them the BFSBatch). Not safe for
-// concurrent use.
+// bit-identical to the from-scratch measurement. Measure hands the
+// maintained level slices to that Result without copying them; a
+// repair clones a source's slice before its first change after a
+// Measure, so every Result keeps its levels.
+//
+// Memory is O(len(sources) · n) for the distance fields plus about
+// 39·n bytes of scratch per worker (32·n of them the BFSBatch). A field
+// holds one entry per node, in 16 bits on a graph of at most 32,768
+// nodes, where no distance exceeds 32,767, and in 32 bits above
+// (kernels.Fits); the width is fixed at construction from the node
+// count. On the epochs benchmark's 1,024 sources and 10⁴ nodes the
+// fields take 20.5 MB instead of 41.0 MB, and its peak RSS fell from
+// 104.1 to 62.4 MB (EXPERIMENTS.md, "16-bit distance fields"). Not safe
+// for concurrent use.
 type ExpansionMaintainer struct {
 	sources []graph.NodeID
 	// order lists the source indices in node-ID order, cut into runs.
-	order  []int
-	dist   [][]int32
+	order []int
+	// fields holds every source's distance field, at one width.
+	fields distFields
 	levels [][]int64
+	// shared marks the level slices the last Measure handed out.
+	shared []bool
 
 	// pending holds the delta's gained edges while buildAdjacency masks
 	// them out of the intermediate snapshot; pendTouch marks their
@@ -180,8 +194,9 @@ func NewExpansionMaintainer(g *graph.Graph, sources []graph.NodeID, workers int)
 	em := &ExpansionMaintainer{
 		sources:   append([]graph.NodeID(nil), sources...),
 		order:     make([]int, len(sources)),
-		dist:      make([][]int32, len(sources)),
+		fields:    newFields(len(sources), n),
 		levels:    make([][]int64, len(sources)),
+		shared:    make([]bool, len(sources)),
 		pending:   make(map[uint64]bool),
 		pendTouch: make([]bool, n),
 		// Apply's largest fan-out is one task per run of sources.
@@ -205,7 +220,6 @@ func NewExpansionMaintainer(g *graph.Graph, sources []graph.NodeID, workers int)
 	}
 	em.buildAdjacency(g)
 	for i := range em.order {
-		em.dist[i] = make([]int32, n)
 		em.order[i] = i
 	}
 	kernels.SortByNode(em.order, em.sources)
@@ -256,25 +270,66 @@ func (em *ExpansionMaintainer) rebuild(idx []int) {
 	blocks := parallel.Blocks(len(idx), kernels.BFSBatchWidth)
 	err := parallel.ForEach(context.Background(), len(em.slots), len(blocks), func(slot, b int) error {
 		batch := idx[blocks[b].Start:blocks[b].End]
-		lanes := make([]graph.NodeID, len(batch))
-		fields := make([][]int32, len(batch))
-		for j, i := range batch {
-			lanes[j], fields[j] = em.sources[i], em.dist[i]
-		}
-		levels, err := em.slots[slot].batch.RunDistances(lanes, fields)
+		levels, err := em.fields.runBatch(em.slots[slot].batch, em.sources, batch)
 		if err != nil {
 			return err
 		}
 		for j, i := range batch {
-			em.levels[i] = levels[j]
+			em.levels[i], em.shared[i] = levels[j], false
 		}
 		return nil
 	})
 	if err != nil {
 		// The sources were validated at construction and every distance
-		// field holds n entries, so the kernel has nothing to refuse.
+		// field holds n entries of a width that fits n, so the kernel has
+		// nothing to refuse.
 		panic(fmt.Sprintf("incremental: expansion rebuild: %v", err))
 	}
+}
+
+// distFields is every source's distance field at one entry width:
+// fieldsOf[int16] on graphs of at most 32,768 nodes and fieldsOf[int32]
+// above (newFields). The repairs and rebuilds are generic over the
+// width, so both widths run one implementation.
+type distFields interface {
+	// repairRun repairs the sources at indices run on slot s
+	// (fieldsOf.repairRun).
+	repairRun(s *repairSlot, run []int, d *faults.EpochDelta, full int)
+	// runBatch re-runs the BFSs of sources[i] for every i in idx, at
+	// most kernels.BFSBatchWidth of them, on b: it overwrites their
+	// fields and returns their level counts in idx order.
+	runBatch(b *kernels.BFSBatch, sources []graph.NodeID, idx []int) ([][]int64, error)
+}
+
+// fieldsOf holds one n-entry distance field per source.
+type fieldsOf[D kernels.Distance] [][]D
+
+// newFields allocates k distance fields of n entries, each entry the
+// narrowest width that holds every distance on an n-node graph.
+func newFields(k, n int) distFields {
+	if kernels.Fits[int16](n) {
+		return allocFields[int16](k, n)
+	}
+	return allocFields[int32](k, n)
+}
+
+// allocFields allocates k fields of n entries of D.
+func allocFields[D kernels.Distance](k, n int) fieldsOf[D] {
+	f := make(fieldsOf[D], k)
+	for i := range f {
+		f[i] = make([]D, n)
+	}
+	return f
+}
+
+// runBatch is distFields.runBatch through kernels.RunDistances.
+func (f fieldsOf[D]) runBatch(b *kernels.BFSBatch, sources []graph.NodeID, idx []int) ([][]int64, error) {
+	lanes := make([]graph.NodeID, len(idx))
+	fields := make([][]D, len(idx))
+	for j, i := range idx {
+		lanes[j], fields[j] = sources[i], f[i]
+	}
+	return kernels.RunDistances(b, lanes, fields)
 }
 
 // budget is each repair phase's full work ceiling. A fresh BFS scans
@@ -318,7 +373,7 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta, g *graph.Graph) {
 	runs := parallel.Blocks(len(em.order), repairRunLen)
 	// No task fails and the context never ends: ForEach returns nil.
 	_ = parallel.ForEach(context.Background(), len(em.slots), len(runs), func(slot, r int) error {
-		em.slots[slot].repairRun(em.order[runs[r].Start:runs[r].End], d, budget)
+		em.fields.repairRun(em.slots[slot], em.order[runs[r].Start:runs[r].End], d, budget)
 		return nil
 	})
 	em.last = repairCounts{}
@@ -335,23 +390,24 @@ func (em *ExpansionMaintainer) Apply(d *faults.EpochDelta, g *graph.Graph) {
 }
 
 // repairRunLen is how many sources, consecutive in node-ID order, one
-// repair task takes in turn (repairRun; EXPERIMENTS.md, "Run length").
+// repair task takes in turn (fieldsOf.repairRun; EXPERIMENTS.md, "Run
+// length").
 const repairRunLen = 16
 
-// repairRun repairs the sources at indices run, in order, and marks
-// those that overrun their budget for the rebuild. The first starts
-// with the full budget; each fallback halves the next source's budget,
-// and each finished repair restores the full one.
-func (s *repairSlot) repairRun(run []int, d *faults.EpochDelta, full int) {
+// repairRun repairs the sources at indices run, in order, on slot s,
+// and marks those that overrun their budget for the rebuild. The first
+// starts with the full budget; each fallback halves the next source's
+// budget, and each finished repair restores the full one.
+func (f fieldsOf[D]) repairRun(s *repairSlot, run []int, d *faults.EpochDelta, full int) {
 	s.budget = full
 	for _, i := range run {
 		if s.budget < full {
 			s.halved++
 		}
 		switch {
-		case !s.repairDeletions(i, d):
+		case !repairDeletions(s, i, f[i], d):
 			s.deletionFallbacks++
-		case !s.applyInsertions(i, d):
+		case !applyInsertions(s, i, f[i], d):
 			s.insertionFallbacks++
 		default:
 			if s.budget < full {
@@ -424,31 +480,41 @@ func (s *repairSlot) bucketPush(d int32, v graph.NodeID) {
 
 // candidate queues v, at distance dist[v], for the orphan cascade
 // unless it already is.
-func (s *repairSlot) candidate(v graph.NodeID, dist []int32) {
+func candidate[D kernels.Distance](s *repairSlot, v graph.NodeID, dist []D) {
 	if !s.cand[v] {
 		s.cand[v] = true
 		s.cands = append(s.cands, v)
-		s.bucketPush(dist[v], v)
+		s.bucketPush(int32(dist[v]), v)
 	}
 }
 
-// repairDeletions brings source i from the old topology to the
-// intermediate one (losses applied, gains still masked): orphan every
-// node whose shortest-path tree support died, then re-level the orphan
-// region from its clean boundary with a bucketed unit-weight sweep. It
-// reports false, with the partial repair dropped, once the phase
-// overruns its budget.
-func (s *repairSlot) repairDeletions(i int, d *faults.EpochDelta) bool {
+// ownLevels returns source i's level counts for a change in place,
+// cloning them first if the last Measure handed them out.
+func (em *ExpansionMaintainer) ownLevels(i int) []int64 {
+	if em.shared[i] {
+		em.levels[i], em.shared[i] = slices.Clone(em.levels[i]), false
+	}
+	return em.levels[i]
+}
+
+// repairDeletions brings source i, whose distance field is dist, from
+// the old topology to the intermediate one (losses applied, gains still
+// masked): orphan every node whose shortest-path tree support died,
+// then re-level the orphan region from its clean boundary with a
+// bucketed unit-weight sweep. It reports false, with the partial repair
+// dropped, once the phase overruns its budget. Levels are int32 here,
+// as are the comparisons of a field entry with one, so no addition
+// wraps in 16 bits.
+func repairDeletions[D kernels.Distance](s *repairSlot, i int, dist []D, d *faults.EpochDelta) bool {
 	em := s.em
-	dist := em.dist[i]
 	s.work = 0
 
 	// Seed: the farther endpoint of every lost parent-child edge.
 	for _, e := range d.EdgesLost {
-		if dist[e.U] >= 0 && dist[e.V] == dist[e.U]+1 {
-			s.candidate(e.V, dist)
-		} else if dist[e.V] >= 0 && dist[e.U] == dist[e.V]+1 {
-			s.candidate(e.U, dist)
+		if du, dv := int32(dist[e.U]), int32(dist[e.V]); du >= 0 && dv == du+1 {
+			candidate(s, e.V, dist)
+		} else if dv >= 0 && du == dv+1 {
+			candidate(s, e.U, dist)
 		}
 	}
 	// Cascade in level order: a candidate at level L is an orphan iff
@@ -464,15 +530,15 @@ func (s *repairSlot) repairDeletions(i int, d *faults.EpochDelta) bool {
 			}
 			ns := s.scanI(v)
 			for _, x := range ns {
-				if dist[x] == di-1 && !s.orphan[x] {
+				if int32(dist[x]) == di-1 && !s.orphan[x] {
 					continue examine
 				}
 			}
 			s.orphan[v] = true
 			s.orphans = append(s.orphans, v)
 			for _, c := range ns {
-				if dist[c] == di+1 {
-					s.candidate(c, dist)
+				if int32(dist[c]) == di+1 {
+					candidate(s, c, dist)
 				}
 			}
 		}
@@ -483,7 +549,7 @@ func (s *repairSlot) repairDeletions(i int, d *faults.EpochDelta) bool {
 		s.reset()
 		return true
 	}
-	levels := em.levels[i]
+	levels := em.ownLevels(i)
 
 	// Re-level the orphans from the clean boundary: tentative distance
 	// is one past the best non-orphan neighbor, then a bucket sweep
@@ -493,8 +559,8 @@ func (s *repairSlot) repairDeletions(i int, d *faults.EpochDelta) bool {
 	for _, o := range s.orphans {
 		t := infDist
 		for _, x := range s.scanI(o) {
-			if !s.orphan[x] && dist[x] >= 0 && dist[x]+1 < t {
-				t = dist[x] + 1
+			if dx := int32(dist[x]); !s.orphan[x] && dx >= 0 && dx+1 < t {
+				t = dx + 1
 			}
 		}
 		if t < infDist {
@@ -519,7 +585,7 @@ func (s *repairSlot) repairDeletions(i int, d *faults.EpochDelta) bool {
 				levels = append(levels, 0)
 			}
 			levels[di]++
-			dist[o] = di
+			dist[o] = D(di)
 			for _, w := range s.scanI(o) {
 				if s.orphan[w] && !s.fixed[w] && s.tent[w] > di+1 {
 					s.tent[w] = di + 1
@@ -542,46 +608,48 @@ func (s *repairSlot) repairDeletions(i int, d *faults.EpochDelta) bool {
 	return true
 }
 
-// applyInsertions brings source i from the intermediate topology to
-// the new one: a bucketed multi-source relaxation seeded at the gained
-// edges. Insertions only shrink distances, so each improvement is
-// processed at most once per level it lands on. It reports false, with
-// the partial repair dropped, once the sweep overruns its budget.
-func (s *repairSlot) applyInsertions(i int, d *faults.EpochDelta) bool {
+// applyInsertions brings source i, whose distance field is dist, from
+// the intermediate topology to the new one: a bucketed multi-source
+// relaxation seeded at the gained edges. Insertions only shrink
+// distances, so each improvement is processed at most once per level it
+// lands on. It reports false, with the partial repair dropped, once the
+// sweep overruns its budget. As in repairDeletions, levels and the
+// comparisons with them are int32.
+func applyInsertions[D kernels.Distance](s *repairSlot, i int, dist []D, d *faults.EpochDelta) bool {
 	em := s.em
-	dist := em.dist[i]
 	s.work = 0
 	for _, e := range d.EdgesGained {
-		if dist[e.U] >= 0 {
-			s.offer(dist, e.V, dist[e.U]+1)
+		if du := int32(dist[e.U]); du >= 0 {
+			offer(s, dist, e.V, du+1)
 		}
-		if dist[e.V] >= 0 {
-			s.offer(dist, e.U, dist[e.V]+1)
+		if dv := int32(dist[e.V]); dv >= 0 {
+			offer(s, dist, e.U, dv+1)
 		}
 	}
 	if s.bhi < 0 {
 		return true
 	}
-	levels := em.levels[i]
+	levels := em.ownLevels(i)
 	for di := s.blo; di <= s.bhi; di++ {
 		for bi := 0; bi < len(s.buckets[di]); bi++ {
 			if s.overBudget() {
 				return false
 			}
 			v := s.buckets[di][bi]
-			if s.tent[v] != di || (dist[v] >= 0 && dist[v] <= di) {
+			dv := int32(dist[v])
+			if s.tent[v] != di || (dv >= 0 && dv <= di) {
 				continue
 			}
-			if dist[v] >= 0 {
-				levels[dist[v]]--
+			if dv >= 0 {
+				levels[dv]--
 			}
 			for int(di) >= len(levels) {
 				levels = append(levels, 0)
 			}
 			levels[di]++
-			dist[v] = di
+			dist[v] = D(di)
 			for _, w := range s.scanN(v) {
-				s.offer(dist, w, di+1)
+				offer(s, dist, w, di+1)
 			}
 		}
 	}
@@ -593,8 +661,8 @@ func (s *repairSlot) applyInsertions(i int, d *faults.EpochDelta) bool {
 
 // offer queues v at tentative distance nd when that beats both its
 // current distance and any earlier offer this sweep.
-func (s *repairSlot) offer(dist []int32, v graph.NodeID, nd int32) {
-	if (dist[v] < 0 || dist[v] > nd) && s.tent[v] > nd {
+func offer[D kernels.Distance](s *repairSlot, dist []D, v graph.NodeID, nd int32) {
+	if dv := int32(dist[v]); (dv < 0 || dv > nd) && s.tent[v] > nd {
 		if s.tent[v] == infDist {
 			s.touched = append(s.touched, v)
 		}
@@ -616,16 +684,15 @@ func trimLevels(levels []int64) []int64 {
 // populated resume checkpoint: every source is already measured, so
 // the call runs no BFS, only the sequential fold, and the Result is
 // bit-identical to a from-scratch measurement on the current topology.
+// The checkpoint carries the maintained level slices themselves, which
+// the Result keeps: from here on a repair clones a slice before it
+// changes it (ownLevels).
 func (em *ExpansionMaintainer) Measure(ctx context.Context) (*expansion.Result, error) {
-	ck := &expansion.Checkpoint{
-		Sources: em.sources,
-		Levels:  make([][]int64, len(em.levels)),
-	}
-	for i, ls := range em.levels {
-		ck.Levels[i] = append([]int64(nil), ls...)
+	for i := range em.shared {
+		em.shared[i] = true
 	}
 	return expansion.Measure(ctx, em.cur, expansion.Config{
 		Sources: em.sources,
-		Resume:  ck,
+		Resume:  &expansion.Checkpoint{Sources: em.sources, Levels: em.levels},
 	})
 }

@@ -2,6 +2,8 @@ package incremental
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -48,6 +50,21 @@ func clusteredSweep(t testing.TB) (*graph.Graph, faults.Config, []graph.NodeID) 
 	return g, faults.Config{Churn: 0.1, EdgeLoss: 0.05, Drift: 0.005, Seed: 1}, srcs
 }
 
+// field returns source i's maintained distance field, widened to int32.
+func field(em *ExpansionMaintainer, i int) []int32 {
+	switch f := em.fields.(type) {
+	case fieldsOf[int16]:
+		wide := make([]int32, len(f[i]))
+		for v, d := range f[i] {
+			wide[v] = int32(d)
+		}
+		return wide
+	case fieldsOf[int32]:
+		return f[i]
+	}
+	panic(fmt.Sprintf("distance fields of type %T", em.fields))
+}
+
 // checkExpansionExact compares the maintainer's whole state against
 // fresh BFSs on the same view: every source's distance field against a
 // graph.BFSWorker on the materialized view, and the folded Result
@@ -61,8 +78,9 @@ func checkExpansionExact(t *testing.T, epoch int, em *ExpansionMaintainer, view 
 		if err != nil {
 			t.Fatal(err)
 		}
+		dist := field(em, i)
 		for v, want := range res.Dist {
-			if got := em.dist[i][v]; got != want {
+			if got := dist[v]; got != want {
 				t.Fatalf("epoch %d source %d: dist[%d] = %d maintained, fresh BFS says %d",
 					epoch, src, v, got, want)
 			}
@@ -147,7 +165,7 @@ func TestEquivalenceExpansionMaintainerWorkerCounts(t *testing.T) {
 			}
 		}
 		for i, src := range srcs {
-			if !slices.Equal(ems[0].dist[i], ems[1].dist[i]) {
+			if !slices.Equal(field(ems[0], i), field(ems[1], i)) {
 				t.Fatalf("epoch %d source %d: distance fields differ between 1 and 4 workers", e, src)
 			}
 			if !slices.Equal(ems[0].levels[i], ems[1].levels[i]) {
@@ -214,7 +232,7 @@ func TestEquivalenceExpansionMaintainerSourceOrder(t *testing.T) {
 			}
 			for i, s := range ems[0].Sources() {
 				j := at[k+1][s]
-				if !slices.Equal(em.dist[j], ems[0].dist[i]) || !slices.Equal(em.levels[j], ems[0].levels[i]) {
+				if !slices.Equal(field(em, j), field(ems[0], i)) || !slices.Equal(em.levels[j], ems[0].levels[i]) {
 					t.Fatalf("epoch %d source %d: maintainer %d differs from sampled order at one worker", e, s, k+1)
 				}
 			}
@@ -404,5 +422,158 @@ func TestEquivalenceExpansionMaintainerCascadeCases(t *testing.T) {
 				t.Fatalf("want orphans and no fallback: %+v", c)
 			}
 		})
+	}
+}
+
+// TestEquivalenceExpansionMaintainerDeepPath drifts a 40,000-node path
+// under sparse edge loss, so that BFS depths pass 32,767, the largest
+// int16: the maintainer must hold int32 fields, and its repairs at
+// those depths must stay exact at every epoch.
+func TestEquivalenceExpansionMaintainerDeepPath(t *testing.T) {
+	g, err := gen.Path(40000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := faults.New(g, faults.Config{EdgeLoss: 5e-5, Drift: 0.5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	em, err := NewExpansionMaintainer(m.Degraded(), []graph.NodeID{0, 123, 20000, 39999}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := em.fields.(fieldsOf[int32]); !ok {
+		t.Fatalf("a 40,000-node graph got %T distance fields, want int32", em.fields)
+	}
+	checkExpansionExact(t, 0, em, m.View())
+	deepRepairs := 0
+	var d *faults.EpochDelta
+	for e := 1; e <= 8; e++ {
+		d = m.AdvanceEpochDelta(d)
+		em.Apply(d, m.Degraded())
+		checkExpansionExact(t, e, em, m.View())
+		res, err := em.Measure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MaxEccentricity > math.MaxInt16 && em.last.repaired > 0 {
+			deepRepairs++
+		}
+	}
+	if deepRepairs == 0 {
+		t.Fatal("no epoch repaired a source while a BFS ran deeper than 32,767")
+	}
+}
+
+// TestEquivalenceExpansionMaintainer16BitBoundary runs a 32,768-node
+// path, the largest graph with int16 fields, whose ends sit at distance
+// 32,767 from each other, the largest int16, and cuts and restores the
+// edges at both ends, where the repairs orphan, re-level and relax
+// nodes at that distance, and one in the middle, which falls back to a
+// rebuild. The state must stay exact after every Apply.
+func TestEquivalenceExpansionMaintainer16BitBoundary(t *testing.T) {
+	const n = 32768
+	g, err := gen.Path(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := graph.NewMaskedView(g)
+	srcs := []graph.NodeID{0, n / 2, n - 1}
+	em, err := NewExpansionMaintainer(graph.Materialize(mv), srcs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := em.fields.(fieldsOf[int16]); !ok {
+		t.Fatalf("a %d-node graph got %T distance fields, want int16", n, em.fields)
+	}
+	if got := field(em, 0)[n-1]; got != math.MaxInt16 {
+		t.Fatalf("far end of the path at distance %d, want %d", got, math.MaxInt16)
+	}
+	checkExpansionExact(t, 0, em, mv)
+	var snap *graph.MaskSnapshot
+	var delta faults.EpochDelta
+	var total repairCounts
+	for k, cut := range [][2]graph.NodeID{{n - 2, n - 1}, {0, 1}, {n / 4, n/4 + 1}} {
+		for _, drop := range []bool{true, false} {
+			snap = mv.Snapshot(snap)
+			if drop {
+				mv.DropEdge(cut[0], cut[1])
+			} else {
+				mv.RestoreEdge(cut[0], cut[1])
+			}
+			mv.DiffSnapshot(snap, &delta.MaskDelta)
+			em.Apply(&delta, graph.Materialize(mv))
+			checkExpansionExact(t, k, em, mv)
+			total.add(em.last)
+		}
+	}
+	if total.orphaned == 0 || total.deletionFallbacks == 0 {
+		t.Fatalf("want orphans and a rebuild: %+v", total)
+	}
+}
+
+// TestMeasureResultKeepsLevelsAcrossApply takes each epoch's Result and
+// a deep copy of its levels, applies the next epoch's delta, and
+// requires the Result's levels unchanged, while the maintained levels
+// of some source did change.
+func TestMeasureResultKeepsLevelsAcrossApply(t *testing.T) {
+	g, fcfg, srcs := clusteredSweep(t)
+	m, err := faults.New(g, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em, err := NewExpansionMaintainer(m.Degraded(), srcs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d *faults.EpochDelta
+	for e := 0; e < 4; e++ {
+		res, err := em.Measure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make([][]int64, len(srcs))
+		for i, ls := range res.Checkpoint().Levels {
+			before[i] = slices.Clone(ls)
+		}
+		d = m.AdvanceEpochDelta(d)
+		em.Apply(d, m.Degraded())
+		moved := 0
+		for i, ls := range res.Checkpoint().Levels {
+			if !slices.Equal(ls, before[i]) {
+				t.Fatalf("epoch %d source %d: Result levels %v became %v after the next Apply", e, srcs[i], before[i], ls)
+			}
+			if !slices.Equal(em.Levels(i), before[i]) {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("epoch %d: the next Apply changed no source's levels", e)
+		}
+	}
+}
+
+// TestMeasureAllocatesLessThanOncePerSource bounds Measure's
+// allocations on the quick sweep's 128 sources below one per source:
+// the fold reads the maintained level slices, it copies none of them.
+func TestMeasureAllocatesLessThanOncePerSource(t *testing.T) {
+	g, fcfg, srcs := clusteredSweep(t)
+	m, err := faults.New(g, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em, err := NewExpansionMaintainer(m.Degraded(), srcs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := em.Measure(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocations per Measure of %d sources", allocs, len(srcs))
+	if allocs >= float64(len(srcs)) {
+		t.Fatalf("Measure made %v allocations for %d sources, want fewer than one per source", allocs, len(srcs))
 	}
 }

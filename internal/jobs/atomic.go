@@ -9,7 +9,9 @@ import (
 // WriteFileAtomic writes data to path via a same-directory temp file,
 // fsync, and rename, so readers (and crashed writers) only ever observe
 // the old content or the complete new content — never a truncated file.
-// It backs every cache entry, artifact file and METRICS.json write.
+// On unix it then fsyncs the directory, so that once it returns nil the
+// new content survives a power loss too. It backs every cache entry,
+// artifact file and METRICS.json write.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	if dir == "" {
@@ -42,6 +44,9 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("jobs: atomic write %s: rename: %w", path, err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("jobs: atomic write %s: sync directory: %w", path, err)
 	}
 	return nil
 }

@@ -35,7 +35,8 @@ import (
 // A batch holds three n-word masks (24n bytes of scratch); reuse one
 // across many Run calls, or draw from a BFSBatchPool under a fan-out,
 // and Rebind it to a new graph of the same size instead of allocating
-// another. RunDistances also fills each lane's distance field.
+// another. RunDistances runs a batch that also fills each lane's
+// distance field.
 // BFSBatches are not safe for concurrent use; create one per goroutine.
 type BFSBatch struct {
 	g *graph.Graph
@@ -122,31 +123,45 @@ func SortByNode(idx []int, sources []graph.NodeID) {
 // slices are freshly allocated — unlike graph.BFSWorker.Run they alias
 // no batch scratch and stay valid across further Run calls.
 func (b *BFSBatch) Run(sources []graph.NodeID) ([][]int64, error) {
-	return b.run(sources, nil)
+	// No distance fields; the entry type only names an instantiation.
+	return run[int32](b, sources, nil)
 }
 
-// RunDistances is Run that also fills each lane's distance field:
+// Distance is the entry type of a RunDistances field. int32 holds the
+// distances of any graph; int16, half the bytes, those of a graph of at
+// most 32,768 nodes (Fits).
+type Distance interface{ int16 | int32 }
+
+// Fits reports whether entries of type D hold every BFS distance on an
+// n-node graph, none of which exceeds n−1: int16 up to 32,768 nodes.
+func Fits[D Distance](n int) bool { return int(D(n-1)) == n-1 }
+
+// RunDistances is b.Run that also fills each lane's distance field:
 // dist[j][v] becomes the distance of v from sources[j], or -1 where
 // lane j never reaches v, exactly the graph.BFSWorker distances. dist
-// holds one n-entry slice per source. A lane writes a node's level when
-// it discovers the node, in the batched harvest, or as the level closes
-// once the lane runs alone; Run's own loops carry none of it.
-func (b *BFSBatch) RunDistances(sources []graph.NodeID, dist [][]int32) ([][]int64, error) {
+// holds one n-entry slice per source, of entries that fit the graph's
+// distances (Fits). A lane writes a node's level when it discovers the
+// node, in the batched harvest, or as the level closes once the lane
+// runs alone; Run's own loops carry none of it.
+func RunDistances[D Distance](b *BFSBatch, sources []graph.NodeID, dist [][]D) ([][]int64, error) {
+	b.alone = false
 	if len(dist) != len(sources) {
-		b.alone = false
 		return nil, fmt.Errorf("kernels: bfs batch of %d sources given %d distance fields", len(sources), len(dist))
 	}
+	n := len(b.front)
+	if !Fits[D](n) {
+		return nil, fmt.Errorf("kernels: %T distance fields cannot hold the distances of a %d-node graph", D(0), n)
+	}
 	for j, d := range dist {
-		if len(d) != len(b.front) {
-			b.alone = false
-			return nil, fmt.Errorf("kernels: distance field %d holds %d nodes, the graph %d", j, len(d), len(b.front))
+		if len(d) != n {
+			return nil, fmt.Errorf("kernels: distance field %d holds %d nodes, the graph %d", j, len(d), n)
 		}
 	}
-	return b.run(sources, dist)
+	return run(b, sources, dist)
 }
 
-// run is Run, and RunDistances when dist is non-nil.
-func (b *BFSBatch) run(sources []graph.NodeID, dist [][]int32) ([][]int64, error) {
+// run is b.Run, and RunDistances when dist is non-nil.
+func run[D Distance](b *BFSBatch, sources []graph.NodeID, dist [][]D) ([][]int64, error) {
 	b.alone = false
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("kernels: bfs batch needs at least one source")
@@ -181,7 +196,7 @@ func (b *BFSBatch) run(sources []graph.NodeID, dist [][]int32) ([][]int64, error
 	depth := 0
 	for len(b.active) > 0 {
 		if depth >= loneDepth && b.drifted() {
-			b.finishAlone(levels, dist)
+			finishAlone(b, levels, dist)
 			b.alone = true
 			break
 		}
@@ -206,7 +221,7 @@ func (b *BFSBatch) run(sources []graph.NodeID, dist [][]int32) ([][]int64, error
 		// the per-source level sizes, and form the next frontier.
 		b.active = b.active[:0]
 		if dist != nil {
-			b.harvestDistances(touched, levels, dist, depth)
+			harvestDistances(b, touched, levels, dist, depth)
 			b.touched = touched[:0]
 			continue
 		}
@@ -240,11 +255,11 @@ func (b *BFSBatch) run(sources []graph.NodeID, dist [][]int32) ([][]int64, error
 	return levels, nil
 }
 
-// harvestDistances is Run's harvest for RunDistances: the same pass over
+// harvestDistances is run's harvest for RunDistances: the same pass over
 // the touched nodes, which also writes depth into the distance field of
 // every lane that discovers the node.
-func (b *BFSBatch) harvestDistances(touched []graph.NodeID, levels [][]int64, dist [][]int32, depth int) {
-	d := int32(depth)
+func harvestDistances[D Distance](b *BFSBatch, touched []graph.NodeID, levels [][]int64, dist [][]D, depth int) {
+	d := D(depth)
 	for _, u := range touched {
 		discovered := b.next[u] &^ b.visited[u]
 		b.next[u] = 0
@@ -291,7 +306,7 @@ func (b *BFSBatch) drifted() bool {
 // once, so the queue never outgrows touched's n slots. With dist, each
 // closed level writes its distance into the lane's field for the nodes
 // the level queued. On return front is zero and active is empty.
-func (b *BFSBatch) finishAlone(levels [][]int64, dist [][]int32) {
+func finishAlone[D Distance](b *BFSBatch, levels [][]int64, dist [][]D) {
 	for j := range levels {
 		bit := uint64(1) << j
 		queue := b.touched[:0]
@@ -312,7 +327,7 @@ func (b *BFSBatch) finishAlone(levels [][]int64, dist [][]int32) {
 			}
 			if found := len(queue) - end; found > 0 {
 				if dist != nil {
-					d := int32(len(levels[j]))
+					d := D(len(levels[j]))
 					for _, u := range queue[end:] {
 						dist[j][u] = d
 					}

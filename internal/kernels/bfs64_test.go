@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -162,59 +163,71 @@ func TestEquivalenceBFSBatchHandover(t *testing.T) {
 
 // TestEquivalenceBFSBatchDistances checks RunDistances against
 // graph.BFSWorker, the distances and the levels of every lane, on the
-// handoverCases, in batches that hand over and batches that do not. The
-// fields start dirty, so they must be overwritten whole, and a plain
-// Run of the same sources follows on the same BFSBatch, so the distance
-// run must leave the scratch clean.
+// handoverCases, in batches that hand over and batches that do not,
+// with int16 and with int32 fields. The fields start dirty, so they
+// must be overwritten whole, and a plain Run of the same sources
+// follows on the same BFSBatch, so the distance run must leave the
+// scratch clean.
 func TestEquivalenceBFSBatchDistances(t *testing.T) {
 	for _, tc := range handoverCases(t) {
-		n := tc.g.NumNodes()
-		batch := kernels.NewBFSBatch(tc.g)
-		dist := make([][]int32, len(tc.sources))
-		for j := range dist {
-			dist[j] = make([]int32, n)
-			for v := range dist[j] {
-				dist[j][v] = int32(v + 7)
-			}
-		}
-		levels, err := batch.RunDistances(tc.sources, dist)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if batch.LanesAlone() != tc.alone {
-			t.Fatalf("%s: LanesAlone() = %v, want %v", tc.name, batch.LanesAlone(), tc.alone)
-		}
-		w := graph.NewBFSWorker(tc.g)
-		for j, s := range tc.sources {
-			ref, err := w.Run(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(levels[j], ref.LevelSizes) {
-				t.Fatalf("%s lane %d (source %d): levels %v, scalar %v", tc.name, j, s, levels[j], ref.LevelSizes)
-			}
-			if !reflect.DeepEqual(dist[j], ref.Dist) {
-				t.Fatalf("%s lane %d (source %d): distances differ from the scalar BFS", tc.name, j, s)
-			}
-		}
-		checkBFSBatch(t, tc.name+" then Run", batch, tc.g, tc.sources, tc.alone)
+		checkDistances[int16](t, tc)
+		checkDistances[int32](t, tc)
 	}
 }
 
+// checkDistances runs one handover case through RunDistances into
+// fields of D and compares every lane with a scalar BFS.
+func checkDistances[D kernels.Distance](t *testing.T, tc bfsCase) {
+	t.Helper()
+	name := fmt.Sprintf("%s/%T", tc.name, D(0))
+	n := tc.g.NumNodes()
+	batch := kernels.NewBFSBatch(tc.g)
+	dist := make([][]D, len(tc.sources))
+	for j := range dist {
+		dist[j] = make([]D, n)
+		for v := range dist[j] {
+			dist[j][v] = D(v + 7)
+		}
+	}
+	levels, err := kernels.RunDistances(batch, tc.sources, dist)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if batch.LanesAlone() != tc.alone {
+		t.Fatalf("%s: LanesAlone() = %v, want %v", name, batch.LanesAlone(), tc.alone)
+	}
+	w := graph.NewBFSWorker(tc.g)
+	for j, s := range tc.sources {
+		ref, err := w.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(levels[j], ref.LevelSizes) {
+			t.Fatalf("%s lane %d (source %d): levels %v, scalar %v", name, j, s, levels[j], ref.LevelSizes)
+		}
+		for v, want := range ref.Dist {
+			if got := int32(dist[j][v]); got != want {
+				t.Fatalf("%s lane %d (source %d): dist[%d] = %d, scalar %d", name, j, s, v, got, want)
+			}
+		}
+	}
+	checkBFSBatch(t, name+" then Run", batch, tc.g, tc.sources, tc.alone)
+}
+
 // TestBFSBatchDistancesErrors covers the distance fields' contract and
-// Rebind: a mismatched field count or length is refused before any
-// scratch is touched, and a batch rebound to a graph of another size
-// runs on it.
+// Rebind: a mismatched field count or length, or int16 fields on a
+// graph of more than 32,768 nodes, is refused before any scratch is
+// touched, and a batch rebound to a graph of another size runs on it.
 func TestBFSBatchDistancesErrors(t *testing.T) {
 	g, err := gen.Path(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := kernels.NewBFSBatch(g)
-	if _, err := batch.RunDistances([]graph.NodeID{0, 1}, [][]int32{make([]int32, 10)}); err == nil {
+	if _, err := kernels.RunDistances(batch, []graph.NodeID{0, 1}, [][]int32{make([]int32, 10)}); err == nil {
 		t.Error("two sources, one field: want error")
 	}
-	if _, err := batch.RunDistances([]graph.NodeID{0}, [][]int32{make([]int32, 9)}); err == nil {
+	if _, err := kernels.RunDistances(batch, []graph.NodeID{0}, [][]int16{make([]int16, 9)}); err == nil {
 		t.Error("short field: want error")
 	}
 	checkBFSBatch(t, "after refusals", batch, g, []graph.NodeID{0, 9}, false)
@@ -227,6 +240,37 @@ func TestBFSBatchDistancesErrors(t *testing.T) {
 	var zero kernels.BFSBatch
 	zero.Rebind(g)
 	checkBFSBatch(t, "zero batch, rebound", &zero, g, []graph.NodeID{3}, false)
+}
+
+// TestEquivalenceBFSBatchDistances16BitBoundary runs a path of 32,768 nodes, whose
+// far end sits at distance 32,767, the largest int16, into int16
+// fields, and a path of 32,769 nodes, whose far end would wrap, into
+// int16 fields (refused) and int32 fields.
+func TestEquivalenceBFSBatchDistances16BitBoundary(t *testing.T) {
+	for _, n := range []int{32768, 32769} {
+		g, err := gen.Path(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := kernels.NewBFSBatch(g)
+		ends := []graph.NodeID{0, graph.NodeID(n - 1)}
+		d16 := [][]int16{make([]int16, n), make([]int16, n)}
+		_, err = kernels.RunDistances(batch, ends, d16)
+		if fits := n <= 32768; (err == nil) != fits || kernels.Fits[int16](n) != fits {
+			t.Fatalf("%d-node path, int16 fields: err %v, Fits %v", n, err, kernels.Fits[int16](n))
+		}
+		if err == nil && (d16[0][n-1] != int16(n-1) || d16[1][0] != int16(n-1)) {
+			t.Fatalf("%d-node path: far ends at %d and %d, want %d", n, d16[0][n-1], d16[1][0], n-1)
+		}
+		d32 := [][]int32{make([]int32, n), make([]int32, n)}
+		if _, err := kernels.RunDistances(batch, ends, d32); err != nil {
+			t.Fatalf("%d-node path, int32 fields: %v", n, err)
+		}
+		if d32[0][n-1] != int32(n-1) || d32[1][0] != int32(n-1) {
+			t.Fatalf("%d-node path: far ends at %d and %d in int32, want %d", n, d32[0][n-1], d32[1][0], n-1)
+		}
+		checkBFSBatch(t, fmt.Sprintf("%d-node path after the distance runs", n), batch, g, ends, true)
+	}
 }
 
 // checkBFSBatch runs one batch and compares every lane with a scalar

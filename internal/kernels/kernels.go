@@ -25,7 +25,7 @@
 // expansion.Measure run one block of DefaultBlockWidth sources, or one
 // batch of BFSBatchWidth cores, per worker task. BFSBatch also serves
 // incremental.ExpansionMaintainer, whose rebuilds need each lane's
-// distances (BFSBatch.RunDistances); both BFS callers cut their batches
+// distances (RunDistances); both BFS callers cut their batches
 // in node-ID order (SortByNode), where nearby cores share most scans.
 //
 // Both kernels preserve the repository's determinism contract

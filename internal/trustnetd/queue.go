@@ -152,18 +152,8 @@ func (q *queue) run(t *task) {
 	t.status.State = StateRunning
 	q.mu.Unlock()
 
-	// No OutDir: the artifact the store keeps, files inside, is the one
-	// copy of a job's output, and GET /v1/jobs/{id}/artifact serves it.
-	runner := &jobs.Runner{
-		Cache:  q.store,
-		Flight: q.flight,
-		Env:    jobs.Env{GraphFingerprint: t.status.GraphFingerprint},
-		Stdout: io.Discard,
-	}
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(q.runCtx, q.jobTimeout)
-	cached, err := runner.Run(ctx, t.job)
-	cancel()
+	cached, err := q.execute(t)
 	t.release()
 
 	q.mu.Lock()
@@ -182,6 +172,29 @@ func (q *queue) run(t *task) {
 	} else {
 		obsJobsCompleted.Inc()
 	}
+}
+
+// execute runs the task's job once under the per-job deadline. A
+// panicking job fails with an error naming the panic value instead of
+// ending the daemon; the runner caches nothing for it, and the worker
+// goes on draining the queue.
+func (q *queue) execute(t *task) (cached bool, err error) {
+	// No OutDir: the artifact the store keeps, files inside, is the one
+	// copy of a job's output, and GET /v1/jobs/{id}/artifact serves it.
+	runner := &jobs.Runner{
+		Cache:  q.store,
+		Flight: q.flight,
+		Env:    jobs.Env{GraphFingerprint: t.status.GraphFingerprint},
+		Stdout: io.Discard,
+	}
+	ctx, cancel := context.WithTimeout(q.runCtx, q.jobTimeout)
+	defer cancel()
+	defer func() {
+		if r := recover(); r != nil {
+			cached, err = false, fmt.Errorf("job %s panicked: %v", t.job.Name(), r)
+		}
+	}()
+	return runner.Run(ctx, t.job)
 }
 
 // get returns a task's status snapshot.
