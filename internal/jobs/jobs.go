@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"sync"
 )
 
 // SchemaVersion versions the artifact envelope and cache key. Bumping
@@ -139,22 +140,24 @@ func ConfigFingerprint(cfg any) string {
 // a Job.
 type funcJob struct {
 	name string
-	fp   string
+	fp   func() string
 	run  func(ctx context.Context, env Env) (*Artifact, error)
 }
 
 // New returns a Job with the given registry name whose fingerprint is
 // ConfigFingerprint(cfg) and whose Run invokes run. cfg is the job's
-// typed configuration struct; it is digested once at construction.
+// typed configuration struct, passed by value; it is digested once, on
+// the first Fingerprint call, so a registry of many jobs pays only for
+// the ones a caller keys.
 func New(name string, cfg any, run func(ctx context.Context, env Env) (*Artifact, error)) Job {
-	return &funcJob{name: name, fp: ConfigFingerprint(cfg), run: run}
+	return &funcJob{name: name, fp: sync.OnceValue(func() string { return ConfigFingerprint(cfg) }), run: run}
 }
 
 // Name implements Job.
 func (j *funcJob) Name() string { return j.name }
 
 // Fingerprint implements Job.
-func (j *funcJob) Fingerprint() string { return j.fp }
+func (j *funcJob) Fingerprint() string { return j.fp() }
 
 // Run implements Job.
 func (j *funcJob) Run(ctx context.Context, env Env) (*Artifact, error) {

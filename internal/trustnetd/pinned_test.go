@@ -92,6 +92,43 @@ func TestMeasurementsPinned(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprintsPinned pins the config half of the four
+// catalog jobs' artifact cache keys at perfbench's paper and large
+// request configs, resolved the way POST /v1/jobs resolves a request.
+// A moved key orphans every cached artifact of that job, so only a
+// deliberate jobs.SchemaVersion bump may move them, and it moves all
+// eight.
+func TestConfigFingerprintsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		config string
+		cfg    MeasureConfig
+		want   map[string]string
+	}{
+		{"paper", pinnedPaperConfig, map[string]string{
+			"mixing": "dbfbb4fe6ad10042", "expansion": "59c373292d17860b",
+			"coreness": "4bfc0d0e073421e0", "slem": "070bc566d5cfaf8f",
+		}},
+		{"large", pinnedLargeConfig, map[string]string{
+			"mixing": "fcaf0328de6b42a7", "expansion": "fdef405a861f1d16",
+			"coreness": "850a91f1b0342d21", "slem": "20b3e4043d3ac702",
+		}},
+	} {
+		reg, err := Jobs(nil, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"mixing", "expansion", "coreness", "slem"} {
+			j, err := reg.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := j.Fingerprint(); got != tc.want[name] {
+				t.Errorf("%s at the %s config: fingerprint %s, pinned %s", name, tc.config, got, tc.want[name])
+			}
+		}
+	}
+}
+
 // renderPinned runs the catalog on g under cfg and renders the pinned
 // lines, one per line.
 func renderPinned(t *testing.T, g graph.View, cfg MeasureConfig) string {

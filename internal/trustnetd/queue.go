@@ -18,7 +18,15 @@ var (
 	obsJobsCompleted = obs.Default().Counter("trustnetd.jobs.completed")
 	obsJobsFailed    = obs.Default().Counter("trustnetd.jobs.failed")
 	obsJobsRejected  = obs.Default().Counter("trustnetd.jobs.rejected")
+	obsJobsExpired   = obs.Default().Counter("trustnetd.jobs.expired")
 )
+
+// maxFinishedTasks bounds the finished tasks a queue keeps. Past it the
+// oldest finished task is forgotten, in the order tasks finished: its ID
+// answers 404, and repeating its request replays the artifact from the
+// cache. Queued and running tasks are bounded by the intake depth and
+// the worker count, so the task table is bounded too.
+const maxFinishedTasks = 4096
 
 // Job states reported by the status endpoint.
 const (
@@ -30,7 +38,8 @@ const (
 
 // task is one queued measurement: the bound job, the pinned graph, and
 // the mutable status the API reports. Status fields are guarded by the
-// queue mutex.
+// queue mutex. A finished task keeps only its status: the run drops the
+// job, whose closure holds the graph view, and the release func.
 type task struct {
 	status  JobStatus
 	job     jobs.Job
@@ -43,17 +52,21 @@ type task struct {
 // jobs.Runner sharing the daemon's artifact store and single-flight
 // group, under the per-job deadline; a failed run is a failed job.
 // Drain closes the intake and waits for queued work to finish —
-// in-flight measurements complete, they are never severed.
+// in-flight measurements complete, they are never severed. The task
+// table holds every queued and running task and the newest retain
+// finished ones.
 type queue struct {
 	store      *jobs.Store
 	flight     *jobs.Flight
 	jobTimeout time.Duration
+	retain     int // finished tasks kept; maxFinishedTasks
 
-	mu     sync.Mutex
-	tasks  map[string]*task
-	order  []string
-	nextID int
-	closed bool
+	mu       sync.Mutex
+	tasks    map[string]*task
+	order    []string // enqueue order; forgotten IDs stay until compact
+	finished []string // retained finished IDs, oldest first
+	nextID   int
+	closed   bool
 
 	pending chan *task
 	wg      sync.WaitGroup
@@ -78,6 +91,7 @@ func newQueue(store *jobs.Store, workers, depth int, jobTimeout time.Duration) *
 		store:      store,
 		flight:     &jobs.Flight{},
 		jobTimeout: jobTimeout,
+		retain:     maxFinishedTasks,
 		tasks:      make(map[string]*task),
 		pending:    make(chan *task, depth),
 		runCtx:     ctx,
@@ -99,6 +113,7 @@ var errQueueFull = errors.New("queue is full")
 // immediately on rejection), never before. A full intake returns an
 // error wrapping errQueueFull.
 func (q *queue) enqueue(j jobs.Job, info GraphInfo, graphKey string, release func()) (JobStatus, error) {
+	configFP := j.Fingerprint()
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -114,7 +129,7 @@ func (q *queue) enqueue(j jobs.Job, info GraphInfo, graphKey string, release fun
 			Job:               j.Name(),
 			Graph:             graphKey,
 			GraphFingerprint:  info.Fingerprint,
-			ConfigFingerprint: j.Fingerprint(),
+			ConfigFingerprint: configFP,
 			State:             StateQueued,
 		},
 		job:     j,
@@ -165,6 +180,11 @@ func (q *queue) run(t *task) {
 	} else {
 		t.status.State = StateDone
 	}
+	t.job, t.release = nil, nil
+	q.finished = append(q.finished, t.status.ID)
+	if len(q.finished) > q.retain {
+		q.forgetOldest()
+	}
 	q.mu.Unlock()
 	close(t.done)
 	if err != nil {
@@ -197,6 +217,27 @@ func (q *queue) execute(t *task) (cached bool, err error) {
 	return runner.Run(ctx, t.job)
 }
 
+// forgetOldest drops the oldest finished task from the table. Once
+// order holds twice as many IDs as the table, one pass drops the
+// forgotten ones, so forgetting costs amortized O(1) per task. Callers
+// hold q.mu.
+func (q *queue) forgetOldest() {
+	delete(q.tasks, q.finished[0])
+	q.finished = q.finished[1:]
+	obsJobsExpired.Inc()
+	if len(q.order) < 2*len(q.tasks) {
+		return
+	}
+	kept := q.order[:0]
+	for _, id := range q.order {
+		if _, ok := q.tasks[id]; ok {
+			kept = append(kept, id)
+		}
+	}
+	clear(q.order[len(kept):])
+	q.order = kept
+}
+
 // get returns a task's status snapshot.
 func (q *queue) get(id string) (JobStatus, error) {
 	q.mu.Lock()
@@ -209,7 +250,9 @@ func (q *queue) get(id string) (JobStatus, error) {
 }
 
 // wait blocks until the task finishes or ctx ends, returning the final
-// status. It backs the poll endpoint's optional wait parameter.
+// status. It backs the poll endpoint's optional wait parameter. The
+// status comes from the task it holds, so a task forgotten after it
+// finished still answers.
 func (q *queue) wait(ctx context.Context, id string) (JobStatus, error) {
 	q.mu.Lock()
 	t, ok := q.tasks[id]
@@ -221,16 +264,20 @@ func (q *queue) wait(ctx context.Context, id string) (JobStatus, error) {
 	case <-t.done:
 	case <-ctx.Done():
 	}
-	return q.get(id)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return t.status, nil
 }
 
-// list returns every task's status in enqueue order.
+// list returns every retained task's status in enqueue order.
 func (q *queue) list() []JobStatus {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]JobStatus, 0, len(q.order))
+	out := make([]JobStatus, 0, len(q.tasks))
 	for _, id := range q.order {
-		out = append(out, q.tasks[id].status)
+		if t, ok := q.tasks[id]; ok {
+			out = append(out, t.status)
+		}
 	}
 	return out
 }

@@ -601,6 +601,57 @@ func TestEnqueueOversizedBodyAnswers413(t *testing.T) {
 	}
 }
 
+// FuzzEnqueueJob posts arbitrary bodies to POST /v1/jobs on a daemon
+// holding one tiny graph, under a short job deadline. Every body must be
+// answered with a status the OpenAPI document lists for the route: 202,
+// the default error's 400 and 404, or the listed 413 and 429. No body
+// may panic a handler, and the queue must drain cleanly at the end.
+func FuzzEnqueueJob(f *testing.F) {
+	root := f.TempDir()
+	s, err := New(Config{
+		DataDir:      filepath.Join(root, "data"),
+		CacheDir:     filepath.Join(root, "cache"),
+		Workers:      1,
+		JobTimeout:   50 * time.Millisecond,
+		DrainTimeout: time.Minute,
+	})
+	if err != nil {
+		f.Fatalf("New: %v", err)
+	}
+	post := func(path string, body []byte) int {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		return rec.Code
+	}
+	if code := post("/v1/graphs/g/generate", []byte(`{"model":"ba","nodes":30,"attach":2,"seed":5}`)); code != http.StatusCreated {
+		f.Fatalf("generate the graph: status %d", code)
+	}
+	f.Cleanup(func() {
+		if !s.queue.drain(time.Minute) {
+			f.Error("the queue did not drain within a minute")
+		}
+		s.graphs.closeAll()
+	})
+
+	f.Add([]byte(`{"graph":"g","job":"mixing","config":{"sources":2,"max_steps":5}}`))
+	f.Add([]byte(`{"graph":"g","job":"cores"}`))
+	f.Add([]byte(`{"graph":"nope","job":"slem"}`))
+	f.Add([]byte(`{"graph":"g","job":"coreness","priority":1}`))
+	f.Add([]byte(`{"graph":"g","job":"mix`))
+	f.Add([]byte(`{"graph":"g","job":"expansion","config":{"expansion_sources":-1}}`))
+	pad := maxRequestBytes + 1 - len(`{"graph":"g","job":"slem","pad":""}`)
+	f.Add([]byte(`{"graph":"g","job":"slem","pad":"` + strings.Repeat("x", pad) + `"}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		switch code := post("/v1/jobs", body); code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusNotFound,
+			http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("POST /v1/jobs %q: status %d, which the OpenAPI document does not list", body, code)
+		}
+	})
+}
+
 // TestExpansionMinAlphaIsVertexExpansion checks the expansion summary's
 // min alpha on wiki-vote against the sampled vertex expansion: the
 // smallest factor over envelopes of at most n/2 nodes, not the tail of
@@ -857,5 +908,69 @@ func TestInvalidGraphName(t *testing.T) {
 		GenerateRequest{Model: "ba", Nodes: 10}, &errResp)
 	if code != http.StatusBadRequest && code != http.StatusNotFound {
 		t.Fatalf("bad name accepted: status %d", code)
+	}
+}
+
+// TestRetainForgottenJobAnswers404AndReplaysFromCache runs a daemon
+// that keeps two finished jobs. Once two more jobs have finished after
+// the first, its ID must answer 404 on status, long poll and artifact,
+// the job list must hold the two newest jobs in enqueue order, and
+// re-POSTing the first request must answer done from the cache with the
+// bytes first served.
+func TestRetainForgottenJobAnswers404AndReplaysFromCache(t *testing.T) {
+	s, ts := newTestServer(t)
+	s.queue.mu.Lock()
+	s.queue.retain = 2
+	s.queue.mu.Unlock()
+	generateGraph(t, ts, "g")
+	expired := obs.Default().Counter("trustnetd.jobs.expired")
+	before := expired.Value()
+
+	run := func(job string) (JobStatus, []byte) {
+		t.Helper()
+		var st JobStatus
+		req := JobRequest{Graph: "g", Job: job, Config: MeasureConfig{Seed: 3, Sources: 4, MaxSteps: 30, ExpansionSources: 8}}
+		if code := doJSON(t, "POST", ts.URL+"/v1/jobs", req, &st); code != http.StatusAccepted {
+			t.Fatalf("enqueue %s: status %d", job, code)
+		}
+		st = waitDone(t, ts, st.ID)
+		if st.State != StateDone {
+			t.Fatalf("%s failed: %s", job, st.Error)
+		}
+		return st, fetchArtifact(t, ts, st.ID)
+	}
+	first, body := run("mixing")
+	var ids []string
+	for _, job := range []string{"expansion", "coreness"} {
+		st, _ := run(job)
+		ids = append(ids, st.ID)
+	}
+
+	for _, path := range []string{"", "?wait=1s", "/artifact"} {
+		var errResp ErrorResponse
+		if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+first.ID+path, nil, &errResp); code != http.StatusNotFound {
+			t.Errorf("GET /v1/jobs/%s%s of a forgotten job: status %d, want 404", first.ID, path, code)
+		}
+	}
+	var listed []string
+	for _, st := range listJobs(t, ts) {
+		listed = append(listed, st.ID)
+	}
+	if !slices.Equal(listed, ids) {
+		t.Fatalf("GET /v1/jobs lists %v, want the two newest, %v", listed, ids)
+	}
+	if got := expired.Value() - before; got != 1 {
+		t.Fatalf("trustnetd.jobs.expired advanced by %d, want 1", got)
+	}
+
+	again, replayed := run("mixing")
+	if !again.Cached || again.ID == first.ID {
+		t.Fatalf("re-POSTed request: %+v; want a new job answered from the cache", again)
+	}
+	if !bytes.Equal(replayed, body) {
+		t.Fatalf("replayed artifact differs from the one first served (%d vs %d bytes)", len(replayed), len(body))
+	}
+	if n := len(listJobs(t, ts)); n != 2 {
+		t.Fatalf("GET /v1/jobs lists %d jobs, want 2", n)
 	}
 }
