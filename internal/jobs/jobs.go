@@ -136,12 +136,14 @@ func ConfigFingerprint(cfg any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// funcJob adapts a name, a fingerprinted config, and a run closure into
-// a Job.
+// funcJob adapts a name, a config digested on first use, and a run
+// closure into a Job.
 type funcJob struct {
-	name string
-	fp   func() string
-	run  func(ctx context.Context, env Env) (*Artifact, error)
+	name   string
+	cfg    any
+	run    func(ctx context.Context, env Env) (*Artifact, error)
+	fpOnce sync.Once
+	fp     string
 }
 
 // New returns a Job with the given registry name whose fingerprint is
@@ -150,14 +152,17 @@ type funcJob struct {
 // the first Fingerprint call, so a registry of many jobs pays only for
 // the ones a caller keys.
 func New(name string, cfg any, run func(ctx context.Context, env Env) (*Artifact, error)) Job {
-	return &funcJob{name: name, fp: sync.OnceValue(func() string { return ConfigFingerprint(cfg) }), run: run}
+	return &funcJob{name: name, cfg: cfg, run: run}
 }
 
 // Name implements Job.
 func (j *funcJob) Name() string { return j.name }
 
 // Fingerprint implements Job.
-func (j *funcJob) Fingerprint() string { return j.fp() }
+func (j *funcJob) Fingerprint() string {
+	j.fpOnce.Do(func() { j.fp = ConfigFingerprint(j.cfg) })
+	return j.fp
+}
 
 // Run implements Job.
 func (j *funcJob) Run(ctx context.Context, env Env) (*Artifact, error) {

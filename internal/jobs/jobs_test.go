@@ -3,11 +3,14 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/report"
@@ -34,6 +37,46 @@ func TestConfigFingerprintStableAndSensitive(t *testing.T) {
 		if ConfigFingerprint(other) == a {
 			t.Errorf("config %+v collides with the base config", other)
 		}
+	}
+}
+
+// countedConfig counts how often it is encoded.
+type countedConfig struct {
+	Seed    int64
+	encodes *atomic.Int32
+}
+
+func (c countedConfig) MarshalJSON() ([]byte, error) {
+	c.encodes.Add(1)
+	return json.Marshal(struct{ Seed int64 }{c.Seed})
+}
+
+// TestNewFingerprintsOnceOnFirstUse builds a job and keys it from eight
+// goroutines at once: New must not encode the config, the first
+// Fingerprint call must encode it once for all eight, and every caller
+// must read ConfigFingerprint of the config.
+func TestNewFingerprintsOnceOnFirstUse(t *testing.T) {
+	var encodes atomic.Int32
+	cfg := countedConfig{Seed: 7, encodes: &encodes}
+	j := New("lazy", cfg, nil)
+	if n := encodes.Load(); n != 0 {
+		t.Fatalf("New encoded the config %d times, want 0", n)
+	}
+	want := ConfigFingerprint(cfg)
+	encodes.Store(0)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := j.Fingerprint(); got != want {
+				t.Errorf("Fingerprint = %s, want %s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := encodes.Load(); n != 1 {
+		t.Fatalf("eight Fingerprint calls encoded the config %d times, want 1", n)
 	}
 }
 

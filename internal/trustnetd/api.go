@@ -117,7 +117,8 @@ type JobStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// JobList is the job-listing response, in enqueue order.
+// JobList is the job-listing response: the retained jobs, in enqueue
+// order.
 type JobList struct {
 	Jobs []JobStatus `json:"jobs"`
 }

@@ -15,6 +15,8 @@
 // are answered from cache byte-for-byte, concurrent identical requests
 // execute once — each under its own deadline (Config.JobTimeout); a
 // failed run is a failed job, and an identical request runs it again.
+// The queue keeps every queued and running job and the newest 4,096
+// finished ones; a forgotten job's request replays from the cache.
 // Typed routes describe themselves: an OpenAPI document is
 // derived by reflection from the request/response structs, /metrics
 // serves the internal/obs registry, and SIGTERM drains queued work and
@@ -121,9 +123,9 @@ func (s *Server) routes() []route {
 			nil, Catalog{}, s.handleCatalog},
 		{"POST", "/v1/jobs", "Enqueue a measurement against a registered graph",
 			JobRequest{}, JobStatus{}, s.handleEnqueueJob},
-		{"GET", "/v1/jobs", "List measurement jobs",
+		{"GET", "/v1/jobs", fmt.Sprintf("List the retained jobs in enqueue order: every queued and running job and the newest %d finished ones", maxFinishedTasks),
 			nil, JobList{}, s.handleListJobs},
-		{"GET", "/v1/jobs/{id}", "Poll one job (?wait=30s long-polls)",
+		{"GET", "/v1/jobs/{id}", "Poll one job (?wait=30s long-polls); a forgotten finished job answers 404, and re-POSTing its request replays the cached artifact",
 			nil, JobStatus{}, s.handleGetJob},
 		{"GET", "/v1/jobs/{id}/artifact", "Fetch the stored artifact envelope, byte-identical across cache replays",
 			nil, nil, s.handleJobArtifact},
