@@ -63,7 +63,7 @@ type queue struct {
 
 	mu       sync.Mutex
 	tasks    map[string]*task
-	order    []string // enqueue order; forgotten IDs stay until compact
+	order    []string // enqueue order; forgetOldest drops forgotten IDs
 	finished []string // retained finished IDs, oldest first
 	nextID   int
 	closed   bool
