@@ -394,35 +394,40 @@ func (s *clusteredStream) Edges(yield func(u, v graph.NodeID) error) error {
 }
 
 // StreamTNG1 adapts a TNG1 binary edge file to an EdgeStream: a first
-// full scan counts nodes and verifies the checksum (so a corrupt input
-// fails before any output exists), and each Edges call replays the
-// file's canonical edge sequence. Combined with StreamToFile this is
-// the bounded-memory TNG1→TNG2 conversion path.
-func StreamTNG1(path string) (EdgeStream, error) {
+// full scan counts nodes and edges and verifies the checksum (so a
+// corrupt input fails before any output exists), and each Edges call
+// replays the file's canonical edge sequence. Combined with StreamToFile
+// this is the bounded-memory TNG1→TNG2 conversion path.
+func StreamTNG1(path string) (*TNG1Stream, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	n, _, err := graph.ScanBinaryEdges(bufio.NewReaderSize(f, 1<<20),
+	n, m, err := graph.ScanBinaryEdges(bufio.NewReaderSize(f, 1<<20),
 		func(u, v graph.NodeID) error { return nil })
 	f.Close()
 	if err != nil {
 		return nil, err
 	}
-	return &tng1Stream{path: path, n: n}, nil
+	return &TNG1Stream{path: path, n: n, m: m}, nil
 }
 
-// tng1Stream replays a (pre-verified) TNG1 file's edges.
-type tng1Stream struct {
+// TNG1Stream replays a (pre-verified) TNG1 file's edges.
+type TNG1Stream struct {
 	path string
 	n    int
+	m    int64
 }
 
 // NumNodes implements EdgeStream.
-func (s *tng1Stream) NumNodes() int { return s.n }
+func (s *TNG1Stream) NumNodes() int { return s.n }
+
+// NumEdges returns the file's edge count. TNG1 stores each edge once,
+// so it is the edge count of the graph the stream builds.
+func (s *TNG1Stream) NumEdges() int64 { return s.m }
 
 // Edges implements EdgeStream.
-func (s *tng1Stream) Edges(yield func(u, v graph.NodeID) error) error {
+func (s *TNG1Stream) Edges(yield func(u, v graph.NodeID) error) error {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return err
@@ -434,17 +439,14 @@ func (s *tng1Stream) Edges(yield func(u, v graph.NodeID) error) error {
 
 // StreamToFile drains es through the bounded-memory CSR writer into a
 // TNG2 file at path, spilling sort runs next to the output and removing
-// the partial file on any failure.
+// the partial file on any failure. The writer hands the file 64 KiB
+// chunks, so it needs no buffer of its own.
 func StreamToFile(es EdgeStream, path string) (graph.CSRStats, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return graph.CSRStats{}, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	st, err := StreamCSR(es, bw, graph.CSRWriterConfig{TempDir: filepath.Dir(path)})
-	if err == nil {
-		err = bw.Flush()
-	}
+	st, err := StreamCSR(es, f, graph.CSRWriterConfig{TempDir: filepath.Dir(path)})
 	if err == nil {
 		err = f.Close()
 	} else {

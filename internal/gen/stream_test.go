@@ -2,7 +2,9 @@ package gen
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/graph"
@@ -159,6 +161,33 @@ func TestStreamConstructorValidation(t *testing.T) {
 	}
 }
 
+// TestStreamToFileAllocation bounds the bytes StreamToFile allocates
+// per arc on perfbench `large`'s BA graph (4·10⁴ nodes, attach 8): the
+// stream's endpoint array and the writer's edge chunks take 4 bytes per
+// arc each, its two row arrays 4 each, and its n-entry arrays about 1
+// more. A writer that radix-sorted packed arcs through a doubling
+// buffer allocated about 40.
+func TestStreamToFileAllocation(t *testing.T) {
+	const maxBytesPerArc = 24
+	es, err := StreamBA(40000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.tng2")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := StreamToFile(es, path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(2*st.Edges)
+	t.Logf("%.1f bytes per arc over %d arcs", perArc, 2*st.Edges)
+	if perArc > maxBytesPerArc {
+		t.Errorf("StreamToFile allocated %.1f bytes per arc, want at most %d", perArc, maxBytesPerArc)
+	}
+}
+
 // BenchmarkStreamToFile times the ingest of the benchmark's `large`
 // workload: streaming one of its two graphs to a TNG2 file, in memory
 // (no spill runs). It sizes an ingest change without the daemon.
@@ -188,6 +217,74 @@ func BenchmarkStreamToFile(b *testing.B) {
 				if st.Runs != 0 {
 					b.Fatalf("%d spill runs, want an in-memory build", st.Runs)
 				}
+			}
+		})
+	}
+}
+
+// ingestSink keeps BenchmarkIngest's graphs alive past the call.
+var ingestSink *graph.Graph
+
+// BenchmarkIngest times the two CSR constructions alone, from edges
+// collected beforehand: CSRWriter to io.Discard, in memory, and
+// Builder.Build. The graphs are perfbench `large`'s two and an R-MAT
+// graph at scale 16 with 2^20 edges, whose hub rows hold thousands of
+// repeated arcs.
+func BenchmarkIngest(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stream func() (EdgeStream, error)
+	}{
+		{"rmat", func() (EdgeStream, error) {
+			return StreamRMAT(RMATConfig{Scale: 16, Edges: 1 << 20, A: 0.57, B: 0.19, C: 0.19, Seed: 1})
+		}},
+		{"ba", func() (EdgeStream, error) { return StreamBA(40000, 8, 1) }},
+		{"clustered", func() (EdgeStream, error) {
+			return StreamClusteredPA(ClusteredPAConfig{Communities: 200, CommunitySize: 200, Attach: 8, Bridges: 4, Seed: 1})
+		}},
+	} {
+		es, err := bc.stream()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var edges []graph.Edge
+		if err := es.Edges(func(u, v graph.NodeID) error {
+			edges = append(edges, graph.Edge{U: u, V: v})
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		n := es.NumNodes()
+		b.Run(bc.name+"/writer", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w, err := graph.NewCSRWriter(n, graph.CSRWriterConfig{TempDir: b.TempDir()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, e := range edges {
+					if err := w.AddEdge(e.U, e.V); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st, err := w.Finish(io.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Runs != 0 {
+					b.Fatalf("%d spill runs, want an in-memory build", st.Runs)
+				}
+				w.Close()
+			}
+		})
+		b.Run(bc.name+"/builder", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bl := graph.NewBuilder(n)
+				for _, e := range edges {
+					bl.AddEdgeSafe(e.U, e.V)
+				}
+				ingestSink = bl.Build()
 			}
 		})
 	}

@@ -4,36 +4,40 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
-	"slices"
 )
 
 // CSRWriter builds a TNG2 file from an unordered edge stream in bounded
 // memory — the generation path for graphs too large for Builder, which
-// needs the whole edge multiset in RAM at once. Each accepted edge
-// becomes two directed arcs packed into uint64s (src in the high 32
-// bits, so integer order is (src, dst) order). Arcs accumulate in a
-// buffer that starts at 64 Ki arcs and doubles up to BufferArcs; when
-// it is full it is radix-sorted (sortArcs), deduplicated and spilled to
-// a temporary run file. Finish sorts the residual buffer and streams
-// the arcs in order twice (one pass counts degrees for the offsets
-// section, one emits the adjacency section) through a TNG2 section
-// writer. Without spills those passes walk the buffer itself; with them
-// they k-way-merge the runs and the buffer.
+// needs the whole edge multiset in RAM at once. AddEdge packs each
+// accepted edge into one uint64 (packArc) in chunks of edgeChunk edges
+// that are never moved or copied. Once the chunks hold BufferArcs arcs
+// (BufferArcs/2 edges), the next edge spills them: csrRows lays them out
+// as sorted, deduplicated CSR rows, which go to a temporary run file as
+// packed (src, dst) arcs in order, and the chunks are refilled. Finish
+// lays out the residual edges the same way, dropping the chunks once
+// their arcs are in rows. Without runs it writes those offsets and rows
+// straight through a TNG2 section writer; with runs it reads the arcs
+// in order twice (one pass counts degrees for the offsets section, one
+// emits the adjacency section), k-way-merging the runs and the rows.
 //
-// Peak memory is about 16·BufferArcs + 8n bytes regardless of the edge
-// count: the arc buffer, a radix-sort scratch array the size of the
-// filled buffer, and the offsets array; merging adds one chunk of
-// spillChunk arcs (64 KiB) per spill run.
+// Peak memory does not grow with the edge count. A writer that never
+// spills holds about 8 bytes per arc at its peak (the chunks go once
+// their arcs are in csrRows' first row array, before the second fills)
+// plus csrRows' two n-entry arrays, offsets and cursors. A writer that
+// spills keeps its chunks and row arrays from run to run, 12 bytes per
+// buffered arc, and its merge counts degrees in the cursor array, so the
+// bound is 12·BufferArcs + 16n bytes plus one chunk of spillChunk arcs
+// (64 KiB) per spill run.
 //
 // CSRWriters are not safe for concurrent use. Always Close a writer —
 // also after a successful Finish — to remove its spill files.
 type CSRWriter struct {
 	n        int
-	buf      []uint64 // arcs since the last spill; grows up to limit
-	scratch  []uint64 // sortArcs scatter target, reused across spills
-	limit    int      // buffer capacity in arcs: BufferArcs rounded down to whole edges
+	chunks   [][]uint64 // edges since the last spill, packArc(u, v) each
+	held     int        // edges in chunks
+	perRun   int        // edges that fill the buffer: BufferArcs/2
+	layout   rowLayout  // csrRows' arrays, reused from run to run
 	runs     []*os.File
 	dir      string // lazily created spill directory, removed by Close
 	tempDir  string
@@ -47,18 +51,17 @@ type CSRWriterConfig struct {
 	// directory. The bounded-memory generation paths pass "out" so spill
 	// traffic stays inside the repository's scratch area.
 	TempDir string
-	// BufferArcs caps the in-memory arc buffer (8 bytes per arc, plus as
-	// much again for the sort's scratch array once the buffer is full).
-	// The buffer grows by doubling from 64 Ki arcs, so a small graph
-	// never allocates the cap. The default 1<<21 (16 MiB) keeps a
-	// 10^7-node generation comfortably under typical container limits;
-	// tests shrink it to force spills.
+	// BufferArcs caps the arcs the writer buffers before it spills a
+	// run. The buffer holds each edge once, 4 bytes per arc, in chunks
+	// allocated as edges arrive, so a small graph never allocates the
+	// cap; laying a full buffer out as rows takes 8 bytes per arc more.
+	// The default is 1<<21 (8 MiB of chunks); tests shrink it to force
+	// spills.
 	BufferArcs int
 }
 
-// initialArcs is the arc buffer's first capacity; it doubles from there
-// up to CSRWriterConfig.BufferArcs.
-const initialArcs = 1 << 16
+// edgeChunk is the number of edges in one buffer chunk (512 KiB).
+const edgeChunk = 1 << 16
 
 // CSRStats summarizes a finished CSRWriter.
 type CSRStats struct {
@@ -83,7 +86,7 @@ func NewCSRWriter(n int, cfg CSRWriterConfig) (*CSRWriter, error) {
 	if bufArcs < 2 {
 		return nil, fmt.Errorf("graph: csr writer buffer of %d arcs cannot hold one edge", bufArcs)
 	}
-	return &CSRWriter{n: n, limit: bufArcs &^ 1, tempDir: cfg.TempDir}, nil
+	return &CSRWriter{n: n, perRun: bufArcs / 2, tempDir: cfg.TempDir}, nil
 }
 
 // AddEdge records the undirected edge (u, v). Self loops are silently
@@ -99,12 +102,17 @@ func (w *CSRWriter) AddEdge(u, v NodeID) error {
 	if u == v {
 		return nil
 	}
-	if len(w.buf)+2 > cap(w.buf) {
-		if err := w.grow(); err != nil {
+	if w.held == w.perRun {
+		if err := w.spill(); err != nil {
 			return err
 		}
 	}
-	w.buf = append(w.buf, packArc(u, v), packArc(v, u))
+	i := w.held / edgeChunk
+	if i == len(w.chunks) {
+		w.chunks = append(w.chunks, make([]uint64, 0, min(edgeChunk, w.perRun-w.held)))
+	}
+	w.chunks[i] = append(w.chunks[i], packArc(u, v))
+	w.held++
 	return nil
 }
 
@@ -112,34 +120,37 @@ func (w *CSRWriter) AddEdge(u, v NodeID) error {
 // integer order is (src, dst) order.
 func packArc(u, v NodeID) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
 
-// grow doubles the arc buffer, or spills it once it has reached the
-// limit.
-func (w *CSRWriter) grow() error {
-	if cap(w.buf) >= w.limit {
-		return w.spill()
-	}
-	nb := make([]uint64, len(w.buf), min(max(2*cap(w.buf), initialArcs), w.limit))
-	copy(nb, w.buf)
-	w.buf = nb
-	return nil
+// rowArcs hands out the packed arcs of CSR rows in (src, dst) order, a
+// chunk at a time.
+type rowArcs struct {
+	offsets []int64
+	adj     []NodeID
+	u       int   // row of adj[p]
+	p       int64 // next arc
 }
 
-// sortBuffer sorts and dedups the buffer. The sorted arcs may end up in
-// the scratch array; then the two arrays swap roles, so both are kept
-// for the next sort.
-func (w *CSRWriter) sortBuffer() {
-	if cap(w.scratch) < len(w.buf) {
-		w.scratch = make([]uint64, len(w.buf))
+// next fills buf's capacity with the next arcs and returns them; an
+// empty result means the rows are done.
+func (ra *rowArcs) next(buf []uint64) []uint64 {
+	buf = buf[:0]
+	for len(buf) < cap(buf) && ra.p < int64(len(ra.adj)) {
+		for ra.offsets[ra.u+1] == ra.p {
+			ra.u++
+		}
+		buf = append(buf, packArc(NodeID(ra.u), ra.adj[ra.p]))
+		ra.p++
 	}
-	w.buf, w.scratch = sortArcs(w.buf, w.scratch, w.n)
+	return buf
 }
 
-// spill sorts and dedups the buffer and appends it as a run file.
+// spill lays the buffered edges out as rows, appends their arcs as a
+// run file and empties the chunks for the next run.
 func (w *CSRWriter) spill() error {
-	w.sortBuffer()
-	if len(w.buf) == 0 {
-		return nil
+	offsets, adj := w.layout.csrRows(w.n, w.chunks)
+	for i := range w.chunks {
+		w.chunks[i] = w.chunks[i][:0]
 	}
+	w.held = 0
 	if w.dir == "" {
 		dir, err := os.MkdirTemp(w.tempDir, "trustnet-extsort-")
 		if err != nil {
@@ -151,78 +162,34 @@ func (w *CSRWriter) spill() error {
 	if err != nil {
 		return fmt.Errorf("graph: csr writer spill: %w", err)
 	}
+	ra := rowArcs{offsets: offsets, adj: adj}
+	buf := make([]uint64, 0, spillChunk)
 	enc := make([]byte, 0, spillChunk*8)
-	for arcs := w.buf; len(arcs) > 0; {
-		k := min(len(arcs), spillChunk)
+	for arcs := ra.next(buf); len(arcs) > 0; arcs = ra.next(buf) {
 		enc = enc[:0]
-		for _, a := range arcs[:k] {
+		for _, a := range arcs {
 			enc = binary.LittleEndian.AppendUint64(enc, a)
 		}
 		if _, err := f.Write(enc); err != nil {
 			f.Close()
 			return fmt.Errorf("graph: csr writer spill: %w", err)
 		}
-		arcs = arcs[k:]
 	}
-	w.spilled += int64(len(w.buf)) * 8
+	w.spilled += int64(len(adj)) * 8
 	w.runs = append(w.runs, f)
-	w.buf = w.buf[:0]
 	return nil
-}
-
-// radixBits is the digit width of sortArcs: a 2048-entry count table
-// per digit stays in L1, and arcs over 2^11 < n <= 2^22 nodes sort in
-// four passes.
-const radixBits = 11
-
-// sortArcs sorts packed arcs ascending and removes duplicates. Both
-// halves of every arc must be below n, so only their significant bits
-// are sorted on: an LSD radix sort takes ceil(bits(n-1)/radixBits)
-// digits of the dst half, then as many of the src half, scattering
-// between a and tmp (len(tmp) >= len(a)). A digit that every arc shares
-// costs no pass. It returns the sorted arcs, which live in a's or tmp's
-// array, and the other array, so callers can keep both for reuse.
-func sortArcs(a, tmp []uint64, n int) (sorted, spare []uint64) {
-	if len(a) < 2 {
-		return a, tmp
-	}
-	const mask = 1<<radixBits - 1
-	digits := (bits.Len(uint(n-1)) + radixBits - 1) / radixBits
-	src, dst := a, tmp[:len(a)]
-	var count [1 << radixBits]int
-	for p := 0; p < 2*digits; p++ {
-		s := uint(p/digits*32 + p%digits*radixBits)
-		clear(count[:])
-		for _, x := range src {
-			count[x>>s&mask]++
-		}
-		if count[src[0]>>s&mask] == len(src) {
-			continue
-		}
-		sum := 0
-		for i, k := range count {
-			count[i] = sum
-			sum += k
-		}
-		for _, x := range src {
-			d := x >> s & mask
-			dst[count[d]] = x
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	return slices.Compact(src), dst
 }
 
 // spillChunk is the number of arcs a spill run is written and read in
 // at a time: one Write or one io.ReadFull of 64 KiB.
 const spillChunk = 1 << 13
 
-// runReader streams one sorted spill run, or the in-memory buffer, from
-// mem. A run's reader refills mem from its file one chunk at a time,
-// decoding through raw, which every reader of a merge shares.
+// runReader streams one sorted run of arcs from mem: a spill run, which
+// refills mem from its file one chunk at a time, decoding through raw,
+// which every reader of a merge shares; or the residual buffer's rows.
 type runReader struct {
-	f     io.Reader // nil for the buffer, and once the run is read
+	f     io.Reader // nil for the rows, and once the run is read
+	rows  *rowArcs  // nil for a spill run
 	raw   []byte
 	chunk []uint64
 	mem   []uint64
@@ -231,7 +198,7 @@ type runReader struct {
 }
 
 func (r *runReader) advance() error {
-	if len(r.mem) == 0 && r.f != nil {
+	if len(r.mem) == 0 {
 		if err := r.refill(); err != nil {
 			return err
 		}
@@ -245,9 +212,16 @@ func (r *runReader) advance() error {
 	return nil
 }
 
-// refill reads the run's next chunk into mem. A short chunk is the
+// refill reads the run's next chunk into mem. A short chunk is a spill
 // run's last; an empty mem means the run is done.
 func (r *runReader) refill() error {
+	if r.rows != nil {
+		r.mem = r.rows.next(r.chunk)
+		return nil
+	}
+	if r.f == nil {
+		return nil
+	}
 	n, err := io.ReadFull(r.f, r.raw)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		r.f, err = nil, nil
@@ -268,15 +242,11 @@ func (r *runReader) refill() error {
 // mergeBatch is the number of merged arcs merge hands fn at a time.
 const mergeBatch = 1 << 12
 
-// merge streams the union of all runs and the sorted buffer in
+// merge streams the union of all runs and the residual rows in
 // ascending arc order with global dedup, handing fn the distinct arcs
-// in consecutive batches. Without runs the one batch is the buffer
-// itself, so an in-memory build never touches the heap. It can be run
-// repeatedly; each pass re-reads the spill runs from the start.
-func (w *CSRWriter) merge(fn func(arcs []uint64) error) error {
-	if len(w.runs) == 0 {
-		return fn(w.buf)
-	}
+// in consecutive batches. It can be run repeatedly; each pass re-reads
+// the spill runs and the rows from the start.
+func (w *CSRWriter) merge(rest rowArcs, fn func(arcs []uint64) error) error {
 	readers := make([]*runReader, 0, len(w.runs)+1)
 	raw := make([]byte, spillChunk*8)
 	for _, f := range w.runs {
@@ -285,7 +255,7 @@ func (w *CSRWriter) merge(fn func(arcs []uint64) error) error {
 		}
 		readers = append(readers, &runReader{f: f, raw: raw, chunk: make([]uint64, spillChunk)})
 	}
-	readers = append(readers, &runReader{mem: w.buf})
+	readers = append(readers, &runReader{rows: &rest, chunk: make([]uint64, 0, spillChunk)})
 	// Binary min-heap of reader indices ordered by current arc.
 	heap := make([]*runReader, 0, len(readers))
 	less := func(a, b *runReader) bool { return a.cur < b.cur }
@@ -341,20 +311,47 @@ func (w *CSRWriter) merge(fn func(arcs []uint64) error) error {
 	return fn(batch)
 }
 
-// Finish sorts the residual buffer, merges every run, and writes the
-// complete TNG2 image to out. The writer only accepts Close afterwards.
+// Finish lays the residual edges out as rows, merges them with every
+// run, and writes the complete TNG2 image to out. The writer only
+// accepts Close afterwards.
 func (w *CSRWriter) Finish(out io.Writer) (CSRStats, error) {
 	if w.finished {
 		return CSRStats{}, fmt.Errorf("graph: csr writer already finished")
 	}
 	w.finished = true
-	w.sortBuffer()
+	// No arc can come any more, so the chunks go with the writer's
+	// reference: csrRows drops them once their arcs are in rows.
+	chunks := w.chunks
+	w.chunks, w.held = nil, 0
+	rowOffsets, adj := w.layout.csrRows(w.n, chunks)
 
+	if len(w.runs) > 0 {
+		return w.finishMerged(out, rowArcs{offsets: rowOffsets, adj: adj})
+	}
+	m := int64(len(adj)) / 2
+	tw := newTNG2Writer(out, w.n, m)
+	for _, off := range rowOffsets {
+		tw.offset(off)
+	}
+	for _, v := range adj {
+		tw.neighbor(v)
+	}
+	if err := tw.close(); err != nil {
+		return CSRStats{}, fmt.Errorf("graph: csr writer: %w", err)
+	}
+	return CSRStats{Nodes: w.n, Edges: m}, nil
+}
+
+// finishMerged is Finish for a writer with spill runs: it writes the
+// TNG2 image of the runs merged with the residual rows in rest.
+func (w *CSRWriter) finishMerged(out io.Writer, rest rowArcs) (CSRStats, error) {
 	// Pass 1: degrees. offsets[src+1] counts arcs out of src, then the
-	// prefix sum turns counts into CSR offsets.
-	offsets := make([]int64, w.n+1)
+	// prefix sum turns counts into CSR offsets. csrRows is done with its
+	// cursor array, which has room for them.
+	offsets := resize(w.layout.next, w.n+1)
+	clear(offsets)
 	var arcs int64
-	err := w.merge(func(batch []uint64) error {
+	err := w.merge(rest, func(batch []uint64) error {
 		for _, a := range batch {
 			offsets[(a>>32)+1]++
 		}
@@ -376,7 +373,7 @@ func (w *CSRWriter) Finish(out io.Writer) (CSRStats, error) {
 	// Pass 2: the adjacency section is the dst halves of the merged arc
 	// stream, which arrives already grouped by src and sorted by dst —
 	// exactly CSR neighbor-list order.
-	err = w.merge(func(batch []uint64) error {
+	err = w.merge(rest, func(batch []uint64) error {
 		for _, a := range batch {
 			tw.neighbor(NodeID(uint32(a)))
 		}
@@ -411,7 +408,7 @@ func (w *CSRWriter) Close() error {
 		f.Close()
 	}
 	w.runs = nil
-	w.buf, w.scratch = nil, nil
+	w.chunks, w.layout = nil, rowLayout{}
 	if w.dir != "" {
 		dir := w.dir
 		w.dir = ""

@@ -14,9 +14,10 @@ import (
 	"testing"
 )
 
-// oracleArcs packs both arcs of every non-loop edge the way CSRWriter
-// does and sorts and dedups them with the standard library, so the
-// writers' radix sort is checked against code it does not share.
+// oracleArcs packs both arcs of every non-loop edge into uint64s (src
+// in the high half) and sorts and dedups them with the standard
+// library, so the counting construction that Builder and CSRWriter
+// share is checked against code it does not share.
 func oracleArcs(edges []Edge) []uint64 {
 	arcs := make([]uint64, 0, 2*len(edges))
 	for _, e := range edges {
@@ -127,10 +128,39 @@ func randomEdges(n, tries int, seed int64) []Edge {
 	return edges
 }
 
+// hubEdges is a skewed edge stream over n nodes: random edges plus reps
+// copies of an edge from every node to a hub in mid-range, shuffled, so
+// the hub's row holds all n−1 other nodes, each arriving reps times or
+// more, and every other row holds the hub.
+func hubEdges(n, reps int, seed int64) []Edge {
+	edges := randomEdges(n, 2*n, seed)
+	hub := NodeID(n / 2)
+	for r := 0; r < reps; r++ {
+		for v := NodeID(0); int(v) < n; v++ {
+			e := Edge{hub, v}
+			if r%2 == 1 {
+				e = Edge{v, hub}
+			}
+			edges = append(edges, e)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return edges
+}
+
 func TestCSRWriterMatchesBuilder(t *testing.T) {
-	st := checkWriters(t, 150, randomEdges(150, 2000, 1), 0)[0]
-	if st.Runs != 0 || st.SpilledBytes != 0 {
-		t.Errorf("unexpected spills for in-memory build: %+v", st)
+	for _, tc := range []struct {
+		n     int
+		edges []Edge
+	}{
+		{150, randomEdges(150, 2000, 1)},
+		{3000, hubEdges(3000, 4, 1)},
+	} {
+		st := checkWriters(t, tc.n, tc.edges, 0)[0]
+		if st.Runs != 0 || st.SpilledBytes != 0 {
+			t.Errorf("n=%d: unexpected spills for in-memory build: %+v", tc.n, st)
+		}
 	}
 }
 
@@ -143,6 +173,10 @@ func TestCSRWriterSpillsMatchBuilder(t *testing.T) {
 	}
 	if st.SpilledBytes == 0 {
 		t.Error("expected nonzero spilled bytes")
+	}
+	// The hub's row spans every run, and so do its repeats.
+	if st := checkWriters(t, 3000, hubEdges(3000, 4, 2), 2000)[0]; st.Runs < 4 {
+		t.Errorf("expected >= 4 spill runs, got %+v", st)
 	}
 	// Runs longer than one spillChunk: with distinct edges every run
 	// holds exactly BufferArcs arcs, so a buffer of two chunks ends each
@@ -162,12 +196,14 @@ func TestCSRWriterSpillsMatchBuilder(t *testing.T) {
 	}
 }
 
-// TestCSRWriterDigitBoundaries writes graphs on both sides of each
-// radix digit boundary — where the node IDs' significant bits grow from
-// one radixBits digit per arc half to two, and from two to three — and
-// at n = 1 and 2, in memory and spilled, against the oracle.
+// TestCSRWriterDigitBoundaries writes graphs at n = 1 and 2 and on both
+// sides of 2^11 and 2^22, in memory and spilled, against the oracle.
+// Those are the node counts where IDs grow past 11 and 22 significant
+// bits, the digit boundaries of the radix sort the counting construction
+// replaced; no construction should treat them specially, and the
+// largest make 32 MiB offsets arrays.
 func TestCSRWriterDigitBoundaries(t *testing.T) {
-	const d = radixBits
+	const d = 11
 	for _, tc := range []struct {
 		n, tries int
 		long     bool // skipped under -short: the offsets section alone is 32 MiB

@@ -200,7 +200,7 @@ func (g *Graph) String() string {
 // concurrent use.
 type Builder struct {
 	n     int
-	edges []Edge
+	edges []uint64 // packArc(u, v) per added edge
 }
 
 // NewBuilder returns a builder for a graph over the node set {0..n-1}.
@@ -221,7 +221,7 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, b.n)
 	}
-	b.edges = append(b.edges, Edge{U: u, V: v}.Canonical())
+	b.edges = append(b.edges, packArc(u, v))
 	return nil
 }
 
@@ -233,35 +233,114 @@ func (b *Builder) AddEdgeSafe(u, v NodeID) {
 	if u == v {
 		return
 	}
-	b.edges = append(b.edges, Edge{U: u, V: v}.Canonical())
+	b.edges = append(b.edges, packArc(u, v))
 }
 
 // NumPendingEdges returns the number of (possibly duplicate) edges recorded
 // so far.
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
-// Build produces the immutable CSR graph, deduplicating parallel edges.
-// Both arcs of every edge are packed (packArc) and sorted by the radix
-// sort CSRWriter uses (sortArcs), so the sorted arcs are the CSR rows in
-// order: one pass reads the offsets and the adjacency off them.
-// The builder remains usable afterwards (further AddEdge calls
+// Build produces the immutable CSR graph, deduplicating parallel edges,
+// by the counting construction CSRWriter lays out each run with
+// (rowLayout.csrRows). The graph's adjacency holds only the distinct
+// arcs. The builder remains usable afterwards (further AddEdge calls
 // accumulate on the same edge multiset).
 func (b *Builder) Build() *Graph {
-	arcs := make([]uint64, 0, 2*len(b.edges))
-	for _, e := range b.edges {
-		arcs = append(arcs, packArc(e.U, e.V), packArc(e.V, e.U))
+	var l rowLayout
+	offsets, adj := l.csrRows(b.n, [][]uint64{b.edges})
+	if len(adj) < cap(adj) {
+		adj = append(make([]NodeID, 0, len(adj)), adj...)
 	}
-	arcs, _ = sortArcs(arcs, make([]uint64, len(arcs)), b.n)
-	offsets := make([]int64, b.n+1)
-	adjacency := make([]NodeID, len(arcs))
-	for i, a := range arcs {
-		offsets[(a>>32)+1]++
-		adjacency[i] = NodeID(uint32(a))
+	return &Graph{offsets: offsets, adjacency: adj}
+}
+
+// rowLayout holds the arrays csrRows lays rows out in, so that a
+// CSRWriter's successive runs reuse them instead of leaving each run's
+// arrays to the collector.
+type rowLayout struct {
+	offsets, next  []int64
+	unordered, adj []NodeID
+}
+
+// resize returns s with length k, reusing its array when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, k int) []T {
+	if cap(s) < k {
+		return make([]T, k)
 	}
-	for v := 0; v < b.n; v++ {
-		offsets[v+1] += offsets[v]
+	return s[:k]
+}
+
+// csrRows lays the undirected edges in chunks (packArc(u, v) for each
+// edge u–v) out as the CSR rows of the simple graph they form over n
+// nodes, with no comparison sort: the bin sort on which Batagelj and
+// Zaveršnik's O(m) core decomposition builds (kcore.Decompose), run
+// twice. A counting pass over both endpoints gives the row bounds, and
+// a scatter writes both arcs of every edge into its row, unordered.
+// Then walking the rows d = 0…n−1 and appending d to each neighbor's
+// row in a second array fills every row in ascending order, because the
+// graph is symmetric. The copies of a repeated edge arrive as adjacent
+// repeats; a last pass skips them and compacts the rows. The rows cost
+// 8 bytes per arc and two n-entry arrays, held in l until its next
+// call. chunks is not read after the scatter, so a caller that keeps no
+// other reference to it lets the collector take it back before the
+// second array fills.
+func (l *rowLayout) csrRows(n int, chunks [][]uint64) (offsets []int64, adj []NodeID) {
+	offsets = resize(l.offsets, n+1)
+	clear(offsets)
+	var arcs int
+	for _, c := range chunks {
+		for _, e := range c {
+			offsets[e>>32]++
+			offsets[uint32(e)]++
+		}
+		arcs += 2 * len(c)
 	}
-	return &Graph{offsets: offsets, adjacency: adjacency}
+	// offsets[u] is the end of row u; the scatter fills each row from
+	// its end, so offsets[u] finishes at the row's start.
+	var end int64
+	for u, deg := range offsets[:n] {
+		end += deg
+		offsets[u] = end
+	}
+	offsets[n] = end
+	unordered := resize(l.unordered, arcs)
+	for _, c := range chunks {
+		for _, e := range c {
+			u, v := e>>32, uint64(uint32(e))
+			offsets[u]--
+			unordered[offsets[u]] = NodeID(v)
+			offsets[v]--
+			unordered[offsets[v]] = NodeID(u)
+		}
+	}
+	// One spare entry lets a CSRWriter merge count degrees in next.
+	next := resize(l.next, n+1)[:n]
+	copy(next, offsets)
+	adj = resize(l.adj, arcs)
+	for d := range n {
+		for _, x := range unordered[offsets[d]:offsets[d+1]] {
+			adj[next[x]] = NodeID(d)
+			next[x]++
+		}
+	}
+	var kept, lo int64
+	for u := range n {
+		hi := offsets[u+1]
+		offsets[u] = kept
+		prev := NodeID(-1)
+		for _, x := range adj[lo:hi] {
+			if x != prev {
+				adj[kept] = x
+				kept++
+				prev = x
+			}
+		}
+		lo = hi
+	}
+	offsets[n] = kept
+	*l = rowLayout{offsets: offsets, next: next, unordered: unordered, adj: adj}
+	return offsets, adj[:kept]
 }
 
 // FromEdges builds a graph over n nodes from an edge list, validating every

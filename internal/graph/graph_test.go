@@ -86,6 +86,18 @@ func TestBuilderDeduplicates(t *testing.T) {
 	if g.Degree(0) != 1 || g.Degree(1) != 1 {
 		t.Errorf("degrees = %d,%d, want 1,1", g.Degree(0), g.Degree(1))
 	}
+	// The graph holds only the distinct arcs, and the builder stays
+	// usable: a second Build holds both batches and leaves g as it was.
+	if cap(g.adjacency) != 2 {
+		t.Errorf("adjacency capacity %d, want the 2 distinct arcs", cap(g.adjacency))
+	}
+	b.AddEdgeSafe(3, 2)
+	if g2 := b.Build(); g2.NumEdges() != 2 || !g2.HasEdge(2, 3) || !g2.HasEdge(0, 1) {
+		t.Errorf("rebuilt graph has edges %v, want (0,1) (2,3)", g2.Edges())
+	}
+	if g.NumEdges() != 1 || g.HasEdge(2, 3) {
+		t.Errorf("first graph changed to edges %v", g.Edges())
+	}
 }
 
 func TestNeighborsSortedAndSymmetric(t *testing.T) {

@@ -60,6 +60,13 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
+// TNG2Size returns the size in bytes of the TNG2 image of a graph with
+// n nodes and m edges: the header, (n+1) offsets of 8 bytes, 2m
+// neighbors of 4 bytes, and the footer.
+func TNG2Size(n int, m int64) int64 {
+	return tng2HeaderSize + int64(n+1)*8 + 2*m*4 + tng2FooterSize
+}
+
 // tng2Writer streams one TNG2 image to w in section order: the header
 // (written by newTNG2Writer), the n+1 offsets, the 2m neighbors, and
 // the footer (written by close, which checks both counts). Values are

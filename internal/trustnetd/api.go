@@ -146,7 +146,8 @@ type ErrorResponse struct {
 }
 
 // maxUploadBytes caps graph-upload request bodies (1 GiB — enough for a
-// hundred-million-edge TNG2 file, small enough to bound a hostile body).
+// hundred-million-edge TNG2 file, small enough to bound a hostile body),
+// and the TNG2 image a TNG1 upload converts to.
 const maxUploadBytes = 1 << 30
 
 // maxRequestBytes caps JSON request bodies. The request types hold a
@@ -231,6 +232,14 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request) {
 			es, err := gen.StreamTNG1(tmp)
 			if err != nil {
 				return err
+			}
+			// A TNG1 header's node count is bounded by 2^31, not by the
+			// body, so a few bytes can declare a graph whose offsets
+			// alone take gigabytes: refuse an image over the upload cap
+			// before the writer allocates anything.
+			if size := graph.TNG2Size(es.NumNodes(), es.NumEdges()); size > maxUploadBytes {
+				return fmt.Errorf("tng1 upload declares %d nodes and %d edges, a %d-byte TNG2 image: %w",
+					es.NumNodes(), es.NumEdges(), size, &http.MaxBytesError{Limit: maxUploadBytes})
 			}
 			_, err = gen.StreamToFile(es, path)
 			return err

@@ -7,16 +7,19 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// route is one row of the typed route table: the HTTP operation plus
-// the request/response struct types it decodes and encodes. The mux is
-// built from the first three fields, the OpenAPI document from all of
-// them — one source of truth, no drift.
+// route is one row of the typed route table: the HTTP operation, the
+// status it answers on success, and the request/response struct types
+// it decodes and encodes. The mux is built from the method, pattern and
+// handler, the OpenAPI document from all of them — one source of truth,
+// no drift.
 type route struct {
 	method  string
 	pattern string
+	status  int
 	summary string
 	// request and response are struct instances (zero values) whose
 	// types drive schema derivation; nil means no JSON body on that
@@ -43,7 +46,7 @@ var errorStatuses = map[string]map[string]string{
 		"413": "The request body is over 1 MiB",
 	},
 	"PUT /v1/graphs/{name}": {
-		"413": "The graph file is over 1 GiB",
+		"413": "The graph file is over 1 GiB, or a TNG1 file declares a graph whose TNG2 image would be",
 	},
 }
 
@@ -82,7 +85,7 @@ func openAPIDocument(routes []route) ([]byte, error) {
 				"content":  map[string]any{"application/json": map[string]any{"schema": ref}},
 			}
 		}
-		resp := map[string]any{"description": "OK"}
+		resp := map[string]any{"description": http.StatusText(rt.status)}
 		if rt.response != nil {
 			ref, err := schemaFor(reflect.TypeOf(rt.response), schemas)
 			if err != nil {
@@ -90,7 +93,7 @@ func openAPIDocument(routes []route) ([]byte, error) {
 			}
 			resp["content"] = map[string]any{"application/json": map[string]any{"schema": ref}}
 		}
-		op["responses"].(map[string]any)["200"] = resp
+		op["responses"].(map[string]any)[strconv.Itoa(rt.status)] = resp
 		errRef, err := schemaFor(reflect.TypeOf(ErrorResponse{}), schemas)
 		if err != nil {
 			return nil, err

@@ -3,9 +3,11 @@ package trustnetd
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -228,9 +230,12 @@ func (b *cutBody) Read(p []byte) (int, error) {
 }
 
 // TestFailedUploadLeavesNothing sends uploads that fail — a body cut off
-// after 4 KiB in either format, and a TNG1 file with one flipped payload
-// byte. Each must answer 400, register nothing, and leave the data
-// directory empty.
+// after 4 KiB in either format, a TNG1 file with one flipped payload
+// byte, and a valid 14-byte TNG1 file that declares 2^31 nodes and no
+// edges, whose TNG2 image would be 16 GiB of offsets. Each must answer
+// 400, or 413 for the image over the upload cap (before the writer
+// allocates anything), register nothing, and leave the data directory
+// empty.
 func TestFailedUploadLeavesNothing(t *testing.T) {
 	g, err := gen.BarabasiAlbert(500, 4, 7)
 	if err != nil {
@@ -242,21 +247,26 @@ func TestFailedUploadLeavesNothing(t *testing.T) {
 	}
 	flipped := bytes.Clone(buf.Bytes())
 	flipped[len(flipped)/2] ^= 0x04
+	huge := binary.AppendUvarint([]byte("TNG1"), 1<<31)
+	huge = binary.AppendUvarint(huge, 0)
+	huge = binary.LittleEndian.AppendUint32(huge, crc32.ChecksumIEEE(huge))
 
 	for _, tc := range []struct {
 		name, format string
 		body         io.Reader
+		status       int
 	}{
-		{"tng2-cut", "tng2", &cutBody{bytes.NewReader(make([]byte, 4<<10))}},
-		{"tng1-cut", "tng1", &cutBody{bytes.NewReader(make([]byte, 4<<10))}},
-		{"tng1-flipped", "tng1", bytes.NewReader(flipped)},
+		{"tng2-cut", "tng2", &cutBody{bytes.NewReader(make([]byte, 4<<10))}, http.StatusBadRequest},
+		{"tng1-cut", "tng1", &cutBody{bytes.NewReader(make([]byte, 4<<10))}, http.StatusBadRequest},
+		{"tng1-flipped", "tng1", bytes.NewReader(flipped), http.StatusBadRequest},
+		{"tng1-over-image-cap", "tng1", bytes.NewReader(huge), http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, _ := newTestServer(t)
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest("PUT", "/v1/graphs/g?format="+tc.format, tc.body))
-			if rec.Code != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body)
 			}
 			rec = httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/graphs", nil))
@@ -793,6 +803,66 @@ func TestCatalogAndOpenAPI(t *testing.T) {
 		if _, ok := responses[code]; !ok {
 			t.Fatalf("openapi POST /v1/jobs does not list %s", code)
 		}
+	}
+}
+
+// TestOpenAPIListsSuccessStatuses runs the happy paths of the three
+// routes that answer something other than 200 — generate, upload and
+// enqueue — and requires each status to be the one success status the
+// OpenAPI document lists for the route.
+func TestOpenAPIListsSuccessStatuses(t *testing.T) {
+	_, ts := newTestServer(t)
+	var doc struct {
+		Paths map[string]map[string]struct {
+			Responses map[string]any `json:"responses"`
+		} `json:"paths"`
+	}
+	if code := doJSON(t, "GET", ts.URL+"/v1/openapi.json", nil, &doc); code != http.StatusOK {
+		t.Fatalf("openapi: status %d", code)
+	}
+	listed := func(method, path string) string {
+		t.Helper()
+		var ok []string
+		for code := range doc.Paths[path][method].Responses {
+			if strings.HasPrefix(code, "2") {
+				ok = append(ok, code)
+			}
+		}
+		if len(ok) != 1 {
+			t.Fatalf("openapi %s %s lists success statuses %v, want one", method, path, ok)
+		}
+		return ok[0]
+	}
+
+	code := doJSON(t, "POST", ts.URL+"/v1/graphs/g/generate", GenerateRequest{Model: "ba", Nodes: 200, Attach: 3, Seed: 2}, nil)
+	if want := listed("post", "/v1/graphs/{name}/generate"); fmt.Sprint(code) != want {
+		t.Errorf("generate answered %d, openapi lists %s", code, want)
+	}
+
+	es, err := gen.StreamBA(200, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "up.tng2")
+	if _, err := gen.StreamToFile(es, path); err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _ = uploadGraph(t, ts, "up", "tng2", body)
+	if want := listed("put", "/v1/graphs/{name}"); fmt.Sprint(code) != want {
+		t.Errorf("upload answered %d, openapi lists %s", code, want)
+	}
+
+	var st JobStatus
+	code = doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Graph: "g", Job: "coreness"}, &st)
+	if want := listed("post", "/v1/jobs"); fmt.Sprint(code) != want {
+		t.Errorf("enqueue answered %d, openapi lists %s", code, want)
+	}
+	if st.ID != "" {
+		waitDone(t, ts, st.ID)
 	}
 }
 

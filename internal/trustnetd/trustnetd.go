@@ -104,34 +104,35 @@ func New(cfg Config) (*Server, error) {
 }
 
 // routes is the typed route table: every API operation with its method,
-// Go 1.22 ServeMux pattern, and request/response struct types. The mux
+// Go 1.22 ServeMux pattern, success status, and request/response struct
+// types. The mux
 // and the OpenAPI document are both derived from it, so the spec cannot
 // drift from the code.
 func (s *Server) routes() []route {
 	return []route{
-		{"GET", "/v1/graphs", "List registered graphs",
+		{"GET", "/v1/graphs", http.StatusOK, "List registered graphs",
 			nil, GraphList{}, s.handleListGraphs},
-		{"GET", "/v1/graphs/{name}", "Get one graph by name or fingerprint",
+		{"GET", "/v1/graphs/{name}", http.StatusOK, "Get one graph by name or fingerprint",
 			nil, GraphInfo{}, s.handleGetGraph},
-		{"PUT", "/v1/graphs/{name}", "Upload a graph file (TNG2, or TNG1 with ?format=tng1)",
+		{"PUT", "/v1/graphs/{name}", http.StatusCreated, "Upload a graph file (TNG2, or TNG1 with ?format=tng1)",
 			nil, GraphInfo{}, s.handleUploadGraph},
-		{"POST", "/v1/graphs/{name}/generate", "Synthesize a graph with a streaming generator",
+		{"POST", "/v1/graphs/{name}/generate", http.StatusCreated, "Synthesize a graph with a streaming generator",
 			GenerateRequest{}, GraphInfo{}, s.handleGenerateGraph},
-		{"DELETE", "/v1/graphs/{name}", "Evict a graph (deferred past running measurements)",
+		{"DELETE", "/v1/graphs/{name}", http.StatusOK, "Evict a graph (deferred past running measurements)",
 			nil, GraphInfo{}, s.handleEvictGraph},
-		{"GET", "/v1/catalog", "List the measurement catalog",
+		{"GET", "/v1/catalog", http.StatusOK, "List the measurement catalog",
 			nil, Catalog{}, s.handleCatalog},
-		{"POST", "/v1/jobs", "Enqueue a measurement against a registered graph",
+		{"POST", "/v1/jobs", http.StatusAccepted, "Enqueue a measurement against a registered graph",
 			JobRequest{}, JobStatus{}, s.handleEnqueueJob},
-		{"GET", "/v1/jobs", fmt.Sprintf("List the retained jobs in enqueue order: every queued and running job and the newest %d finished ones", maxFinishedTasks),
+		{"GET", "/v1/jobs", http.StatusOK, fmt.Sprintf("List the retained jobs in enqueue order: every queued and running job and the newest %d finished ones", maxFinishedTasks),
 			nil, JobList{}, s.handleListJobs},
-		{"GET", "/v1/jobs/{id}", "Poll one job (?wait=30s long-polls); a forgotten finished job answers 404, and re-POSTing its request replays the cached artifact",
+		{"GET", "/v1/jobs/{id}", http.StatusOK, "Poll one job (?wait=30s long-polls); a forgotten finished job answers 404, and re-POSTing its request replays the cached artifact",
 			nil, JobStatus{}, s.handleGetJob},
-		{"GET", "/v1/jobs/{id}/artifact", "Fetch the stored artifact envelope, byte-identical across cache replays",
+		{"GET", "/v1/jobs/{id}/artifact", http.StatusOK, "Fetch the stored artifact envelope, byte-identical across cache replays",
 			nil, nil, s.handleJobArtifact},
-		{"GET", "/healthz", "Liveness probe",
+		{"GET", "/healthz", http.StatusOK, "Liveness probe",
 			nil, nil, s.handleHealthz},
-		{"GET", "/v1/openapi.json", "This document",
+		{"GET", "/v1/openapi.json", http.StatusOK, "This document",
 			nil, nil, s.handleOpenAPI},
 	}
 }
