@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 
 	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/graph"
@@ -118,15 +117,9 @@ func measureCoreness(ctx context.Context, g graph.View, _ MeasureConfig, rep *Re
 		counts[c]++
 	}
 	cs.MeanCoreness /= n
-	if cs.Degeneracy > 0 {
-		top, err := dec.CoreView(cs.Degeneracy)
-		if err != nil {
-			return err
-		}
-		_, sizes := graph.ConnectedComponents(top)
-		cs.TopCoreNuTilde = float64(top.NumNodes()) / n
-		cs.TopCoreNu = float64(slices.Max(sizes)) / n
-		cs.TopCoreComponents = len(sizes)
+	if levels := dec.Levels(); len(levels) > 0 {
+		top := levels[len(levels)-1]
+		cs.TopCoreNuTilde, cs.TopCoreNu, cs.TopCoreComponents = top.NuTilde, top.Nu, top.Components
 	}
 	rep.Cores = cs
 	b.Printf("coreness: degeneracy %d, mean coreness %.3f over %d nodes\n", cs.Degeneracy, cs.MeanCoreness, g.NumNodes())

@@ -69,24 +69,39 @@ func (c *GrowthConfig) validate() error {
 	return nil
 }
 
-// Snapshot is the graph after growth reached a given node count. Graph is
-// a zero-copy graph.PrefixView into one shared graph.GrowthLog — emitting
-// k snapshots costs one CSR build for the final graph, not k.
+// Snapshot is the graph after growth reached a given node count.
 type Snapshot struct {
 	Nodes int
-	Graph graph.View
+	Graph *graph.Graph
 }
 
 // Grow runs the evolution and returns one Snapshot per requested size.
 // Snapshots are nested: every edge of an earlier snapshot exists in every
-// later one. All snapshots are prefix views of a single growth log built
-// over the full arrival sequence.
+// later one. Each snapshot is built from the prefix of the arrival
+// sequence logged up to it (graph.FromEdges), one CSR build per snapshot.
 func Grow(cfg GrowthConfig) ([]Snapshot, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	edges, cuts := arrivals(cfg)
+	snapshots := make([]Snapshot, len(cuts))
+	for i, c := range cuts {
+		nodes := cfg.Snapshots[i]
+		g, err := graph.FromEdges(nodes, edges[:c])
+		if err != nil {
+			return nil, fmt.Errorf("dynamic: snapshot at n=%d: %w", nodes, err)
+		}
+		snapshots[i] = Snapshot{Nodes: nodes, Graph: g}
+	}
+	return snapshots, nil
+}
+
+// arrivals runs the evolution of a validated cfg and returns its edges in
+// arrival order, repeats included, and for each requested snapshot the
+// number of edges that had arrived when the graph reached its size. Every
+// edge of such a prefix lies among the snapshot's nodes.
+func arrivals(cfg GrowthConfig) (edges []graph.Edge, cuts []int) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var edges []graph.Edge
 	// repeated holds one entry per half-edge for degree-proportional
 	// sampling, as in gen.BarabasiAlbert.
 	var repeated []graph.NodeID
@@ -100,16 +115,11 @@ func Grow(cfg GrowthConfig) ([]Snapshot, error) {
 			addEdge(graph.NodeID(i), graph.NodeID(j))
 		}
 	}
-	// A snapshot is (node count, arrival count at emit time); the views
-	// themselves are cut after the whole sequence is logged.
-	type cut struct{ nodes, arrivals int }
-	cuts := make([]cut, 0, len(cfg.Snapshots))
-	nextSnap := 0
-	targets := make(map[graph.NodeID]struct{}, cfg.Attach)
-	for nextSnap < len(cfg.Snapshots) && cfg.Snapshots[nextSnap] <= seedSize {
-		cuts = append(cuts, cut{nodes: cfg.Snapshots[nextSnap], arrivals: len(edges)})
-		nextSnap++
+	cuts = make([]int, 0, len(cfg.Snapshots))
+	for len(cuts) < len(cfg.Snapshots) && cfg.Snapshots[len(cuts)] <= seedSize {
+		cuts = append(cuts, len(edges))
 	}
+	targets := make(map[graph.NodeID]struct{}, cfg.Attach)
 	ordered := make([]graph.NodeID, 0, cfg.Attach)
 	for v := seedSize; v < cfg.FinalNodes; v++ {
 		clear(targets)
@@ -128,32 +138,19 @@ func Grow(cfg GrowthConfig) ([]Snapshot, error) {
 		}
 		if cfg.DensifyEvery > 0 && (v-seedSize+1)%cfg.DensifyEvery == 0 {
 			// Densification: one degree-proportional edge among existing
-			// nodes (self loops guarded here, duplicates deduplicated by
-			// the growth log's first-arrival rule).
+			// nodes (self loops guarded here, repeats merged by the
+			// snapshot's graph build).
 			a := repeated[rng.Intn(len(repeated))]
 			b := repeated[rng.Intn(len(repeated))]
 			if a != b {
 				addEdge(a, b)
 			}
 		}
-		if nextSnap < len(cfg.Snapshots) && v+1 == cfg.Snapshots[nextSnap] {
-			cuts = append(cuts, cut{nodes: v + 1, arrivals: len(edges)})
-			nextSnap++
+		if len(cuts) < len(cfg.Snapshots) && v+1 == cfg.Snapshots[len(cuts)] {
+			cuts = append(cuts, len(edges))
 		}
 	}
-	log, err := graph.NewGrowthLog(cfg.FinalNodes, edges)
-	if err != nil {
-		return nil, fmt.Errorf("dynamic: growth log: %w", err)
-	}
-	snapshots := make([]Snapshot, 0, len(cuts))
-	for _, c := range cuts {
-		pv, err := log.Prefix(c.arrivals, c.nodes)
-		if err != nil {
-			return nil, fmt.Errorf("dynamic: snapshot at n=%d: %w", c.nodes, err)
-		}
-		snapshots = append(snapshots, Snapshot{Nodes: c.nodes, Graph: pv})
-	}
-	return snapshots, nil
+	return edges, cuts
 }
 
 // TrackConfig tunes the per-snapshot measurement.
@@ -214,13 +211,12 @@ func Track(ctx context.Context, snaps []Snapshot, cfg TrackConfig) ([]TrackPoint
 	for _, snap := range snaps {
 		g := snap.Graph
 		if !graph.IsConnected(g) {
-			lcv, _ := graph.LargestComponentView(g)
-			g = lcv
+			g, _ = graph.LargestComponent(g)
 		}
 		pt := TrackPoint{
 			Nodes:         g.NumNodes(),
 			Edges:         g.NumEdges(),
-			AverageDegree: graph.AvgDegree(g),
+			AverageDegree: g.AverageDegree(),
 		}
 		sr, err := spectral.SLEMContext(ctx, g, spectral.Config{Tolerance: 1e-6, Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {

@@ -1,8 +1,10 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/trustnet/trustnet/internal/graph"
@@ -19,29 +21,53 @@ func grow(t *testing.T, cfg GrowthConfig) []Snapshot {
 }
 
 func TestGrowSnapshotsNested(t *testing.T) {
-	snaps := grow(t, GrowthConfig{
-		FinalNodes: 400, Attach: 3, Snapshots: []int{100, 200, 400}, Seed: 1,
-	})
-	if len(snaps) != 3 {
-		t.Fatalf("snapshots = %d, want 3", len(snaps))
-	}
-	for i, s := range snaps {
-		if s.Graph.NumNodes() != s.Nodes {
-			t.Errorf("snapshot %d: graph has %d nodes, header says %d", i, s.Graph.NumNodes(), s.Nodes)
+	for _, cfg := range []GrowthConfig{
+		{FinalNodes: 400, Attach: 3, Snapshots: []int{100, 200, 400}, Seed: 1},
+		// Densified growth adds edges among old nodes and repeats some.
+		{FinalNodes: 300, Attach: 3, DensifyEvery: 1, Snapshots: []int{4, 50, 51, 300}, Seed: 4},
+	} {
+		snaps := grow(t, cfg)
+		if len(snaps) != len(cfg.Snapshots) {
+			t.Fatalf("snapshots = %d, want %d", len(snaps), len(cfg.Snapshots))
 		}
-		if !graph.IsConnected(s.Graph) {
-			t.Errorf("snapshot %d not connected", i)
-		}
-	}
-	// Nesting: every edge of snapshot i is in snapshot i+1.
-	for i := 0; i+1 < len(snaps); i++ {
-		next := graph.Materialize(snaps[i+1].Graph)
-		snaps[i].Graph.VisitEdges(func(e graph.Edge) bool {
-			if !next.HasEdge(e.U, e.V) {
-				t.Fatalf("edge %v of snapshot %d missing from snapshot %d", e, i, i+1)
+		for i, s := range snaps {
+			if s.Graph.NumNodes() != s.Nodes {
+				t.Errorf("snapshot %d: graph has %d nodes, header says %d", i, s.Graph.NumNodes(), s.Nodes)
 			}
-			return true
-		})
+			if !graph.IsConnected(s.Graph) {
+				t.Errorf("snapshot %d not connected", i)
+			}
+		}
+		// Nesting: every edge of snapshot i is in snapshot i+1.
+		for i := 0; i+1 < len(snaps); i++ {
+			for _, e := range snaps[i].Graph.Edges() {
+				if !snaps[i+1].Graph.HasEdge(e.U, e.V) {
+					t.Fatalf("edge %v of snapshot %d missing from snapshot %d", e, i, i+1)
+				}
+			}
+		}
+		// Each snapshot holds exactly the distinct edges of its arrival
+		// prefix, all among its nodes.
+		edges, cuts := arrivals(cfg)
+		for i, c := range cuts {
+			set := map[graph.Edge]bool{}
+			for _, e := range edges[:c] {
+				if int(e.U) >= snaps[i].Nodes || int(e.V) >= snaps[i].Nodes {
+					t.Fatalf("snapshot %d: arrival %v outside its %d nodes", i, e, snaps[i].Nodes)
+				}
+				set[e.Canonical()] = true
+			}
+			want := make([]graph.Edge, 0, len(set))
+			for e := range set {
+				want = append(want, e)
+			}
+			slices.SortFunc(want, func(a, b graph.Edge) int {
+				return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+			})
+			if got := snaps[i].Graph.Edges(); !slices.Equal(got, want) {
+				t.Fatalf("snapshot %d: %d edges, want the %d distinct edges of its %d arrivals", i, len(got), len(want), c)
+			}
+		}
 	}
 }
 
@@ -54,16 +80,16 @@ func TestGrowDensification(t *testing.T) {
 	})
 	// Densified growth must raise average degree over time relative to
 	// plain PA (which keeps it ~2·attach).
-	plainDeg := graph.AvgDegree(plain[1].Graph)
-	denseDeg := graph.AvgDegree(dense[1].Graph)
+	plainDeg := plain[1].Graph.AverageDegree()
+	denseDeg := dense[1].Graph.AverageDegree()
 	if denseDeg <= plainDeg {
 		t.Errorf("densified avg degree %v <= plain %v", denseDeg, plainDeg)
 	}
 	// And the densified graph ages denser: later snapshot denser than
 	// earlier one.
-	if graph.AvgDegree(dense[1].Graph) <= graph.AvgDegree(dense[0].Graph) {
+	if dense[1].Graph.AverageDegree() <= dense[0].Graph.AverageDegree() {
 		t.Errorf("densified graph did not densify: %v -> %v",
-			graph.AvgDegree(dense[0].Graph), graph.AvgDegree(dense[1].Graph))
+			dense[0].Graph.AverageDegree(), dense[1].Graph.AverageDegree())
 	}
 }
 
@@ -86,8 +112,8 @@ func TestGrowValidation(t *testing.T) {
 func TestGrowDeterministic(t *testing.T) {
 	a := grow(t, GrowthConfig{FinalNodes: 200, Attach: 2, Snapshots: []int{200}, Seed: 9})
 	b := grow(t, GrowthConfig{FinalNodes: 200, Attach: 2, Snapshots: []int{200}, Seed: 9})
-	ea := graph.Materialize(a[0].Graph).Edges()
-	eb := graph.Materialize(b[0].Graph).Edges()
+	ea := a[0].Graph.Edges()
+	eb := b[0].Graph.Edges()
 	if len(ea) != len(eb) {
 		t.Fatalf("edge counts differ: %d vs %d", len(ea), len(eb))
 	}

@@ -149,8 +149,8 @@ func (r *Result) VertexExpansion(n int) (float64, bool) {
 // ctx.Err() and no result.
 //
 // It accepts any graph.View. A non-CSR view is materialized once
-// (graph.Materialize, cached by the view) and the copy is amortized
-// across all cores. Results are identical either way.
+// (graph.Materialize) and the copy is amortized across all cores.
+// Results are identical either way.
 func Measure(ctx context.Context, g graph.View, cfg Config) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {

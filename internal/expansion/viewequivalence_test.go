@@ -85,24 +85,3 @@ func TestEquivalenceViewExpansionMasked(t *testing.T) {
 	checkExpansionIdentical(t, mvBig, rebuiltBig, Config{Sources: srcsBig, Workers: 8})
 	checkExpansionOracle(t, mvBig, Config{Sources: srcsBig})
 }
-
-// TestEquivalenceViewExpansionInduced does the same for an induced subset.
-func TestEquivalenceViewExpansionInduced(t *testing.T) {
-	g, err := gen.BarabasiAlbert(400, 3, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	var nodes []graph.NodeID
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if rng.Float64() < 0.6 {
-			nodes = append(nodes, v)
-		}
-	}
-	iv, err := graph.NewInducedView(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExpansionIdentical(t, iv, graph.InducedSubgraph(g, nodes), Config{Workers: 8})
-	checkExpansionOracle(t, iv, Config{})
-}

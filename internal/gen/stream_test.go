@@ -188,6 +188,39 @@ func TestStreamToFileAllocation(t *testing.T) {
 	}
 }
 
+// TestBuilderAllocation bounds the bytes graph.Builder allocates per edge
+// on BenchmarkIngest's BA graph (4·10⁴ nodes, attach 8), the edges
+// collected first: its packed edges take 8 bytes per edge, csrRows' two
+// row arrays 8 each and its n-entry arrays about 2 more. A builder that
+// grew one edge slice by append allocated about 60.
+func TestBuilderAllocation(t *testing.T) {
+	const maxBytesPerEdge = 36
+	es, err := StreamBA(40000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []graph.Edge
+	if err := es.Edges(func(u, v graph.NodeID) error {
+		edges = append(edges, graph.Edge{U: u, V: v})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := graph.NewBuilder(es.NumNodes())
+	for _, e := range edges {
+		b.AddEdgeSafe(e.U, e.V)
+	}
+	ingestSink = b.Build()
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(edges))
+	t.Logf("%.1f bytes per edge over %d edges", perEdge, len(edges))
+	if perEdge > maxBytesPerEdge {
+		t.Errorf("Builder allocated %.1f bytes per edge, want at most %d", perEdge, maxBytesPerEdge)
+	}
+}
+
 // BenchmarkStreamToFile times the ingest of the benchmark's `large`
 // workload: streaming one of its two graphs to a TNG2 file, in memory
 // (no spill runs). It sizes an ingest change without the daemon.

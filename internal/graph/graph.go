@@ -198,10 +198,18 @@ func (g *Graph) String() string {
 // Builder accumulates edges and produces an immutable Graph. The zero value
 // is unusable; create builders with NewBuilder. Builders are not safe for
 // concurrent use.
+//
+// The edges are packed (packArc) into chunks that are never moved: the
+// first holds firstBuilderChunk edges, each next one twice as many up to
+// edgeChunk, then edgeChunk each. A growing slice would copy every edge
+// on each growth step, allocating several times the final slice.
 type Builder struct {
-	n     int
-	edges []uint64 // packArc(u, v) per added edge
+	n      int
+	chunks [][]uint64 // packArc(u, v) per added edge
 }
+
+// firstBuilderChunk is the number of edges in a Builder's first chunk.
+const firstBuilderChunk = 1 << 10
 
 // NewBuilder returns a builder for a graph over the node set {0..n-1}.
 func NewBuilder(n int) *Builder {
@@ -221,7 +229,7 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, b.n)
 	}
-	b.edges = append(b.edges, packArc(u, v))
+	b.add(packArc(u, v))
 	return nil
 }
 
@@ -233,12 +241,22 @@ func (b *Builder) AddEdgeSafe(u, v NodeID) {
 	if u == v {
 		return
 	}
-	b.edges = append(b.edges, packArc(u, v))
+	b.add(packArc(u, v))
 }
 
-// NumPendingEdges returns the number of (possibly duplicate) edges recorded
-// so far.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
+// add appends a packed edge, opening the next chunk when the last is full.
+func (b *Builder) add(e uint64) {
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
+		size := firstBuilderChunk
+		if last >= 0 {
+			size = min(2*cap(b.chunks[last]), edgeChunk)
+		}
+		b.chunks = append(b.chunks, make([]uint64, 0, size))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], e)
+}
 
 // Build produces the immutable CSR graph, deduplicating parallel edges,
 // by the counting construction CSRWriter lays out each run with
@@ -247,7 +265,7 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // accumulate on the same edge multiset).
 func (b *Builder) Build() *Graph {
 	var l rowLayout
-	offsets, adj := l.csrRows(b.n, [][]uint64{b.edges})
+	offsets, adj := l.csrRows(b.n, b.chunks)
 	if len(adj) < cap(adj) {
 		adj = append(make([]NodeID, 0, len(adj)), adj...)
 	}

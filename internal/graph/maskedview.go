@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // MaskedView is a zero-copy view of a substrate graph with some nodes down
@@ -14,8 +13,8 @@ import (
 // rebuild: advancing a churn epoch is Reset + a fresh round of SetAlive /
 // DropEdge calls, all O(deg) or cheaper per call.
 //
-// Mutation must not be concurrent with reads (including Materialize);
-// between mutations the view is safe for any number of concurrent readers.
+// Mutation must not be concurrent with reads; between mutations the view
+// is safe for any number of concurrent readers.
 type MaskedView struct {
 	g *Graph
 	// alive is a node bitmap: bit v set means node v is up.
@@ -29,11 +28,6 @@ type MaskedView struct {
 	deg      []int32
 	numAlive int
 	numEdges int64
-
-	// mu guards the cached materialization only; concurrent readers may
-	// race on Materialize.
-	mu  sync.Mutex
-	mat *Graph
 }
 
 // NewMaskedView returns a view of g with every node alive and every edge
@@ -67,11 +61,7 @@ func (mv *MaskedView) Reset() {
 	}
 	mv.numAlive = n
 	mv.numEdges = mv.g.NumEdges()
-	mv.invalidate()
 }
-
-// Substrate returns the underlying graph the view masks.
-func (mv *MaskedView) Substrate() *Graph { return mv.g }
 
 // NumNodes implements View. Node IDs stay dense: down nodes still count,
 // they are just isolated.
@@ -195,7 +185,6 @@ func (mv *MaskedView) SetAlive(v NodeID, alive bool) {
 		mv.alive[uint32(v)>>6] &^= 1 << (uint32(v) & 63)
 		mv.numAlive--
 	}
-	mv.invalidate()
 }
 
 // DropEdge removes the substrate edge (u, v) from the view in both
@@ -221,7 +210,6 @@ func (mv *MaskedView) DropEdge(u, v NodeID) bool {
 		mv.deg[v]--
 		mv.numEdges--
 	}
-	mv.invalidate()
 	return true
 }
 
@@ -250,25 +238,5 @@ func (mv *MaskedView) RestoreEdge(u, v NodeID) bool {
 		mv.deg[v]++
 		mv.numEdges++
 	}
-	mv.invalidate()
 	return true
 }
-
-func (mv *MaskedView) invalidate() {
-	mv.mu.Lock()
-	mv.mat = nil
-	mv.mu.Unlock()
-}
-
-// Materialize implements Materializer: a cached linear CSR copy of the live
-// topology, invalidated by any mutation. The result must not be modified.
-func (mv *MaskedView) Materialize() *Graph {
-	mv.mu.Lock()
-	defer mv.mu.Unlock()
-	if mv.mat == nil {
-		mv.mat = materializeCSR(mv)
-	}
-	return mv.mat
-}
-
-var _ Materializer = (*MaskedView)(nil)

@@ -114,8 +114,9 @@ func (w *BFSWorker) Run(src NodeID) (*BFSResult, error) {
 }
 
 // ConnectedComponents labels every node with a component index in [0, k)
-// and returns the labels along with the size of each component, largest
-// first component is NOT guaranteed; use LargestComponent for that.
+// and returns the labels along with the size of each component. Components
+// are indexed in the order of their smallest node ID, not by size; use
+// LargestComponent for the largest one.
 func ConnectedComponents(g View) (labels []int32, sizes []int64) {
 	n := g.NumNodes()
 	nbr := NewAdj(g)
@@ -189,37 +190,45 @@ func LargestComponent(g View) (*Graph, []NodeID) {
 	return InducedSubgraph(g, keep), keep
 }
 
-// LargestComponentView is LargestComponent without the CSR copy: the
-// largest component as a zero-copy InducedView over g, with the same
-// ascending stable remapping.
-func LargestComponentView(g View) (*InducedView, []NodeID) {
-	keep := largestComponentNodes(g)
-	iv, err := NewInducedView(g, keep)
-	if err != nil {
-		// Unreachable: component nodes are valid by construction.
-		panic(err)
-	}
-	return iv, keep
-}
+// LargestComponentView returns LargestComponent(g).
+//
+// Deprecated: use LargestComponent. The largest component is built as a
+// CSR graph; this forwarder stays only while perfbench calls it.
+func LargestComponentView(g View) (*Graph, []NodeID) { return LargestComponent(g) }
 
-// InducedSubgraph returns the subgraph induced by nodes (which must be
-// distinct and valid), with node i of the result corresponding to nodes[i].
+// InducedSubgraph returns the subgraph of g induced by nodes, with node i
+// of the result corresponding to nodes[i]. nodes must be strictly
+// ascending and valid in g; InducedSubgraph panics otherwise, since only
+// a bug produces such a list. It is one pass over the nodes' rows with an
+// n-entry local-ID array: local IDs ascend with the original ones, so
+// each sorted row of g with the neighbors outside nodes dropped is the
+// sorted local row. The adjacency is sized by the nodes' degrees in g,
+// which is exact for a connected component.
 func InducedSubgraph(g View, nodes []NodeID) *Graph {
-	remap := make(map[NodeID]NodeID, len(nodes))
-	for i, v := range nodes {
-		remap[v] = NodeID(i)
+	local := make([]int32, g.NumNodes())
+	for i := range local {
+		local[i] = -1
 	}
-	nbr := NewAdj(g)
-	b := NewBuilder(len(nodes))
+	var arcs int64
 	for i, v := range nodes {
-		for _, u := range nbr.Neighbors(v) {
-			j, ok := remap[u]
-			if ok && NodeID(i) < j {
-				b.AddEdgeSafe(NodeID(i), j)
+		if !g.Valid(v) || (i > 0 && v <= nodes[i-1]) {
+			panic(fmt.Sprintf("graph: induced node list must be strictly ascending in [0,%d): node %d at index %d", g.NumNodes(), v, i))
+		}
+		local[v] = int32(i)
+		arcs += int64(g.Degree(v))
+	}
+	offsets := make([]int64, len(nodes)+1)
+	adj := make([]NodeID, 0, arcs)
+	nbr := NewAdj(g)
+	for i, v := range nodes {
+		for _, w := range nbr.Neighbors(v) {
+			if l := local[w]; l >= 0 {
+				adj = append(adj, NodeID(l))
 			}
 		}
+		offsets[i+1] = int64(len(adj))
 	}
-	return b.Build()
+	return &Graph{offsets: offsets, adjacency: adj}
 }
 
 // Diameter computes the exact diameter of a connected graph by running a

@@ -3,10 +3,12 @@ package graph
 import "fmt"
 
 // View is the read-only graph abstraction shared by every measurement in the
-// repository. *Graph implements it directly, and Mapped over a TNG2 file;
-// MaskedView, InducedView and PrefixView implement it zero-copy over a
-// substrate *Graph, so churned, induced and growth-prefix variants of one
-// graph can be measured without materializing a CSR copy per variant.
+// repository. *Graph implements it directly, Mapped over a TNG2 file, and
+// MaskedView zero-copy over a substrate *Graph: the churned topology a
+// fault schedule leaves, whose mask the schedule mutates in place every
+// epoch. Induced subgraphs and growth prefixes are built as CSR graphs
+// (InducedSubgraph, FromEdges): every kernel reads CSR arrays, so a view
+// of them would only be copied again.
 //
 // Contract, mirroring Graph: nodes are dense IDs in [0, NumNodes());
 // neighbor lists are sorted ascending and free of self loops and
@@ -45,16 +47,6 @@ type CSRSource interface {
 	CSR() *Graph
 }
 
-// Materializer is implemented by views that cache their own CSR
-// materialization. Materialize prefers it over rebuilding.
-type Materializer interface {
-	View
-	// Materialize returns a CSR copy of the view with identical node IDs
-	// and edges. Implementations cache the copy; callers must not modify
-	// the result.
-	Materialize() *Graph
-}
-
 // AppendNeighbors implements View. The appended elements alias nothing; buf
 // may be retained by the caller.
 func (g *Graph) AppendNeighbors(v NodeID, buf []NodeID) []NodeID {
@@ -86,11 +78,10 @@ func AsCSR(v View) (*Graph, bool) {
 }
 
 // Materialize returns a CSR *Graph with exactly the view's nodes and edges.
-// CSR-backed views are returned as-is (zero copy); views that cache their
-// own materialization (MaskedView, InducedView, PrefixView) return the
-// cached copy; anything else is rebuilt. Because view neighbor lists are
-// already sorted and deduplicated, rebuilding is a linear O(n+m) pass —
-// no arc sort, unlike a Builder. The result must not be modified.
+// CSR-backed views are returned as-is (zero copy); anything else is copied.
+// Because view neighbor lists are already sorted and deduplicated, the copy
+// is a linear O(n+m) pass — no arc sort, unlike a Builder. The result must
+// not be modified.
 //
 // This is the kernel escape hatch: measurement entry points that run the
 // batched CSR kernels call Materialize once and amortize the copy across
@@ -99,15 +90,6 @@ func Materialize(v View) *Graph {
 	if g, ok := AsCSR(v); ok {
 		return g
 	}
-	if m, ok := v.(Materializer); ok {
-		return m.Materialize()
-	}
-	return materializeCSR(v)
-}
-
-// materializeCSR builds a CSR copy of an arbitrary view in O(n+m) without
-// sorting, relying on the View contract that neighbor lists are sorted.
-func materializeCSR(v View) *Graph {
 	g, _, _ := MaterializeInto(v, nil, nil)
 	return g
 }
@@ -115,7 +97,7 @@ func materializeCSR(v View) *Graph {
 // MaterializeInto is Materialize with caller-owned storage: it fills (and
 // grows if needed) the offsets and adjacency buffers with a CSR copy of v
 // and returns a fresh *Graph header over them plus the buffers for reuse.
-// Unlike Materialize it never returns a cached or aliased graph, and the
+// Unlike Materialize it always copies, even a CSR-backed view, and the
 // returned graph is only valid until the buffers are reused — it is the
 // allocation-free path for callers that re-materialize a mutating view
 // every epoch.
@@ -199,13 +181,3 @@ var (
 	_ CSRSource = (*Graph)(nil)
 	_ View      = (*Graph)(nil)
 )
-
-// AvgDegree returns 2m/n for a view (Graph.AverageDegree generalized), or
-// 0 for an empty view.
-func AvgDegree(v View) float64 {
-	n := v.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	return float64(2*v.NumEdges()) / float64(n)
-}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -156,99 +157,98 @@ func TestEquivalenceViewMaskedFullyChurned(t *testing.T) {
 	}
 }
 
-func TestEquivalenceViewInducedVsSubgraph(t *testing.T) {
-	g := randomGraph(t, 100, 0.1, 4)
-	rng := rand.New(rand.NewSource(5))
-	var nodes []NodeID
-	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-		if rng.Float64() < 0.5 {
-			nodes = append(nodes, v)
-		}
-	}
-	iv, err := NewInducedView(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := InducedSubgraph(g, nodes)
-	checkViewMatchesGraph(t, iv, want)
+// inducedOracle is the map-plus-Builder induced-subgraph construction
+// InducedSubgraph replaced, kept as the reference it must match.
+func inducedOracle(g View, nodes []NodeID) *Graph {
+	remap := make(map[NodeID]NodeID, len(nodes))
 	for i, v := range nodes {
-		if iv.OriginalID(NodeID(i)) != v {
-			t.Fatalf("OriginalID(%d) = %d, want %d", i, iv.OriginalID(NodeID(i)), v)
-		}
-		if local, ok := iv.LocalID(v); !ok || local != NodeID(i) {
-			t.Fatalf("LocalID(%d) = %d,%v, want %d", v, local, ok, i)
-		}
+		remap[v] = NodeID(i)
 	}
-
-	// Induced view of a masked view: kill some nodes first, then compare
-	// against the subgraph induced on the rebuilt masked topology.
-	mv := NewMaskedView(g)
-	for v := NodeID(0); int(v) < 30; v++ {
-		mv.SetAlive(v, false)
-	}
-	ivm, err := NewInducedView(mv, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkViewMatchesGraph(t, ivm, InducedSubgraph(mv, nodes))
-}
-
-func TestEquivalenceViewInducedEmpty(t *testing.T) {
-	g := randomGraph(t, 20, 0.3, 6)
-	iv, err := NewInducedView(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.NumNodes() != 0 || iv.NumEdges() != 0 {
-		t.Fatalf("empty induced view: n=%d m=%d", iv.NumNodes(), iv.NumEdges())
-	}
-	viewEdges(iv) // must not panic
-}
-
-func TestEquivalenceViewPrefixVsBuilder(t *testing.T) {
-	const n = 60
-	rng := rand.New(rand.NewSource(7))
-	var arrivals []Edge
-	for i := 0; i < 400; i++ {
-		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		// Duplicates on purpose: the log must keep first arrivals only.
-		arrivals = append(arrivals, Edge{U: u, V: v})
-	}
-	log, err := NewGrowthLog(n, arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []struct{ arrivals, nodes int }{
-		{0, 0}, {0, n}, {10, 15}, {len(arrivals) / 2, n / 2},
-		{len(arrivals) / 2, n}, {len(arrivals), n}, {len(arrivals), n / 3},
-	} {
-		pv, err := log.Prefix(cut.arrivals, cut.nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := NewBuilder(cut.nodes)
-		for _, e := range arrivals[:cut.arrivals] {
-			if int(e.U) < cut.nodes && int(e.V) < cut.nodes {
-				b.AddEdgeSafe(e.U, e.V)
+	nbr := NewAdj(g)
+	b := NewBuilder(len(nodes))
+	for i, v := range nodes {
+		for _, u := range nbr.Neighbors(v) {
+			j, ok := remap[u]
+			if ok && NodeID(i) < j {
+				b.AddEdgeSafe(NodeID(i), j)
 			}
 		}
-		checkViewMatchesGraph(t, pv, b.Build())
 	}
-	if !reflect.DeepEqual(log.Final().Edges(), Materialize(mustPrefix(t, log, len(arrivals), n)).Edges()) {
-		t.Fatal("full prefix diverges from Final")
-	}
+	return b.Build()
 }
 
-func mustPrefix(t *testing.T, log *GrowthLog, arrivals, nodes int) *PrefixView {
-	t.Helper()
-	pv, err := log.Prefix(arrivals, nodes)
+// TestEquivalenceInducedSubgraph checks the linear InducedSubgraph
+// against inducedOracle on random graphs and random ascending subsets,
+// over a *Graph, a churned MaskedView and a Mapped base, and that a node
+// list that is not strictly ascending and valid panics.
+func TestEquivalenceInducedSubgraph(t *testing.T) {
+	g := randomGraph(t, 150, 0.06, 4)
+	mv := NewMaskedView(g)
+	rng := rand.New(rand.NewSource(5))
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		if rng.Float64() < 0.2 {
+			mv.SetAlive(v, false)
+		}
+	}
+	edges := g.Edges()
+	for i := 0; i < len(edges)/10; i++ {
+		e := edges[rng.Intn(len(edges))]
+		mv.DropEdge(e.U, e.V)
+	}
+	path := filepath.Join(t.TempDir(), "g.tng2")
+	if err := SaveCSR(path, g); err != nil {
+		t.Fatal(err)
+	}
+	mg, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pv
+	defer mg.Close()
+
+	n := g.NumNodes()
+	all := make([]NodeID, n)
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	subsets := [][]NodeID{nil, {0}, {NodeID(n - 1)}, all}
+	for _, p := range []float64{0.05, 0.3, 0.7, 0.95} {
+		var nodes []NodeID
+		for v := NodeID(0); int(v) < n; v++ {
+			if rng.Float64() < p {
+				nodes = append(nodes, v)
+			}
+		}
+		subsets = append(subsets, nodes)
+	}
+	isolated := false
+	for _, base := range []struct {
+		name string
+		v    View
+	}{{"graph", g}, {"masked", mv}, {"mapped", mg}} {
+		for i, nodes := range subsets {
+			got := InducedSubgraph(base.v, nodes)
+			want := inducedOracle(base.v, nodes)
+			if got.NumNodes() != len(nodes) {
+				t.Fatalf("%s subset %d: %d nodes, want %d", base.name, i, got.NumNodes(), len(nodes))
+			}
+			checkViewMatchesGraph(t, got, want)
+			isolated = isolated || (got.NumNodes() > 0 && got.MinDegree() == 0)
+		}
+	}
+	if !isolated {
+		t.Fatal("no subset left an isolated node")
+	}
+
+	for _, bad := range [][]NodeID{{3, 2}, {2, 2}, {-1}, {NodeID(n)}, {0, 5, 5, 9}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("InducedSubgraph(%v) did not panic", bad)
+				}
+			}()
+			InducedSubgraph(g, bad)
+		}()
+	}
 }
 
 func TestEquivalenceViewMaterializeInto(t *testing.T) {

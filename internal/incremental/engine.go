@@ -162,7 +162,7 @@ func MeasureFull(ctx context.Context, view *graph.MaskedView, cfg EngineConfig) 
 	if err != nil {
 		return nil, fmt.Errorf("incremental: full expansion: %w", err)
 	}
-	comp, nodes := graph.LargestComponentView(view)
+	comp, nodes := graph.LargestComponent(view)
 	scfg := cfg.Spectral
 	scfg.Warm, scfg.KeepVector = nil, false
 	slem, err := spectral.SLEMContext(ctx, comp, scfg)

@@ -54,7 +54,7 @@ func NewSLEMMaintainer(cfg spectral.Config) *SLEMMaintainer {
 // returned component size lets callers weigh the measurement.
 func (sm *SLEMMaintainer) Measure(ctx context.Context, g graph.View) (*spectral.Result, int, error) {
 	obsSLEMMeasures.Inc()
-	comp, nodes := graph.LargestComponentView(g)
+	comp, nodes := graph.LargestComponent(g)
 
 	cfg := sm.cfg
 	cfg.KeepVector = true

@@ -34,7 +34,7 @@ func TestEquivalenceSLEMMaintainerDriftSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: warm measure: %v", e, err)
 		}
-		comp, nodes := graph.LargestComponentView(m.View())
+		comp, nodes := graph.LargestComponent(m.View())
 		if size != len(nodes) {
 			t.Fatalf("epoch %d: component size %d, want %d", e, size, len(nodes))
 		}
@@ -71,7 +71,7 @@ func TestEquivalenceSLEMMaintainerFirstMeasureIsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, _ := graph.LargestComponentView(mv)
+	comp, _ := graph.LargestComponent(mv)
 	cold, err := spectral.SLEMContext(context.Background(), comp, cfg)
 	if err != nil {
 		t.Fatal(err)

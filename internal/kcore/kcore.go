@@ -123,13 +123,6 @@ func (d *Decomposition) CoreSubgraph(k int) (*graph.Graph, []graph.NodeID) {
 	return graph.InducedSubgraph(d.g, nodes), nodes
 }
 
-// CoreView returns G̃_k as a zero-copy induced view over the decomposed
-// graph, with the same ascending stable remapping CoreSubgraph uses — the
-// per-k allocation drops from a CSR copy to the view's O(|V_k|) index.
-func (d *Decomposition) CoreView(k int) (*graph.InducedView, error) {
-	return graph.NewInducedView(d.g, d.CoreNodes(k))
-}
-
 // LevelStats describes G̃_k (cores under the degree condition only) at one
 // value of k, using the paper's relative-size notation.
 type LevelStats struct {
@@ -151,41 +144,82 @@ type LevelStats struct {
 }
 
 // Levels computes LevelStats for every k from 1 to the degeneracy. This is
-// the entire data series behind Figure 5.
+// the entire data series behind Figure 5, and it needs no subgraph: one
+// union-find sweep adds the nodes in decreasing coreness, bucketed by
+// coreness as Decompose buckets degrees, and unites each node with its
+// neighbors of coreness at least its own, counting each edge once, at the
+// lower coreness of its endpoints. Once the coreness-k nodes are in, the
+// nodes and edges counted so far are those of G̃_k, its components are the
+// nodes less the successful unions, and the largest set is its largest
+// connected core. O(m α(n)) for all levels together.
 func (d *Decomposition) Levels() []LevelStats {
 	n := d.g.NumNodes()
 	m := d.g.NumEdges()
-	out := make([]LevelStats, 0, d.maxCore)
-	for k := 1; k <= d.maxCore; k++ {
-		sub, err := d.CoreView(k)
-		if err != nil {
-			// Unreachable: CoreNodes only yields valid nodes.
-			panic(err)
+	// bin[k] is the start of the coreness-k nodes in order.
+	bin := make([]int, d.maxCore+2)
+	for _, c := range d.coreness {
+		bin[c+1]++
+	}
+	for k := 1; k < len(bin); k++ {
+		bin[k] += bin[k-1]
+	}
+	order := make([]int32, n)
+	next := append([]int(nil), bin[:d.maxCore+1]...)
+	for v, c := range d.coreness {
+		order[next[c]] = int32(v)
+		next[c]++
+	}
+
+	parent := make([]int32, n)
+	size := make([]int32, n)
+	for v := range parent {
+		parent[v], size[v] = int32(v), 1
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		ls := LevelStats{
-			K:     k,
-			Nodes: sub.NumNodes(),
-			Edges: sub.NumEdges(),
-		}
-		if n > 0 {
-			ls.NuTilde = float64(ls.Nodes) / float64(n)
-		}
-		if m > 0 {
-			ls.EdgeFraction = float64(ls.Edges) / float64(m)
-		}
-		if sub.NumNodes() > 0 {
-			_, sizes := graph.ConnectedComponents(sub)
-			ls.Components = len(sizes)
-			var largest int64
-			for _, s := range sizes {
-				if s > largest {
-					largest = s
+		return x
+	}
+	out := make([]LevelStats, d.maxCore)
+	nbr := graph.NewAdj(d.g)
+	var nodes, components int
+	var edges int64
+	largest := int32(1)
+	for k := d.maxCore; k >= 1; k-- {
+		for _, v := range order[bin[k]:bin[k+1]] {
+			nodes++
+			components++
+			for _, u := range nbr.Neighbors(graph.NodeID(v)) {
+				if cu := d.coreness[u]; cu < k || (cu == k && int32(u) > v) {
+					continue
 				}
+				edges++
+				ru, rv := find(int32(u)), find(v)
+				if ru == rv {
+					continue
+				}
+				if size[ru] < size[rv] {
+					ru, rv = rv, ru
+				}
+				parent[rv] = ru
+				size[ru] += size[rv]
+				largest = max(largest, size[ru])
+				components--
 			}
-			ls.LargestComponentNodes = int(largest)
-			ls.Nu = float64(largest) / float64(n)
 		}
-		out = append(out, ls)
+		// A level exists only if the graph has an edge, so m > 0.
+		out[k-1] = LevelStats{
+			K:                     k,
+			Nodes:                 nodes,
+			Edges:                 edges,
+			NuTilde:               float64(nodes) / float64(n),
+			EdgeFraction:          float64(edges) / float64(m),
+			Components:            components,
+			LargestComponentNodes: int(largest),
+			Nu:                    float64(largest) / float64(n),
+		}
 	}
 	return out
 }

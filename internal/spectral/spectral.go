@@ -155,8 +155,8 @@ const breakdown = 1e-12
 // SLEM computes the second largest eigenvalue modulus of the transition
 // matrix of the simple random walk on g. It accepts any graph.View;
 // because every Lanczos step streams the whole adjacency, non-CSR views
-// are materialized once up front (graph.Materialize, cached by the view)
-// and the copy is amortized across all steps.
+// are materialized once up front (graph.Materialize) and the copy is
+// amortized across all steps.
 func SLEM(v graph.View, cfg Config) (*Result, error) {
 	return SLEMContext(context.Background(), v, cfg)
 }

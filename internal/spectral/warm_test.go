@@ -47,9 +47,9 @@ func TestEquivalenceWarmVsColdStart(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("perturbation dropped no edges")
 	}
-	lcc, nodes := graph.LargestComponentView(mv)
+	lcc, nodes := graph.LargestComponent(mv)
 
-	// Transfer the old vector through the induced-view node mapping.
+	// Transfer the old vector through the component's node mapping.
 	warm := make([]float64, lcc.NumNodes())
 	for local, orig := range nodes {
 		warm[local] = first.Eigenvector()[orig]

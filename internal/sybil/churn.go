@@ -26,19 +26,14 @@ func Degrade(a *Attack, m *faults.Model) (*Attack, error) {
 	}
 	combined := m.Degraded()
 
-	// The degraded honest region is the fault view induced on the honest
-	// IDs: honest nodes are [0, h), so induced-view local IDs coincide
+	// The degraded honest region is the degraded graph induced on the
+	// honest IDs: honest nodes are [0, h), so induced local IDs coincide
 	// with the original ones, and every surviving combined edge between
 	// two honest nodes is an honest edge (attack edges always cross into
-	// the sybil region). No rebuild — the induced view is zero-copy and
-	// only its (cached) materialization copies.
+	// the sybil region).
 	honestIDs := make([]graph.NodeID, a.Honest.NumNodes())
 	for i := range honestIDs {
 		honestIDs[i] = graph.NodeID(i)
-	}
-	hv, err := graph.NewInducedView(m.View(), honestIDs)
-	if err != nil {
-		return nil, fmt.Errorf("sybil: degrade honest region: %w", err)
 	}
 
 	surviving := make([]graph.Edge, 0, len(a.AttackEdges))
@@ -48,7 +43,7 @@ func Degrade(a *Attack, m *faults.Model) (*Attack, error) {
 		}
 	}
 	return &Attack{
-		Honest:      hv.Materialize(),
+		Honest:      graph.InducedSubgraph(combined, honestIDs),
 		Combined:    combined,
 		HonestNodes: a.HonestNodes,
 		AttackEdges: surviving,

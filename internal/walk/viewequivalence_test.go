@@ -90,29 +90,6 @@ func TestEquivalenceViewMixingMasked(t *testing.T) {
 	checkMixingOracle(t, mvBig, cfgBig)
 }
 
-// TestEquivalenceViewMixingInduced does the same for an induced subset.
-func TestEquivalenceViewMixingInduced(t *testing.T) {
-	g, err := gen.BarabasiAlbert(600, 3, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	var nodes []graph.NodeID
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if rng.Float64() < 0.7 {
-			nodes = append(nodes, v)
-		}
-	}
-	iv, err := graph.NewInducedView(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := graph.InducedSubgraph(g, nodes)
-	cfg := MixingConfig{MaxSteps: 10, Sources: 40, Seed: 7, Workers: 8}
-	checkMixingIdentical(t, iv, rebuilt, cfg)
-	checkMixingOracle(t, iv, cfg)
-}
-
 // TestEquivalenceViewMixingFullyChurned: a view with every node down has
 // no edges, and both paths must refuse identically.
 func TestEquivalenceViewMixingFullyChurned(t *testing.T) {

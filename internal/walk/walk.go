@@ -320,8 +320,8 @@ func (r *MixingResult) MeanMixingTime(eps float64) (int, bool) {
 // steps, so a caller's timeout bounds even slow-mixing measurements.
 //
 // It accepts any graph.View. A non-CSR view is materialized once
-// (graph.Materialize, cached by the view) and the copy is amortized
-// across all sources and steps. Results are bit-identical either way.
+// (graph.Materialize) and the copy is amortized across all sources and
+// steps. Results are bit-identical either way.
 func MeasureMixing(ctx context.Context, g graph.View, cfg MixingConfig) (*MixingResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -15,11 +15,13 @@ fi
 echo "doclint: all packages documented"
 
 # View lint: measurement entry points accept the read-only graph.View, so
-# every zero-copy view (masked, induced, prefix) can be measured without a
-# CSR rebuild. A *graph.Graph parameter on a new exported function in a
-# measurement package reintroduces the rebuild-per-variant tax; kernels is
-# exempt (batched kernels are CSR-only by design, reached via
-# graph.Materialize), as are methods and unexported helpers.
+# the views still measured as views, a fault schedule's graph.MaskedView
+# (incremental.MeasureFull, perfbench's epochs checks) and the daemon's
+# mmap-backed graph.Mapped, are passed as they are. A *graph.Graph
+# parameter on a new exported function in a measurement package would
+# make every such caller copy or unwrap its view first; kernels is exempt
+# (batched kernels are CSR-only by design, reached via graph.Materialize),
+# as are methods and unexported helpers.
 viewbad=""
 for pkg in internal/walk internal/expansion internal/spectral internal/kcore \
            internal/centrality internal/community; do
