@@ -232,7 +232,11 @@ func (m *Model) drawEpoch(e int) {
 // and redraw schedules never share a stream. Every unprotected node and
 // every substrate edge consumes exactly one uniform draw regardless of
 // its state, which keeps the streams aligned under replay. Cost is one
-// pass over nodes and one over edges with O(flips·deg) mask updates.
+// pass over nodes and one over edges, reading each edge's drop bit at
+// its adjacency slot (MaskedView.VisitSubstrateEdges), plus O(flips·deg)
+// mask updates. A flipped edge's DropEdge or RestoreEdge still searches
+// its two rows for its slots, which costs little: at the stationary
+// marginals about 2·Drift·EdgeLoss of the edges flip per epoch.
 func (m *Model) driftEpoch(e int) {
 	n := m.g.NumNodes()
 
@@ -262,9 +266,9 @@ func (m *Model) driftEpoch(e int) {
 		pDrop = m.cfg.Drift * m.cfg.EdgeLoss / (1 - m.cfg.EdgeLoss)
 	}
 	erng := rand.New(rand.NewSource(m.cfg.Seed + 3*int64(e) + 1))
-	m.g.VisitEdges(func(edge graph.Edge) bool {
+	m.view.VisitSubstrateEdges(func(edge graph.Edge, dropped bool) bool {
 		u := erng.Float64()
-		if m.view.Dropped(edge.U, edge.V) {
+		if dropped {
 			if u < pRestore {
 				m.view.RestoreEdge(edge.U, edge.V)
 				m.numLost--
@@ -288,10 +292,12 @@ func (m *Model) Epoch() int { return m.epoch }
 // fresh churn sample and edge-loss draw from the epoch-derived seeds,
 // or — with Config.Drift set — one birth–death evolution step of the
 // current schedule. The message stream keeps running across epochs.
-// Cost is an O(n + m) two-pass draw (or drift sweep) with O(1)
-// allocation — no graph rebuild — and it invalidates the view's cached
-// materialization; it must not run concurrently with measurements on
-// View().
+// Cost is one pass over the nodes and one over the substrate's edges
+// (the drift sweep reads each edge's drop bit at its adjacency slot),
+// with O(1) allocation and no graph rebuild. The next Degraded call
+// rebuilds the epoch's CSR into the buffers of the previous one, so a
+// CSR Degraded returned is stale once AdvanceEpoch runs; AdvanceEpoch
+// must not run concurrently with measurements on View() or Degraded().
 func (m *Model) AdvanceEpoch() {
 	m.epoch++
 	if m.cfg.Drift > 0 {

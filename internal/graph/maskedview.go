@@ -123,6 +123,23 @@ func (mv *MaskedView) VisitEdges(visit func(Edge) bool) {
 	}
 }
 
+// VisitSubstrateEdges yields every canonical edge of the substrate graph
+// in Graph.VisitEdges order, live or not, each with its drop bit as
+// Dropped would report it, read at the edge's adjacency slot instead of
+// searched for. visit may drop or restore the edge it is handed; that
+// touches only slots the walk has passed or skips.
+func (mv *MaskedView) VisitSubstrateEdges(visit func(e Edge, dropped bool) bool) {
+	n := mv.g.NumNodes()
+	for v := NodeID(0); int(v) < n; v++ {
+		lo, hi := mv.g.offsets[v], mv.g.offsets[v+1]
+		for i := lo; i < hi; i++ {
+			if w := mv.g.adjacency[i]; w > v && !visit(Edge{U: v, V: w}, mv.dropped(i)) {
+				return
+			}
+		}
+	}
+}
+
 // HasEdge reports whether the live edge (u, v) exists in the view.
 func (mv *MaskedView) HasEdge(u, v NodeID) bool {
 	if !mv.g.Valid(u) || !mv.g.Valid(v) || !mv.Alive(u) || !mv.Alive(v) {

@@ -163,10 +163,13 @@ func IsConnected(g View) bool {
 }
 
 // largestComponentNodes returns the ascending node IDs of the largest
-// connected component; ties break toward the component containing the
-// smallest node ID.
+// connected component, none on a 0-node graph; ties break toward the
+// component containing the smallest node ID.
 func largestComponentNodes(g View) []NodeID {
 	labels, sizes := ConnectedComponents(g)
+	if len(sizes) == 0 {
+		return nil
+	}
 	best := int32(0)
 	for i, s := range sizes {
 		if s > sizes[best] {
@@ -185,6 +188,7 @@ func largestComponentNodes(g View) []NodeID {
 // LargestComponent returns the induced subgraph of the largest connected
 // component together with the mapping from new IDs to original IDs. Ties
 // break toward the component containing the smallest original node ID.
+// A 0-node graph gives a 0-node graph and an empty mapping.
 func LargestComponent(g View) (*Graph, []NodeID) {
 	keep := largestComponentNodes(g)
 	return InducedSubgraph(g, keep), keep

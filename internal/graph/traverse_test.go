@@ -113,6 +113,11 @@ func TestLargestComponent(t *testing.T) {
 			t.Errorf("ids[%d] = %d, want %d", i, v, want[i])
 		}
 	}
+
+	sub, ids = LargestComponent(NewBuilder(0).Build())
+	if sub.NumNodes() != 0 || sub.NumEdges() != 0 || len(ids) != 0 {
+		t.Errorf("largest component of the empty graph: %d nodes, %d edges, ids %v; want all empty", sub.NumNodes(), sub.NumEdges(), ids)
+	}
 }
 
 func TestInducedSubgraph(t *testing.T) {

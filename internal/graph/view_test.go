@@ -132,6 +132,17 @@ func TestEquivalenceViewMaskedVsRebuild(t *testing.T) {
 				t.Fatalf("round %d: Dropped(%v) = %v, want %v", round, e, mv.Dropped(e.U, e.V), dropped[e])
 			}
 		}
+		k := 0
+		mv.VisitSubstrateEdges(func(e Edge, d bool) bool {
+			if k >= len(edges) || e != edges[k] || d != dropped[e] {
+				t.Fatalf("round %d: VisitSubstrateEdges yielded %v (dropped %v) at %d, want substrate edge order and drop bits", round, e, d, k)
+			}
+			k++
+			return true
+		})
+		if k != len(edges) {
+			t.Fatalf("round %d: VisitSubstrateEdges yielded %d edges, want %d", round, k, len(edges))
+		}
 	}
 
 	// Reset restores the substrate exactly.

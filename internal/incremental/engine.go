@@ -9,6 +9,7 @@ import (
 	"github.com/trustnet/trustnet/internal/graph"
 	"github.com/trustnet/trustnet/internal/kcore"
 	"github.com/trustnet/trustnet/internal/obs"
+	"github.com/trustnet/trustnet/internal/parallel"
 	"github.com/trustnet/trustnet/internal/spectral"
 )
 
@@ -23,8 +24,9 @@ type EngineConfig struct {
 	// KeepVector are managed by the engine).
 	Spectral spectral.Config
 	// Workers bounds the expansion maintainer's fan-out over its sources
-	// (the initial BFSs, and every Apply's repairs and rebuilds); <= 0
-	// means GOMAXPROCS. The results are the same at any worker count.
+	// (the initial BFSs, and every Apply's repairs and rebuilds) and the
+	// engine's own overlap of independent stages; <= 0 means GOMAXPROCS.
+	// The results are the same at any worker count.
 	Workers int
 }
 
@@ -53,10 +55,18 @@ type EpochMeasurement struct {
 // component from it, warm-starting from the previous epoch's
 // eigenvector.
 //
+// The stages that read the epoch's CSR but not each other's results
+// overlap, as two items of one parallel.ForEach over the engine's
+// workers: Advance decomposes the CSR while the maintainer repairs its
+// BFS state, and Measure folds the envelope while the SLEM runs. The
+// maintainer's and the SLEM's own fan-outs nest inside them. At one
+// worker the items run inline, in the order listed.
+//
 // An interrupted sweep is not resumed: the job that ran it runs again
 // from epoch 0. Not safe for concurrent use.
 type Engine struct {
-	model *faults.Model
+	model   *faults.Model
+	workers int
 	// g is the epoch's topology (model.Degraded) and cores its
 	// decomposition.
 	g     *graph.Graph
@@ -82,11 +92,12 @@ func NewEngine(m *faults.Model, cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		model: m,
-		g:     g,
-		cores: dec,
-		exp:   em,
-		slem:  NewSLEMMaintainer(cfg.Spectral),
+		model:   m,
+		workers: cfg.Workers,
+		g:       g,
+		cores:   dec,
+		exp:     em,
+		slem:    NewSLEMMaintainer(cfg.Spectral),
 	}, nil
 }
 
@@ -97,35 +108,56 @@ func (en *Engine) Epoch() int { return en.model.Epoch() }
 // node ID, as a fresh copy.
 func (en *Engine) Cores() []int { return en.cores.CorenessValues() }
 
-// Advance moves the fault model one epoch, decomposes the epoch's
-// topology and repairs the expansion maintainer's BFS state from the
-// delta.
+// Advance moves the fault model one epoch, then decomposes the epoch's
+// topology alongside the expansion maintainer's repair of its BFS state
+// from the delta.
 func (en *Engine) Advance() {
 	obsEngineAdvances.Inc()
 	en.delta = en.model.AdvanceEpochDelta(en.delta)
 	en.g = en.model.Degraded()
-	dec, err := decompose(en.g)
+	var dec *kcore.Decomposition
+	err := parallel.ForEach(context.Background(), en.workers, 2, func(_, i int) (err error) {
+		if i == 0 {
+			dec, err = decompose(en.g)
+		} else {
+			en.exp.Apply(en.delta, en.g)
+		}
+		return err
+	})
 	if err != nil {
 		// Unreachable: the constructor already decomposed a topology with
 		// the same (nonzero) node count.
 		panic(err)
 	}
 	en.cores = dec
-	en.exp.Apply(en.delta, en.g)
 }
 
-// Measure snapshots the three structural metrics on the current epoch.
-// The coreness and expansion parts are bit-identical to from-scratch
-// measurements; the SLEM is warm-started and matches a cold start only
-// within the band the package comment describes.
+// Measure snapshots the three structural metrics on the current epoch,
+// folding the expansion envelope alongside the SLEM; it reports the
+// expansion's error first. The coreness and expansion parts are
+// bit-identical to from-scratch measurements; the SLEM is warm-started
+// and matches a cold start only within the band the package comment
+// describes.
 func (en *Engine) Measure(ctx context.Context) (*EpochMeasurement, error) {
-	exp, err := en.exp.Measure(ctx)
+	var (
+		exp      *expansion.Result
+		slem     *spectral.Result
+		compSize int
+	)
+	// The context goes to the stages, not to ForEach, so a cancelled
+	// measurement fails with the stage's error, not a bare ctx.Err().
+	err := parallel.ForEach(context.Background(), en.workers, 2, func(_, i int) (err error) {
+		if i == 0 {
+			if exp, err = en.exp.Measure(ctx); err != nil {
+				return fmt.Errorf("incremental: expansion at epoch %d: %w", en.Epoch(), err)
+			}
+		} else if slem, compSize, err = en.slem.Measure(ctx, en.g); err != nil {
+			return fmt.Errorf("incremental: slem at epoch %d: %w", en.Epoch(), err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("incremental: expansion at epoch %d: %w", en.Epoch(), err)
-	}
-	slem, compSize, err := en.slem.Measure(ctx, en.g)
-	if err != nil {
-		return nil, fmt.Errorf("incremental: slem at epoch %d: %w", en.Epoch(), err)
+		return nil, err
 	}
 	return &EpochMeasurement{
 		Epoch:         en.Epoch(),

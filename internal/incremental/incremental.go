@@ -18,6 +18,9 @@
 //   - SLEMMaintainer warm-starts the Lanczos iteration with the previous
 //     epoch's Ritz vector, carried across the delta by original node ID.
 //
+// The decomposition runs alongside the repair, and the envelope's fold
+// alongside the SLEM, on the engine's workers (Engine).
+//
 // The cores and the expansion are bit-identical to their from-scratch
 // counterparts (cores, expansion level counts). The warm-started SLEM
 // passes the same stopping test as a cold start but is not bit-equal to

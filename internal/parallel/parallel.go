@@ -8,28 +8,38 @@
 // The package enforces one determinism contract for all of them:
 //
 //   - Work is identified by item index, not by goroutine. ForEach and Map
-//     assign item i to worker slot i%workers, so the set of items a slot
-//     processes is a pure function of (n, workers) — never of scheduling.
+//     hand the items out in index order to whichever worker slot is
+//     free, so which slot runs an item depends on scheduling: what an
+//     item produces must depend on its index only, and a per-slot
+//     accumulator must give the same total whatever items it sees and
+//     in whatever order. A slot is never used by two goroutines at once,
+//     so per-slot scratch needs no lock.
 //   - Per-item randomness must be seeded with SeedFor(root, i), a
 //     SplitMix64 mix of the caller's root seed and the item index, so a
 //     measurement produces bit-for-bit identical results at any worker
 //     count, including workers=1.
 //   - When several items fail, the error of the smallest failing index is
-//     returned, so error reporting is deterministic too.
+//     returned, so error reporting is deterministic too. A panic on a
+//     worker goroutine is re-raised on the caller's (WorkerPanic), so a
+//     caller that recovers its own panics recovers those too.
 //
 // Cost model: ForEach/Map spawn min(workers, n) goroutines once per call
-// — O(workers) scheduling overhead amortized over n items. They add no
-// synchronization on the hot path beyond the final WaitGroup join, so a
-// fan-out over n independent items of cost C runs in O(n·C/workers) wall
-// clock plus O(workers) constant overhead.
+// — O(workers) scheduling overhead amortized over n items — and each
+// item costs one atomic add on the shared counter, so a fan-out over n
+// independent items of cost C runs in O(n·C/workers) wall clock plus
+// O(workers) constant overhead, and items of uneven cost keep every
+// worker busy until the last items are claimed.
 package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // workerLabels caches the pprof label values for small slot indices so
@@ -68,14 +78,26 @@ func Workers(requested, items int) int {
 }
 
 // ForEach runs fn(slot, i) for every i in [0, n) across at most workers
-// goroutines (normalized by Workers). Item i is handled by slot i%workers,
-// so slot assignment is deterministic; fn receives its slot index so
-// callers can keep lock-free per-worker scratch and sharded accumulators.
+// goroutines (normalized by Workers). The goroutines share one counter
+// and each takes the next unclaimed item, in index order, as soon as it
+// is free, so a slow item holds up only its own worker. A goroutine
+// keeps its slot for the whole call, so fn can keep lock-free
+// per-worker scratch and accumulators under slot; which items a slot
+// runs depends on scheduling, so what fn produces must depend on i
+// only, and a per-slot accumulator must not depend on the order or
+// grouping of the items it sees.
 //
-// Cancellation is checked between items: once ctx is done, every slot
-// stops before its next item and ForEach returns ctx.Err(). When fn
-// returns an error the slot stops, the other slots finish their remaining
-// items, and the error with the smallest item index is returned.
+// Cancellation is checked before every item: once ctx is done, every
+// slot stops before its next item and ForEach returns ctx.Err(). When
+// fn returns an error its slot stops, the other slots go on claiming
+// items, and the error with the smallest item index is returned: items
+// are claimed in index order, so the smallest failing item always ran.
+//
+// A panic in fn on a worker goroutine stops every slot from claiming
+// further items, and once all have returned ForEach panics on the
+// calling goroutine with a *WorkerPanic holding the value and the
+// worker's stack of the smallest item that panicked. At one worker fn
+// runs on the calling goroutine and its panic propagates as is.
 func ForEach(ctx context.Context, workers, n int, fn func(slot, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -98,46 +120,42 @@ func ForEach(ctx context.Context, workers, n int, fn func(slot, i int) error) er
 		return nil
 	}
 
-	type failure struct {
-		index int
-		err   error
+	fan := &fanOut{n: n, fn: fn, fails: make([]failure, workers)}
+	for s := range fan.fails {
+		// A worker that never returns from work (fn called
+		// runtime.Goexit) leaves its slot's entry as it is here.
+		fan.fails[s].index = -1
 	}
-	fails := make([]failure, workers)
-	for s := range fails {
-		fails[s].index = -1
-	}
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		fan.wg.Add(1)
 		go func(slot int) {
-			defer wg.Done()
+			defer fan.wg.Done()
 			// Each worker task carries a "worker" pprof label merged
 			// with whatever the caller's context already carries (the
 			// "experiment" and "stage" labels from obs.WithExperiment /
 			// obs.StartSpan), so CPU profiles attribute every sample to
 			// the (experiment, stage, worker) triple. One label set per
-			// spawned goroutine — amortized over the slot's whole strided
-			// item range, never per item.
+			// spawned goroutine — amortized over every item the slot
+			// claims, never per item.
 			pprof.Do(ctx, pprof.Labels("worker", workerLabel(slot)), func(ctx context.Context) {
-				for i := slot; i < n; i += workers {
-					if err := ctx.Err(); err != nil {
-						fails[slot] = failure{index: i, err: err}
-						return
-					}
-					if err := fn(slot, i); err != nil {
-						fails[slot] = failure{index: i, err: err}
-						return
-					}
-				}
+				fan.fails[slot] = fan.work(ctx, slot)
 			})
 		}(w)
 	}
-	wg.Wait()
+	fan.wg.Wait()
+	first := failure{index: -1}
+	for _, f := range fan.fails {
+		if f.panic != nil && (first.panic == nil || f.index < first.index) {
+			first = f
+		}
+	}
+	if first.panic != nil {
+		panic(first.panic)
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	first := failure{index: -1}
-	for _, f := range fails {
+	for _, f := range fan.fails {
 		if f.index >= 0 && (first.index < 0 || f.index < first.index) {
 			first = f
 		}
@@ -146,6 +164,68 @@ func ForEach(ctx context.Context, workers, n int, fn func(slot, i int) error) er
 		return first.err
 	}
 	return nil
+}
+
+// fanOut is the state one ForEach call's workers share.
+type fanOut struct {
+	n  int
+	fn func(slot, i int) error
+	wg sync.WaitGroup
+	// next is the smallest unclaimed item.
+	next atomic.Int64
+	// halted is set once fn panics, so that no slot claims another item.
+	halted atomic.Bool
+	// fails holds each slot's first failure.
+	fails []failure
+}
+
+// failure is where a slot stopped: the item (-1 if it ran out of items)
+// and its error, or the panic it raised.
+type failure struct {
+	index int
+	err   error
+	panic *WorkerPanic
+}
+
+// work claims items for slot until none is left, ctx is done, fn fails
+// or some slot panicked, and returns the slot's failure.
+func (f *fanOut) work(ctx context.Context, slot int) (fail failure) {
+	i := -1
+	defer func() {
+		if r := recover(); r != nil {
+			f.halted.Store(true)
+			fail = failure{index: i, panic: &WorkerPanic{Item: i, Value: r, Stack: debug.Stack()}}
+		}
+	}()
+	for !f.halted.Load() {
+		if i = int(f.next.Add(1) - 1); i >= f.n {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return failure{index: i, err: err}
+		}
+		if err := f.fn(slot, i); err != nil {
+			return failure{index: i, err: err}
+		}
+	}
+	return failure{index: -1}
+}
+
+// WorkerPanic is the value ForEach panics with on the calling goroutine
+// when fn panicked on one of its workers.
+type WorkerPanic struct {
+	// Item is the item whose fn panicked.
+	Item int
+	// Value is the value fn panicked with.
+	Value any
+	// Stack is the worker's stack where fn panicked (debug.Stack).
+	Stack []byte
+}
+
+// Error reports the panic value and the worker's stack, so a re-panic
+// that nothing recovers still says where fn panicked.
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v [item %d of a parallel.ForEach]\n\nworker %s", p.Value, p.Item, p.Stack)
 }
 
 // Map runs fn(slot, i) for every i in [0, n) under the same scheduling and

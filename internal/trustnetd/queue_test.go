@@ -12,23 +12,47 @@ import (
 
 	"github.com/trustnet/trustnet/internal/jobs"
 	"github.com/trustnet/trustnet/internal/obs"
+	"github.com/trustnet/trustnet/internal/parallel"
 )
 
 // TestQueueSurvivesPanickingJob enqueues a job whose run panics and an
-// ordinary job behind it on a one-worker queue. The first must end
-// failed with the panic value in its error, release its graph once,
-// count as failed and cache nothing; the worker must then run the
-// second to done.
+// ordinary job behind it on a one-worker queue, once with the panic on
+// the job's goroutine and once at item 1 of a two-worker
+// parallel.ForEach inside the job. The first job must end failed with
+// the panic value in its error, release its graph once, count as failed
+// and cache nothing; the worker must then run the second to done.
 func TestQueueSurvivesPanickingJob(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(context.Context, jobs.Env) (*jobs.Artifact, error)
+	}{
+		{"job", func(context.Context, jobs.Env) (*jobs.Artifact, error) {
+			panic("measurement bug")
+		}},
+		{"fan-out", func(ctx context.Context, _ jobs.Env) (*jobs.Artifact, error) {
+			err := parallel.ForEach(ctx, 2, 2, func(_, i int) error {
+				if i == 1 {
+					panic("measurement bug in a fan-out")
+				}
+				return nil
+			})
+			return nil, err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { testQueueSurvivesPanic(t, c.run) })
+	}
+}
+
+// testQueueSurvivesPanic runs TestQueueSurvivesPanickingJob's checks
+// with run as the panicking job's body.
+func testQueueSurvivesPanic(t *testing.T, run func(context.Context, jobs.Env) (*jobs.Artifact, error)) {
 	store := jobs.NewStore(t.TempDir())
 	q := newQueue(store, 1, 4, time.Minute)
 	t.Cleanup(func() { q.drain(10 * time.Second) })
 	failed := obs.Default().Counter("trustnetd.jobs.failed")
 	before := failed.Value()
 
-	boom := jobs.New("boom", nil, func(context.Context, jobs.Env) (*jobs.Artifact, error) {
-		panic("measurement bug")
-	})
+	boom := jobs.New("boom", nil, run)
 	fine := jobs.New("fine", nil, func(context.Context, jobs.Env) (*jobs.Artifact, error) {
 		return &jobs.Artifact{Summary: "fine\n"}, nil
 	})
